@@ -32,6 +32,7 @@ from .lindblad import EvolutionEngine, NoiseModel, apply_perturbation, perturbat
 from .nmr import SPIN_C2, SPIN_H, HamiltonianModel
 
 MAP_VARIANTS = ("chaotic", "regular")
+MAX_SCAN_STATES = 10  # Bell(10) = 115975 partitions
 
 # noise presets: 1/Gamma in seconds per spin (H, C1, C2)
 PRESETS = {
@@ -58,7 +59,6 @@ class ExperimentConfig:
     steps: int = 6
     artificial_perturbation: bool = False
     convention: str = "angular"
-    method: str = "superoperator_expm"
     seed: int = 0
 
     def __post_init__(self):
@@ -84,7 +84,7 @@ class ExperimentConfig:
         return HamiltonianModel(variant=self.hamiltonian, convention=self.convention)
 
     def engine(self) -> EvolutionEngine:
-        return EvolutionEngine(self.model(), self.noise(), method=self.method)
+        return EvolutionEngine(self.model(), self.noise())
 
 
 def initial_state() -> np.ndarray:
@@ -291,8 +291,8 @@ def partition_scan(rhos) -> tuple[np.ndarray, np.ndarray, float]:
     """
     rhos = list(rhos)
     n = len(rhos)
-    if n > 10:
-        raise ValueError("exhaustive partition scan is limited to 10 states")
+    if n > MAX_SCAN_STATES:
+        raise ValueError(f"exhaustive partition scan is limited to {MAX_SCAN_STATES} states")
     subset_sum = np.zeros((2**n, rhos[0].shape[0], rhos[0].shape[1]), dtype=complex)
     subset_entropy = np.zeros(2**n)
     for mask in range(1, 2**n):
@@ -385,6 +385,11 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int = 3) -> H
     The greedy pass runs :data:`GREEDY_RESTARTS` seedings per group
     count and keeps the nondominated (delta_s, information) points.
     """
+    if 2**n_steps > MAX_SCAN_STATES:
+        raise ValueError(
+            f"{n_steps} steps give {2**n_steps} histories; the exhaustive"
+            f" partition scan is limited to {MAX_SCAN_STATES} states"
+        )
     rhos = history_ensemble(config, n_steps)
     delta_s, info, s_max = partition_scan(rhos)
     frontier = _frontier_from_scan(delta_s, info)

@@ -44,6 +44,7 @@ def _config_header(cfg: ExperimentConfig, preset: str, map_choice: str) -> str:
         f"inv_gamma_h={_fmt(cfg.inv_gamma_h)}",
         f"inv_gamma_c1={_fmt(cfg.inv_gamma_c1)}",
         f"inv_gamma_c2={_fmt(cfg.inv_gamma_c2)}",
+        f"artificial_perturbation={cfg.artificial_perturbation}",
     ]
     return "# " + " ".join(fields)
 
@@ -227,7 +228,10 @@ def _run_entropy(args) -> str:
 
 def _run_hyper(args) -> str:
     variant = args.map or "chaotic"
-    cfg = replace(_resolve_config(args, steps_default=3), map_variant=variant)
+    # the history ensemble never averages in the artificial perturbation
+    # channel, so the header reports it off whatever the preset says
+    cfg = replace(_resolve_config(args, steps_default=3), map_variant=variant,
+                  artificial_perturbation=False)
     result = chaos.hypersensitivity_experiment(cfg, n_steps=cfg.steps)
     lines = [
         _config_header(cfg, args.preset, variant),

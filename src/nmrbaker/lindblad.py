@@ -117,17 +117,12 @@ class EvolutionEngine:
         model: HamiltonianModel,
         noise: NoiseModel,
         method: str = "superoperator_expm",
-        rk4_step: float | None = None,
     ):
         if method not in self.METHODS:
             raise ValueError(f"unknown evolution method {method!r}")
         self.model = model
         self.noise = noise
         self.method = method
-        # default step keeps the RK4 cross-check well below 1e-6 error
-        self.rk4_step = rk4_step if rk4_step is not None else model.tau1 / 200
-        if self.rk4_step <= 0:
-            raise ValueError("rk4 step must be positive")
         self._generator = liouvillian(model, noise)
         self._cache: dict[float, np.ndarray] = {}
         self._lock = threading.Lock()
@@ -153,7 +148,8 @@ class EvolutionEngine:
 
     def _rk4_propagator(self, duration: float) -> np.ndarray:
         gen = self._generator
-        steps = max(1, math.ceil(duration / self.rk4_step))
+        # tau1/200 keeps the RK4 cross-check well below 1e-6 error
+        steps = max(1, math.ceil(duration / (self.model.tau1 / 200)))
         h = duration / steps
         prop = np.eye(DIM * DIM, dtype=complex)
         for _ in range(steps):

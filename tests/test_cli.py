@@ -35,6 +35,10 @@ class TestEntropyCommand:
         assert len(data) == 2
         assert all(",regular," in ln for ln in data)
 
+    def test_header_reports_artificial_perturbation(self, capsys):
+        _, out = run_capture(capsys, ["entropy", "--preset", "fig4", "--steps", "1"])
+        assert "artificial_perturbation=True" in out.splitlines()[0].split()
+
     def test_gamma_overrides(self, capsys):
         _, out = run_capture(capsys, ["entropy", "--preset", "fig2", "--steps", "1",
                                       "--gamma-h", "9.5"])
@@ -66,6 +70,12 @@ class TestHyperCommand:
         ds = [float(ln.split(",")[0]) for ln in out.splitlines()[3:]
               if ln.endswith("exhaustive")]
         assert ds == sorted(ds)
+
+    def test_header_reports_perturbation_off(self, capsys):
+        # the history ensemble never applies the fig4 perturbation channel
+        code, out = run_capture(capsys, ["hyper", "--preset", "fig4", "--map", "regular"])
+        assert code == 0
+        assert "artificial_perturbation=False" in out.splitlines()[0].split()
 
     def test_determinism(self, tmp_path):
         argv = ["hyper", "--preset", "fig5", "--map", "chaotic", "--seed", "3"]
@@ -130,6 +140,14 @@ class TestExitCodes:
         # a history ensemble beyond the exhaustive-scan limit is a
         # configuration error, not a crash
         assert cli.run(["hyper", "--preset", "fig5", "--steps", "4"]) == 2
+
+    def test_oversized_history_rejected_before_work(self, monkeypatch, capsys):
+        def forbidden(cfg, n_steps):
+            raise AssertionError("history ensemble built for a rejected configuration")
+
+        monkeypatch.setattr(cli.chaos, "history_ensemble", forbidden)
+        assert cli.run(["hyper", "--preset", "fig5", "--steps", "4"]) == 2
+        assert "partition scan" in capsys.readouterr().err
 
     def test_io_failure_exits_four(self, tmp_path, capsys):
         path = tmp_path / "does" / "not" / "exist" / "out.csv"
