@@ -3,16 +3,19 @@
 Single-qubit z rotations and Hadamards come from short x/y pulse
 combinations; two-qubit phase gates use refocused delays (a pi pulse on
 the spectator spin cancels every coupling involving it); CNOTs and
-swaps stack on top.  Each construction is compared against its target
-unitary up to a global phase, under the simplified drift Hamiltonian
+swaps stack on top.  Each construction is compared against its target,
+a gate list on the qubits ``nmr.QUBIT`` assigns to the spins, up to a
+global phase, under the simplified drift Hamiltonian
 with the exact 2:1 coupling ratio the timings assume, and then against
 the measured couplings to expose the approximation error.
 """
 
 import numpy as np
 
-from nmrbaker import nmr, qstate
+from nmrbaker import nmr
+from nmrbaker.baker import hadamard, phase, swap, z_rotation
 
+q = nmr.QUBIT
 reference = nmr.HamiltonianModel().compiler_reference()
 measured = nmr.HamiltonianModel(variant="simplified")
 
@@ -20,16 +23,16 @@ print("compiled primitives (exact coupling ratio)")
 print("------------------------------------------")
 checks = [
     ("z rotation Z(0.9) on C1",
-     nmr.z_rotation_pulses("C1", 0.9), nmr.z_rotation_unitary("C1", 0.9)),
-    ("hadamard on H", nmr.hadamard_pulses("H"), nmr.hadamard_unitary("H")),
+     nmr.z_rotation_pulses("C1", 0.9), [z_rotation(q["C1"], 0.9)]),
+    ("hadamard on H", nmr.hadamard_pulses("H"), [hadamard(q["H"])]),
     ("phase gate B(-pi/2) on C1-H",
      nmr.phase_gate_pulses(("C1", "H"), np.pi / 2, reference),
-     nmr.phase_gate_unitary(("C1", "H"), -np.pi / 2)),
+     [phase(q["C1"], q["H"], -np.pi / 2)]),
     ("phase gate B(-pi/2) on C1-C2",
      nmr.phase_gate_pulses(("C1", "C2"), np.pi / 2, reference),
-     nmr.phase_gate_unitary(("C1", "C2"), -np.pi / 2)),
+     [phase(q["C1"], q["C2"], -np.pi / 2)]),
     ("swap C1-H (three CNOTs)",
-     nmr.swap_pulses(("C1", "H"), reference), nmr.swap_unitary(("C1", "H"))),
+     nmr.swap_pulses(("C1", "H"), reference), [swap(q["C1"], q["H"])]),
 ]
 for name, seq, target in checks:
     rep = nmr.verify_sequence(seq, target, reference, tol=1e-8)

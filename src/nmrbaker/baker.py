@@ -30,39 +30,59 @@ from . import qstate
 HADAMARD_KIND = "hadamard"
 PHASE_KIND = "phase"
 SWAP_KIND = "swap"
+Z_KIND = "z"
 
 
 @dataclass(frozen=True)
 class GateSpec:
-    """One gate: a Hadamard, a two-qubit controlled phase, or a swap."""
+    """One gate: a Hadamard, a z rotation, a two-qubit controlled phase, or a swap.
+
+    ``Z(theta)`` is exp(i*theta*Z/2).  A phase gate multiplies by
+    exp(i*theta) the basis states whose two bits both equal
+    ``control_value``: 1 is the logical gate of the map constructions,
+    0 phases the |00> branch, which is the form the machine's
+    refocused-delay construction natively produces.  The two differ by
+    Z(theta) on both qubits.
+    """
 
     kind: str
     qubits: tuple
     theta: float | None = None
+    control_value: int = 1
 
     def __post_init__(self):
-        if self.kind not in (HADAMARD_KIND, PHASE_KIND, SWAP_KIND):
+        if self.kind not in (HADAMARD_KIND, PHASE_KIND, SWAP_KIND, Z_KIND):
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind == HADAMARD_KIND:
+        if self.kind in (HADAMARD_KIND, Z_KIND):
             if len(self.qubits) != 1:
-                raise ValueError("hadamard acts on exactly one qubit")
+                raise ValueError(f"{self.kind} acts on exactly one qubit")
         else:
             if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
                 raise ValueError("two-qubit gate needs two distinct qubits")
-        if self.kind == PHASE_KIND:
+        if self.kind in (PHASE_KIND, Z_KIND):
             if self.theta is None or not math.isfinite(self.theta):
-                raise ValueError("phase gate needs a finite angle")
+                raise ValueError(f"{self.kind} gate needs a finite angle")
         elif self.theta is not None:
             raise ValueError(f"{self.kind} gate takes no angle")
+        if self.control_value not in (0, 1) or (
+            self.control_value == 0 and self.kind != PHASE_KIND
+        ):
+            raise ValueError("only a phase gate takes a control value, and it is 0 or 1")
 
 
 def hadamard(m: int) -> GateSpec:
     return GateSpec(HADAMARD_KIND, (m,))
 
 
-def phase(m: int, n: int, theta: float) -> GateSpec:
-    """Phase gate: multiplies a basis state by exp(i*theta) iff bits m and n are both 1."""
-    return GateSpec(PHASE_KIND, (m, n), theta)
+def z_rotation(m: int, theta: float) -> GateSpec:
+    """Z(theta) = exp(i*theta*Z/2) on qubit m."""
+    return GateSpec(Z_KIND, (m,), theta)
+
+
+def phase(m: int, n: int, theta: float, control_value: int = 1) -> GateSpec:
+    """Phase gate: multiplies a basis state by exp(i*theta) iff bits m and n
+    both equal ``control_value``."""
+    return GateSpec(PHASE_KIND, (m, n), theta, control_value)
 
 
 def swap(m: int, n: int) -> GateSpec:
@@ -78,14 +98,17 @@ def gate_unitary(gate: GateSpec, n_qubits: int) -> np.ndarray:
     if gate.kind == HADAMARD_KIND:
         order = list(range(n_qubits - 1, -1, -1))  # most significant first
         return qstate.embed(qstate.HADAMARD, [gate.qubits[0]], order)
+    j = np.arange(dim)
+    if gate.kind == Z_KIND:
+        up = ((j >> gate.qubits[0]) & 1) == 0
+        return np.diag(np.where(up, np.exp(1j * gate.theta / 2), np.exp(-1j * gate.theta / 2)))
     if gate.kind == PHASE_KIND:
         m, n = gate.qubits
-        j = np.arange(dim)
-        both = ((j >> m) & 1) & ((j >> n) & 1)
+        c = gate.control_value
+        both = (((j >> m) & 1) == c) & (((j >> n) & 1) == c)
         return np.diag(np.where(both, np.exp(1j * gate.theta), 1.0 + 0j))
     # swap: permutation of basis indices exchanging bits m and n
     m, n = gate.qubits
-    j = np.arange(dim)
     bm = (j >> m) & 1
     bn = (j >> n) & 1
     swapped = j ^ ((bm ^ bn) << m) ^ ((bm ^ bn) << n)

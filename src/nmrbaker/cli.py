@@ -105,49 +105,35 @@ def standard_checks() -> list[nmr.VerifyReport]:
     add("shift property, full map (1 - fidelity)", worst_full, 1e-10)
     add("shift property, simplified map (1 - fidelity)", worst_simple, 1e-10)
 
-    # pulse layer primitives
-    worst = max(
-        qstate.phase_invariant_distance(
-            nmr.sequence_unitary(nmr.z_rotation_pulses("C1", 0.9, v), ref),
-            nmr.z_rotation_unitary("C1", 0.9))
-        for v in (1, 2, 3, 4))
-    add("z-rotation pulse variants", worst, 1e-12)
-    worst = max(
-        qstate.phase_invariant_distance(
-            nmr.sequence_unitary(nmr.hadamard_pulses("H", v), ref),
-            nmr.hadamard_unitary("H"))
-        for v in (1, 2))
-    add("hadamard pulse variants", worst, 1e-12)
-    add("phase gate C1-H",
-        qstate.phase_invariant_distance(
-            nmr.sequence_unitary(nmr.phase_gate_pulses(("C1", "H"), np.pi / 2, ref), ref),
-            nmr.phase_gate_unitary(("C1", "H"), -np.pi / 2)), 1e-8)
-    add("phase gate C1-C2 (offset corrected)",
-        qstate.phase_invariant_distance(
-            nmr.sequence_unitary(nmr.phase_gate_pulses(("C1", "C2"), np.pi / 2, ref), ref),
-            nmr.phase_gate_unitary(("C1", "C2"), -np.pi / 2)), 1e-8)
-    add("swap C1-H from three CNOTs",
-        qstate.phase_invariant_distance(
-            nmr.sequence_unitary(nmr.swap_pulses(("C1", "H"), ref), ref),
-            nmr.swap_unitary(("C1", "H"))), 1e-8)
+    # compiler: each row's worst distance over its programs, against one
+    # gate list on the gate qubits nmr.QUBIT assigns to the spins
+    q = nmr.QUBIT
     swap_seq = nmr.swap_pulses(("C1", "C2"), ref)
-    add("swap applied twice is identity",
-        qstate.phase_invariant_distance(
-            nmr.sequence_unitary(swap_seq + swap_seq, ref), np.eye(8)), 1e-7)
-
-    # canned programs
-    add("t_odd vs ideal gate product",
-        nmr.verify_sequence(nmr.t_odd(ref), nmr.ideal_t_odd(), ref, 1e-8).distance, 1e-8)
-    add("t_even vs ideal gate product",
-        nmr.verify_sequence(nmr.t_even(ref), nmr.ideal_t_even(), ref, 1e-8).distance, 1e-8)
-    add("t_regular vs offset rotation",
-        nmr.verify_sequence(
-            nmr.t_regular(measured), nmr.ideal_t_regular(measured), measured, 1e-10
-        ).distance, 1e-10)
-    add("full baker program vs ideal gate product",
-        nmr.verify_sequence(
-            nmr.full_baker_appendix(ref), nmr.ideal_full_baker(), ref, 1e-7
-        ).distance, 1e-7)
+    compiler_rows = [
+        ("z-rotation pulse variants",
+         [nmr.z_rotation_pulses("C1", 0.9, v) for v in (1, 2, 3, 4)],
+         [baker.z_rotation(q["C1"], 0.9)], ref, 1e-12),
+        ("hadamard pulse variants",
+         [nmr.hadamard_pulses("H", v) for v in (1, 2)],
+         [baker.hadamard(q["H"])], ref, 1e-12),
+        ("phase gate C1-H",
+         [nmr.phase_gate_pulses(("C1", "H"), np.pi / 2, ref)],
+         [baker.phase(q["C1"], q["H"], -np.pi / 2)], ref, 1e-8),
+        ("phase gate C1-C2 (offset corrected)",
+         [nmr.phase_gate_pulses(("C1", "C2"), np.pi / 2, ref)],
+         [baker.phase(q["C1"], q["C2"], -np.pi / 2)], ref, 1e-8),
+        ("swap C1-H from three CNOTs",
+         [nmr.swap_pulses(("C1", "H"), ref)], [baker.swap(q["C1"], q["H"])], ref, 1e-8),
+        ("swap applied twice is identity", [swap_seq + swap_seq], [], ref, 1e-7),
+        ("t_odd vs ideal gate product", [nmr.t_odd(ref)], nmr.ideal_t_odd(), ref, 1e-8),
+        ("t_even vs ideal gate product", [nmr.t_even(ref)], nmr.ideal_t_even(), ref, 1e-8),
+        ("t_regular vs offset rotation",
+         [nmr.t_regular(measured)], nmr.ideal_t_regular(measured), measured, 1e-10),
+        ("full baker program vs ideal gate product",
+         [nmr.full_baker_appendix(ref)], nmr.ideal_full_baker(), ref, 1e-7),
+    ]
+    for name, programs, gates, model, tol in compiler_rows:
+        add(name, max(nmr.verify_sequence(p, gates, model, tol).distance for p in programs), tol)
     t1 = measured.tau1
     add("total delay t_odd = 7 tau1",
         abs(nmr.t_odd(measured).total_delay - 7 * t1), 1e-15)
@@ -258,15 +244,19 @@ def _run_verify() -> tuple[str, bool]:
     return "\n".join(lines) + "\n", ok
 
 
+_GATE_WORDS = {baker.HADAMARD_KIND: "H", baker.PHASE_KIND: "PHASE",
+               baker.SWAP_KIND: "SWAP", baker.Z_KIND: "Z"}
+
+
 def _dump_gate_sequence(name: str, gates) -> str:
     lines = [f"# gates name={name} n_qubits=3 order=execution"]
     for g in gates:
-        if g.kind == baker.HADAMARD_KIND:
-            lines.append(f"H {g.qubits[0]}")
-        elif g.kind == baker.PHASE_KIND:
-            lines.append(f"PHASE {g.qubits[0]} {g.qubits[1]} {_fmt(g.theta)}")
-        else:
-            lines.append(f"SWAP {g.qubits[0]} {g.qubits[1]}")
+        fields = [_GATE_WORDS[g.kind], *map(str, g.qubits)]
+        if g.theta is not None:
+            fields.append(_fmt(g.theta))
+        if g.control_value != 1:
+            fields.append(f"control={g.control_value}")
+        lines.append(" ".join(fields))
     return "\n".join(lines) + "\n"
 
 

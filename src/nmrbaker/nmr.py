@@ -2,10 +2,11 @@
 
 The register is the proton and the two carbons of trichloroethylene,
 labelled ``H``, ``C1``, ``C2``.  Matrices use the fixed physical order
-(H, C1, C2) with H the most significant tensor factor.  The drift
-Hamiltonian couples neighbouring spins only (H-C1 and C1-C2 carry the
-large couplings), so two-qubit gates between H and C2 require swaps
-through the central spin.
+(H, C1, C2) with H the most significant tensor factor; gate-level
+targets are ``baker.GateSpec`` lists on the qubits given by ``QUBIT``.
+The drift Hamiltonian couples neighbouring spins only (H-C1 and C1-C2
+carry the large couplings), so two-qubit gates between H and C2 require
+swaps through the central spin.
 
 Pulse programs are sequences of instantaneous RF rotations and timed
 delays.  ``X(theta)`` multiplies the state by exp(i*theta*X/2), ``Y``
@@ -28,13 +29,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import qstate
+from . import baker, qstate
 from .qstate import ID2, PAULI_X, PAULI_Y, PAULI_Z
 
 SPIN_H = "H"
 SPIN_C1 = "C1"
 SPIN_C2 = "C2"
 SPINS = (SPIN_H, SPIN_C1, SPIN_C2)  # register order, most significant first
+# gate qubit of each spin for baker.GateSpec targets (qubit 0 least significant)
+QUBIT = {SPIN_H: 2, SPIN_C1: 1, SPIN_C2: 0}
 
 # only these pairs are coupled strongly enough to run gates on
 NEIGHBOR_PAIRS = ((SPIN_C1, SPIN_H), (SPIN_C1, SPIN_C2))
@@ -520,106 +523,66 @@ def full_baker_appendix(model: HamiltonianModel) -> PulseSequence:
 # ---------------------------------------------------------------------------
 # ideal gate-level targets for the canned programs
 # ---------------------------------------------------------------------------
+# Targets are baker.GateSpec lists in execution order, on the gate qubits
+# given by QUBIT.
 
-def hadamard_unitary(spin: str) -> np.ndarray:
-    return qstate.embed(qstate.HADAMARD, [_check_spin(spin)], SPINS)
-
-
-def phase_gate_unitary(pair, theta: float, control_value: int = 1) -> np.ndarray:
-    """Controlled phase on a spin pair.
-
-    ``control_value=1`` multiplies by exp(i*theta) iff both spins are
-    |1> (the logical gate of the map constructions).  ``control_value=0``
-    phases the |00> branch instead: that is the form the machine's
-    refocused-delay construction natively produces when the completing
-    z rotations turn the same way as the delay phases, and it is the
-    convention the canned step programs realize.  The two differ by
-    fixed single-spin z rotations Z(theta) on both actors.
-    """
-    (a, b) = _pair_key(pair)
-    ph = np.exp(1j * theta)
-    if control_value == 1:
-        block = np.diag([1, 1, 1, ph])
-    elif control_value == 0:
-        block = np.diag([ph, 1, 1, 1])
-    else:
-        raise ValueError("control_value must be 0 or 1")
-    return qstate.embed(block, [a, b], SPINS)
+_H, _C1, _C2 = (QUBIT[s] for s in SPINS)
 
 
-def swap_unitary(pair) -> np.ndarray:
-    (a, b) = _pair_key(pair)
-    return qstate.embed(qstate.SWAP2, [a, b], SPINS)
-
-
-def z_rotation_unitary(spin: str, angle: float) -> np.ndarray:
-    u2 = np.diag([np.exp(1j * angle / 2), np.exp(-1j * angle / 2)])
-    return qstate.embed(u2, [_check_spin(spin)], SPINS)
-
-
-def ideal_t_odd() -> np.ndarray:
+def ideal_t_odd() -> list[baker.GateSpec]:
     """Gate-level odd baker step (with the trailing swap relabelled away).
 
     Uses the machine-native phase-gate convention (``control_value=0``);
-    see :func:`phase_gate_unitary`.
+    see :class:`baker.GateSpec`.
     """
-    return (
-        swap_unitary((SPIN_C1, SPIN_H))
-        @ hadamard_unitary(SPIN_C1)
-        @ phase_gate_unitary((SPIN_C1, SPIN_C2), -np.pi / 4, control_value=0)
-        @ phase_gate_unitary((SPIN_C1, SPIN_H), -np.pi / 2, control_value=0)
-    )
+    return [
+        baker.phase(_C1, _H, -np.pi / 2, control_value=0),
+        baker.phase(_C1, _C2, -np.pi / 4, control_value=0),
+        baker.hadamard(_C1),
+        baker.swap(_C1, _H),
+    ]
 
 
-def ideal_t_even() -> np.ndarray:
+def ideal_t_even() -> list[baker.GateSpec]:
     """Gate-level even baker step (couplings' roles interchanged).
 
     Unlike the odd program, the even program completes its phase gates
     in the logical convention, so this target uses ``control_value=1``.
     """
-    return (
-        swap_unitary((SPIN_C1, SPIN_C2))
-        @ hadamard_unitary(SPIN_C1)
-        @ phase_gate_unitary((SPIN_C1, SPIN_H), -np.pi / 4)
-        @ phase_gate_unitary((SPIN_C1, SPIN_C2), -np.pi / 2)
-    )
+    return [
+        baker.phase(_C1, _C2, -np.pi / 2),
+        baker.phase(_C1, _H, -np.pi / 4),
+        baker.hadamard(_C1),
+        baker.swap(_C1, _C2),
+    ]
 
 
-def ideal_t_regular(model: HamiltonianModel) -> np.ndarray:
+def ideal_t_regular(model: HamiltonianModel) -> list[baker.GateSpec]:
     """exp(-4i*delta*tau4*Z_C2): all that survives the refocusing."""
-    a = 4 * model.delta_eff * model.tau4
-    return qstate.embed(np.diag([np.exp(-1j * a), np.exp(1j * a)]), [SPIN_C2], SPINS)
+    return [baker.z_rotation(_C2, -8 * model.delta_eff * model.tau4)]
 
 
-def ideal_full_baker() -> np.ndarray:
-    """Gate-level full baker iteration on physical spins (qubit 0 = H,
-    1 = C1, 2 = C2), with one swap per iteration relabelled away.
+def ideal_full_baker() -> list[baker.GateSpec]:
+    """Gate-level full baker iteration on physical spins (logical qubit
+    0 = H, 1 = C1, 2 = C2), with one swap per iteration relabelled away.
 
-    With logical-convention phase gates this product equals the closed
+    With logical-convention phase gates this sequence equals the closed
     form of the map conjugated by the absorbed swap; the machine-native
     form used here differs from that by fixed z rotations.
     """
-    had_h = hadamard_unitary(SPIN_H)
-    had_c1 = hadamard_unitary(SPIN_C1)
-    had_c2 = hadamard_unitary(SPIN_C2)
-    # execution order, first applied first
-    gates = [
-        had_h,
-        phase_gate_unitary((SPIN_C1, SPIN_H), np.pi / 2, control_value=0),
-        had_c1,
-        had_c2,
-        phase_gate_unitary((SPIN_C1, SPIN_C2), -np.pi / 2, control_value=0),
-        swap_unitary((SPIN_C1, SPIN_H)),
-        had_h,
-        phase_gate_unitary((SPIN_C1, SPIN_C2), -np.pi / 4, control_value=0),
-        phase_gate_unitary((SPIN_C1, SPIN_H), -np.pi / 2, control_value=0),
-        had_c1,
-        swap_unitary((SPIN_C1, SPIN_C2)),
+    return [
+        baker.hadamard(_H),
+        baker.phase(_C1, _H, np.pi / 2, control_value=0),
+        baker.hadamard(_C1),
+        baker.hadamard(_C2),
+        baker.phase(_C1, _C2, -np.pi / 2, control_value=0),
+        baker.swap(_C1, _H),
+        baker.hadamard(_H),
+        baker.phase(_C1, _C2, -np.pi / 4, control_value=0),
+        baker.phase(_C1, _H, -np.pi / 2, control_value=0),
+        baker.hadamard(_C1),
+        baker.swap(_C1, _C2),
     ]
-    u = np.eye(8, dtype=complex)
-    for g in gates:
-        u = g @ u
-    return u
 
 
 @dataclass(frozen=True)
@@ -632,11 +595,13 @@ class VerifyReport:
 
 def verify_sequence(
     seq: PulseSequence,
-    target: np.ndarray,
+    gates,
     model: HamiltonianModel,
     tol: float,
 ) -> VerifyReport:
-    """Compare a pulse program against its intended unitary up to global phase."""
+    """Compare a pulse program against a gate list (execution order) up to
+    global phase."""
+    target = baker.gate_sequence_unitary(gates, len(SPINS))
     d = qstate.phase_invariant_distance(sequence_unitary(seq, model), target)
     return VerifyReport(seq.name, d, tol, d < tol)
 

@@ -95,10 +95,9 @@ def test_criterion_3_pulse_compiler_correctness():
     assert abs(nmr.t_odd(measured).total_delay - 7 * t1) < 1e-15
     assert abs(nmr.t_even(measured).total_delay - 14 * t1) < 1e-15
     assert abs(nmr.t_regular(measured).total_delay - 10.5 * t1) < 1e-15
-    d_reg = qstate.phase_invariant_distance(
-        nmr.sequence_unitary(nmr.t_regular(measured), measured),
-        nmr.ideal_t_regular(measured),
-    )
+    d_reg = nmr.verify_sequence(
+        nmr.t_regular(measured), nmr.ideal_t_regular(measured), measured, 1e-10
+    ).distance
     assert d_reg < 1e-10
     report(3, f"four programs vs ideals (worst {worst:.2e}), delays exact,"
               f" refocused map distance {d_reg:.2e}")

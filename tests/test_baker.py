@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nmrbaker import baker, qstate
-from nmrbaker.baker import hadamard, phase, swap
+from nmrbaker.baker import hadamard, phase, swap, z_rotation
 
 
 class TestGateUnitary:
@@ -42,6 +42,29 @@ class TestGateUnitary:
             phase(0, 1, float("nan"))
         with pytest.raises(ValueError):
             baker.GateSpec("rotation", (0,))
+        with pytest.raises(ValueError):
+            phase(0, 1, 1.0, control_value=2)
+        with pytest.raises(ValueError):
+            baker.GateSpec("swap", (0, 1), control_value=0)
+        with pytest.raises(ValueError):
+            baker.GateSpec("z", (0,))
+        with pytest.raises(ValueError):
+            z_rotation(0, float("inf"))
+
+    def test_z_rotation_on_qubit(self):
+        # Z(theta) = exp(i*theta*Z/2) on the qubit that is bit 1 of the index
+        diag = np.diag(baker.gate_unitary(z_rotation(1, 0.6), 3))
+        for j in range(8):
+            assert diag[j] == pytest.approx(np.exp(0.3j if (j >> 1) & 1 == 0 else -0.3j))
+
+    def test_control_value_zero_phases_the_zero_branch(self):
+        # it differs from the logical gate by Z(theta) on both qubits
+        native = baker.gate_unitary(phase(0, 2, 0.7, control_value=0), 3)
+        assert np.diag(native)[0] == pytest.approx(np.exp(0.7j))
+        logical = [phase(0, 2, 0.7), z_rotation(0, 0.7), z_rotation(2, 0.7)]
+        np.testing.assert_allclose(
+            baker.gate_sequence_unitary(logical, 3), native, atol=1e-15
+        )
 
 
 class TestBakerUnitary:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from nmrbaker import nmr, qstate
+from nmrbaker import baker, nmr, qstate
+from nmrbaker.baker import hadamard, phase, swap, z_rotation
 from nmrbaker.nmr import (
+    QUBIT,
     SPIN_C1,
     SPIN_C2,
     SPIN_H,
@@ -13,6 +15,12 @@ from nmrbaker.nmr import (
     rot_x,
     rot_y,
 )
+
+Q_H, Q_C1, Q_C2 = QUBIT[SPIN_H], QUBIT[SPIN_C1], QUBIT[SPIN_C2]
+
+
+def gates_unitary(gates):
+    return baker.gate_sequence_unitary(gates, 3)
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +107,7 @@ class TestSequenceUnitary:
     def test_z_rotation_variants(self, reference, variant):
         seq = nmr.z_rotation_pulses(SPIN_C1, 0.7, variant)
         d = qstate.phase_invariant_distance(
-            nmr.sequence_unitary(seq, reference), nmr.z_rotation_unitary(SPIN_C1, 0.7)
+            nmr.sequence_unitary(seq, reference), gates_unitary([z_rotation(Q_C1, 0.7)])
         )
         assert d < 1e-12
 
@@ -131,7 +139,7 @@ class TestSequenceUnitary:
         seq = nmr.hadamard_pulses(SPIN_C2, variant)
         assert len(seq.instructions) == 2
         d = qstate.phase_invariant_distance(
-            nmr.sequence_unitary(seq, reference), nmr.hadamard_unitary(SPIN_C2)
+            nmr.sequence_unitary(seq, reference), gates_unitary([hadamard(Q_C2)])
         )
         assert d < 1e-12
 
@@ -161,7 +169,7 @@ class TestPhaseGatePulses:
         seq = nmr.phase_gate_pulses((SPIN_C1, SPIN_H), np.pi / 2, reference)
         d = qstate.phase_invariant_distance(
             nmr.sequence_unitary(seq, reference),
-            nmr.phase_gate_unitary((SPIN_C1, SPIN_H), -np.pi / 2),
+            gates_unitary([phase(Q_C1, Q_H, -np.pi / 2)]),
         )
         assert d < 1e-8
 
@@ -169,7 +177,7 @@ class TestPhaseGatePulses:
         seq = nmr.phase_gate_pulses((SPIN_C1, SPIN_C2), np.pi / 4, reference)
         d = qstate.phase_invariant_distance(
             nmr.sequence_unitary(seq, reference),
-            nmr.phase_gate_unitary((SPIN_C1, SPIN_C2), -np.pi / 4),
+            gates_unitary([phase(Q_C1, Q_C2, -np.pi / 4)]),
         )
         assert d < 1e-8
 
@@ -213,7 +221,7 @@ class TestCnotAndSwap:
 
     def test_swap_matrix(self, reference):
         u = nmr.sequence_unitary(nmr.swap_pulses((SPIN_C1, SPIN_H), reference), reference)
-        assert qstate.phase_invariant_distance(u, nmr.swap_unitary((SPIN_C1, SPIN_H))) < 1e-8
+        assert qstate.phase_invariant_distance(u, gates_unitary([swap(Q_C1, Q_H)])) < 1e-8
 
     def test_swap_squares_to_identity(self, reference):
         seq = nmr.swap_pulses((SPIN_C1, SPIN_C2), reference)
@@ -240,52 +248,51 @@ class TestCannedSequences:
 
     def test_t_odd_matches_ideal(self, reference):
         d = qstate.phase_invariant_distance(
-            nmr.sequence_unitary(nmr.t_odd(reference), reference), nmr.ideal_t_odd()
+            nmr.sequence_unitary(nmr.t_odd(reference), reference),
+            gates_unitary(nmr.ideal_t_odd()),
         )
         assert d < 1e-8
 
     def test_t_even_matches_ideal(self, reference):
         d = qstate.phase_invariant_distance(
-            nmr.sequence_unitary(nmr.t_even(reference), reference), nmr.ideal_t_even()
+            nmr.sequence_unitary(nmr.t_even(reference), reference),
+            gates_unitary(nmr.ideal_t_even()),
         )
         assert d < 1e-8
 
     def test_t_regular_matches_offset_rotation(self, measured):
         d = qstate.phase_invariant_distance(
             nmr.sequence_unitary(nmr.t_regular(measured), measured),
-            nmr.ideal_t_regular(measured),
+            gates_unitary(nmr.ideal_t_regular(measured)),
         )
         assert d < 1e-10
 
     def test_appendix_matches_ideal(self, reference):
         d = qstate.phase_invariant_distance(
             nmr.sequence_unitary(nmr.full_baker_appendix(reference), reference),
-            nmr.ideal_full_baker(),
+            gates_unitary(nmr.ideal_full_baker()),
         )
         assert d < 1e-7
 
     def test_even_step_is_conjugated_odd_step(self):
         # exchanging the roles of H and C2 turns one step into the other
-        s_hc2 = (
-            nmr.swap_unitary((SPIN_C1, SPIN_H))
-            @ nmr.swap_unitary((SPIN_C1, SPIN_C2))
-            @ nmr.swap_unitary((SPIN_C1, SPIN_H))
-        )
+        s_hc2 = [swap(Q_C1, Q_H), swap(Q_C1, Q_C2), swap(Q_C1, Q_H)]
         # the odd ideal rebuilt in the logical convention for the comparison
-        odd_logical = (
-            nmr.swap_unitary((SPIN_C1, SPIN_H))
-            @ nmr.hadamard_unitary(SPIN_C1)
-            @ nmr.phase_gate_unitary((SPIN_C1, SPIN_C2), -np.pi / 4)
-            @ nmr.phase_gate_unitary((SPIN_C1, SPIN_H), -np.pi / 2)
-        )
+        odd_logical = [
+            phase(Q_C1, Q_H, -np.pi / 2),
+            phase(Q_C1, Q_C2, -np.pi / 4),
+            hadamard(Q_C1),
+            swap(Q_C1, Q_H),
+        ]
         d = qstate.phase_invariant_distance(
-            nmr.ideal_t_even(), s_hc2 @ odd_logical @ s_hc2
+            gates_unitary(nmr.ideal_t_even()), gates_unitary(s_hc2 + odd_logical + s_hc2)
         )
         assert d < 1e-12
 
     def test_measured_ratio_error_is_small_but_nonzero(self, measured):
         d = qstate.phase_invariant_distance(
-            nmr.sequence_unitary(nmr.t_odd(measured), measured), nmr.ideal_t_odd()
+            nmr.sequence_unitary(nmr.t_odd(measured), measured),
+            gates_unitary(nmr.ideal_t_odd()),
         )
         assert 1e-9 < d < 1e-4
 
@@ -309,13 +316,13 @@ class TestCannedSequences:
 class TestVerifySequence:
     def test_empty_vs_identity_passes(self, reference):
         report = nmr.verify_sequence(
-            PulseSequence("noop", ()), np.eye(8), reference, tol=1e-12
+            PulseSequence("noop", ()), [], reference, tol=1e-12
         )
         assert report.passed and report.distance == 0.0
 
     def test_failing_check_reported(self, reference):
         report = nmr.verify_sequence(
-            PulseSequence("noop", ()), nmr.hadamard_unitary(SPIN_H), reference, tol=1e-12
+            PulseSequence("noop", ()), [hadamard(Q_H)], reference, tol=1e-12
         )
         assert not report.passed
 

@@ -38,7 +38,8 @@ class TestEmbed:
 
     def test_swap_permutes_basis_states(self):
         # |011> (H=0, C1=1, C2=1) -> |101> under a swap of H and C1
-        u = qstate.embed(qstate.SWAP2, ["H", "C1"], SPINS)
+        swap2 = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+        u = qstate.embed(swap2, ["H", "C1"], SPINS)
         assert u[5, 3] == 1.0
         assert abs(u[:, 3]).sum() == 1.0
 
