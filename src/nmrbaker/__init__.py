@@ -4,7 +4,8 @@ dephasing noise, and the two chaos experiments built on top of it:
 entropy growth under decoherence and hypersensitivity to perturbation.
 """
 
-from . import baker, chaos, cli, lindblad, nmr, qstate
+# not cli: `python -m nmrbaker.cli` warns if the package already imported it
+from . import baker, chaos, lindblad, nmr, qstate
 from .baker import (
     baker_gate_sequence,
     baker_unitary,
@@ -26,6 +27,7 @@ from .chaos import (
     initial_density,
     initial_state,
     js_distance,
+    subset_entropies,
 )
 from .lindblad import (
     EvolutionEngine,

@@ -154,15 +154,31 @@ def history_ensemble(config: ExperimentConfig, n_steps: int) -> list[np.ndarray]
     return out
 
 
-def average_rho(rhos) -> np.ndarray:
-    """Uniform mixture of equiprobable states."""
+def subset_entropies(rhos) -> np.ndarray:
+    """S(mean of the members in ``mask``) in bits for every nonempty subset.
+
+    Entry ``mask`` scores the states whose indices are the set bits of
+    ``mask``; entry 0 is unused.  One table scores every partition of
+    the ensemble, exhaustive or greedy, by lookup.
+    """
     rhos = list(rhos)
-    if not rhos:
-        raise ValueError("cannot average an empty ensemble")
-    dim = rhos[0].shape
-    if any(r.shape != dim for r in rhos):
+    n = len(rhos)
+    if not 1 <= n <= MAX_SCAN_STATES:
+        raise ValueError(f"subset tables take 1 to {MAX_SCAN_STATES} states, not {n}")
+    shape = rhos[0].shape
+    if any(r.shape != shape for r in rhos):
         raise ValueError("ensemble members must share a dimension")
-    return sum(rhos) / len(rhos)
+    sums = np.zeros((2**n, *shape), dtype=complex)
+    entropies = np.zeros(2**n)
+    for mask in range(1, 2**n):
+        # Add members in ascending index order (strip the highest bit),
+        # as sum(members) / k does for a group.  The frontier and the
+        # Pareto filter compare scores at round-off, so another order
+        # moves greedy point counts.
+        top = mask.bit_length() - 1
+        sums[mask] = sums[mask ^ (1 << top)] + rhos[top]
+        entropies[mask] = qstate.von_neumann_entropy_bits(sums[mask] / mask.bit_count())
+    return entropies
 
 
 @dataclass(frozen=True)
@@ -170,38 +186,34 @@ class GroupingStats:
     """Bookkeeping for one partition of a history ensemble."""
 
     probabilities: np.ndarray       # p_r = N_r / N
-    group_rhos: list                # averaged state per group
     group_entropies: np.ndarray     # S_r in bits
     mean_conditional_entropy: float  # S-bar = sum p_r S_r
     information: float              # I = -sum p_r log2 p_r
 
 
-def grouping_stats(assignment, rhos) -> GroupingStats:
-    """Per-group probabilities, states, entropies, and the information cost."""
-    rhos = list(rhos)
-    assignment = list(assignment)
-    if len(assignment) != len(rhos):
-        raise ValueError("assignment length must match the ensemble size")
-    groups: dict = {}
+def _score(assignment, entropies) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The :class:`GroupingStats` fields of one partition, looked up in a
+    :func:`subset_entropies` table.  S-bar is one dot product over the
+    groups in first-appearance order, so the exhaustive scan and the
+    greedy pass score a partition the same, bit for bit."""
+    masks: dict = {}
     for idx, g in enumerate(assignment):
-        groups.setdefault(g, []).append(idx)
-    n = len(rhos)
-    probs, group_rhos, entropies = [], [], []
-    for g in sorted(groups, key=lambda k: groups[k][0]):
-        members = groups[g]
-        probs.append(len(members) / n)
-        rho_r = average_rho([rhos[i] for i in members])
-        group_rhos.append(rho_r)
-        entropies.append(qstate.von_neumann_entropy_bits(rho_r))
-    probs = np.array(probs)
-    entropies = np.array(entropies)
-    return GroupingStats(
-        probabilities=probs,
-        group_rhos=group_rhos,
-        group_entropies=entropies,
-        mean_conditional_entropy=float(probs @ entropies),
-        information=float(-(probs @ np.log2(probs))),
-    )
+        masks[g] = masks.get(g, 0) | (1 << idx)
+    n = len(assignment)
+    probs = np.array([mask.bit_count() / n for mask in masks.values()])
+    group_entropies = entropies[list(masks.values())]
+    return (probs, group_entropies, float(probs @ group_entropies),
+            float(-(probs @ np.log2(probs))))
+
+
+def grouping_stats(assignment, entropies) -> GroupingStats:
+    """Per-group probabilities, entropies and the information cost of
+    ``assignment`` (a group label per state), scored on the
+    :func:`subset_entropies` table of its ensemble."""
+    assignment = list(assignment)
+    if 2 ** len(assignment) != len(entropies):
+        raise ValueError("assignment length must match the ensemble size")
+    return GroupingStats(*_score(assignment, entropies))
 
 
 def js_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -283,37 +295,16 @@ class HypersensitivityCurve:
         return list(zip(self.delta_s.tolist(), self.i_min.tolist()))
 
 
-def partition_scan(rhos) -> tuple[np.ndarray, np.ndarray, float]:
-    """(delta_s, information) over every set partition of the ensemble.
-
-    Entropies are precomputed per subset (2^n - 1 of them), so the scan
-    over the Bell(n) partitions is just table lookups.
-    """
-    rhos = list(rhos)
-    n = len(rhos)
-    if n > MAX_SCAN_STATES:
-        raise ValueError(f"exhaustive partition scan is limited to {MAX_SCAN_STATES} states")
-    subset_sum = np.zeros((2**n, rhos[0].shape[0], rhos[0].shape[1]), dtype=complex)
-    subset_entropy = np.zeros(2**n)
-    for mask in range(1, 2**n):
-        low = mask & -mask
-        subset_sum[mask] = subset_sum[mask ^ low] + rhos[low.bit_length() - 1]
-        count = mask.bit_count()
-        subset_entropy[mask] = qstate.von_neumann_entropy_bits(subset_sum[mask] / count)
+def partition_scan(entropies) -> tuple[np.ndarray, np.ndarray, float]:
+    """(delta_s, information, S_bar_max) over every set partition of the
+    ensemble whose :func:`subset_entropies` table is ``entropies``."""
+    n = len(entropies).bit_length() - 1
     # taking S_bar_max from the same table keeps the trivial one-group
     # partition at delta_s = 0 exactly
-    s_max = float(subset_entropy[2**n - 1])
+    s_max = float(entropies[-1])
     delta_s, info = [], []
     for assignment in set_partitions(n):
-        masks: dict = {}
-        for idx, g in enumerate(assignment):
-            masks[g] = masks.get(g, 0) | (1 << idx)
-        s_bar = 0.0
-        inf = 0.0
-        for mask in masks.values():
-            p = mask.bit_count() / n
-            s_bar += p * subset_entropy[mask]
-            inf -= p * math.log2(p)
+        _, _, s_bar, inf = _score(assignment, entropies)
         delta_s.append(s_max - s_bar)
         info.append(inf)
     return np.array(delta_s), np.array(info), s_max
@@ -343,7 +334,7 @@ def exhaustive_imin(rhos) -> HypersensitivityCurve:
     the grid of all achieved delta_s values; nondecreasing by
     construction.
     """
-    delta_s, info, _ = partition_scan(rhos)
+    delta_s, info, _ = partition_scan(subset_entropies(rhos))
     return _frontier_from_scan(delta_s, info)
 
 
@@ -391,7 +382,8 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int = 3) -> H
             f" partition scan is limited to {MAX_SCAN_STATES} states"
         )
     rhos = history_ensemble(config, n_steps)
-    delta_s, info, s_max = partition_scan(rhos)
+    entropies = subset_entropies(rhos)
+    delta_s, info, s_max = partition_scan(entropies)
     frontier = _frontier_from_scan(delta_s, info)
     slope = frontier_slope(frontier)
     greedy = []
@@ -400,7 +392,7 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int = 3) -> H
             assignment = greedy_grouping(
                 rhos, n_groups, seed=[config.seed, n_groups, trial]
             )
-            stats = grouping_stats(assignment, rhos)
+            stats = grouping_stats(assignment, entropies)
             greedy.append((s_max - stats.mean_conditional_entropy, stats.information))
     return HyperResult(
         s_bar_max=s_max,

@@ -192,7 +192,7 @@ def test_criterion_7_hypersensitivity_anchors(hyper_results):
     ensemble = chaos.history_ensemble(
         ExperimentConfig.preset("fig5", map_variant="regular"), 3
     )
-    delta_s, info, _ = chaos.partition_scan(ensemble)
+    delta_s, info, _ = chaos.partition_scan(chaos.subset_entropies(ensemble))
     one_bit = delta_s[np.isclose(info, 1.0, atol=1e-9)]
     assert one_bit.max() >= 0.5
     assert hyper_results["elapsed"] < 60.0
@@ -206,7 +206,7 @@ def test_criterion_8_information_bound(hyper_results):
     ensemble = chaos.history_ensemble(
         ExperimentConfig.preset("fig5", map_variant="chaotic"), 3
     )
-    delta_s, info, _ = chaos.partition_scan(ensemble)
+    delta_s, info, _ = chaos.partition_scan(chaos.subset_entropies(ensemble))
     assert len(info) == 4140
     margin = float(np.min(info - delta_s))
     assert margin >= -1e-12

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nmrbaker import chaos, lindblad, qstate
 from nmrbaker.chaos import ExperimentConfig
@@ -19,6 +22,11 @@ def fig2_regular_ensemble():
     return chaos.history_ensemble(
         ExperimentConfig.preset("fig5", map_variant="regular"), 3
     )
+
+
+@pytest.fixture(scope="module")
+def fig2_chaotic_table(fig2_chaotic_ensemble):
+    return chaos.subset_entropies(fig2_chaotic_ensemble)
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +134,7 @@ class TestHistoryEnsemble:
         rhos = chaos.history_ensemble(cfg, 2)
         for rho in rhos[1:]:
             np.testing.assert_allclose(rho, rhos[0], atol=1e-12)
-        s_bar_max = qstate.von_neumann_entropy_bits(chaos.average_rho(rhos))
+        s_bar_max = chaos.subset_entropies(rhos)[-1]
         assert s_bar_max == pytest.approx(
             qstate.von_neumann_entropy_bits(rhos[0]), abs=1e-12
         )
@@ -136,60 +144,71 @@ class TestHistoryEnsemble:
             chaos.history_ensemble(ExperimentConfig.preset("fig5"), 7)
 
 
-class TestAverageRho:
+class TestSubsetEntropies:
     def test_identical_states_average_to_themselves(self):
         rho = chaos.initial_density()
-        np.testing.assert_array_equal(chaos.average_rho([rho, rho, rho]), rho)
+        table = chaos.subset_entropies([rho, rho, rho])
+        assert np.all(table[1:] == qstate.von_neumann_entropy_bits(rho))
 
-    def test_unit_trace(self, fig2_chaotic_ensemble):
-        avg = chaos.average_rho(fig2_chaotic_ensemble)
-        assert np.trace(avg).real == pytest.approx(1.0, abs=1e-9)
+    def test_unit_trace(self):
+        # each subset is averaged, not summed: k orthogonal pure states
+        # mix to log2(k) bits
+        table = chaos.subset_entropies(basis_projectors())
+        counts = [mask.bit_count() for mask in range(1, 256)]
+        np.testing.assert_allclose(table[1:], np.log2(counts), rtol=0, atol=1e-9)
 
-    def test_chaotic_s_bar_max_anchor(self, fig2_chaotic_ensemble):
-        s = qstate.von_neumann_entropy_bits(chaos.average_rho(fig2_chaotic_ensemble))
-        assert 2.42 <= s <= 2.92
+    def test_chaotic_s_bar_max_anchor(self, fig2_chaotic_table):
+        assert 2.42 <= fig2_chaotic_table[-1] <= 2.92
 
-    def test_mixing_never_below_mean_entropy(self, fig2_chaotic_ensemble):
+    def test_mixing_never_below_mean_entropy(self, fig2_chaotic_ensemble, fig2_chaotic_table):
         # concavity: S(average) >= mean of the individual entropies
-        s_max = qstate.von_neumann_entropy_bits(
-            chaos.average_rho(fig2_chaotic_ensemble)
-        )
         mean_individual = np.mean(
             [qstate.von_neumann_entropy_bits(r) for r in fig2_chaotic_ensemble]
         )
-        assert s_max >= mean_individual - 1e-12
+        assert fig2_chaotic_table[-1] >= mean_individual - 1e-12
 
-    def test_empty_ensemble_rejected(self):
+    @pytest.mark.parametrize("rhos", [[], [np.eye(2) / 2, np.eye(4) / 4]],
+                             ids=["empty", "mixed_shapes"])
+    def test_bad_ensemble_rejected(self, rhos):
         with pytest.raises(ValueError):
-            chaos.average_rho([])
+            chaos.subset_entropies(rhos)
+
+    def test_members_summed_in_ascending_order(self, fig2_regular_ensemble):
+        # the order a per-group average adds its members; the greedy
+        # Pareto filter and the golden outputs depend on it at round-off
+        table = chaos.subset_entropies(fig2_regular_ensemble)
+        for mask in range(1, 256):
+            members = [fig2_regular_ensemble[i] for i in range(8) if mask >> i & 1]
+            expected = qstate.von_neumann_entropy_bits(sum(members) / len(members))
+            assert table[mask] == expected, mask
 
 
 class TestGroupingStats:
-    def test_single_group(self, fig2_chaotic_ensemble):
-        stats = chaos.grouping_stats([0] * 8, fig2_chaotic_ensemble)
+    def test_single_group(self, fig2_chaotic_ensemble, fig2_chaotic_table):
+        stats = chaos.grouping_stats([0] * 8, fig2_chaotic_table)
         assert stats.information == pytest.approx(0.0)
-        s_bar_max = qstate.von_neumann_entropy_bits(
-            chaos.average_rho(fig2_chaotic_ensemble)
-        )
+        s_bar_max = qstate.von_neumann_entropy_bits(sum(fig2_chaotic_ensemble) / 8)
         assert stats.mean_conditional_entropy == pytest.approx(s_bar_max, abs=1e-12)
 
-    def test_even_splits_give_integer_information(self, fig2_chaotic_ensemble):
-        stats = chaos.grouping_stats([0, 0, 0, 0, 1, 1, 1, 1], fig2_chaotic_ensemble)
+    def test_even_splits_give_integer_information(self, fig2_chaotic_table):
+        stats = chaos.grouping_stats([0, 0, 0, 0, 1, 1, 1, 1], fig2_chaotic_table)
         assert stats.information == pytest.approx(1.0)
-        stats = chaos.grouping_stats([0, 0, 1, 1, 2, 2, 3, 3], fig2_chaotic_ensemble)
+        stats = chaos.grouping_stats([0, 0, 1, 1, 2, 2, 3, 3], fig2_chaotic_table)
         assert stats.information == pytest.approx(2.0)
 
-    def test_singletons(self, fig2_chaotic_ensemble):
-        stats = chaos.grouping_stats(list(range(8)), fig2_chaotic_ensemble)
+    def test_singletons(self, fig2_chaotic_ensemble, fig2_chaotic_table):
+        stats = chaos.grouping_stats(list(range(8)), fig2_chaotic_table)
         assert stats.information == pytest.approx(3.0)
         mean_individual = np.mean(
             [qstate.von_neumann_entropy_bits(r) for r in fig2_chaotic_ensemble]
         )
         assert stats.mean_conditional_entropy == pytest.approx(mean_individual)
 
-    def test_wrong_length_rejected(self, fig2_chaotic_ensemble):
-        with pytest.raises(ValueError):
-            chaos.grouping_stats([0, 1], fig2_chaotic_ensemble)
+    def test_wrong_length_rejected(self, fig2_chaotic_table):
+        for assignment, table in (([0, 1], fig2_chaotic_table), ([0] * 9, fig2_chaotic_table),
+                                  ([], fig2_chaotic_table), ([], [])):
+            with pytest.raises(ValueError):
+                chaos.grouping_stats(assignment, table)
 
 
 class TestJsDistance:
@@ -255,7 +274,7 @@ class TestExhaustiveFrontier:
         # I = delta_s exactly, so the frontier is the identity line
         curve = chaos.exhaustive_imin(basis_projectors())
         np.testing.assert_allclose(curve.i_min, curve.delta_s, atol=1e-9)
-        delta_s, info, _ = chaos.partition_scan(basis_projectors())
+        delta_s, info, _ = chaos.partition_scan(chaos.subset_entropies(basis_projectors()))
         np.testing.assert_allclose(info, delta_s, atol=1e-9)
 
     def test_frontier_nondecreasing_and_bounded(self, fig2_chaotic_ensemble):
@@ -263,23 +282,23 @@ class TestExhaustiveFrontier:
         assert np.all(np.diff(curve.i_min) >= -1e-12)
         assert np.all(curve.i_min >= curve.delta_s - 1e-12)
 
-    def test_information_bound_on_all_partitions(self, fig2_chaotic_ensemble):
-        delta_s, info, _ = chaos.partition_scan(fig2_chaotic_ensemble)
+    def test_information_bound_on_all_partitions(self, fig2_chaotic_table):
+        delta_s, info, _ = chaos.partition_scan(fig2_chaotic_table)
         assert len(info) == 4140
         assert np.all(info >= delta_s - 1e-12)
 
-    def test_refinement_never_decreases_information(self, fig2_chaotic_ensemble):
+    def test_refinement_never_decreases_information(self, fig2_chaotic_table):
         # split the first group of a coarse partition and compare
         rng = np.random.default_rng(0)
-        delta_s, info, s_max = chaos.partition_scan(fig2_chaotic_ensemble)
+        delta_s, info, s_max = chaos.partition_scan(fig2_chaotic_table)
         for _ in range(20):
             coarse = [0, 0, 0, 0, 1, 1, 1, 1]
             rng.shuffle(coarse)
             fine = list(coarse)
             first_zero = fine.index(0)
             fine[first_zero] = 2
-            st_c = chaos.grouping_stats(coarse, fig2_chaotic_ensemble)
-            st_f = chaos.grouping_stats(fine, fig2_chaotic_ensemble)
+            st_c = chaos.grouping_stats(coarse, fig2_chaotic_table)
+            st_f = chaos.grouping_stats(fine, fig2_chaotic_table)
             assert st_f.information >= st_c.information - 1e-12
             assert (
                 st_f.mean_conditional_entropy
@@ -288,7 +307,46 @@ class TestExhaustiveFrontier:
 
     def test_too_large_ensemble_rejected(self):
         with pytest.raises(ValueError):
-            chaos.partition_scan([np.eye(2) / 2] * 11)
+            chaos.subset_entropies([np.eye(2) / 2] * 11)
+
+
+@st.composite
+def random_ensembles(draw):
+    """2-6 density matrices of dimension 2-8 and random rank, A A^dag / tr."""
+    k = draw(st.integers(2, 6))
+    d = draw(st.integers(2, 8))
+    rank = draw(st.integers(1, d))
+    parts = draw(hnp.arrays(np.float64, (k, 2, d, rank), elements=st.floats(-1, 1)))
+    rhos = []
+    for re, im in parts:
+        a = re + 1j * im
+        rho = a @ a.conj().T
+        trace = np.trace(rho).real
+        assume(trace > 1e-3)
+        rhos.append(rho / trace)
+    return rhos
+
+
+class TestPartitionProperties:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(random_ensembles())
+    def test_every_partition(self, rhos):
+        k = len(rhos)
+        table = chaos.subset_entropies(rhos)
+        delta_s, info, s_max = chaos.partition_scan(table)
+        # Holevo: the entropy a partition recovers never exceeds its cost
+        assert np.all(info >= delta_s - 1e-12)
+        assert np.all(delta_s >= -1e-12)
+        for assignment in chaos.set_partitions(k):
+            stats = chaos.grouping_stats(assignment, table)
+            s_bar = info_direct = 0.0
+            for g in set(assignment):
+                members = [rhos[i] for i in range(k) if assignment[i] == g]
+                p = len(members) / k
+                s_bar += p * qstate.von_neumann_entropy_bits(np.mean(members, axis=0))
+                info_direct -= p * math.log2(p)
+            assert stats.mean_conditional_entropy == pytest.approx(s_bar, abs=1e-12)
+            assert stats.information == pytest.approx(info_direct, abs=1e-12)
 
 
 class TestHypersensitivityExperiment:
@@ -304,7 +362,7 @@ class TestHypersensitivityExperiment:
         assert 4.0 <= chaotic_result.slope <= 8.0
 
     def test_regular_one_bit_recovers_half_bit(self, fig2_regular_ensemble):
-        delta_s, info, _ = chaos.partition_scan(fig2_regular_ensemble)
+        delta_s, info, _ = chaos.partition_scan(chaos.subset_entropies(fig2_regular_ensemble))
         one_bit = delta_s[np.isclose(info, 1.0, atol=1e-9)]
         assert one_bit.max() >= 0.5
 
@@ -316,9 +374,9 @@ class TestHypersensitivityExperiment:
             "fig5", map_variant="regular", hamiltonian="full"
         )
         ensemble = chaos.history_ensemble(cfg, 3)
-        s = qstate.von_neumann_entropy_bits(chaos.average_rho(ensemble))
-        assert s == pytest.approx(2.72, abs=0.1)
-        delta_s, info, _ = chaos.partition_scan(ensemble)
+        table = chaos.subset_entropies(ensemble)
+        assert table[-1] == pytest.approx(2.72, abs=0.1)
+        delta_s, info, _ = chaos.partition_scan(table)
         one_bit = delta_s[np.isclose(info, 1.0, atol=1e-9)]
         assert 0.4 <= one_bit.max() <= 0.6
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nmrbaker
 from nmrbaker import cli, lindblad, nmr
 
 
@@ -180,3 +186,13 @@ class TestPlotData:
     def test_malformed_header_rejected(self):
         with pytest.raises(ValueError):
             cli.parse_plot_data("1 2 3\n")
+
+
+def test_module_entry_point_runs_without_warning():
+    src = str(Path(nmrbaker.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "nmrbaker.cli", "compile"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
