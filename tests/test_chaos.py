@@ -144,7 +144,8 @@ class TestHistoryEnsemble:
             chaos.history_ensemble(ExperimentConfig.preset("fig5"), 7)
 
 
-class TestSubsetEntropies:
+class TestAverageRho:
+    # every subset_entropies entry is the entropy of the members' mean
     def test_identical_states_average_to_themselves(self):
         rho = chaos.initial_density()
         table = chaos.subset_entropies([rho, rho, rho])
@@ -167,11 +168,15 @@ class TestSubsetEntropies:
         )
         assert fig2_chaotic_table[-1] >= mean_individual - 1e-12
 
-    @pytest.mark.parametrize("rhos", [[], [np.eye(2) / 2, np.eye(4) / 4]],
-                             ids=["empty", "mixed_shapes"])
-    def test_bad_ensemble_rejected(self, rhos):
+    def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError):
-            chaos.subset_entropies(rhos)
+            chaos.subset_entropies([])
+
+
+class TestSubsetEntropies:
+    def test_mixed_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            chaos.subset_entropies([np.eye(2) / 2, np.eye(4) / 4])
 
     def test_members_summed_in_ascending_order(self, fig2_regular_ensemble):
         # the order a per-group average adds its members; the greedy
