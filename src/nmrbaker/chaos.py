@@ -135,23 +135,25 @@ def history_ensemble(config: ExperimentConfig, n_steps: int) -> list[np.ndarray]
 
     History bit k (most significant first) says whether the kick
     unitary was applied after step k+1.  The all-zero history is the
-    unperturbed run.
+    unperturbed run.  Histories that share a prefix share its
+    evolution: step n is applied once to each of the 2**(n-1) distinct
+    states before it, 2**n - 1 step applications in all.
     """
+    if n_steps < 1:
+        raise ValueError("a history ensemble needs at least one step")
     if n_steps > 6:
         raise ValueError("history ensembles beyond 6 steps are impractical (2^n runs)")
     engine = config.engine()
     seq_for = _step_sequences(config)
-    kicks = [perturbation_unitary(_perturbed_spin(config, n)) for n in range(1, n_steps + 1)]
-    out = []
-    for idx in range(2**n_steps):
-        rho = initial_density()
-        for n in range(1, n_steps + 1):
+    states = [initial_density()]
+    for n in range(1, n_steps + 1):
+        k = perturbation_unitary(_perturbed_spin(config, n))
+        children = []
+        for rho in states:
             rho = run_sequence(rho, seq_for(n), engine)
-            if (idx >> (n_steps - n)) & 1:
-                k = kicks[n - 1]
-                rho = k @ rho @ k.conj().T
-        out.append(rho)
-    return out
+            children += [rho, k @ rho @ k.conj().T]
+        states = children
+    return states
 
 
 def subset_entropies(rhos) -> np.ndarray:
@@ -202,8 +204,9 @@ def _score(assignment, entropies) -> tuple[np.ndarray, np.ndarray, float, float]
     n = len(assignment)
     probs = np.array([mask.bit_count() / n for mask in masks.values()])
     group_entropies = entropies[list(masks.values())]
+    # 0.0 - x rather than -x: one group costs +0.0 bits, not -0.0
     return (probs, group_entropies, float(probs @ group_entropies),
-            float(-(probs @ np.log2(probs))))
+            float(0.0 - probs @ np.log2(probs)))
 
 
 def grouping_stats(assignment, entropies) -> GroupingStats:
@@ -227,35 +230,48 @@ def js_distance(a: np.ndarray, b: np.ndarray) -> float:
     return max(s_mix - s_avg, 0.0)
 
 
-def greedy_grouping(rhos, n_groups: int, seed) -> list[int]:
+def _seed_draw(n: int, n_groups: int, seed) -> tuple:
+    """The members that seed the groups of :func:`greedy_grouping`, in group order."""
+    return tuple(np.random.default_rng(seed).choice(n, size=n_groups, replace=False).tolist())
+
+
+def greedy_grouping(rhos, entropies, n_groups: int, seed) -> list[int]:
     """Nearly optimal grouping into ``n_groups`` clusters.
 
     Seeds the groups with ``n_groups`` distinct members chosen at
     random, then assigns each remaining state, in list order, to the
     group whose running average is closest in :func:`js_distance`.
+    ``entropies`` is the :func:`subset_entropies` table of ``rhos``:
+    entry ``1 << i`` is S(rhos[i]).  Each group's entropy is computed
+    once per member it gains, and the distances to all groups come from
+    one batched ``eigvalsh``, each equal to the :func:`js_distance` value.
     Deterministic for a fixed seed.
     """
     rhos = list(rhos)
     n = len(rhos)
+    if 2**n != len(entropies):
+        raise ValueError("the entropy table must have 2**n entries for n states")
     if not 1 <= n_groups <= n:
         raise ValueError("group count must be between 1 and the ensemble size")
-    rng = np.random.default_rng(seed)
-    seeds = rng.choice(n, size=n_groups, replace=False)
+    seeds = _seed_draw(n, n_groups, seed)
     assignment = [-1] * n
-    sums = []
-    counts = []
     for g, idx in enumerate(seeds):
         assignment[idx] = g
-        sums.append(rhos[idx].copy())
-        counts.append(1)
+    sums = np.array([rhos[idx] for idx in seeds])
+    counts = np.ones(n_groups)
+    group_entropies = [float(entropies[1 << idx]) for idx in seeds]
     for idx in range(n):
         if assignment[idx] >= 0:
             continue
-        dists = [js_distance(sums[g] / counts[g], rhos[idx]) for g in range(n_groups)]
+        s_rho = float(entropies[1 << idx])
+        s_mix = qstate.von_neumann_entropies_bits((sums / counts[:, None, None] + rhos[idx]) / 2)
+        # js_distance's own expression, so each distance equals it bit for bit
+        dists = [max(s - (s_g + s_rho) / 2, 0.0) for s, s_g in zip(s_mix, group_entropies)]
         g = int(np.argmin(dists))
         assignment[idx] = g
         sums[g] += rhos[idx]
         counts[g] += 1
+        group_entropies[g] = qstate.von_neumann_entropy_bits(sums[g] / counts[g])
     return assignment
 
 
@@ -373,9 +389,15 @@ GREEDY_RESTARTS = 64
 def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int = 3) -> HyperResult:
     """Full pipeline: ensemble, exact frontier, slope, greedy comparison.
 
-    The greedy pass runs :data:`GREEDY_RESTARTS` seedings per group
+    The greedy pass draws :data:`GREEDY_RESTARTS` seedings per group
     count and keeps the nondominated (delta_s, information) points.
+    Restarts that draw the same seed members in the same order give the
+    same grouping, so :func:`greedy_grouping` runs once per distinct
+    ordered draw; each grouping is scored on the ensemble's
+    :func:`subset_entropies` table.
     """
+    if n_steps < 1:
+        raise ValueError("the experiment needs at least one step")
     if 2**n_steps > MAX_SCAN_STATES:
         raise ValueError(
             f"{n_steps} steps give {2**n_steps} histories; the exhaustive"
@@ -386,18 +408,19 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int = 3) -> H
     delta_s, info, s_max = partition_scan(entropies)
     frontier = _frontier_from_scan(delta_s, info)
     slope = frontier_slope(frontier)
-    greedy = []
+    # sorted draws would not do: argmin breaks exact ties by group order
+    greedy = {}
     for n_groups in range(1, len(rhos) + 1):
         for trial in range(GREEDY_RESTARTS):
-            assignment = greedy_grouping(
-                rhos, n_groups, seed=[config.seed, n_groups, trial]
-            )
-            stats = grouping_stats(assignment, entropies)
-            greedy.append((s_max - stats.mean_conditional_entropy, stats.information))
+            seed = [config.seed, n_groups, trial]
+            draw = _seed_draw(len(rhos), n_groups, seed)
+            if draw not in greedy:
+                stats = grouping_stats(greedy_grouping(rhos, entropies, n_groups, seed), entropies)
+                greedy[draw] = (s_max - stats.mean_conditional_entropy, stats.information)
     return HyperResult(
         s_bar_max=s_max,
         frontier=frontier,
         slope=slope,
-        greedy_points=_pareto_points(greedy),
+        greedy_points=_pareto_points(greedy.values()),
         n_partitions=len(delta_s),
     )

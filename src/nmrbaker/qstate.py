@@ -96,7 +96,16 @@ def von_neumann_entropy_bits(rho, clamp: float = 1e-9) -> float:
     round-off); anything below -clamp signals a corrupted state and
     raises.
     """
-    w = np.linalg.eigvalsh(np.asarray(rho))
+    return _spectrum_entropy_bits(np.linalg.eigvalsh(np.asarray(rho)), clamp)
+
+
+def von_neumann_entropies_bits(rhos, clamp: float = 1e-9) -> list[float]:
+    """:func:`von_neumann_entropy_bits` of each matrix in a stack, from
+    one batched ``eigvalsh``; each value equals the single-matrix one."""
+    return [_spectrum_entropy_bits(w, clamp) for w in np.linalg.eigvalsh(np.asarray(rhos))]
+
+
+def _spectrum_entropy_bits(w: np.ndarray, clamp: float) -> float:
     if w.min() < -clamp:
         raise ValueError(
             f"density matrix has eigenvalue {w.min():.3e} below -{clamp:g}"

@@ -30,6 +30,11 @@ def fig2_chaotic_table(fig2_chaotic_ensemble):
 
 
 @pytest.fixture(scope="module")
+def fig2_regular_table(fig2_regular_ensemble):
+    return chaos.subset_entropies(fig2_regular_ensemble)
+
+
+@pytest.fixture(scope="module")
 def chaotic_result():
     return chaos.hypersensitivity_experiment(
         ExperimentConfig.preset("fig5", map_variant="chaotic")
@@ -45,6 +50,58 @@ def regular_result():
 
 def basis_projectors(n=8):
     return [np.diag([1.0 + 0j if i == k else 0 for i in range(n)]) for k in range(n)]
+
+
+def reference_history_ensemble(config, n_steps):
+    """Every history evolved from the start on its own: 2**n * n steps."""
+    engine = config.engine()
+    seq_for = chaos._step_sequences(config)
+    kicks = [lindblad.perturbation_unitary(chaos._perturbed_spin(config, n))
+             for n in range(1, n_steps + 1)]
+    out = []
+    for idx in range(2**n_steps):
+        rho = chaos.initial_density()
+        for n in range(1, n_steps + 1):
+            rho = lindblad.run_sequence(rho, seq_for(n), engine)
+            if (idx >> (n_steps - n)) & 1:
+                k = kicks[n - 1]
+                rho = k @ rho @ k.conj().T
+        out.append(rho)
+    return out
+
+
+def reference_greedy_grouping(rhos, n_groups, seed):
+    """Greedy clustering with every distance taken from js_distance."""
+    rhos = list(rhos)
+    n = len(rhos)
+    seeds = np.random.default_rng(seed).choice(n, size=n_groups, replace=False)
+    assignment = [-1] * n
+    sums, counts = [], []
+    for g, idx in enumerate(seeds):
+        assignment[idx] = g
+        sums.append(rhos[idx].copy())
+        counts.append(1)
+    for idx in range(n):
+        if assignment[idx] >= 0:
+            continue
+        dists = [chaos.js_distance(sums[g] / counts[g], rhos[idx]) for g in range(n_groups)]
+        g = int(np.argmin(dists))
+        assignment[idx] = g
+        sums[g] += rhos[idx]
+        counts[g] += 1
+    return assignment
+
+
+def reference_greedy_points(rhos, table, seed):
+    """Pareto points of all GREEDY_RESTARTS restarts per group count."""
+    s_max = table[-1]
+    points = []
+    for n_groups in range(1, len(rhos) + 1):
+        for trial in range(chaos.GREEDY_RESTARTS):
+            assignment = reference_greedy_grouping(rhos, n_groups, [seed, n_groups, trial])
+            stats = chaos.grouping_stats(assignment, table)
+            points.append((s_max - stats.mean_conditional_entropy, stats.information))
+    return chaos._pareto_points(points)
 
 
 class TestConfig:
@@ -143,6 +200,29 @@ class TestHistoryEnsemble:
         with pytest.raises(ValueError):
             chaos.history_ensemble(ExperimentConfig.preset("fig5"), 7)
 
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    def test_too_few_steps_rejected(self, n_steps):
+        with pytest.raises(ValueError):
+            chaos.history_ensemble(ExperimentConfig.preset("fig5"), n_steps)
+
+    @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
+    def test_shared_prefixes_match_separate_histories(self, variant, monkeypatch):
+        cfg = ExperimentConfig.preset("fig5", map_variant=variant)
+        expected = reference_history_ensemble(cfg, 3)
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return lindblad.run_sequence(*args)
+
+        monkeypatch.setattr(chaos, "run_sequence", counting)
+        rhos = chaos.history_ensemble(cfg, 3)
+        # one step application per distinct state before each step: 1 + 2 + 4
+        assert len(calls) == 7
+        assert len(rhos) == len(expected) == 8
+        for rho, ref in zip(rhos, expected):
+            assert np.array_equal(rho, ref)
+
 
 class TestAverageRho:
     # every subset_entropies entry is the entropy of the members' mean
@@ -192,6 +272,7 @@ class TestGroupingStats:
     def test_single_group(self, fig2_chaotic_ensemble, fig2_chaotic_table):
         stats = chaos.grouping_stats([0] * 8, fig2_chaotic_table)
         assert stats.information == pytest.approx(0.0)
+        assert math.copysign(1.0, stats.information) == 1.0
         s_bar_max = qstate.von_neumann_entropy_bits(sum(fig2_chaotic_ensemble) / 8)
         assert stats.mean_conditional_entropy == pytest.approx(s_bar_max, abs=1e-12)
 
@@ -236,23 +317,39 @@ class TestJsDistance:
 
 
 class TestGreedyGrouping:
-    def test_all_singletons_when_groups_equal_size(self, fig2_chaotic_ensemble):
+    def test_all_singletons_when_groups_equal_size(self, fig2_chaotic_ensemble, fig2_chaotic_table):
         for seed in range(5):
-            assignment = chaos.greedy_grouping(fig2_chaotic_ensemble, 8, seed)
+            assignment = chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, 8, seed)
             assert sorted(assignment) == list(range(8))
 
-    def test_single_group(self, fig2_chaotic_ensemble):
-        assignment = chaos.greedy_grouping(fig2_chaotic_ensemble, 1, seed=0)
+    def test_single_group(self, fig2_chaotic_ensemble, fig2_chaotic_table):
+        assignment = chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, 1, seed=0)
         assert set(assignment) == {0}
 
-    def test_deterministic_for_fixed_seed(self, fig2_chaotic_ensemble):
-        a = chaos.greedy_grouping(fig2_chaotic_ensemble, 3, seed=17)
-        b = chaos.greedy_grouping(fig2_chaotic_ensemble, 3, seed=17)
+    def test_deterministic_for_fixed_seed(self, fig2_chaotic_ensemble, fig2_chaotic_table):
+        a = chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, 3, seed=17)
+        b = chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, 3, seed=17)
         assert a == b
 
-    def test_group_count_validated(self, fig2_chaotic_ensemble):
+    def test_group_count_validated(self, fig2_chaotic_ensemble, fig2_chaotic_table):
         with pytest.raises(ValueError):
-            chaos.greedy_grouping(fig2_chaotic_ensemble, 9, seed=0)
+            chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, 9, seed=0)
+
+    def test_table_size_validated(self, fig2_chaotic_ensemble, fig2_chaotic_table):
+        with pytest.raises(ValueError):
+            chaos.greedy_grouping(fig2_chaotic_ensemble[:7], fig2_chaotic_table, 3, seed=0)
+
+    @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
+    def test_matches_js_distance_reference(self, variant, request):
+        rhos = request.getfixturevalue(f"fig2_{variant}_ensemble")
+        table = request.getfixturevalue(f"fig2_{variant}_table")
+        for n_groups in range(1, 9):
+            for trial in range(chaos.GREEDY_RESTARTS):
+                seed = [0, n_groups, trial]
+                assert (chaos.greedy_grouping(rhos, table, n_groups, seed)
+                        == reference_greedy_grouping(rhos, n_groups, seed)), seed
+        result = request.getfixturevalue(f"{variant}_result")
+        assert result.greedy_points == reference_greedy_points(rhos, table, seed=0)
 
 
 class TestSetPartitions:
@@ -353,6 +450,22 @@ class TestPartitionProperties:
             assert stats.mean_conditional_entropy == pytest.approx(s_bar, abs=1e-12)
             assert stats.information == pytest.approx(info_direct, abs=1e-12)
 
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(random_ensembles())
+    def test_greedy_matches_reference_and_never_beats_frontier(self, rhos):
+        table = chaos.subset_entropies(rhos)
+        frontier = chaos.exhaustive_imin(rhos)
+        for n_groups in range(1, len(rhos) + 1):
+            for trial in range(4):
+                seed = [0, n_groups, trial]
+                assignment = chaos.greedy_grouping(rhos, table, n_groups, seed)
+                assert assignment == reference_greedy_grouping(rhos, n_groups, seed)
+                stats = chaos.grouping_stats(assignment, table)
+                d = table[-1] - stats.mean_conditional_entropy
+                feasible = frontier.i_min[frontier.delta_s >= d - 1e-12]
+                assert feasible.size
+                assert stats.information >= feasible.min() - 1e-12
+
 
 class TestHypersensitivityExperiment:
     def test_chaotic_anchor(self, chaotic_result):
@@ -394,6 +507,35 @@ class TestHypersensitivityExperiment:
 
     def test_partition_count(self, chaotic_result):
         assert chaotic_result.n_partitions == 4140
+
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    def test_too_few_steps_rejected_before_work(self, n_steps, monkeypatch):
+        def forbidden(cfg, n_steps):
+            raise AssertionError("history ensemble built for a rejected step count")
+
+        monkeypatch.setattr(chaos, "history_ensemble", forbidden)
+        with pytest.raises(ValueError):
+            chaos.hypersensitivity_experiment(ExperimentConfig.preset("fig5"), n_steps)
+
+    def test_one_greedy_run_per_distinct_ordered_draw(self, monkeypatch):
+        cfg = ExperimentConfig.preset("fig5", map_variant="regular", seed=5)
+        draws = set()
+        for n_groups in range(1, 9):
+            for trial in range(chaos.GREEDY_RESTARTS):
+                rng = np.random.default_rng([cfg.seed, n_groups, trial])
+                draws.add(tuple(rng.choice(8, size=n_groups, replace=False).tolist()))
+        seen = []
+        original = chaos.greedy_grouping
+
+        def counting(rhos, entropies, n_groups, seed):
+            seen.append(chaos._seed_draw(len(rhos), n_groups, seed))
+            return original(rhos, entropies, n_groups, seed)
+
+        monkeypatch.setattr(chaos, "greedy_grouping", counting)
+        chaos.hypersensitivity_experiment(cfg)
+        assert len(draws) < 8 * chaos.GREEDY_RESTARTS
+        assert len(seen) == len(set(seen)) == len(draws)
+        assert set(seen) == draws
 
     def test_deterministic(self):
         cfg = ExperimentConfig.preset("fig5", map_variant="regular", seed=5)

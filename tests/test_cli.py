@@ -71,6 +71,10 @@ class TestHyperCommand:
         provs = {ln.rsplit(",", 1)[1] for ln in lines[3:]}
         assert provs == {"exhaustive", "greedy"}
 
+    def test_one_group_point_prints_unsigned_zero(self, capsys):
+        _, out = run_capture(capsys, ["hyper", "--preset", "fig5"])
+        assert out.splitlines()[3] == "0,0,exhaustive"
+
     def test_frontier_column_sorted(self, capsys):
         _, out = run_capture(capsys, ["hyper", "--preset", "fig5", "--map", "regular"])
         ds = [float(ln.split(",")[0]) for ln in out.splitlines()[3:]
