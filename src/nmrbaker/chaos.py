@@ -230,30 +230,24 @@ def js_distance(a: np.ndarray, b: np.ndarray) -> float:
     return max(s_mix - s_avg, 0.0)
 
 
-def _seed_draw(n: int, n_groups: int, seed) -> tuple:
-    """The members that seed the groups of :func:`greedy_grouping`, in group order."""
-    return tuple(np.random.default_rng(seed).choice(n, size=n_groups, replace=False).tolist())
+def greedy_grouping(rhos, entropies, seeds) -> list[int]:
+    """Nearly optimal grouping into ``len(seeds)`` clusters.
 
-
-def greedy_grouping(rhos, entropies, n_groups: int, seed) -> list[int]:
-    """Nearly optimal grouping into ``n_groups`` clusters.
-
-    Seeds the groups with ``n_groups`` distinct members chosen at
-    random, then assigns each remaining state, in list order, to the
-    group whose running average is closest in :func:`js_distance`.
-    ``entropies`` is the :func:`subset_entropies` table of ``rhos``:
-    entry ``1 << i`` is S(rhos[i]).  Each group's entropy is computed
-    once per member it gains, and the distances to all groups come from
-    one batched ``eigvalsh``, each equal to the :func:`js_distance` value.
-    Deterministic for a fixed seed.
+    Group ``g`` starts as the single member ``seeds[g]``; each remaining
+    state, in list order, joins the group whose running average is
+    closest in :func:`js_distance`.  ``entropies`` is the
+    :func:`subset_entropies` table of ``rhos``: entry ``1 << i`` is
+    S(rhos[i]).  Each group's entropy is computed once per member it
+    gains, and the distances to all groups come from one batched
+    ``eigvalsh``, each equal to the :func:`js_distance` value.
     """
     rhos = list(rhos)
     n = len(rhos)
+    n_groups = len(seeds)
     if 2**n != len(entropies):
         raise ValueError("the entropy table must have 2**n entries for n states")
-    if not 1 <= n_groups <= n:
-        raise ValueError("group count must be between 1 and the ensemble size")
-    seeds = _seed_draw(n, n_groups, seed)
+    if not seeds or len(set(seeds)) != n_groups or not set(seeds) <= set(range(n)):
+        raise ValueError("seeds must be distinct member indices, at least one")
     assignment = [-1] * n
     for g, idx in enumerate(seeds):
         assignment[idx] = g
@@ -412,10 +406,10 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int = 3) -> H
     greedy = {}
     for n_groups in range(1, len(rhos) + 1):
         for trial in range(GREEDY_RESTARTS):
-            seed = [config.seed, n_groups, trial]
-            draw = _seed_draw(len(rhos), n_groups, seed)
+            rng = np.random.default_rng([config.seed, n_groups, trial])
+            draw = tuple(rng.choice(len(rhos), size=n_groups, replace=False).tolist())
             if draw not in greedy:
-                stats = grouping_stats(greedy_grouping(rhos, entropies, n_groups, seed), entropies)
+                stats = grouping_stats(greedy_grouping(rhos, entropies, draw), entropies)
                 greedy[draw] = (s_max - stats.mean_conditional_entropy, stats.information)
     return HyperResult(
         s_bar_max=s_max,

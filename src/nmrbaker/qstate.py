@@ -99,10 +99,10 @@ def von_neumann_entropy_bits(rho, clamp: float = 1e-9) -> float:
     return _spectrum_entropy_bits(np.linalg.eigvalsh(np.asarray(rho)), clamp)
 
 
-def von_neumann_entropies_bits(rhos, clamp: float = 1e-9) -> list[float]:
+def von_neumann_entropies_bits(rhos) -> list[float]:
     """:func:`von_neumann_entropy_bits` of each matrix in a stack, from
     one batched ``eigvalsh``; each value equals the single-matrix one."""
-    return [_spectrum_entropy_bits(w, clamp) for w in np.linalg.eigvalsh(np.asarray(rhos))]
+    return [_spectrum_entropy_bits(w, 1e-9) for w in np.linalg.eigvalsh(np.asarray(rhos))]
 
 
 def _spectrum_entropy_bits(w: np.ndarray, clamp: float) -> float:

@@ -70,6 +70,11 @@ def reference_history_ensemble(config, n_steps):
     return out
 
 
+def seed_draw(n, n_groups, seed):
+    """The seed members a restart draws, in group order."""
+    return tuple(np.random.default_rng(seed).choice(n, size=n_groups, replace=False).tolist())
+
+
 def reference_greedy_grouping(rhos, n_groups, seed):
     """Greedy clustering with every distance taken from js_distance."""
     rhos = list(rhos)
@@ -319,25 +324,30 @@ class TestJsDistance:
 class TestGreedyGrouping:
     def test_all_singletons_when_groups_equal_size(self, fig2_chaotic_ensemble, fig2_chaotic_table):
         for seed in range(5):
-            assignment = chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, 8, seed)
+            assignment = chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, seed_draw(8, 8, seed))
             assert sorted(assignment) == list(range(8))
 
     def test_single_group(self, fig2_chaotic_ensemble, fig2_chaotic_table):
-        assignment = chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, 1, seed=0)
+        assignment = chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, (3,))
         assert set(assignment) == {0}
 
     def test_deterministic_for_fixed_seed(self, fig2_chaotic_ensemble, fig2_chaotic_table):
-        a = chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, 3, seed=17)
-        b = chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, 3, seed=17)
+        a = chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, (5, 0, 2))
+        b = chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, (5, 0, 2))
         assert a == b
 
     def test_group_count_validated(self, fig2_chaotic_ensemble, fig2_chaotic_table):
         with pytest.raises(ValueError):
-            chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, 9, seed=0)
+            chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, tuple(range(9)))
+
+    @pytest.mark.parametrize("seeds", [(), (1, 1), (0, 8), (-1, 2)])
+    def test_seed_members_validated(self, seeds, fig2_chaotic_ensemble, fig2_chaotic_table):
+        with pytest.raises(ValueError):
+            chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, seeds)
 
     def test_table_size_validated(self, fig2_chaotic_ensemble, fig2_chaotic_table):
         with pytest.raises(ValueError):
-            chaos.greedy_grouping(fig2_chaotic_ensemble[:7], fig2_chaotic_table, 3, seed=0)
+            chaos.greedy_grouping(fig2_chaotic_ensemble[:7], fig2_chaotic_table, (0, 1, 2))
 
     @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
     def test_matches_js_distance_reference(self, variant, request):
@@ -346,7 +356,7 @@ class TestGreedyGrouping:
         for n_groups in range(1, 9):
             for trial in range(chaos.GREEDY_RESTARTS):
                 seed = [0, n_groups, trial]
-                assert (chaos.greedy_grouping(rhos, table, n_groups, seed)
+                assert (chaos.greedy_grouping(rhos, table, seed_draw(8, n_groups, seed))
                         == reference_greedy_grouping(rhos, n_groups, seed)), seed
         result = request.getfixturevalue(f"{variant}_result")
         assert result.greedy_points == reference_greedy_points(rhos, table, seed=0)
@@ -458,7 +468,7 @@ class TestPartitionProperties:
         for n_groups in range(1, len(rhos) + 1):
             for trial in range(4):
                 seed = [0, n_groups, trial]
-                assignment = chaos.greedy_grouping(rhos, table, n_groups, seed)
+                assignment = chaos.greedy_grouping(rhos, table, seed_draw(len(rhos), n_groups, seed))
                 assert assignment == reference_greedy_grouping(rhos, n_groups, seed)
                 stats = chaos.grouping_stats(assignment, table)
                 d = table[-1] - stats.mean_conditional_entropy
@@ -519,17 +529,14 @@ class TestHypersensitivityExperiment:
 
     def test_one_greedy_run_per_distinct_ordered_draw(self, monkeypatch):
         cfg = ExperimentConfig.preset("fig5", map_variant="regular", seed=5)
-        draws = set()
-        for n_groups in range(1, 9):
-            for trial in range(chaos.GREEDY_RESTARTS):
-                rng = np.random.default_rng([cfg.seed, n_groups, trial])
-                draws.add(tuple(rng.choice(8, size=n_groups, replace=False).tolist()))
+        draws = {seed_draw(8, n_groups, [cfg.seed, n_groups, trial])
+                 for n_groups in range(1, 9) for trial in range(chaos.GREEDY_RESTARTS)}
         seen = []
         original = chaos.greedy_grouping
 
-        def counting(rhos, entropies, n_groups, seed):
-            seen.append(chaos._seed_draw(len(rhos), n_groups, seed))
-            return original(rhos, entropies, n_groups, seed)
+        def counting(rhos, entropies, seeds):
+            seen.append(tuple(seeds))
+            return original(rhos, entropies, seeds)
 
         monkeypatch.setattr(chaos, "greedy_grouping", counting)
         chaos.hypersensitivity_experiment(cfg)
