@@ -237,9 +237,10 @@ def greedy_grouping(rhos, entropies, seeds) -> list[int]:
     state, in list order, joins the group whose running average is
     closest in :func:`js_distance`.  ``entropies`` is the
     :func:`subset_entropies` table of ``rhos``: entry ``1 << i`` is
-    S(rhos[i]).  Each group's entropy is computed once per member it
-    gains, and the distances to all groups come from one batched
-    ``eigvalsh``, each equal to the :func:`js_distance` value.
+    S(rhos[i]).  A group's entropy is recomputed when it gains a member
+    (except on the last placement, which nothing reads), and the distances
+    to all groups come from one batched ``eigvalsh``, each equal to
+    :func:`js_distance`.
     """
     rhos = list(rhos)
     n = len(rhos)
@@ -254,9 +255,8 @@ def greedy_grouping(rhos, entropies, seeds) -> list[int]:
     sums = np.array([rhos[idx] for idx in seeds])
     counts = np.ones(n_groups)
     group_entropies = [float(entropies[1 << idx]) for idx in seeds]
-    for idx in range(n):
-        if assignment[idx] >= 0:
-            continue
+    pending = [idx for idx in range(n) if assignment[idx] < 0]
+    for idx in pending:
         s_rho = float(entropies[1 << idx])
         s_mix = qstate.von_neumann_entropies_bits((sums / counts[:, None, None] + rhos[idx]) / 2)
         # js_distance's own expression, so each distance equals it bit for bit
@@ -265,7 +265,8 @@ def greedy_grouping(rhos, entropies, seeds) -> list[int]:
         assignment[idx] = g
         sums[g] += rhos[idx]
         counts[g] += 1
-        group_entropies[g] = qstate.von_neumann_entropy_bits(sums[g] / counts[g])
+        if idx != pending[-1]:  # nothing reads the entropy after the last placement
+            group_entropies[g] = qstate.von_neumann_entropy_bits(sums[g] / counts[g])
     return assignment
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import baker, chaos, lindblad, nmr, qstate
 from .chaos import ExperimentConfig
-from .lindblad import EvolutionEngine, NoiseModel, PhysicsError
+from .lindblad import PhysicsError
 
 
 def _fmt(x: float) -> str:
@@ -78,102 +78,115 @@ def parse_plot_data(text: str):
 # invariant checks for the `verify` subcommand
 # ---------------------------------------------------------------------------
 
-def standard_checks() -> list[nmr.VerifyReport]:
-    """Pin down every module-level identity at its contract tolerance."""
-    checks: list[nmr.VerifyReport] = []
+_REF = nmr.HamiltonianModel().compiler_reference()  # exact 2:1 coupling ratio
+_MEASURED = nmr.HamiltonianModel(variant="simplified")
+_Q = nmr.QUBIT
 
-    def add(name, distance, tol):
-        checks.append(nmr.VerifyReport(name, float(distance), tol, distance < tol))
 
-    ref = nmr.HamiltonianModel().compiler_reference()
-    measured = nmr.HamiltonianModel(variant="simplified")
+def _compiled(programs, gates, model=_REF) -> float:
+    """Worst distance of pulse programs from one gate list on ``nmr.QUBIT``."""
+    target = baker.gate_sequence_unitary(gates, 3)
+    return max(qstate.phase_invariant_distance(nmr.sequence_unitary(p, model), target)
+               for p in programs)
 
-    # gate layer
-    t_gates = baker.gate_sequence_unitary(baker.baker_gate_sequence(), 3)
-    add("baker gate product vs closed form",
-        qstate.phase_invariant_distance(t_gates, baker.baker_unitary(3)), 1e-10)
-    t_full = baker.baker_unitary(3)
-    t_simple = baker.simplified_baker_unitary()
-    worst_full = worst_simple = 0.0
-    for bits in product([0, 1], repeat=3):
-        worst_full = max(worst_full, 1 - qstate.state_fidelity(
-            baker.shift_image_state(bits, "full"),
-            t_full @ baker.shift_domain_state(bits, "full")))
-        worst_simple = max(worst_simple, 1 - qstate.state_fidelity(
-            baker.shift_image_state(bits, "simplified"),
-            t_simple @ baker.shift_domain_state(bits, "simplified")))
-    add("shift property, full map (1 - fidelity)", worst_full, 1e-10)
-    add("shift property, simplified map (1 - fidelity)", worst_simple, 1e-10)
 
-    # compiler: each row's worst distance over its programs, against one
-    # gate list on the gate qubits nmr.QUBIT assigns to the spins
-    q = nmr.QUBIT
-    swap_seq = nmr.swap_pulses(("C1", "C2"), ref)
-    compiler_rows = [
-        ("z-rotation pulse variants",
-         [nmr.z_rotation_pulses("C1", 0.9, v) for v in (1, 2, 3, 4)],
-         [baker.z_rotation(q["C1"], 0.9)], ref, 1e-12),
-        ("hadamard pulse variants",
-         [nmr.hadamard_pulses("H", v) for v in (1, 2)],
-         [baker.hadamard(q["H"])], ref, 1e-12),
-        ("phase gate C1-H",
-         [nmr.phase_gate_pulses(("C1", "H"), np.pi / 2, ref)],
-         [baker.phase(q["C1"], q["H"], -np.pi / 2)], ref, 1e-8),
-        ("phase gate C1-C2 (offset corrected)",
-         [nmr.phase_gate_pulses(("C1", "C2"), np.pi / 2, ref)],
-         [baker.phase(q["C1"], q["C2"], -np.pi / 2)], ref, 1e-8),
-        ("swap C1-H from three CNOTs",
-         [nmr.swap_pulses(("C1", "H"), ref)], [baker.swap(q["C1"], q["H"])], ref, 1e-8),
-        ("swap applied twice is identity", [swap_seq + swap_seq], [], ref, 1e-7),
-        ("t_odd vs ideal gate product", [nmr.t_odd(ref)], nmr.ideal_t_odd(), ref, 1e-8),
-        ("t_even vs ideal gate product", [nmr.t_even(ref)], nmr.ideal_t_even(), ref, 1e-8),
-        ("t_regular vs offset rotation",
-         [nmr.t_regular(measured)], nmr.ideal_t_regular(measured), measured, 1e-10),
-        ("full baker program vs ideal gate product",
-         [nmr.full_baker_appendix(ref)], nmr.ideal_full_baker(), ref, 1e-7),
-    ]
-    for name, programs, gates, model, tol in compiler_rows:
-        add(name, max(nmr.verify_sequence(p, gates, model, tol).distance for p in programs), tol)
-    t1 = measured.tau1
-    add("total delay t_odd = 7 tau1",
-        abs(nmr.t_odd(measured).total_delay - 7 * t1), 1e-15)
-    add("total delay t_even = 14 tau1",
-        abs(nmr.t_even(measured).total_delay - 14 * t1), 1e-15)
-    add("total delay t_regular = 10.5 tau1",
-        abs(nmr.t_regular(measured).total_delay - 10.5 * t1), 1e-15)
+def _shift_error(variant: str) -> float:
+    """Worst 1 - fidelity of the map's shift action over the 8 bit strings."""
+    u = baker.baker_unitary(3) if variant == "full" else baker.simplified_baker_unitary()
+    return max(1 - qstate.state_fidelity(baker.shift_image_state(bits, variant),
+                                         u @ baker.shift_domain_state(bits, variant))
+               for bits in product([0, 1], repeat=3))
 
-    # open-system layer
-    noise = NoiseModel.from_inverse_times(4.0, 0.7, 0.4)
-    model = nmr.HamiltonianModel()
-    engine = EvolutionEngine(model, noise)
-    rho0 = chaos.initial_density()
+
+def _dephasing_error() -> float:
+    engine, rho0 = ExperimentConfig.preset("fig2").engine(), chaos.initial_density()
     t = 0.05
     evolved = lindblad.apply_superoperator(engine.delay_propagator(t), rho0)
-    add("analytic dephasing decay exp(-2*Gamma*t)",
-        abs(abs(evolved[0, 4]) - abs(rho0[0, 4]) * np.exp(-2 * noise.gamma_h * t)), 1e-8)
-    add("delay propagator semigroup",
-        np.max(np.abs(engine.delay_propagator(0.02) @ engine.delay_propagator(0.01)
-                      - engine.delay_propagator(0.03))), 1e-9)
-    rk4 = EvolutionEngine(model, noise, method="rk4")
-    add("rk4 integrator vs exact exponential",
-        max(np.max(np.abs(engine.delay_propagator(tt) - rk4.delay_propagator(tt)))
-            for tt in (model.tau1, model.tau2, 1.5 * model.tau3, 2.5 * model.tau3, model.tau4)),
-        1e-6)
-    rho = rho0
-    drift = 0.0
-    for n in range(1, 7):
-        seq = nmr.t_odd(model) if n % 2 else nmr.t_even(model)
-        rho = lindblad.run_sequence(rho, seq, engine)
-        drift = max(drift, abs(np.trace(rho).real - 1.0))
-    add("trace drift over six noisy steps", drift, 1e-9)
+    return abs(abs(evolved[0, 4]) - abs(rho0[0, 4]) * np.exp(-2 * engine.noise.gamma_h * t))
 
-    ang = nmr.HamiltonianModel(variant="simplified", j2=203 / 2, convention="angular")
-    cyc = nmr.HamiltonianModel(variant="simplified", j2=203 / 2, convention="cycles")
-    add("frequency-convention invariance of t_odd",
-        qstate.phase_invariant_distance(
-            nmr.sequence_unitary(nmr.t_odd(ang), ang),
-            nmr.sequence_unitary(nmr.t_odd(cyc), cyc)), 1e-10)
-    return checks
+
+def _semigroup_error() -> float:
+    prop = ExperimentConfig.preset("fig2").engine().delay_propagator
+    return np.max(np.abs(prop(0.02) @ prop(0.01) - prop(0.03)))
+
+
+def _rk4_error() -> float:
+    engine = ExperimentConfig.preset("fig2").engine()
+    m = engine.model
+    return max(np.max(np.abs(engine.delay_propagator(t) - engine._rk4_propagator(t)))
+               for t in (m.tau1, m.tau2, 1.5 * m.tau3, 2.5 * m.tau3, m.tau4))
+
+
+def _trace_drift() -> float:
+    engine, rho, drift = ExperimentConfig.preset("fig2").engine(), chaos.initial_density(), 0.0
+    for n in range(1, 7):
+        rho = lindblad.run_sequence(rho, (nmr.t_odd if n % 2 else nmr.t_even)(engine.model), engine)
+        drift = max(drift, abs(np.trace(rho).real - 1.0))
+    return drift
+
+
+def _convention_error() -> float:
+    ang, cyc = (nmr.HamiltonianModel(variant="simplified", j2=203 / 2, convention=c)
+                for c in ("angular", "cycles"))
+    return qstate.phase_invariant_distance(nmr.sequence_unitary(nmr.t_odd(ang), ang),
+                                           nmr.sequence_unitary(nmr.t_odd(cyc), cyc))
+
+
+# The one registry of invariant checks, in the order `verify` prints it: a
+# row passes when distance() < tolerance; tests evaluate rows through check().
+CHECKS = (
+    ("baker gate product vs closed form", 1e-10,
+     lambda: qstate.phase_invariant_distance(
+         baker.gate_sequence_unitary(baker.baker_gate_sequence(), 3), baker.baker_unitary(3))),
+    ("shift property, full map (1 - fidelity)", 1e-10, lambda: _shift_error("full")),
+    ("shift property, simplified map (1 - fidelity)", 1e-10, lambda: _shift_error("simplified")),
+    ("z-rotation pulse variants", 1e-12,
+     lambda: _compiled([nmr.z_rotation_pulses("C1", 0.9, v) for v in (1, 2, 3, 4)],
+                       [baker.z_rotation(_Q["C1"], 0.9)])),
+    ("hadamard pulse variants", 1e-12,
+     lambda: _compiled([nmr.hadamard_pulses("H", v) for v in (1, 2)], [baker.hadamard(_Q["H"])])),
+    ("phase gate C1-H", 1e-8,
+     lambda: _compiled([nmr.phase_gate_pulses(("C1", "H"), np.pi / 2, _REF)],
+                       [baker.phase(_Q["C1"], _Q["H"], -np.pi / 2)])),
+    ("phase gate C1-C2 (offset corrected)", 1e-8,
+     lambda: _compiled([nmr.phase_gate_pulses(("C1", "C2"), np.pi / 2, _REF)],
+                       [baker.phase(_Q["C1"], _Q["C2"], -np.pi / 2)])),
+    ("swap C1-H from three CNOTs", 1e-8,
+     lambda: _compiled([nmr.swap_pulses(("C1", "H"), _REF)], [baker.swap(_Q["C1"], _Q["H"])])),
+    ("swap applied twice is identity", 1e-7,
+     lambda: _compiled([nmr.swap_pulses(("C1", "C2"), _REF) + nmr.swap_pulses(("C1", "C2"), _REF)],
+                       [])),
+    ("t_odd vs ideal gate product", 1e-8, lambda: _compiled([nmr.t_odd(_REF)], nmr.ideal_t_odd())),
+    ("t_even vs ideal gate product", 1e-8,
+     lambda: _compiled([nmr.t_even(_REF)], nmr.ideal_t_even())),
+    ("t_regular vs offset rotation", 1e-10,
+     lambda: _compiled([nmr.t_regular(_MEASURED)], nmr.ideal_t_regular(_MEASURED), _MEASURED)),
+    ("full baker program vs ideal gate product", 1e-7,
+     lambda: _compiled([nmr.full_baker_appendix(_REF)], nmr.ideal_full_baker())),
+    ("total delay t_odd = 7 tau1", 1e-15,
+     lambda: abs(nmr.t_odd(_MEASURED).total_delay - 7 * _MEASURED.tau1)),
+    ("total delay t_even = 14 tau1", 1e-15,
+     lambda: abs(nmr.t_even(_MEASURED).total_delay - 14 * _MEASURED.tau1)),
+    ("total delay t_regular = 10.5 tau1", 1e-15,
+     lambda: abs(nmr.t_regular(_MEASURED).total_delay - 10.5 * _MEASURED.tau1)),
+    ("analytic dephasing decay exp(-2*Gamma*t)", 1e-8, _dephasing_error),
+    ("delay propagator semigroup", 1e-9, _semigroup_error),
+    ("rk4 integrator vs exact exponential", 1e-6, _rk4_error),
+    ("trace drift over six noisy steps", 1e-9, _trace_drift),
+    ("frequency-convention invariance of t_odd", 1e-10, _convention_error),
+)
+
+
+def check(name: str) -> nmr.VerifyReport:
+    """Evaluate the :data:`CHECKS` row called ``name``."""
+    tolerance, distance = {row: (tol, fn) for row, tol, fn in CHECKS}[name]
+    value = float(distance())
+    return nmr.VerifyReport(name, value, tolerance, value < tolerance)
+
+
+def standard_checks() -> list[nmr.VerifyReport]:
+    """Evaluate every :data:`CHECKS` row, in order."""
+    return [check(name) for name, _, _ in CHECKS]
 
 
 # ---------------------------------------------------------------------------

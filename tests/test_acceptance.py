@@ -1,5 +1,8 @@
 """Acceptance suite: one test per shipped guarantee, at its contract tolerance.
 
+Criteria 1-4 evaluate rows of ``cli.CHECKS``, the registry that
+``nmrbaker verify`` prints, so each of those tolerances lives there.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.  Numeric thresholds that are not fixed by an external anchor
 were frozen from this implementation's first full oracle run and act as
@@ -7,12 +10,11 @@ regression values.
 """
 
 import time
-from itertools import product
 
 import numpy as np
 import pytest
 
-from nmrbaker import baker, chaos, cli, lindblad, nmr, qstate
+from nmrbaker import chaos, cli, lindblad, nmr
 from nmrbaker.chaos import ExperimentConfig
 from nmrbaker.lindblad import EvolutionEngine, NoiseModel
 
@@ -52,91 +54,61 @@ def hyper_results():
 
 def test_criterion_1_map_construction_equivalence():
     start = time.perf_counter()
-    gates = baker.gate_sequence_unitary(baker.baker_gate_sequence(), 3)
-    distance = qstate.phase_invariant_distance(gates, baker.baker_unitary(3))
+    rep = cli.check("baker gate product vs closed form")
     elapsed = time.perf_counter() - start
-    assert distance < 1e-10
+    assert rep.passed, rep
     assert elapsed < 1.0
-    report(1, f"gate product vs closed form, distance {distance:.2e} in {elapsed:.3f}s")
+    report(1, f"gate product vs closed form, distance {rep.distance:.2e} in {elapsed:.3f}s")
 
 
 def test_criterion_2_shift_map_property():
-    maps = {
-        "full": baker.baker_unitary(3),
-        "simplified": baker.simplified_baker_unitary(),
-    }
-    worst = 1.0
-    for variant, u in maps.items():
-        for bits in product([0, 1], repeat=3):
-            fid = qstate.state_fidelity(
-                baker.shift_image_state(bits, variant),
-                u @ baker.shift_domain_state(bits, variant),
-            )
-            worst = min(worst, fid)
-            assert fid > 1 - 1e-10
-    report(2, f"16 shift checks, worst fidelity 1 - {1 - worst:.2e}")
+    reps = [cli.check(f"shift property, {v} map (1 - fidelity)") for v in ("full", "simplified")]
+    assert all(rep.passed for rep in reps), reps
+    report(2, f"16 shift checks, worst fidelity 1 - {max(r.distance for r in reps):.2e}")
 
 
 def test_criterion_3_pulse_compiler_correctness():
+    reps = [cli.check(name) for name in (
+        "t_odd vs ideal gate product",
+        "t_even vs ideal gate product",
+        "full baker program vs ideal gate product",
+        "total delay t_odd = 7 tau1",
+        "total delay t_even = 14 tau1",
+        "total delay t_regular = 10.5 tau1",
+        "t_regular vs offset rotation",
+    )]
+    assert all(rep.passed for rep in reps), reps
+    # the refocused reference map also compiles exactly on the 2:1 reference model
     ref = nmr.HamiltonianModel().compiler_reference()
-    measured = nmr.HamiltonianModel(variant="simplified")
-    pairs = [
-        ("t_odd", nmr.t_odd(ref), nmr.ideal_t_odd(), 1e-8),
-        ("t_even", nmr.t_even(ref), nmr.ideal_t_even(), 1e-8),
-        ("t_regular", nmr.t_regular(ref), nmr.ideal_t_regular(ref), 1e-8),
-        ("full_baker", nmr.full_baker_appendix(ref), nmr.ideal_full_baker(), 1e-7),
-    ]
-    worst = 0.0
-    for name, seq, target, tol in pairs:
-        rep = nmr.verify_sequence(seq, target, ref, tol)
-        assert rep.passed, f"{name}: distance {rep.distance:.3e} >= {tol}"
-        worst = max(worst, rep.distance)
-    t1 = measured.tau1
-    assert abs(nmr.t_odd(measured).total_delay - 7 * t1) < 1e-15
-    assert abs(nmr.t_even(measured).total_delay - 14 * t1) < 1e-15
-    assert abs(nmr.t_regular(measured).total_delay - 10.5 * t1) < 1e-15
-    d_reg = nmr.verify_sequence(
-        nmr.t_regular(measured), nmr.ideal_t_regular(measured), measured, 1e-10
-    ).distance
-    assert d_reg < 1e-10
+    d_ref = nmr.verify_sequence(nmr.t_regular(ref), nmr.ideal_t_regular(ref), ref, 1e-8).distance
+    assert d_ref < 1e-8
+    worst = max(reps[0].distance, reps[1].distance, reps[2].distance, d_ref)
     report(3, f"four programs vs ideals (worst {worst:.2e}), delays exact,"
-              f" refocused map distance {d_reg:.2e}")
+              f" refocused map distance {reps[-1].distance:.2e}")
 
 
 def test_criterion_4_open_system_integrity():
     model = nmr.HamiltonianModel()
     noise = NoiseModel.from_inverse_times(4.0, 0.7, 0.4)
     engine = EvolutionEngine(model, noise)
+    reps = {name: cli.check(name) for name in (
+        "trace drift over six noisy steps",
+        "rk4 integrator vs exact exponential",
+        "analytic dephasing decay exp(-2*Gamma*t)",
+    )}
+    assert all(rep.passed for rep in reps.values()), reps
 
-    # six-step run keeps the state physical
+    # the six-step run keeps every eigenvalue non-negative
     rho = chaos.initial_density()
-    worst_drift, worst_eig = 0.0, 0.0
+    worst_eig = 0.0
     for n in range(1, 7):
         seq = nmr.t_odd(model) if n % 2 else nmr.t_even(model)
         rho = lindblad.run_sequence(rho, seq, engine)
-        worst_drift = max(worst_drift, abs(np.trace(rho).real - 1.0))
         worst_eig = min(worst_eig, np.linalg.eigvalsh(rho).min())
-    assert worst_drift < 1e-9
     assert worst_eig > -1e-9
 
-    # the two integrators agree on every delay the programs use
-    rk4 = EvolutionEngine(model, noise, method="rk4")
-    rk4_err = max(
-        np.max(np.abs(engine.delay_propagator(t) - rk4.delay_propagator(t)))
-        for t in (model.tau1, model.tau2, 1.5 * model.tau3, 2.5 * model.tau3, model.tau4)
-    )
-    assert rk4_err < 1e-6
-
-    # single-spin coherence decays analytically
-    rho0 = chaos.initial_density()
-    t = 0.05
-    evolved = lindblad.apply_superoperator(engine.delay_propagator(t), rho0)
-    analytic_err = abs(
-        abs(evolved[0, 4]) - abs(rho0[0, 4]) * np.exp(-2 * noise.gamma_h * t)
-    )
-    assert analytic_err < 1e-8
-
     # trajectory unraveling reproduces the master equation statistically
+    rho0 = chaos.initial_density()
     seq = nmr.t_odd(model)
     exact = lindblad.run_sequence(rho0, seq, engine)
     mean, stderr = lindblad.trajectory_run(
@@ -144,8 +116,9 @@ def test_criterion_4_open_system_integrity():
     )
     max_sigma = float(np.max(np.abs(mean - exact) / np.maximum(stderr, 1e-12)))
     assert np.all(np.abs(mean - exact) <= 3 * stderr + 1e-12)
-    report(4, f"trace drift {worst_drift:.1e}, min eig {worst_eig:.1e},"
-              f" rk4 {rk4_err:.1e}, dephasing oracle {analytic_err:.1e},"
+    drift, rk4, analytic = (rep.distance for rep in reps.values())
+    report(4, f"trace drift {drift:.1e}, min eig {worst_eig:.1e},"
+              f" rk4 {rk4:.1e}, dephasing oracle {analytic:.1e},"
               f" trajectories within {max_sigma:.2f} sigma")
 
 

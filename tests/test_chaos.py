@@ -349,6 +349,19 @@ class TestGreedyGrouping:
         with pytest.raises(ValueError):
             chaos.greedy_grouping(fig2_chaotic_ensemble[:7], fig2_chaotic_table, (0, 1, 2))
 
+    @pytest.mark.parametrize("seeds", [(3,), (5, 0, 2), tuple(range(7)), tuple(range(8))])
+    def test_group_entropy_calls(self, seeds, monkeypatch, fig2_chaotic_ensemble,
+                                 fig2_chaotic_table):
+        # a group's entropy is recomputed after each placement but the last,
+        # whose value nothing reads: n - k - 1 calls for n states, k groups
+        calls = []
+        entropy = qstate.von_neumann_entropy_bits
+        monkeypatch.setattr(qstate, "von_neumann_entropy_bits",
+                            lambda rho: calls.append(rho) or entropy(rho))
+        chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, seeds)
+        n, k = len(fig2_chaotic_ensemble), len(seeds)
+        assert len(calls) == (n - k - 1 if n > k else 0)
+
     @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
     def test_matches_js_distance_reference(self, variant, request):
         rhos = request.getfixturevalue(f"fig2_{variant}_ensemble")

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import nmrbaker
-from nmrbaker import cli, lindblad, nmr
+from nmrbaker import cli, nmr
+from nmrbaker.chaos import ExperimentConfig
 
 
 def run_capture(capsys, argv):
@@ -101,7 +102,7 @@ class TestVerifyCommand:
         assert code == 0
         assert "FAIL" not in out
         lines = [ln for ln in out.splitlines() if ln.endswith("PASS")]
-        assert len(lines) >= 15
+        assert [ln.split("  ")[0].rstrip() for ln in lines] == [name for name, _, _ in cli.CHECKS]
 
 
 class TestCompileCommand:
@@ -164,11 +165,13 @@ class TestExitCodes:
         assert cli.run(["entropy", "--steps", "1", "--out", str(path)]) == 4
 
     def test_physics_violation_exits_three(self, monkeypatch, capsys):
-        def explode(cfg):
-            raise lindblad.PhysicsError("synthetic violation")
-
-        monkeypatch.setattr(cli.chaos, "entropy_experiment", explode)
+        # a negative dephasing rate (which NoiseModel itself refuses) makes
+        # the delay channel non-CP; the state check after the step catches it
+        noise = ExperimentConfig.preset("fig2").noise()
+        object.__setattr__(noise, "gamma_c2", -2.5)
+        monkeypatch.setattr(ExperimentConfig, "noise", lambda self: noise)
         assert cli.run(["entropy", "--steps", "1"]) == 3
+        assert "negative eigenvalue" in capsys.readouterr().err
 
 
 class TestPlotData:

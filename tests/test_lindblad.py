@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nmrbaker import lindblad, nmr, qstate
+from nmrbaker import cli, lindblad, nmr, qstate
 from nmrbaker.lindblad import EvolutionEngine, NoiseModel, PhysicsError
 from nmrbaker.nmr import SPIN_C1, SPIN_C2, SPIN_H, SPINS, HamiltonianModel
 
@@ -105,11 +107,8 @@ class TestDelayPropagator:
         out = lindblad.apply_superoperator(engine_closed.delay_propagator(t), rho)
         np.testing.assert_allclose(out, u @ rho @ u.conj().T, atol=1e-9)
 
-    def test_semigroup_property(self, engine):
-        p1 = engine.delay_propagator(0.01)
-        p2 = engine.delay_propagator(0.02)
-        p3 = engine.delay_propagator(0.03)
-        np.testing.assert_allclose(p2 @ p1, p3, atol=1e-9)
+    def test_semigroup_property(self):
+        assert cli.check("delay propagator semigroup").passed
 
     def test_negative_duration_rejected(self, engine):
         with pytest.raises(ValueError):
@@ -158,14 +157,45 @@ class TestDelayPropagator:
             abs(rho[0, 7]) * np.exp(-2 * total * t), abs=1e-8
         )
 
-    def test_rk4_agrees_with_exact_exponential(self, model):
-        exact = EvolutionEngine(model, FIG2_NOISE)
-        rk4 = EvolutionEngine(model, FIG2_NOISE, method="rk4")
-        for t in (model.tau1, model.tau2, 1.5 * model.tau3, 2.5 * model.tau3, model.tau4):
-            diff = np.max(
-                np.abs(exact.delay_propagator(t) - rk4.delay_propagator(t))
-            )
-            assert diff < 1e-6
+    def test_rk4_agrees_with_exact_exponential(self):
+        assert cli.check("rk4 integrator vs exact exponential").passed
+
+    def test_rk4_is_the_step_polynomial_to_the_step_count(self, engine, model):
+        # the classical four-stage loop over the same 200 steps of tau1/200;
+        # the sums run in another order, so allow 200 steps of round-off
+        gen, h = engine._generator, model.tau1 / 200
+        prop = np.eye(64, dtype=complex)
+        for _ in range(200):
+            k1 = gen @ prop
+            k2 = gen @ (prop + h / 2 * k1)
+            k3 = gen @ (prop + h / 2 * k2)
+            k4 = gen @ (prop + h * k3)
+            prop = prop + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        np.testing.assert_allclose(engine._rk4_propagator(model.tau1), prop, rtol=0, atol=1e-13)
+
+
+def choi(prop):
+    """Choi matrix sum_kl |k><l| (x) E(|k><l|) of a superoperator acting on
+    row-stacked density matrices (Wood, Biamonte & Cory, arXiv:1111.6950)."""
+    return prop.reshape(8, 8, 8, 8).transpose(2, 0, 3, 1).reshape(64, 64)
+
+
+class TestChannelProperties:
+    def test_choi_of_identity_channel(self):
+        bell = np.eye(8).reshape(-1)
+        np.testing.assert_array_equal(choi(np.eye(64)), np.outer(bell, bell))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(rates=st.tuples(*[st.floats(0, 50)] * 3), variant=st.sampled_from(nmr.VARIANTS),
+           duration=st.floats(0, 0.1))
+    def test_delay_propagator_is_cptp(self, rates, variant, duration):
+        engine = EvolutionEngine(HamiltonianModel(variant=variant), NoiseModel(*rates))
+        c = choi(engine.delay_propagator(duration))
+        # completely positive: the Choi matrix is PSD
+        assert np.linalg.eigvalsh(c).min() > -1e-9
+        # trace preserving: tracing out the output leaves the identity
+        np.testing.assert_allclose(np.einsum("kili->kl", c.reshape(8, 8, 8, 8)), np.eye(8),
+                                   rtol=0, atol=1e-12)
 
 
 class TestRunSequence:
