@@ -19,9 +19,10 @@ script (step, chaotic, regular) for plotting.
 
 import pathlib
 
+import numpy as np
+
 from nmrbaker import chaos
 from nmrbaker.chaos import ExperimentConfig
-from nmrbaker.cli import emit_plot_data
 
 here = pathlib.Path(__file__).resolve().parent
 
@@ -38,7 +39,8 @@ for preset in ("fig2", "fig3", "fig4"):
         print(f"  {n}   {series['chaotic'][n]:.3f}    {series['regular'][n]:.3f}")
     rows = [(n, series["chaotic"][n], series["regular"][n]) for n in steps]
     out = here / f"entropy_{preset}.dat"
-    out.write_text(emit_plot_data(["step", "chaotic_bits", "regular_bits"], rows, preset))
+    np.savetxt(out, rows, fmt="%.17g",
+               header=f"preset={preset} columns: step chaotic_bits regular_bits")
     print(f"  -> {out.name}")
     print()
 

@@ -14,9 +14,10 @@ distance) is shown for comparison and never beats it.
 
 import pathlib
 
+import numpy as np
+
 from nmrbaker import chaos
 from nmrbaker.chaos import ExperimentConfig
-from nmrbaker.cli import emit_plot_data
 
 here = pathlib.Path(__file__).resolve().parent
 
@@ -43,9 +44,8 @@ for variant, res in results.items():
     pts = res.frontier.points()
     for d, i in pts[:: max(1, len(pts) // 6)]:
         print(f"    {d:6.3f} -> {i:5.3f}")
-    rows = res.frontier.points()
     out = here / f"imin_{variant}.dat"
-    out.write_text(emit_plot_data(["delta_s_bits", "i_min_bits"], rows, "fig5"))
+    np.savetxt(out, pts, fmt="%.17g", header="preset=fig5 columns: delta_s_bits i_min_bits")
     print(f"    -> {out.name}")
     print()
 

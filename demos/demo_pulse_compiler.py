@@ -35,28 +35,28 @@ checks = [
      nmr.swap_pulses(("C1", "H"), reference), [swap(q["C1"], q["H"])]),
 ]
 for name, seq, target in checks:
-    rep = nmr.verify_sequence(seq, target, reference, tol=1e-8)
-    print(f"  {name:32s} {len(seq.instructions):3d} pulses  distance {rep.distance:.1e}")
+    d = nmr.compiled_distance(seq, target, reference)
+    print(f"  {name:32s} {len(seq.instructions):3d} pulses  distance {d:.1e}")
 
 print()
 print("canned step programs")
 print("--------------------")
 t1 = reference.tau1
-for build, ideal, tol in [
-    (nmr.t_odd, nmr.ideal_t_odd(), 1e-8),
-    (nmr.t_even, nmr.ideal_t_even(), 1e-8),
-    (nmr.t_regular, nmr.ideal_t_regular(reference), 1e-10),
-    (nmr.full_baker_appendix, nmr.ideal_full_baker(), 1e-7),
+for build, ideal in [
+    (nmr.t_odd, nmr.ideal_t_odd()),
+    (nmr.t_even, nmr.ideal_t_even()),
+    (nmr.t_regular, nmr.ideal_t_regular(reference)),
+    (nmr.full_baker_appendix, nmr.ideal_full_baker()),
 ]:
     seq = build(reference)
-    exact = nmr.verify_sequence(seq, ideal, reference, tol)
+    exact = nmr.compiled_distance(seq, ideal, reference)
     # the physical couplings are not exactly 2:1, so the same pulse
     # timings leave a small coherent error
     seq_m = build(measured)
     ideal_m = nmr.ideal_t_regular(measured) if seq.name == "t_regular" else ideal
-    real = nmr.verify_sequence(seq_m, ideal_m, measured, tol)
+    real = nmr.compiled_distance(seq_m, ideal_m, measured)
     print(f"  {seq.name:12s} delay {seq.total_delay / t1:5.2f} tau1   "
-          f"ideal ratio: {exact.distance:.1e}   measured j2: {real.distance:.1e}")
+          f"ideal ratio: {exact:.1e}   measured j2: {real:.1e}")
 
 print()
 print("pulse program text format (first lines of t_odd):")

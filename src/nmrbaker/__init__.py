@@ -19,7 +19,6 @@ from .baker import (
 from .chaos import (
     ExperimentConfig,
     entropy_experiment,
-    exhaustive_imin,
     greedy_grouping,
     grouping_stats,
     history_ensemble,
@@ -36,12 +35,12 @@ from .lindblad import (
     apply_perturbation,
     perturbation_unitary,
     run_sequence,
-    trajectory_run,
 )
 from .nmr import (
     HamiltonianModel,
     PulseInstruction,
     PulseSequence,
+    compiled_distance,
     dump_sequence,
     full_baker_appendix,
     parse_sequence,
@@ -49,7 +48,6 @@ from .nmr import (
     t_even,
     t_odd,
     t_regular,
-    verify_sequence,
 )
 from .qstate import phase_invariant_distance, von_neumann_entropy_bits
 

@@ -134,14 +134,12 @@ def baker_unitary(n_qubits: int) -> np.ndarray:
     return f_full.conj().T @ qstate.kron(qstate.ID2, f_half)
 
 
-def baker_gate_sequence(n_qubits: int = 3) -> list[GateSpec]:
-    """Gate realization of the full baker's map, execution order.
+def baker_gate_sequence() -> list[GateSpec]:
+    """Gate realization of the full three-qubit baker's map, execution order.
 
     Only the three-qubit decomposition is known in closed form here; the
     general map is available as a matrix via :func:`baker_unitary`.
     """
-    if n_qubits != 3:
-        raise ValueError("gate decomposition is only provided for 3 qubits")
     return [
         hadamard(1),
         phase(0, 1, np.pi / 2),
@@ -157,10 +155,8 @@ def baker_gate_sequence(n_qubits: int = 3) -> list[GateSpec]:
     ]
 
 
-def simplified_baker_gate_sequence(n_qubits: int = 3) -> list[GateSpec]:
-    """Gate realization of the simplified map T_M, execution order."""
-    if n_qubits != 3:
-        raise ValueError("gate decomposition is only provided for 3 qubits")
+def simplified_baker_gate_sequence() -> list[GateSpec]:
+    """Gate realization of the three-qubit simplified map T_M, execution order."""
     return [
         phase(0, 1, -np.pi / 2),
         phase(0, 2, -np.pi / 4),

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lindblad, nmr, qstate
+from . import nmr, qstate
 from .lindblad import EvolutionEngine, NoiseModel, apply_perturbation, perturbation_unitary, run_sequence
 from .nmr import SPIN_C2, SPIN_H, HamiltonianModel
 
@@ -296,11 +296,10 @@ def set_partitions(n: int):
 
 @dataclass(frozen=True)
 class HypersensitivityCurve:
-    """Minimum information vs entropy reduction."""
+    """Minimum information vs entropy reduction, from the exhaustive scan."""
 
     delta_s: np.ndarray
     i_min: np.ndarray
-    provenance: str
 
     def points(self) -> list[tuple[float, float]]:
         return list(zip(self.delta_s.tolist(), self.i_min.tolist()))
@@ -322,6 +321,8 @@ def partition_scan(entropies) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _frontier_from_scan(delta_s, info) -> HypersensitivityCurve:
+    """I_min(x) = min{ I : partition achieves delta_s >= x }, on the grid of
+    all achieved delta_s values; nondecreasing by construction."""
     order = np.argsort(delta_s)[::-1]  # descending delta_s
     d_sorted = delta_s[order]
     i_suffix = np.minimum.accumulate(info[order])
@@ -333,20 +334,7 @@ def _frontier_from_scan(delta_s, info) -> HypersensitivityCurve:
         else:
             grid.append(d)
             imin.append(i)
-    return HypersensitivityCurve(
-        delta_s=np.array(grid[::-1]), i_min=np.array(imin[::-1]), provenance="exhaustive"
-    )
-
-
-def exhaustive_imin(rhos) -> HypersensitivityCurve:
-    """Exact I_min(delta_s) frontier from the full set-partition scan.
-
-    I_min(x) = min{ I : partition achieves delta_s >= x }, evaluated on
-    the grid of all achieved delta_s values; nondecreasing by
-    construction.
-    """
-    delta_s, info, _ = partition_scan(subset_entropies(rhos))
-    return _frontier_from_scan(delta_s, info)
+    return HypersensitivityCurve(delta_s=np.array(grid[::-1]), i_min=np.array(imin[::-1]))
 
 
 def _pareto_points(points) -> list[tuple[float, float]]:
@@ -358,11 +346,11 @@ def _pareto_points(points) -> list[tuple[float, float]]:
     return best[::-1]
 
 
-def frontier_slope(curve: HypersensitivityCurve, window: tuple[float, float] = (0.2, 0.8)) -> float:
+def frontier_slope(curve: HypersensitivityCurve) -> float:
     """Least-squares slope of I_min vs delta_s over the interior of the
-    achieved range (the saturated ends are excluded)."""
-    lo = curve.delta_s.max() * window[0]
-    hi = curve.delta_s.max() * window[1]
+    achieved range, 20-80 % of its maximum (the saturated ends are excluded)."""
+    lo = curve.delta_s.max() * 0.2
+    hi = curve.delta_s.max() * 0.8
     mask = (curve.delta_s >= lo) & (curve.delta_s <= hi)
     if mask.sum() < 2:
         return float("nan")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -49,31 +49,6 @@ def _config_header(cfg: ExperimentConfig, preset: str, map_choice: str) -> str:
     return "# " + " ".join(fields)
 
 
-def emit_plot_data(column_names, rows, preset: str) -> str:
-    """Whitespace-separated columns with a header naming them and the preset."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("refusing to emit an empty series")
-    lines = [f"# preset={preset} columns: " + " ".join(column_names)]
-    for row in rows:
-        lines.append(" ".join(_fmt(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_plot_data(text: str):
-    """Inverse of :func:`emit_plot_data`: (column_names, rows, preset)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError("missing plot-data header")
-    header = lines[0]
-    if "columns:" not in header or "preset=" not in header:
-        raise ValueError(f"malformed plot-data header: {header!r}")
-    preset = header.split("preset=")[1].split()[0]
-    names = header.split("columns:")[1].split()
-    rows = [tuple(float(x) for x in ln.split()) for ln in lines[1:]]
-    return names, rows, preset
-
-
 # ---------------------------------------------------------------------------
 # invariant checks for the `verify` subcommand
 # ---------------------------------------------------------------------------
@@ -85,9 +60,7 @@ _Q = nmr.QUBIT
 
 def _compiled(programs, gates, model=_REF) -> float:
     """Worst distance of pulse programs from one gate list on ``nmr.QUBIT``."""
-    target = baker.gate_sequence_unitary(gates, 3)
-    return max(qstate.phase_invariant_distance(nmr.sequence_unitary(p, model), target)
-               for p in programs)
+    return max(nmr.compiled_distance(p, gates, model) for p in programs)
 
 
 def _shift_error(variant: str) -> float:
@@ -177,14 +150,24 @@ CHECKS = (
 )
 
 
-def check(name: str) -> nmr.VerifyReport:
+@dataclass(frozen=True)
+class VerifyReport:
+    """One evaluated :data:`CHECKS` row."""
+
+    name: str
+    distance: float
+    tolerance: float
+    passed: bool
+
+
+def check(name: str) -> VerifyReport:
     """Evaluate the :data:`CHECKS` row called ``name``."""
     tolerance, distance = {row: (tol, fn) for row, tol, fn in CHECKS}[name]
     value = float(distance())
-    return nmr.VerifyReport(name, value, tolerance, value < tolerance)
+    return VerifyReport(name, value, tolerance, value < tolerance)
 
 
-def standard_checks() -> list[nmr.VerifyReport]:
+def standard_checks() -> list[VerifyReport]:
     """Evaluate every :data:`CHECKS` row, in order."""
     return [check(name) for name, _, _ in CHECKS]
 

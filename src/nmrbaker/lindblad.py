@@ -12,8 +12,9 @@ Delay propagators are built by exponentiating the 64x64 generator in
 vectorized (row-stacked) form, once per distinct duration, which is
 exact and deterministic; a fixed-step RK4 solution of the same generator
 (``EvolutionEngine._rk4_propagator``) is kept only as the cross-check
-that ``nmrbaker verify`` runs.  A quantum-trajectory unraveling (Z jumps
-as Poisson processes) provides a second, statistical cross-check.
+that ``nmrbaker verify`` runs.  The tests add a second, statistical
+cross-check: a quantum-trajectory unraveling (Z jumps as Poisson
+processes) in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -65,17 +66,6 @@ class NoiseModel:
 
 def _z_operator(spin: str) -> np.ndarray:
     return qstate.embed(PAULI_Z, [spin], SPINS)
-
-
-def dissipator(rho: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """sum_s Gamma_s (Z_s rho Z_s - rho); traceless and Hermitian."""
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros_like(rho)
-    for spin, g in noise.items():
-        if g:
-            z = _z_operator(spin)
-            out += g * (z @ rho @ z - rho)
-    return out
 
 
 def liouvillian(model: HamiltonianModel, noise: NoiseModel) -> np.ndarray:
@@ -185,109 +175,3 @@ def apply_perturbation(rho: np.ndarray, spin: str) -> np.ndarray:
 def perturbation_unitary(spin: str) -> np.ndarray:
     """The perturbing kick exp(i*pi*Z/2) = i*Z on one spin."""
     return qstate.embed(1j * PAULI_Z, [spin], SPINS)
-
-
-# ---------------------------------------------------------------------------
-# quantum-trajectory cross-check
-# ---------------------------------------------------------------------------
-
-def trajectory_run(
-    psi0: np.ndarray,
-    seq: PulseSequence,
-    engine: EvolutionEngine,
-    n_traj: int,
-    seed: int,
-    with_stats: bool = False,
-):
-    """Jump unraveling of the dephasing master equation.
-
-    Each spin jumps (acquires a Z) as a Poisson process of rate Gamma_s
-    during delays; since Z^dag Z = 1, the no-jump evolution is purely
-    Hamiltonian and every trajectory stays normalized.  Returns the
-    average projector over ``n_traj`` trajectories (optionally with the
-    per-entry standard error).  Trajectory i draws all its randomness
-    from substream i of the seed, so results do not depend on how
-    trajectories are partitioned across workers.
-    """
-    if n_traj < 1:
-        raise ValueError("need at least one trajectory")
-    psi0 = qstate.normalize(psi0)
-    streams = np.random.SeedSequence(seed).spawn(n_traj)
-    h = engine.model.matrix()
-    if np.max(np.abs(h - np.diag(np.diag(h)))) < 1e-14:
-        outer = _trajectories_diagonal(psi0, seq, engine, streams, np.diag(h).real)
-    else:
-        outer = _trajectories_general(psi0, seq, engine, streams, h)
-    mean = outer.mean(axis=2)
-    if not with_stats:
-        return mean
-    var = (np.abs(outer) ** 2).mean(axis=2) - np.abs(mean) ** 2
-    stderr = np.sqrt(np.maximum(var, 0.0) / n_traj)
-    return mean, stderr
-
-
-def _jump_parities(streams, delays, rates):
-    """Pre-draw the per-trajectory jump parities for the diagonal fast path.
-
-    With a diagonal Hamiltonian the Z jumps commute with the delay
-    evolution, so only the parity of each spin's jump count matters:
-    odd with probability (1 - exp(-2*Gamma*t))/2.
-    """
-    p_odd = (1.0 - np.exp(-2.0 * np.outer(delays, rates))) / 2.0
-    flips = np.empty((len(streams), len(delays), len(rates)), dtype=bool)
-    for i, stream in enumerate(streams):
-        u = np.random.default_rng(stream).random((len(delays), len(rates)))
-        flips[i] = u < p_odd
-    return flips
-
-
-def _trajectories_diagonal(psi0, seq, engine, streams, h_diag):
-    delays = [ins.value for ins in seq.instructions if ins.op == "U"]
-    rates = np.array([g for _, g in engine.noise.items()])
-    flips = _jump_parities(streams, delays, rates)
-    z_signs = np.stack([np.diag(_z_operator(s)).real for s in SPINS])
-    n = len(streams)
-    psi = np.tile(psi0.reshape(DIM, 1), (1, n)).astype(complex)
-    k = 0
-    for ins in seq.instructions:
-        if ins.op == "U":
-            psi *= np.exp(-1j * h_diag * ins.value)[:, None]
-            for s in range(3):
-                cols = flips[:, k, s]
-                if cols.any():
-                    psi[:, cols] *= z_signs[s][:, None]
-            k += 1
-        else:
-            psi = pulse_unitary(ins, engine.model) @ psi
-    return psi[:, None, :] * psi.conj()[None, :, :]
-
-
-def _trajectories_general(psi0, seq, engine, streams, h):
-    w, v = np.linalg.eigh(h)
-    z_ops = [_z_operator(s) for s in SPINS]
-    rates = [g for _, g in engine.noise.items()]
-
-    def evolve(psi, dt):
-        return (v * np.exp(-1j * w * dt)) @ (v.conj().T @ psi)
-
-    outer = np.empty((DIM, DIM, len(streams)), dtype=complex)
-    for i, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        psi = psi0.copy()
-        for ins in seq.instructions:
-            if ins.op == "U":
-                events = []
-                for s in range(3):
-                    count = rng.poisson(rates[s] * ins.value)
-                    events.extend((t, s) for t in rng.random(count) * ins.value)
-                events.sort()
-                t_prev = 0.0
-                for t_jump, s in events:
-                    psi = evolve(psi, t_jump - t_prev)
-                    psi = z_ops[s] @ psi
-                    t_prev = t_jump
-                psi = evolve(psi, ins.value - t_prev)
-            else:
-                psi = pulse_unitary(ins, engine.model) @ psi
-        outer[:, :, i] = np.outer(psi, psi.conj())
-    return outer

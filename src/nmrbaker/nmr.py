@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -182,7 +182,6 @@ class PulseSequence:
 
     name: str
     instructions: tuple
-    metadata: dict = field(default_factory=dict, compare=False)
 
     @property
     def total_delay(self) -> float:
@@ -190,13 +189,11 @@ class PulseSequence:
         return math.fsum(i.value for i in self.instructions if i.op == "U")
 
     def __add__(self, other: "PulseSequence") -> "PulseSequence":
-        return PulseSequence(
-            self.name, self.instructions + other.instructions, dict(self.metadata)
-        )
+        return PulseSequence(self.name, self.instructions + other.instructions)
 
 
-def _seq(name: str, instructions, **metadata) -> PulseSequence:
-    return PulseSequence(name, tuple(instructions), metadata)
+def _seq(name: str, instructions) -> PulseSequence:
+    return PulseSequence(name, tuple(instructions))
 
 
 def pulse_unitary(instruction: PulseInstruction, model: HamiltonianModel) -> np.ndarray:
@@ -268,9 +265,7 @@ def _pair_key(pair) -> tuple:
     )
 
 
-def phase_gate_pulses(
-    pair, angle: float, model: HamiltonianModel, z_variant: int = 1
-) -> PulseSequence:
+def phase_gate_pulses(pair, angle: float, model: HamiltonianModel) -> PulseSequence:
     """Inverse phase gate B(-theta) for theta > 0 on a coupled pair.
 
     The ZZ part comes from two refocused delays of tau = theta/(2 j):
@@ -296,8 +291,8 @@ def phase_gate_pulses(
         extra_b = 2 * model.delta_eff * tau  # undo the surviving delta Z_C2 term
     body = [delay(tau), rot_x(spectator, np.pi), delay(tau), rot_x(spectator, np.pi)]
     seq = _seq(f"phase_{a}{b}", body)
-    seq = seq + z_rotation_pulses(a, angle / 2, z_variant)
-    seq = seq + z_rotation_pulses(b, angle / 2 + extra_b, z_variant)
+    seq = seq + z_rotation_pulses(a, angle / 2)
+    seq = seq + z_rotation_pulses(b, angle / 2 + extra_b)
     return _seq(f"phase_{a}{b}", seq.instructions)
 
 
@@ -368,15 +363,14 @@ def t_odd(model: HamiltonianModel) -> PulseSequence:
         rot_y(SPIN_C1, -np.pi / 2),
         delay(t1),
     ]
-    return _seq(
-        "t_odd",
-        reversed(ops),
-        relabel="after this step logical qubits 1 and 2 exchange physical spins",
-    )
+    return _seq("t_odd", reversed(ops))
 
 
 def t_even(model: HamiltonianModel) -> PulseSequence:
     """Pulse program for an even iteration (logical 1 on C2, logical 2 on H).
+
+    Like :func:`t_odd` it ends in a relabel: after this step logical
+    qubits 1 and 2 exchange physical spins.
 
     Twice as slow as the odd step (total delay exactly 14*tau1): with the
     roles of the two couplings interchanged, the controlled phases no
@@ -405,13 +399,9 @@ def t_even(model: HamiltonianModel) -> PulseSequence:
     seq = seq + hadamard_pulses(SPIN_C1)
     # delays are timed off the j1 clock (tau2 = 2*tau1), as if j2 = j1/2
     # held exactly; running against the measured j2 leaves the small
-    # coupling-ratio error quantified by verify_sequence.
+    # coupling-ratio error quantified by compiled_distance.
     seq = seq + swap_pulses((SPIN_C1, SPIN_C2), replace(model, j2=model.j1 / 2))
-    return PulseSequence(
-        "t_even",
-        seq.instructions,
-        {"relabel": "after this step logical qubits 1 and 2 exchange physical spins"},
-    )
+    return _seq("t_even", seq.instructions)
 
 
 def t_regular(model: HamiltonianModel) -> PulseSequence:
@@ -513,11 +503,7 @@ def full_baker_appendix(model: HamiltonianModel) -> PulseSequence:
         rot_y(SPIN_H, np.pi / 2),
         rot_x(SPIN_H, np.pi / 4),
     ]
-    return _seq(
-        "full_baker",
-        reversed(ops),
-        relabel="one swap per iteration absorbed into state preparation/readout",
-    )
+    return _seq("full_baker", reversed(ops))
 
 
 # ---------------------------------------------------------------------------
@@ -585,25 +571,11 @@ def ideal_full_baker() -> list[baker.GateSpec]:
     ]
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    name: str
-    distance: float
-    tolerance: float
-    passed: bool
-
-
-def verify_sequence(
-    seq: PulseSequence,
-    gates,
-    model: HamiltonianModel,
-    tol: float,
-) -> VerifyReport:
-    """Compare a pulse program against a gate list (execution order) up to
-    global phase."""
+def compiled_distance(seq: PulseSequence, gates, model: HamiltonianModel) -> float:
+    """Distance of a pulse program from a gate list (execution order) up to
+    global phase, as :func:`qstate.phase_invariant_distance`."""
     target = baker.gate_sequence_unitary(gates, len(SPINS))
-    d = qstate.phase_invariant_distance(sequence_unitary(seq, model), target)
-    return VerifyReport(seq.name, d, tol, d < tol)
+    return qstate.phase_invariant_distance(sequence_unitary(seq, model), target)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +610,7 @@ def parse_sequence(text: str) -> PulseSequence:
     m = _HEADER_RE.match(lines[0])
     if not m:
         raise ValueError(f"malformed header line: {lines[0]!r}")
-    name, convention, _ = m.groups()
+    name = m.group(1)
     instructions = []
     for ln in lines[1:]:
         parts = ln.split()
@@ -648,4 +620,4 @@ def parse_sequence(text: str) -> PulseSequence:
             instructions.append(PulseInstruction(parts[0], parts[1], float(parts[2])))
         else:
             raise ValueError(f"malformed instruction line: {ln!r}")
-    return _seq(name, instructions, convention=convention)
+    return _seq(name, instructions)

@@ -24,6 +24,11 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
+# density-matrix tolerances: eigenvalues down to -EIG_CLAMP are round-off
+EIG_CLAMP = 1e-9
+TRACE_TOL = 1e-9
+HERMITICITY_TOL = 1e-10
+
 
 def kron(*ops) -> np.ndarray:
     """Kronecker product with the leftmost operand most significant."""
@@ -89,26 +94,26 @@ def dft_matrix(dim: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(idx, idx) / dim) / np.sqrt(dim)
 
 
-def von_neumann_entropy_bits(rho, clamp: float = 1e-9) -> float:
+def von_neumann_entropy_bits(rho) -> float:
     """-tr(rho log2 rho) in bits.
 
-    Eigenvalues in [-clamp, 0] are treated as exact zeros (integrator
-    round-off); anything below -clamp signals a corrupted state and
+    Eigenvalues in [-EIG_CLAMP, 0] are treated as exact zeros (integrator
+    round-off); anything below -EIG_CLAMP signals a corrupted state and
     raises.
     """
-    return _spectrum_entropy_bits(np.linalg.eigvalsh(np.asarray(rho)), clamp)
+    return _spectrum_entropy_bits(np.linalg.eigvalsh(np.asarray(rho)))
 
 
 def von_neumann_entropies_bits(rhos) -> list[float]:
     """:func:`von_neumann_entropy_bits` of each matrix in a stack, from
     one batched ``eigvalsh``; each value equals the single-matrix one."""
-    return [_spectrum_entropy_bits(w, 1e-9) for w in np.linalg.eigvalsh(np.asarray(rhos))]
+    return [_spectrum_entropy_bits(w) for w in np.linalg.eigvalsh(np.asarray(rhos))]
 
 
-def _spectrum_entropy_bits(w: np.ndarray, clamp: float) -> float:
-    if w.min() < -clamp:
+def _spectrum_entropy_bits(w: np.ndarray) -> float:
+    if w.min() < -EIG_CLAMP:
         raise ValueError(
-            f"density matrix has eigenvalue {w.min():.3e} below -{clamp:g}"
+            f"density matrix has eigenvalue {w.min():.3e} below -{EIG_CLAMP:g}"
         )
     w = w[w > 0.0]
     return float(-(w * np.log2(w)).sum())
@@ -129,49 +134,29 @@ def state_fidelity(a, b) -> float:
     return float(abs(np.vdot(np.asarray(a), np.asarray(b))) ** 2)
 
 
-def normalize(psi) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if norm == 0:
-        raise ValueError("cannot normalize the zero vector")
-    return psi / norm
-
-
-def is_unitary(u, tol: float = 1e-10) -> bool:
-    u = np.asarray(u)
-    return bool(
-        np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol
-    )
-
-
 def is_hermitian(h, tol: float = 1e-10) -> bool:
     h = np.asarray(h)
     return bool(np.max(np.abs(h - h.conj().T)) <= tol)
 
 
-def density_matrix_defects(
-    rho,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-9,
-    eig_tol: float = 1e-9,
-) -> list[str]:
+def density_matrix_defects(rho) -> list[str]:
     """List of violated density-matrix invariants (empty when valid)."""
     rho = np.asarray(rho)
     defects = []
     herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > herm_tol:
+    if herm > HERMITICITY_TOL:
         defects.append(f"hermiticity violated by {herm:.3e}")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         defects.append(f"trace {tr:.12g} deviates from 1 by {abs(tr - 1.0):.3e}")
     wmin = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-    if wmin < -eig_tol:
+    if wmin < -EIG_CLAMP:
         defects.append(f"negative eigenvalue {wmin:.3e}")
     return defects
 
 
-def check_density_matrix(rho, **tols) -> None:
+def check_density_matrix(rho) -> None:
     """Raise ValueError when ``rho`` violates a density-matrix invariant."""
-    defects = density_matrix_defects(rho, **tols)
+    defects = density_matrix_defects(rho)
     if defects:
         raise ValueError("invalid density matrix: " + "; ".join(defects))

