@@ -23,7 +23,7 @@ labels alternate), and on H after every step of the reference map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,15 +185,14 @@ def subset_entropies(rhos) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroupingStats:
-    """Bookkeeping for one partition of a history ensemble."""
+    """The two scores of one partition of a history ensemble, with
+    p_r = N_r / N and S_r the entropy of group r in bits."""
 
-    probabilities: np.ndarray       # p_r = N_r / N
-    group_entropies: np.ndarray     # S_r in bits
     mean_conditional_entropy: float  # S-bar = sum p_r S_r
     information: float              # I = -sum p_r log2 p_r
 
 
-def _score(assignment, entropies) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _score(assignment, entropies) -> tuple[float, float]:
     """The :class:`GroupingStats` fields of one partition, looked up in a
     :func:`subset_entropies` table.  S-bar is one dot product over the
     groups in first-appearance order, so the exhaustive scan and the
@@ -203,16 +202,15 @@ def _score(assignment, entropies) -> tuple[np.ndarray, np.ndarray, float, float]
         masks[g] = masks.get(g, 0) | (1 << idx)
     n = len(assignment)
     probs = np.array([mask.bit_count() / n for mask in masks.values()])
-    group_entropies = entropies[list(masks.values())]
     # 0.0 - x rather than -x: one group costs +0.0 bits, not -0.0
-    return (probs, group_entropies, float(probs @ group_entropies),
+    return (float(probs @ entropies[list(masks.values())]),
             float(0.0 - probs @ np.log2(probs)))
 
 
 def grouping_stats(assignment, entropies) -> GroupingStats:
-    """Per-group probabilities, entropies and the information cost of
-    ``assignment`` (a group label per state), scored on the
-    :func:`subset_entropies` table of its ensemble."""
+    """Mean conditional entropy and information cost of ``assignment``
+    (a group label per state), scored on the :func:`subset_entropies`
+    table of its ensemble."""
     assignment = list(assignment)
     if 2 ** len(assignment) != len(entropies):
         raise ValueError("assignment length must match the ensemble size")
@@ -314,7 +312,7 @@ def partition_scan(entropies) -> tuple[np.ndarray, np.ndarray, float]:
     s_max = float(entropies[-1])
     delta_s, info = [], []
     for assignment in set_partitions(n):
-        _, _, s_bar, inf = _score(assignment, entropies)
+        s_bar, inf = _score(assignment, entropies)
         delta_s.append(s_max - s_bar)
         info.append(inf)
     return np.array(delta_s), np.array(info), s_max
@@ -362,8 +360,8 @@ class HyperResult:
     s_bar_max: float
     frontier: HypersensitivityCurve
     slope: float
-    greedy_points: list = field(default_factory=list)
-    n_partitions: int = 0
+    greedy_points: list
+    n_partitions: int
 
 
 GREEDY_RESTARTS = 64

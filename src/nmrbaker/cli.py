@@ -91,9 +91,10 @@ def _rk4_error() -> float:
 
 
 def _trace_drift() -> float:
-    engine, rho, drift = ExperimentConfig.preset("fig2").engine(), chaos.initial_density(), 0.0
+    cfg, rho, drift = ExperimentConfig.preset("fig2"), chaos.initial_density(), 0.0
+    engine, seq_for = cfg.engine(), chaos._step_sequences(cfg)
     for n in range(1, 7):
-        rho = lindblad.run_sequence(rho, (nmr.t_odd if n % 2 else nmr.t_even)(engine.model), engine)
+        rho = lindblad.run_sequence(rho, seq_for(n), engine)
         drift = max(drift, abs(np.trace(rho).real - 1.0))
     return drift
 

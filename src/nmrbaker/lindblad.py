@@ -20,7 +20,6 @@ processes) in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,24 +102,22 @@ class EvolutionEngine:
         self.noise = noise
         self._generator = liouvillian(model, noise)
         self._cache: dict[float, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     def delay_propagator(self, duration: float) -> np.ndarray:
         """Completely positive trace-preserving map for one delay."""
         if duration < 0:
             raise ValueError("delay duration must be >= 0")
         key = float(duration)
-        with self._lock:
-            cached = self._cache.get(key)
+        cached = self._cache.get(key)
         if cached is not None:
             return cached
         if key == 0.0:
             prop = np.eye(DIM * DIM, dtype=complex)
         else:
             prop = scipy.linalg.expm(self._generator * key)
-        with self._lock:
-            self._cache.setdefault(key, prop)
-            return self._cache[key]
+        # one atomic step (float keys hash and compare in C): threads that
+        # raced to build the same duration all get the first one stored
+        return self._cache.setdefault(key, prop)
 
     def _rk4_propagator(self, duration: float) -> np.ndarray:
         """Fixed-step RK4 cross-check of :meth:`delay_propagator`: on this

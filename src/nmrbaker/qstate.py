@@ -134,7 +134,7 @@ def state_fidelity(a, b) -> float:
     return float(abs(np.vdot(np.asarray(a), np.asarray(b))) ** 2)
 
 
-def is_hermitian(h, tol: float = 1e-10) -> bool:
+def is_hermitian(h, tol: float = HERMITICITY_TOL) -> bool:
     h = np.asarray(h)
     return bool(np.max(np.abs(h - h.conj().T)) <= tol)
 

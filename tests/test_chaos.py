@@ -98,18 +98,6 @@ def reference_greedy_grouping(rhos, n_groups, seed):
     return assignment
 
 
-def reference_greedy_points(rhos, table, seed):
-    """Pareto points of all GREEDY_RESTARTS restarts per group count."""
-    s_max = table[-1]
-    points = []
-    for n_groups in range(1, len(rhos) + 1):
-        for trial in range(chaos.GREEDY_RESTARTS):
-            assignment = reference_greedy_grouping(rhos, n_groups, [seed, n_groups, trial])
-            stats = chaos.grouping_stats(assignment, table)
-            points.append((s_max - stats.mean_conditional_entropy, stats.information))
-    return chaos._pareto_points(points)
-
-
 class TestConfig:
     def test_fig2_preset_noise(self):
         cfg = ExperimentConfig.preset("fig2")
@@ -367,13 +355,18 @@ class TestGreedyGrouping:
     def test_matches_js_distance_reference(self, variant, request):
         rhos = request.getfixturevalue(f"fig2_{variant}_ensemble")
         table = request.getfixturevalue(f"fig2_{variant}_table")
+        # the Pareto points of all GREEDY_RESTARTS reference runs per group count
+        points = []
         for n_groups in range(1, 9):
             for trial in range(chaos.GREEDY_RESTARTS):
                 seed = [0, n_groups, trial]
+                reference = reference_greedy_grouping(rhos, n_groups, seed)
                 assert (chaos.greedy_grouping(rhos, table, seed_draw(8, n_groups, seed))
-                        == reference_greedy_grouping(rhos, n_groups, seed)), seed
+                        == reference), seed
+                stats = chaos.grouping_stats(reference, table)
+                points.append((table[-1] - stats.mean_conditional_entropy, stats.information))
         result = request.getfixturevalue(f"{variant}_result")
-        assert result.greedy_points == reference_greedy_points(rhos, table, seed=0)
+        assert result.greedy_points == chaos._pareto_points(points)
 
 
 class TestSetPartitions:

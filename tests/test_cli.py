@@ -171,11 +171,25 @@ class TestExitCodes:
         assert "negative eigenvalue" in capsys.readouterr().err
 
 
-def test_module_entry_point_runs_without_warning():
+def run_python(*args):
+    """A fresh interpreter with this checkout's package on its path."""
     src = str(Path(nmrbaker.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "nmrbaker.cli", "compile"],
-        env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_module_entry_point_runs_without_warning():
+    proc = run_python("-W", "error::RuntimeWarning", "-m", "nmrbaker.cli", "compile")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_loads_every_module_but_cli():
+    # the benchmark's tracer wraps functions in the modules `import nmrbaker`
+    # loads, and `python -m nmrbaker.cli` warns if the package loaded cli
+    proc = run_python("-c", "import sys, nmrbaker; print(sorted(m for m in sys.modules"
+                            " if m.startswith('nmrbaker.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == str(
+        [f"nmrbaker.{m}" for m in ("baker", "chaos", "lindblad", "nmr", "qstate")]) + "\n"

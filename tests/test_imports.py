@@ -2,8 +2,10 @@
 
 An AST scan of ``src/nmrbaker/``, ``tests/`` and ``demos/``: every name
 an ``import`` binds must be referenced somewhere else in the module.
-``from __future__`` imports are exempt, and so is ``__init__.py``, whose
-imports are the package's re-exports.
+``from __future__`` imports are exempt, and so is ``__init__.py``: its
+one import is there to load the submodules, so that ``import nmrbaker``
+makes ``nmrbaker.<module>`` available, and nothing in the file reads the
+names it binds.
 """
 
 import ast
