@@ -23,6 +23,9 @@ CASES = {
     **{f"entropy_{p}": ["entropy", "--preset", p] for p in ("fig2", "fig3", "fig4", "fig5")},
     **{f"hyper_fig5_{m}": ["hyper", "--preset", "fig5", "--map", m]
        for m in ("chaotic", "regular")},
+    "entropy_fig2_full": ["entropy", "--preset", "fig2", "--hamiltonian", "full"],
+    **{f"hyper_fig5_{m}_full": ["hyper", "--preset", "fig5", "--map", m, "--hamiltonian", "full"]
+       for m in ("chaotic", "regular")},
     "compile": ["compile"],
     "verify": ["verify"],
 }
