@@ -26,8 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from . import qstate
-from .nmr import SPINS, HamiltonianModel, PulseSequence, pulse_unitary
-from .qstate import PAULI_Z
+from .nmr import LIFTED_PAULI, SPINS, HamiltonianModel, PulseSequence, pulse_unitary
 
 DIM = 8
 
@@ -64,7 +63,7 @@ class NoiseModel:
 
 
 def _z_operator(spin: str) -> np.ndarray:
-    return qstate.embed(PAULI_Z, [spin], SPINS)
+    return LIFTED_PAULI["Z", spin]
 
 
 def liouvillian(model: HamiltonianModel, noise: NoiseModel) -> np.ndarray:
@@ -171,4 +170,4 @@ def apply_perturbation(rho: np.ndarray, spin: str) -> np.ndarray:
 
 def perturbation_unitary(spin: str) -> np.ndarray:
     """The perturbing kick exp(i*pi*Z/2) = i*Z on one spin."""
-    return qstate.embed(1j * PAULI_Z, [spin], SPINS)
+    return 1j * LIFTED_PAULI["Z", spin]

@@ -11,9 +11,12 @@ swaps through the central spin.
 Pulse programs are sequences of instantaneous RF rotations and timed
 delays.  ``X(theta)`` multiplies the state by exp(i*theta*X/2), ``Y``
 likewise, and ``U(t)`` lets the drift Hamiltonian act for ``t``
-seconds.  Sequences are stored in EXECUTION order (first instruction
-applied first); the conventional right-to-left operator notation is
-reversed on construction.
+seconds.  ``LIFTED_PAULI`` holds X, Y and Z on each spin as 8x8
+matrices, built once at import, so a rotation is evaluated directly on
+the register as cos(theta/2) I + i sin(theta/2) X.  Sequences are
+stored in EXECUTION order (first instruction applied first); the
+conventional right-to-left operator notation is reversed on
+construction.
 
 Compiled gates are correct up to a global phase.  The compiler assumes
 the simplified drift Hamiltonian (``simplified`` variant) and the exact
@@ -38,6 +41,15 @@ SPIN_C2 = "C2"
 SPINS = (SPIN_H, SPIN_C1, SPIN_C2)  # register order, most significant first
 # gate qubit of each spin for baker.GateSpec targets (qubit 0 least significant)
 QUBIT = {SPIN_H: 2, SPIN_C1: 1, SPIN_C2: 0}
+# each single-spin Pauli lifted to the register once, keyed (axis, spin),
+# and the register identity; read-only, since every pulse, dephasing
+# generator and kick shares these arrays
+LIFTED_PAULI = {(axis, spin): qstate.embed(op, [spin], SPINS)
+                for axis, op in (("X", PAULI_X), ("Y", PAULI_Y), ("Z", PAULI_Z))
+                for spin in SPINS}
+_ID8 = np.eye(8, dtype=complex)
+for _op in (_ID8, *LIFTED_PAULI.values()):
+    _op.flags.writeable = False
 
 # only these pairs are coupled strongly enough to run gates on
 NEIGHBOR_PAIRS = ((SPIN_C1, SPIN_H), (SPIN_C1, SPIN_C2))
@@ -201,9 +213,8 @@ def pulse_unitary(instruction: PulseInstruction, model: HamiltonianModel) -> np.
     if instruction.op == "U":
         return qstate.expm_hermitian(model.matrix(), instruction.value)
     half = instruction.value / 2
-    axis = PAULI_X if instruction.op == "X" else PAULI_Y
-    u2 = math.cos(half) * ID2 + 1j * math.sin(half) * axis  # exp(i*theta*axis/2)
-    return qstate.embed(u2, [instruction.spin], SPINS)
+    axis = LIFTED_PAULI[instruction.op, instruction.spin]
+    return math.cos(half) * _ID8 + 1j * math.sin(half) * axis  # exp(i*theta*axis/2)
 
 
 def sequence_unitary(seq: PulseSequence, model: HamiltonianModel) -> np.ndarray:

@@ -4,11 +4,15 @@ equation.  None of them runs in the CLI."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from nmrbaker import qstate
 from nmrbaker.chaos import HypersensitivityCurve, _frontier_from_scan, partition_scan, subset_entropies
 from nmrbaker.lindblad import DIM, EvolutionEngine, NoiseModel, _z_operator
-from nmrbaker.nmr import SPINS, PulseSequence, pulse_unitary
+from nmrbaker.nmr import SPINS, PulseInstruction, PulseSequence, pulse_unitary
+from nmrbaker.qstate import ID2, PAULI_X, PAULI_Y
 
 
 def normalize(psi) -> np.ndarray:
@@ -24,6 +28,16 @@ def is_unitary(u, tol: float = 1e-10) -> bool:
     return bool(
         np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol
     )
+
+
+def embedded_rotation(instruction: PulseInstruction) -> np.ndarray:
+    """An X/Y rotation evaluated on its 2x2 factor and then lifted to the
+    register with ``qstate.embed``; ``nmr.pulse_unitary`` must equal it
+    entry for entry."""
+    half = instruction.value / 2
+    axis = PAULI_X if instruction.op == "X" else PAULI_Y
+    u2 = math.cos(half) * ID2 + 1j * math.sin(half) * axis  # exp(i*theta*axis/2)
+    return qstate.embed(u2, [instruction.spin], SPINS)
 
 
 def dissipator(rho: np.ndarray, noise: NoiseModel) -> np.ndarray:

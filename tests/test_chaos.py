@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from nmrbaker import chaos, lindblad, qstate
+from nmrbaker import chaos, lindblad, nmr, qstate
 from nmrbaker.chaos import ExperimentConfig
 
 
@@ -216,6 +216,37 @@ class TestHistoryEnsemble:
         assert len(rhos) == len(expected) == 8
         for rho, ref in zip(rhos, expected):
             assert np.array_equal(rho, ref)
+
+
+class TestStepPathLiftsNothing:
+    """Every operator a map step uses was lifted to the register at import:
+    with ``qstate.embed`` raising, the experiments return exactly what they
+    return unpatched."""
+
+    CONFIGS = [ExperimentConfig.preset("fig4", map_variant=m, hamiltonian=h)
+               for m in chaos.MAP_VARIANTS for h in ("noxy", "full")]
+
+    @staticmethod
+    def refuse_embed(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("qstate.embed called on the step path")
+
+        monkeypatch.setattr(qstate, "embed", refuse)
+        with pytest.raises(AssertionError):  # a per-step lift would hit the patch
+            oracles.embedded_rotation(nmr.rot_x(nmr.SPIN_H, 1.0))
+
+    def test_entropy_experiment(self, monkeypatch):
+        assert all(cfg.artificial_perturbation for cfg in self.CONFIGS)
+        want = [chaos.entropy_experiment(cfg) for cfg in self.CONFIGS]
+        self.refuse_embed(monkeypatch)
+        assert [chaos.entropy_experiment(cfg) for cfg in self.CONFIGS] == want
+
+    def test_history_ensemble(self, monkeypatch):
+        want = [chaos.history_ensemble(cfg, 2) for cfg in self.CONFIGS]
+        self.refuse_embed(monkeypatch)
+        for cfg, states in zip(self.CONFIGS, want):
+            got = chaos.history_ensemble(cfg, 2)
+            assert len(got) == len(states) and all(map(np.array_equal, got, states))
 
 
 class TestAverageRho:

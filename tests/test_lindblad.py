@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from nmrbaker import cli, lindblad, nmr, qstate
 from nmrbaker.lindblad import EvolutionEngine, NoiseModel
-from nmrbaker.nmr import SPIN_C1, SPIN_C2, SPIN_H, HamiltonianModel
+from nmrbaker.nmr import SPIN_C1, SPIN_C2, SPIN_H, SPINS, HamiltonianModel
 
 FIG2_NOISE = NoiseModel.from_inverse_times(4.0, 0.7, 0.4)
 
@@ -293,6 +293,13 @@ class TestPerturbation:
         u = lindblad.perturbation_unitary(SPIN_H)
         diag = np.diag(np.exp(1j * np.arange(8)))
         np.testing.assert_allclose(u @ diag, diag @ u, atol=1e-15)
+
+    @pytest.mark.parametrize("spin", SPINS)
+    def test_operators_equal_embedded_paulis(self, spin):
+        assert np.array_equal(lindblad._z_operator(spin),
+                              qstate.embed(qstate.PAULI_Z, [spin], SPINS))
+        assert np.array_equal(lindblad.perturbation_unitary(spin),
+                              qstate.embed(1j * qstate.PAULI_Z, [spin], SPINS))
 
 
 class TestTrajectories:

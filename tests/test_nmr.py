@@ -347,3 +347,17 @@ class TestSerialization:
             nmr.parse_sequence(
                 "# name=x convention=angular total_delay=0\nW H 1.0\n"
             )
+
+
+class TestLiftedPaulis:
+    @pytest.mark.parametrize("op", [*nmr.LIFTED_PAULI.values(), nmr._ID8])
+    def test_shared_operators_are_read_only(self, op):
+        with pytest.raises(ValueError):
+            op[0, 0] = 0
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(build=st.sampled_from([rot_x, rot_y]), spin=st.sampled_from(SPINS), angle=finite)
+    def test_rotation_equals_embedded_reference(self, build, spin, angle):
+        ins = build(spin, angle)
+        assert np.array_equal(nmr.pulse_unitary(ins, HamiltonianModel()),
+                              oracles.embedded_rotation(ins))
