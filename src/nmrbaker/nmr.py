@@ -41,9 +41,8 @@ SPIN_C2 = "C2"
 SPINS = (SPIN_H, SPIN_C1, SPIN_C2)  # register order, most significant first
 # gate qubit of each spin for baker.GateSpec targets (qubit 0 least significant)
 QUBIT = {SPIN_H: 2, SPIN_C1: 1, SPIN_C2: 0}
-# each single-spin Pauli lifted to the register once, keyed (axis, spin),
-# and the register identity; read-only, since every pulse, dephasing
-# generator and kick shares these arrays
+# each single-spin Pauli lifted to the register once, keyed (axis, spin), and the
+# register identity: read-only, since every pulse, generator and kick shares them
 LIFTED_PAULI = {(axis, spin): qstate.embed(op, [spin], SPINS)
                 for axis, op in (("X", PAULI_X), ("Y", PAULI_Y), ("Z", PAULI_Z))
                 for spin in SPINS}

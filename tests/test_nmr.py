@@ -350,7 +350,8 @@ class TestSerialization:
 
 
 class TestLiftedPaulis:
-    @pytest.mark.parametrize("op", [*nmr.LIFTED_PAULI.values(), nmr._ID8])
+    @pytest.mark.parametrize("op", [*nmr.LIFTED_PAULI.values(), nmr._ID8],
+                             ids=[*map("".join, nmr.LIFTED_PAULI), "I"])
     def test_shared_operators_are_read_only(self, op):
         with pytest.raises(ValueError):
             op[0, 0] = 0
