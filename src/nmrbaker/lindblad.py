@@ -10,7 +10,11 @@ unitaries that interrupt the continuous evolution.
 
 Delay propagators are built by exponentiating the 64x64 generator in
 vectorized (row-stacked) form, once per distinct duration, which is
-exact and deterministic; a fixed-step RK4 solution of the same generator
+exact and deterministic.  Under the ``noxy`` and ``simplified``
+Hamiltonians the generator is diagonal and is exponentiated elementwise
+in numpy; only the ``full`` variant's generator, which is not, loads
+``scipy.linalg`` for ``expm``, so other runs never import scipy.  A
+fixed-step RK4 solution of the same generator
 (``EvolutionEngine._rk4_propagator``) is kept only as the cross-check
 that ``nmrbaker verify`` runs.  The tests add a second, statistical
 cross-check: a quantum-trajectory unraveling (Z jumps as Poisson
@@ -23,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import qstate
 from .nmr import LIFTED_PAULI, SPINS, HamiltonianModel, PulseSequence, pulse_unitary
@@ -94,12 +97,21 @@ class EvolutionEngine:
     each 64x64 exponential is computed exactly once.  The cache is a
     thread-safe memo: the same duration always yields the identical
     propagator, and independent evolutions may run concurrently.
+
+    A generator with no nonzero off-diagonal entry (every variant but
+    ``full``) is exponentiated elementwise, the expression
+    ``scipy.linalg.expm`` itself evaluates for a diagonal matrix, so the
+    result is the same to the bit; only a non-diagonal generator imports
+    ``scipy.linalg``.
     """
 
     def __init__(self, model: HamiltonianModel, noise: NoiseModel):
         self.model = model
         self.noise = noise
         self._generator = liouvillian(model, noise)
+        diagonal = np.diag(self._generator)
+        self._diagonal = (diagonal if np.array_equal(self._generator, np.diag(diagonal))
+                          else None)
         self._cache: dict[float, np.ndarray] = {}
 
     def delay_propagator(self, duration: float) -> np.ndarray:
@@ -112,7 +124,11 @@ class EvolutionEngine:
             return cached
         if key == 0.0:
             prop = np.eye(DIM * DIM, dtype=complex)
+        elif self._diagonal is not None:
+            prop = np.diag(np.exp(self._diagonal * key))
         else:
+            import scipy.linalg  # 0.25 s to import, so only a non-diagonal generator pays it
+
             prop = scipy.linalg.expm(self._generator * key)
         # one atomic step (float keys hash and compare in C): threads that
         # raced to build the same duration all get the first one stored

@@ -26,6 +26,7 @@ small, quantifiable error instead.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, replace
@@ -207,10 +208,16 @@ def _seq(name: str, instructions) -> PulseSequence:
     return PulseSequence(name, tuple(instructions))
 
 
+@functools.lru_cache(maxsize=64)
+def _drift_propagator(model: HamiltonianModel):
+    # one eigendecomposition per distinct (frozen, hashable) model, not per delay
+    return qstate.hermitian_propagator(model.matrix())
+
+
 def pulse_unitary(instruction: PulseInstruction, model: HamiltonianModel) -> np.ndarray:
     """8x8 unitary of a single instruction under the model's drift Hamiltonian."""
     if instruction.op == "U":
-        return qstate.expm_hermitian(model.matrix(), instruction.value)
+        return _drift_propagator(model)(instruction.value)
     half = instruction.value / 2
     axis = LIFTED_PAULI[instruction.op, instruction.spin]
     return math.cos(half) * _ID8 + 1j * math.sin(half) * axis  # exp(i*theta*axis/2)

@@ -79,11 +79,18 @@ def expm_hermitian(h, t: float) -> np.ndarray:
     Exact to machine precision for the small (dim <= 8) operators used
     here; no step-size or truncation parameters.
     """
+    return hermitian_propagator(h)(t)
+
+
+def hermitian_propagator(h):
+    """The function t -> exp(-i h t) for Hermitian ``h``, diagonalising
+    ``h`` once; each value equals :func:`expm_hermitian`'s."""
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
         raise ValueError("operator is not Hermitian")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    v_dag = v.conj().T
+    return lambda t: (v * np.exp(-1j * w * t)) @ v_dag
 
 
 def dft_matrix(dim: int) -> np.ndarray:

@@ -1,7 +1,10 @@
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import nmrbaker
 from nmrbaker import cli, nmr
@@ -193,3 +196,47 @@ def test_package_import_loads_every_module_but_cli():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == str(
         [f"nmrbaker.{m}" for m in ("baker", "chaos", "lindblad", "nmr", "qstate")]) + "\n"
+
+
+# the last stderr line of a child that ran `cli.run(argv)`: its exit code
+# and every scipy module it had loaded
+SCIPY_PROBE = (
+    "import sys; from nmrbaker import cli; code = cli.run(sys.argv[1:]); "
+    "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
+)
+
+
+def run_cli_loaded_scipy(*argv):
+    proc = run_python("-c", SCIPY_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stderr.splitlines()[-1].split(" ", 1)
+    return int(code), ast.literal_eval(loaded)
+
+
+def test_package_import_loads_no_scipy():
+    proc = run_python("-c", "import sys, nmrbaker; print([m for m in sys.modules"
+                            " if m.split('.')[0] == 'scipy'])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [("entropy", "--steps", "1"), ("hyper", "--steps", "1"),
+                                  ("verify",), ("compile", "--hamiltonian", "full")],
+                         ids=" ".join)
+def test_commands_without_full_generator_load_no_scipy(argv):
+    # a diagonal generator (noxy, simplified) is exponentiated elementwise, and
+    # compile never builds a generator, whatever its Hamiltonian
+    assert run_cli_loaded_scipy(*argv) == (0, [])
+
+
+def test_full_generator_loads_scipy_linalg():
+    code, loaded = run_cli_loaded_scipy("entropy", "--steps", "1", "--hamiltonian", "full")
+    assert code == 0
+    assert "scipy.linalg" in loaded
+
+
+def test_importtime_lists_no_scipy():
+    proc = run_python("-X", "importtime", "-m", "nmrbaker.cli", "entropy")
+    assert proc.returncode == 0, proc.stderr
+    assert "nmrbaker.lindblad" in proc.stderr  # the import timings were printed
+    assert [line for line in proc.stderr.splitlines() if "scipy" in line] == []

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -197,6 +198,19 @@ class TestChannelProperties:
         # trace preserving: tracing out the output leaves the identity
         np.testing.assert_allclose(np.einsum("kili->kl", c.reshape(8, 8, 8, 8)), np.eye(8),
                                    rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(rates=st.tuples(*[st.floats(0, 50)] * 3), variant=st.sampled_from(nmr.VARIANTS),
+           convention=st.sampled_from(nmr.CONVENTIONS), duration=st.floats(0, 0.1))
+    def test_delay_propagator_equals_expm_bit_for_bit(self, rates, variant, convention,
+                                                      duration):
+        engine = EvolutionEngine(HamiltonianModel(variant=variant, convention=convention),
+                                 NoiseModel(*rates))
+        gen = engine._generator
+        # only the XX+YY exchange term of `full` couples distinct basis elements
+        assert np.any(gen[~np.eye(64, dtype=bool)]) == (variant == "full")
+        assert np.array_equal(engine.delay_propagator(duration),
+                              scipy.linalg.expm(gen * duration))
 
 
 class TestRunSequence:

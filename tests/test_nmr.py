@@ -88,6 +88,29 @@ class TestPulseUnitary:
             u, qstate.expm_hermitian(reference.matrix(), t), atol=1e-14
         )
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(variant=st.sampled_from(nmr.VARIANTS), convention=st.sampled_from(nmr.CONVENTIONS),
+           t=st.floats(0, 1e300))
+    def test_delay_equals_spectral_exponential_bit_for_bit(self, variant, convention, t):
+        # the eigendecomposition is cached per model; every delay still gets
+        # exactly the value of a fresh one
+        model = HamiltonianModel(variant=variant, convention=convention)
+        assert np.array_equal(nmr.pulse_unitary(delay(t), model),
+                              qstate.expm_hermitian(model.matrix(), t))
+
+    def test_standard_checks_diagonalise_each_hamiltonian_once(self, monkeypatch):
+        eigh, seen = np.linalg.eigh, []
+
+        def counting_eigh(a):
+            seen.append(np.asarray(a).tobytes())
+            return eigh(a)
+
+        nmr._drift_propagator.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        cli.standard_checks()
+        assert seen
+        assert len(seen) == len(set(seen))
+
     def test_delay_rejects_negative_duration(self):
         with pytest.raises(ValueError):
             delay(-1.0)
