@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,15 +172,17 @@ def subset_entropies(rhos) -> np.ndarray:
     if any(r.shape != shape for r in rhos):
         raise ValueError("ensemble members must share a dimension")
     sums = np.zeros((2**n, *shape), dtype=complex)
-    entropies = np.zeros(2**n)
     for mask in range(1, 2**n):
         # Add members in ascending index order (strip the highest bit),
         # as sum(members) / k does for a group.  The frontier and the
         # Pareto filter compare scores at round-off, so another order
-        # moves greedy point counts.
+        # moves greedy point counts.  The means are diagonalised in one
+        # batch, each exactly as on its own.
         top = mask.bit_length() - 1
         sums[mask] = sums[mask ^ (1 << top)] + rhos[top]
-        entropies[mask] = qstate.von_neumann_entropy_bits(sums[mask] / mask.bit_count())
+    sizes = np.array([mask.bit_count() for mask in range(1, 2**n)])
+    entropies = np.zeros(2**n)
+    entropies[1:] = qstate.von_neumann_entropies_bits(sums[1:] / sizes[:, None, None])
     return entropies
 
 
@@ -195,7 +198,8 @@ class GroupingStats:
 def _score(assignment, entropies) -> tuple[float, float]:
     """The :class:`GroupingStats` fields of one partition, looked up in a
     :func:`subset_entropies` table.  S-bar is one dot product over the
-    groups in first-appearance order, so the exhaustive scan and the
+    groups in first-appearance order, the same ``ddot`` that
+    :func:`partition_scan` batches over its layout, so the scan and the
     greedy pass score a partition the same, bit for bit."""
     masks: dict = {}
     for idx, g in enumerate(assignment):
@@ -228,17 +232,25 @@ def js_distance(a: np.ndarray, b: np.ndarray) -> float:
     return max(s_mix - s_avg, 0.0)
 
 
-def greedy_grouping(rhos, entropies, seeds) -> list[int]:
+def greedy_grouping(rhos, entropies, seeds, memo=None) -> list[int]:
     """Nearly optimal grouping into ``len(seeds)`` clusters.
 
     Group ``g`` starts as the single member ``seeds[g]``; each remaining
     state, in list order, joins the group whose running average is
-    closest in :func:`js_distance`.  ``entropies`` is the
-    :func:`subset_entropies` table of ``rhos``: entry ``1 << i`` is
-    S(rhos[i]).  A group's entropy is recomputed when it gains a member
-    (except on the last placement, which nothing reads), and the distances
-    to all groups come from one batched ``eigvalsh``, each equal to
-    :func:`js_distance`.
+    closest in :func:`js_distance` (the first of equal distances, as
+    ``np.argmin`` picks).  ``entropies`` is the :func:`subset_entropies`
+    table of ``rhos``: entry ``1 << i`` is S(rhos[i]).  A group's entropy
+    is recomputed when it gains a member (except on the last placement,
+    which nothing reads), and each distance equals :func:`js_distance`.
+
+    A group's running sum is ``rhos[seed]`` plus its other members in
+    ascending order, so an entropy depends only on the seed, the member
+    mask and, for a candidate mixture, the index of the state placed.
+    ``memo`` maps those keys, ``(seed, mask, idx)`` for a mixture and
+    ``(seed, mask)`` for a grown group, to entropies in bits.  Runs on
+    the same ensemble may share one dict; it changes no result, and
+    only its misses are diagonalised, the mixtures of one placement in
+    one batched ``eigvalsh``.
     """
     rhos = list(rhos)
     n = len(rhos)
@@ -247,24 +259,34 @@ def greedy_grouping(rhos, entropies, seeds) -> list[int]:
         raise ValueError("the entropy table must have 2**n entries for n states")
     if not seeds or len(set(seeds)) != n_groups or not set(seeds) <= set(range(n)):
         raise ValueError("seeds must be distinct member indices, at least one")
+    memo = {} if memo is None else memo
     assignment = [-1] * n
     for g, idx in enumerate(seeds):
         assignment[idx] = g
     sums = np.array([rhos[idx] for idx in seeds])
     counts = np.ones(n_groups)
-    group_entropies = [float(entropies[1 << idx]) for idx in seeds]
+    masks = [1 << idx for idx in seeds]
+    group_entropies = [float(entropies[mask]) for mask in masks]
     pending = [idx for idx in range(n) if assignment[idx] < 0]
     for idx in pending:
         s_rho = float(entropies[1 << idx])
-        s_mix = qstate.von_neumann_entropies_bits((sums / counts[:, None, None] + rhos[idx]) / 2)
+        keys = [(seed, mask, idx) for seed, mask in zip(seeds, masks)]
+        misses = [g for g, key in enumerate(keys) if key not in memo]
+        if misses:
+            mixed = (sums[misses] / counts[misses, None, None] + rhos[idx]) / 2
+            memo.update(zip([keys[g] for g in misses], qstate.von_neumann_entropies_bits(mixed)))
         # js_distance's own expression, so each distance equals it bit for bit
-        dists = [max(s - (s_g + s_rho) / 2, 0.0) for s, s_g in zip(s_mix, group_entropies)]
-        g = int(np.argmin(dists))
+        dists = [max(memo[key] - (s_g + s_rho) / 2, 0.0) for key, s_g in zip(keys, group_entropies)]
+        g = dists.index(min(dists))
         assignment[idx] = g
         sums[g] += rhos[idx]
         counts[g] += 1
+        masks[g] |= 1 << idx
         if idx != pending[-1]:  # nothing reads the entropy after the last placement
-            group_entropies[g] = qstate.von_neumann_entropy_bits(sums[g] / counts[g])
+            key = (seeds[g], masks[g])
+            if key not in memo:
+                memo[key] = qstate.von_neumann_entropy_bits(sums[g] / counts[g])
+            group_entropies[g] = memo[key]
     return assignment
 
 
@@ -303,19 +325,53 @@ class HypersensitivityCurve:
         return list(zip(self.delta_s.tolist(), self.i_min.tolist()))
 
 
+@lru_cache(maxsize=MAX_SCAN_STATES)
+def _partition_layout(n: int):
+    """Every set partition of range(n), grouped by its number of groups k.
+
+    Returns ``(by_size, information)``.  ``by_size`` holds, for each k,
+    the partitions' positions in :func:`set_partitions` order, their
+    (count, k) group masks in first-appearance order and the matching
+    group probabilities N_r / n; ``information`` is I of every partition
+    in that order, which depends on its shape alone.  Built on first use
+    and read-only, since every scan of an n-state ensemble shares it.
+    """
+    strings = np.array(list(set_partitions(n)))
+    sizes = strings.max(axis=1) + 1
+    bits = 1 << np.arange(n)
+    by_size = []
+    information = np.empty(len(strings))
+    for k in range(1, n + 1):
+        positions = np.flatnonzero(sizes == k)
+        members = strings[positions, None, :] == np.arange(k)[:, None]  # (count, k, n)
+        masks = members @ bits
+        probs = members.sum(axis=2) / n
+        information[positions] = 0.0 - _dots(probs, np.log2(probs))
+        by_size.append((positions, masks, probs))
+    for array in (information, *(a for group in by_size for a in group)):
+        array.flags.writeable = False
+    return tuple(by_size), information
+
+
+def _dots(a, b) -> np.ndarray:
+    """Row-wise dot products, each the ``ddot`` of ``a[i] @ b[i]``
+    (an ``einsum`` or ``.sum`` would round differently)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def partition_scan(entropies) -> tuple[np.ndarray, np.ndarray, float]:
     """(delta_s, information, S_bar_max) over every set partition of the
-    ensemble whose :func:`subset_entropies` table is ``entropies``."""
+    ensemble whose :func:`subset_entropies` table is ``entropies``, in
+    :func:`set_partitions` order; each entry equals :func:`_score`'s."""
     n = len(entropies).bit_length() - 1
     # taking S_bar_max from the same table keeps the trivial one-group
     # partition at delta_s = 0 exactly
     s_max = float(entropies[-1])
-    delta_s, info = [], []
-    for assignment in set_partitions(n):
-        s_bar, inf = _score(assignment, entropies)
-        delta_s.append(s_max - s_bar)
-        info.append(inf)
-    return np.array(delta_s), np.array(info), s_max
+    by_size, information = _partition_layout(n)
+    delta_s = np.empty(len(information))
+    for positions, masks, probs in by_size:
+        delta_s[positions] = s_max - _dots(probs, entropies[masks])
+    return delta_s, information.copy(), s_max
 
 
 def _frontier_from_scan(delta_s, info) -> HypersensitivityCurve:
@@ -374,8 +430,8 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int = 3) -> H
     count and keeps the nondominated (delta_s, information) points.
     Restarts that draw the same seed members in the same order give the
     same grouping, so :func:`greedy_grouping` runs once per distinct
-    ordered draw; each grouping is scored on the ensemble's
-    :func:`subset_entropies` table.
+    ordered draw, and all runs share one entropy memo; each grouping is
+    scored on the ensemble's :func:`subset_entropies` table.
     """
     if n_steps < 1:
         raise ValueError("the experiment needs at least one step")
@@ -390,13 +446,13 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int = 3) -> H
     frontier = _frontier_from_scan(delta_s, info)
     slope = frontier_slope(frontier)
     # sorted draws would not do: argmin breaks exact ties by group order
-    greedy = {}
+    greedy, memo = {}, {}
     for n_groups in range(1, len(rhos) + 1):
         for trial in range(GREEDY_RESTARTS):
             rng = np.random.default_rng([config.seed, n_groups, trial])
             draw = tuple(rng.choice(len(rhos), size=n_groups, replace=False).tolist())
             if draw not in greedy:
-                stats = grouping_stats(greedy_grouping(rhos, entropies, draw), entropies)
+                stats = grouping_stats(greedy_grouping(rhos, entropies, draw, memo), entropies)
                 greedy[draw] = (s_max - stats.mean_conditional_entropy, stats.information)
     return HyperResult(
         s_bar_max=s_max,

@@ -9,7 +9,8 @@ import math
 import numpy as np
 
 from nmrbaker import qstate
-from nmrbaker.chaos import HypersensitivityCurve, _frontier_from_scan, partition_scan, subset_entropies
+from nmrbaker.chaos import (HypersensitivityCurve, _frontier_from_scan, _score, partition_scan,
+                            set_partitions, subset_entropies)
 from nmrbaker.lindblad import DIM, EvolutionEngine, NoiseModel, _z_operator
 from nmrbaker.nmr import SPINS, PulseInstruction, PulseSequence, pulse_unitary
 from nmrbaker.qstate import ID2, PAULI_X, PAULI_Y
@@ -60,6 +61,22 @@ def exhaustive_imin(rhos) -> HypersensitivityCurve:
     """
     delta_s, info, _ = partition_scan(subset_entropies(rhos))
     return _frontier_from_scan(delta_s, info)
+
+
+def scored_partition_scan(entropies) -> tuple[np.ndarray, np.ndarray, float]:
+    """``chaos.partition_scan`` one partition at a time: every restricted-
+    growth string scored by ``chaos._score``.  The batched scan must equal
+    it bit for bit."""
+    n = len(entropies).bit_length() - 1
+    # taking S_bar_max from the same table keeps the trivial one-group
+    # partition at delta_s = 0 exactly
+    s_max = float(entropies[-1])
+    delta_s, info = [], []
+    for assignment in set_partitions(n):
+        s_bar, inf = _score(assignment, entropies)
+        delta_s.append(s_max - s_bar)
+        info.append(inf)
+    return np.array(delta_s), np.array(info), s_max
 
 
 def trajectory_run(

@@ -399,6 +399,35 @@ class TestGreedyGrouping:
         result = request.getfixturevalue(f"{variant}_result")
         assert result.greedy_points == chaos._pareto_points(points)
 
+    @pytest.mark.parametrize("hamiltonian", ["noxy", "full"])
+    @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
+    def test_shared_memo_changes_no_assignment(self, variant, hamiltonian):
+        # all 512 draws of a fig5 job, in the job's order, through one memo
+        cfg = ExperimentConfig.preset("fig5", map_variant=variant, hamiltonian=hamiltonian)
+        rhos = chaos.history_ensemble(cfg, 3)
+        table = chaos.subset_entropies(rhos)
+        memo, memo_free = {}, {}
+        for n_groups in range(1, 9):
+            for trial in range(chaos.GREEDY_RESTARTS):
+                seed = [cfg.seed, n_groups, trial]
+                draw = seed_draw(8, n_groups, seed)
+                if draw not in memo_free:
+                    memo_free[draw] = chaos.greedy_grouping(rhos, table, draw)
+                    assert memo_free[draw] == reference_greedy_grouping(rhos, n_groups, seed), seed
+                assert chaos.greedy_grouping(rhos, table, draw, memo) == memo_free[draw], seed
+        # each entry is the entropy its key names: the seed's state plus the
+        # other members in ascending order, averaged, mixed with rhos[idx]
+        assert memo
+        for key, entropy in memo.items():
+            seed, mask = key[:2]
+            total = rhos[seed]
+            for i in range(8):
+                if mask >> i & 1 and i != seed:
+                    total = total + rhos[i]
+            mean = total / mask.bit_count()
+            mixed = (mean + rhos[key[2]]) / 2 if len(key) == 3 else mean
+            assert entropy == qstate.von_neumann_entropy_bits(mixed), key
+
 
 class TestSetPartitions:
     @pytest.mark.parametrize(
@@ -416,6 +445,15 @@ class TestSetPartitions:
     def test_no_duplicates(self):
         parts = list(chaos.set_partitions(6))
         assert len(parts) == len(set(parts)) == 203
+
+    def test_layout_is_read_only(self):
+        # every scan of an 8-state ensemble shares this one layout
+        by_size, information = chaos._partition_layout(8)
+        arrays = [information, *(array for group in by_size for array in group)]
+        assert len(arrays) == 1 + 3 * 8
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[...] = 0
 
 
 class TestExhaustiveFrontier:
@@ -461,9 +499,10 @@ class TestExhaustiveFrontier:
 
 
 @st.composite
-def random_ensembles(draw):
-    """2-6 density matrices of dimension 2-8 and random rank, A A^dag / tr."""
-    k = draw(st.integers(2, 6))
+def random_ensembles(draw, states=st.integers(2, 6)):
+    """``states`` (2-6) density matrices of dimension 2-8 and random rank,
+    A A^dag / tr."""
+    k = draw(states)
     d = draw(st.integers(2, 8))
     rank = draw(st.integers(1, d))
     parts = draw(hnp.arrays(np.float64, (k, 2, d, rank), elements=st.floats(-1, 1)))
@@ -497,6 +536,16 @@ class TestPartitionProperties:
                 info_direct -= p * math.log2(p)
             assert stats.mean_conditional_entropy == pytest.approx(s_bar, abs=1e-12)
             assert stats.information == pytest.approx(info_direct, abs=1e-12)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(random_ensembles(st.sampled_from(range(1, 9))))  # every size drawn, 8 included
+    def test_scan_equals_scoring_each_partition(self, rhos):
+        table = chaos.subset_entropies(rhos)
+        delta_s, info, s_max = chaos.partition_scan(table)
+        expected_delta_s, expected_info, expected_s_max = oracles.scored_partition_scan(table)
+        assert np.array_equal(delta_s, expected_delta_s)
+        assert np.array_equal(info, expected_info)
+        assert s_max == expected_s_max
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(random_ensembles())
@@ -572,15 +621,39 @@ class TestHypersensitivityExperiment:
         seen = []
         original = chaos.greedy_grouping
 
-        def counting(rhos, entropies, seeds):
+        def counting(rhos, entropies, seeds, memo=None):
             seen.append(tuple(seeds))
-            return original(rhos, entropies, seeds)
+            return original(rhos, entropies, seeds, memo)
 
         monkeypatch.setattr(chaos, "greedy_grouping", counting)
         chaos.hypersensitivity_experiment(cfg)
         assert len(draws) < 8 * chaos.GREEDY_RESTARTS
         assert len(seen) == len(set(seen)) == len(draws)
         assert set(seen) == draws
+
+    def test_greedy_diagonalises_once_per_memo_key(self, monkeypatch):
+        memos, diagonalised, inside = [], [], []
+        greedy, eigvalsh = chaos.greedy_grouping, np.linalg.eigvalsh
+
+        def counting_eigvalsh(a):
+            if inside:
+                diagonalised.append(math.prod(np.shape(a)[:-2]))
+            return eigvalsh(a)
+
+        def counting_greedy(rhos, entropies, seeds, memo=None):
+            memos.append(memo)
+            inside.append(True)
+            try:
+                return greedy(rhos, entropies, seeds, memo)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(chaos, "greedy_grouping", counting_greedy)
+        chaos.hypersensitivity_experiment(ExperimentConfig.preset("fig5"))
+        # one memo for the whole job, and no key diagonalised twice
+        assert memos and all(memo is memos[0] for memo in memos)
+        assert 0 < sum(diagonalised) <= len(memos[0])
 
     def test_deterministic(self):
         cfg = ExperimentConfig.preset("fig5", map_variant="regular", seed=5)

@@ -235,6 +235,30 @@ def test_full_generator_loads_scipy_linalg():
     assert "scipy.linalg" in loaded
 
 
+# the last stderr line of a child that imported the package and, given
+# arguments, ran `cli.run(argv)`: its exit code and how many partition
+# layouts it built
+LAYOUT_PROBE = """
+import sys
+import nmrbaker
+code = 0
+if sys.argv[1:]:
+    from nmrbaker import cli
+    code = cli.run(sys.argv[1:])
+print(code, nmrbaker.chaos._partition_layout.cache_info().currsize, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, layouts", [((), 0), (("verify",), 0), (("compile",), 0),
+                                           (("hyper", "--steps", "1"), 1)],
+                         ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_partition_layout_is_built_only_by_a_scan(argv, layouts):
+    # the layout is built on a scan's first use, never on the import path
+    proc = run_python("-c", LAYOUT_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"0 {layouts}"
+
+
 def test_importtime_lists_no_scipy():
     proc = run_python("-X", "importtime", "-m", "nmrbaker.cli", "entropy")
     assert proc.returncode == 0, proc.stderr
