@@ -13,7 +13,7 @@ one spin), collect the 2^n final density matrices, and ask how many
 bits of information about the history are needed to reduce the entropy
 of the averaged state by a given amount.  The exact answer enumerates
 every set partition of the history ensemble; a greedy clustering on a
-Jensen-Shannon-type distance approximates it.
+Jensen-Shannon-type distance approximates it; its points are scan rows.
 
 Perturbation schedule: the kick acts on H after odd steps and on C2
 after even steps of the chaotic map (the same logical qubit, since the
@@ -161,8 +161,8 @@ def subset_entropies(rhos) -> np.ndarray:
     """S(mean of the members in ``mask``) in bits for every nonempty subset.
 
     Entry ``mask`` scores the states whose indices are the set bits of
-    ``mask``; entry 0 is unused.  One table scores every partition of
-    the ensemble, exhaustive or greedy, by lookup.
+    ``mask``; entry 0 is unused.  :func:`partition_scan` scores every
+    partition of the ensemble, exhaustive or greedy, on this one table.
     """
     rhos = list(rhos)
     n = len(rhos)
@@ -195,30 +195,22 @@ class GroupingStats:
     information: float              # I = -sum p_r log2 p_r
 
 
-def _score(assignment, entropies) -> tuple[float, float]:
-    """The :class:`GroupingStats` fields of one partition, looked up in a
-    :func:`subset_entropies` table.  S-bar is one dot product over the
-    groups in first-appearance order, the same ``ddot`` that
-    :func:`partition_scan` batches over its layout, so the scan and the
-    greedy pass score a partition the same, bit for bit."""
-    masks: dict = {}
-    for idx, g in enumerate(assignment):
-        masks[g] = masks.get(g, 0) | (1 << idx)
-    n = len(assignment)
-    probs = np.array([mask.bit_count() / n for mask in masks.values()])
-    # 0.0 - x rather than -x: one group costs +0.0 bits, not -0.0
-    return (float(probs @ entropies[list(masks.values())]),
-            float(0.0 - probs @ np.log2(probs)))
-
-
+# grouping_stats and js_distance stay public though the pipeline calls
+# neither: perfbench/tracing.py wraps both by name.
 def grouping_stats(assignment, entropies) -> GroupingStats:
     """Mean conditional entropy and information cost of ``assignment``
     (a group label per state), scored on the :func:`subset_entropies`
-    table of its ensemble."""
+    table of its ensemble: its row of :func:`partition_scan`."""
     assignment = list(assignment)
-    if 2 ** len(assignment) != len(entropies):
-        raise ValueError("assignment length must match the ensemble size")
-    return GroupingStats(*_score(assignment, entropies))
+    n = len(assignment)
+    if not 1 <= n <= MAX_SCAN_STATES or 2**n != len(entropies):
+        raise ValueError(f"need 1 to {MAX_SCAN_STATES} labels, one per ensemble state")
+    by_size, information, _ = _partition_layout(n)
+    pos = _partition_position(assignment)
+    positions, masks, probs = by_size[len(set(assignment)) - 1]
+    row = [np.searchsorted(positions, pos)]
+    s_bar = _dots(probs[row], entropies[masks[row]])[0]
+    return GroupingStats(float(s_bar), float(information[pos]))
 
 
 def js_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -329,14 +321,17 @@ class HypersensitivityCurve:
 def _partition_layout(n: int):
     """Every set partition of range(n), grouped by its number of groups k.
 
-    Returns ``(by_size, information)``.  ``by_size`` holds, for each k,
-    the partitions' positions in :func:`set_partitions` order, their
-    (count, k) group masks in first-appearance order and the matching
-    group probabilities N_r / n; ``information`` is I of every partition
-    in that order, which depends on its shape alone.  Built on first use
-    and read-only, since every scan of an n-state ensemble shares it.
+    Returns ``(by_size, information, keys)``.  ``by_size`` holds, for
+    each k, the partitions' positions in :func:`set_partitions` order,
+    their (count, k) group masks in first-appearance order and the
+    matching group probabilities N_r / n; ``information`` is I of every
+    partition in that order, which depends on its shape alone; ``keys``
+    reads each string in base n, ascending as the strings are in
+    lexicographic order.  Built on first use and read-only, since every
+    scan of an n-state ensemble shares it.
     """
     strings = np.array(list(set_partitions(n)))
+    keys = strings @ n ** np.arange(n - 1, -1, -1)  # < n**n <= 10**10, fits int64
     sizes = strings.max(axis=1) + 1
     bits = 1 << np.arange(n)
     by_size = []
@@ -348,9 +343,20 @@ def _partition_layout(n: int):
         probs = members.sum(axis=2) / n
         information[positions] = 0.0 - _dots(probs, np.log2(probs))
         by_size.append((positions, masks, probs))
-    for array in (information, *(a for group in by_size for a in group)):
+    for array in (information, keys, *(a for group in by_size for a in group)):
         array.flags.writeable = False
-    return tuple(by_size), information
+    return tuple(by_size), information, keys
+
+
+def _partition_position(assignment) -> int:
+    """Position in :func:`set_partitions` order of ``assignment`` (a group
+    label per state), relabelled by first appearance as those strings are."""
+    labels: dict = {}
+    n = len(assignment)
+    key = 0
+    for g in assignment:
+        key = key * n + labels.setdefault(g, len(labels))
+    return int(np.searchsorted(_partition_layout(n)[2], key))
 
 
 def _dots(a, b) -> np.ndarray:
@@ -362,12 +368,13 @@ def _dots(a, b) -> np.ndarray:
 def partition_scan(entropies) -> tuple[np.ndarray, np.ndarray, float]:
     """(delta_s, information, S_bar_max) over every set partition of the
     ensemble whose :func:`subset_entropies` table is ``entropies``, in
-    :func:`set_partitions` order; each entry equals :func:`_score`'s."""
+    :func:`set_partitions` order; S-bar of each is the ``ddot`` of its
+    group probabilities and entropies in first-appearance order."""
     n = len(entropies).bit_length() - 1
     # taking S_bar_max from the same table keeps the trivial one-group
     # partition at delta_s = 0 exactly
     s_max = float(entropies[-1])
-    by_size, information = _partition_layout(n)
+    by_size, information, _ = _partition_layout(n)
     delta_s = np.empty(len(information))
     for positions, masks, probs in by_size:
         delta_s[positions] = s_max - _dots(probs, entropies[masks])
@@ -430,8 +437,8 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int = 3) -> H
     count and keeps the nondominated (delta_s, information) points.
     Restarts that draw the same seed members in the same order give the
     same grouping, so :func:`greedy_grouping` runs once per distinct
-    ordered draw, and all runs share one entropy memo; each grouping is
-    scored on the ensemble's :func:`subset_entropies` table.
+    ordered draw, and all runs share one entropy memo; each grouping is a
+    set partition, read from the scan at its :func:`_partition_position`.
     """
     if n_steps < 1:
         raise ValueError("the experiment needs at least one step")
@@ -452,8 +459,8 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int = 3) -> H
             rng = np.random.default_rng([config.seed, n_groups, trial])
             draw = tuple(rng.choice(len(rhos), size=n_groups, replace=False).tolist())
             if draw not in greedy:
-                stats = grouping_stats(greedy_grouping(rhos, entropies, draw, memo), entropies)
-                greedy[draw] = (s_max - stats.mean_conditional_entropy, stats.information)
+                pos = _partition_position(greedy_grouping(rhos, entropies, draw, memo))
+                greedy[draw] = (float(delta_s[pos]), float(info[pos]))
     return HyperResult(
         s_bar_max=s_max,
         frontier=frontier,

@@ -73,18 +73,10 @@ def embed(op, targets, register_order) -> np.ndarray:
     return np.ascontiguousarray(tensor.reshape(2**n, 2**n))
 
 
-def expm_hermitian(h, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian ``h`` via spectral decomposition.
-
-    Exact to machine precision for the small (dim <= 8) operators used
-    here; no step-size or truncation parameters.
-    """
-    return hermitian_propagator(h)(t)
-
-
 def hermitian_propagator(h):
     """The function t -> exp(-i h t) for Hermitian ``h``, diagonalising
-    ``h`` once; each value equals :func:`expm_hermitian`'s."""
+    ``h`` once: exact to machine precision for the small (dim <= 8)
+    operators used here, with no step-size or truncation parameters."""
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
         raise ValueError("operator is not Hermitian")

@@ -9,8 +9,8 @@ import math
 import numpy as np
 
 from nmrbaker import qstate
-from nmrbaker.chaos import (HypersensitivityCurve, _frontier_from_scan, _score, partition_scan,
-                            set_partitions, subset_entropies)
+from nmrbaker.chaos import (HypersensitivityCurve, _frontier_from_scan, partition_scan, set_partitions,
+                            subset_entropies)
 from nmrbaker.lindblad import DIM, EvolutionEngine, NoiseModel, _z_operator
 from nmrbaker.nmr import SPINS, PulseInstruction, PulseSequence, pulse_unitary
 from nmrbaker.qstate import ID2, PAULI_X, PAULI_Y
@@ -63,9 +63,25 @@ def exhaustive_imin(rhos) -> HypersensitivityCurve:
     return _frontier_from_scan(delta_s, info)
 
 
+def _score(assignment, entropies) -> tuple[float, float]:
+    """(S-bar, I) of one partition (a group label per state), looked up in
+    its ``chaos.subset_entropies`` table on its own, with no partition
+    layout.  S-bar is one dot product over the groups in first-appearance
+    order, the ``ddot`` that ``chaos.partition_scan`` batches, so the scan
+    and ``chaos.grouping_stats`` must equal it bit for bit."""
+    masks: dict = {}
+    for idx, g in enumerate(assignment):
+        masks[g] = masks.get(g, 0) | (1 << idx)
+    n = len(assignment)
+    probs = np.array([mask.bit_count() / n for mask in masks.values()])
+    # 0.0 - x rather than -x: one group costs +0.0 bits, not -0.0
+    return (float(probs @ entropies[list(masks.values())]),
+            float(0.0 - probs @ np.log2(probs)))
+
+
 def scored_partition_scan(entropies) -> tuple[np.ndarray, np.ndarray, float]:
     """``chaos.partition_scan`` one partition at a time: every restricted-
-    growth string scored by ``chaos._score``.  The batched scan must equal
+    growth string scored by :func:`_score`.  The batched scan must equal
     it bit for bit."""
     n = len(entropies).bit_length() - 1
     # taking S_bar_max from the same table keeps the trivial one-group

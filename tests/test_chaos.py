@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -315,9 +316,14 @@ class TestGroupingStats:
         )
         assert stats.mean_conditional_entropy == pytest.approx(mean_individual)
 
-    def test_wrong_length_rejected(self, fig2_chaotic_table):
+    def test_wrong_length_rejected(self, fig2_chaotic_table, monkeypatch):
+        def forbidden(n):
+            raise AssertionError("partition layout built for a rejected assignment")
+
+        monkeypatch.setattr(chaos, "_partition_layout", forbidden)
         for assignment, table in (([0, 1], fig2_chaotic_table), ([0] * 9, fig2_chaotic_table),
-                                  ([], fig2_chaotic_table), ([], [])):
+                                  ([], fig2_chaotic_table), ([], []),
+                                  ([0] * 11, np.zeros(2**11))):  # past MAX_SCAN_STATES
             with pytest.raises(ValueError):
                 chaos.grouping_stats(assignment, table)
 
@@ -394,8 +400,8 @@ class TestGreedyGrouping:
                 reference = reference_greedy_grouping(rhos, n_groups, seed)
                 assert (chaos.greedy_grouping(rhos, table, seed_draw(8, n_groups, seed))
                         == reference), seed
-                stats = chaos.grouping_stats(reference, table)
-                points.append((table[-1] - stats.mean_conditional_entropy, stats.information))
+                s_bar, information = oracles._score(reference, table)
+                points.append((table[-1] - s_bar, information))
         result = request.getfixturevalue(f"{variant}_result")
         assert result.greedy_points == chaos._pareto_points(points)
 
@@ -448,9 +454,10 @@ class TestSetPartitions:
 
     def test_layout_is_read_only(self):
         # every scan of an 8-state ensemble shares this one layout
-        by_size, information = chaos._partition_layout(8)
-        arrays = [information, *(array for group in by_size for array in group)]
-        assert len(arrays) == 1 + 3 * 8
+        by_size, information, keys = chaos._partition_layout(8)
+        arrays = [information, keys, *(array for group in by_size for array in group)]
+        assert len(arrays) == 2 + 3 * 8
+        assert np.all(np.diff(keys) > 0)
         for array in arrays:
             with pytest.raises(ValueError):
                 array[...] = 0
@@ -546,6 +553,23 @@ class TestPartitionProperties:
         assert np.array_equal(delta_s, expected_delta_s)
         assert np.array_equal(info, expected_info)
         assert s_max == expected_s_max
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_lookup_equals_scoring_the_partition_alone(self, data):
+        # any labels: gaps, negatives and groups first seen out of order
+        rhos = data.draw(random_ensembles(st.sampled_from(range(1, 9))))
+        n = len(rhos)
+        labels = data.draw(st.lists(st.integers(-3, 12), min_size=n, max_size=n))
+        first: dict = {}
+        string = tuple(first.setdefault(g, len(first)) for g in labels)
+        assert chaos._partition_position(labels) == list(chaos.set_partitions(n)).index(string)
+        table = chaos.subset_entropies(rhos)
+        stats = chaos.grouping_stats(labels, table)
+        expected = oracles._score(labels, table)
+        # float.hex tells -0.0 from 0.0
+        assert ((stats.mean_conditional_entropy.hex(), stats.information.hex())
+                == tuple(x.hex() for x in expected))
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(random_ensembles())
@@ -654,6 +678,24 @@ class TestHypersensitivityExperiment:
         # one memo for the whole job, and no key diagonalised twice
         assert memos and all(memo is memos[0] for memo in memos)
         assert 0 < sum(diagonalised) <= len(memos[0])
+
+    @pytest.mark.parametrize("hamiltonian", ["noxy", "full"])
+    @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
+    def test_greedy_points_are_read_from_the_scan(self, variant, hamiltonian, monkeypatch):
+        cfg = ExperimentConfig.preset("fig5", map_variant=variant, hamiltonian=hamiltonian)
+        expected = chaos.hypersensitivity_experiment(cfg)
+
+        def forbidden(assignment, entropies):
+            raise AssertionError("a greedy grouping was scored outside the partition scan")
+
+        monkeypatch.setattr(chaos, "grouping_stats", forbidden)
+        result = chaos.hypersensitivity_experiment(cfg)
+        for field in dataclasses.fields(chaos.HyperResult):
+            a, b = getattr(result, field.name), getattr(expected, field.name)
+            if field.name == "frontier":
+                assert np.array_equal(a.delta_s, b.delta_s) and np.array_equal(a.i_min, b.i_min)
+            else:
+                assert a == b, field.name
 
     def test_deterministic(self):
         cfg = ExperimentConfig.preset("fig5", map_variant="regular", seed=5)

@@ -105,7 +105,7 @@ class TestDelayPropagator:
     def test_closed_system_matches_unitary(self, engine_closed, model):
         t = model.tau2
         rho = plus_y_density()
-        u = qstate.expm_hermitian(model.matrix(), t)
+        u = qstate.hermitian_propagator(model.matrix())(t)
         out = lindblad.apply_superoperator(engine_closed.delay_propagator(t), rho)
         np.testing.assert_allclose(out, u @ rho @ u.conj().T, atol=1e-9)
 

@@ -85,7 +85,7 @@ class TestPulseUnitary:
         t = reference.tau1
         u = nmr.pulse_unitary(delay(t), reference)
         np.testing.assert_allclose(
-            u, qstate.expm_hermitian(reference.matrix(), t), atol=1e-14
+            u, qstate.hermitian_propagator(reference.matrix())(t), atol=1e-14
         )
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -96,7 +96,7 @@ class TestPulseUnitary:
         # exactly the value of a fresh one
         model = HamiltonianModel(variant=variant, convention=convention)
         assert np.array_equal(nmr.pulse_unitary(delay(t), model),
-                              qstate.expm_hermitian(model.matrix(), t))
+                              qstate.hermitian_propagator(model.matrix())(t))
 
     def test_standard_checks_diagonalise_each_hamiltonian_once(self, monkeypatch):
         eigh, seen = np.linalg.eigh, []
@@ -166,7 +166,7 @@ class TestSequenceUnitary:
             (delay(tau), rot_x(SPIN_C2, np.pi), delay(tau), rot_x(SPIN_C2, np.pi)),
         )
         zz = qstate.kron(qstate.PAULI_Z, qstate.PAULI_Z, qstate.ID2)
-        target = qstate.expm_hermitian(reference.j1_eff * zz / 2, tau)
+        target = qstate.hermitian_propagator(reference.j1_eff * zz / 2)(tau)
         d = qstate.phase_invariant_distance(
             nmr.sequence_unitary(seq, reference), target
         )

@@ -63,11 +63,11 @@ class TestEmbed:
 class TestExpmHermitian:
     def test_zero_hamiltonian(self):
         np.testing.assert_allclose(
-            qstate.expm_hermitian(np.zeros((4, 4)), 2.7), np.eye(4), atol=1e-14
+            qstate.hermitian_propagator(np.zeros((4, 4)))(2.7), np.eye(4), atol=1e-14
         )
 
     def test_diagonal_case(self):
-        u = qstate.expm_hermitian(PAULI_Z, np.pi / 2)
+        u = qstate.hermitian_propagator(PAULI_Z)(np.pi / 2)
         np.testing.assert_allclose(
             u, np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)]), atol=1e-14
         )
@@ -86,24 +86,24 @@ class TestExpmHermitian:
             * np.exp(-1j * t * j2 / 4 * zz_c1c2)
             * np.exp(-1j * t * delta / 2 * z_c2)
         )
-        np.testing.assert_allclose(qstate.expm_hermitian(h, t), expected, atol=1e-12)
+        np.testing.assert_allclose(qstate.hermitian_propagator(h)(t), expected, atol=1e-12)
 
     def test_result_is_unitary(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         h = a + a.conj().T
-        assert oracles.is_unitary(qstate.expm_hermitian(h, 0.37), tol=1e-10)
+        assert oracles.is_unitary(qstate.hermitian_propagator(h)(0.37), tol=1e-10)
 
     def test_time_additivity(self):
         rng = np.random.default_rng(11)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         h = a + a.conj().T
-        u = qstate.expm_hermitian(h, 0.5) @ qstate.expm_hermitian(h, 0.3)
-        np.testing.assert_allclose(u, qstate.expm_hermitian(h, 0.8), atol=1e-10)
+        u = qstate.hermitian_propagator(h)(0.5) @ qstate.hermitian_propagator(h)(0.3)
+        np.testing.assert_allclose(u, qstate.hermitian_propagator(h)(0.8), atol=1e-10)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            qstate.expm_hermitian(np.array([[0, 1], [0, 0]]), 1.0)
+            qstate.hermitian_propagator(np.array([[0, 1], [0, 0]]))(1.0)
 
 
 class TestDftMatrix:
