@@ -50,7 +50,8 @@ PRESETS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment run."""
+    """Everything needed to reproduce one experiment run; each CLI flag
+    sets the field its destination names."""
 
     map_variant: str = "chaotic"
     hamiltonian: str = "noxy"
@@ -67,6 +68,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown map variant {self.map_variant!r}")
         if self.steps < 1:
             raise ValueError("need at least one step")
+        if self.seed < 0:
+            raise ValueError(f"the greedy seed must be >= 0, got seed={self.seed}")
 
     @classmethod
     def preset(cls, name: str, **overrides) -> "ExperimentConfig":
@@ -430,8 +433,11 @@ class HyperResult:
 GREEDY_RESTARTS = 64
 
 
-def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int = 3) -> HyperResult:
+def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = None) -> HyperResult:
     """Full pipeline: ensemble, exact frontier, slope, greedy comparison.
+
+    The history ensemble runs ``n_steps`` steps, ``config.steps`` unless
+    given; 2**n_steps histories must fit the exhaustive scan.
 
     The greedy pass draws :data:`GREEDY_RESTARTS` seedings per group
     count and keeps the nondominated (delta_s, information) points.
@@ -440,6 +446,7 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int = 3) -> H
     ordered draw, and all runs share one entropy memo; each grouping is a
     set partition, read from the scan at its :func:`_partition_position`.
     """
+    n_steps = config.steps if n_steps is None else n_steps
     if n_steps < 1:
         raise ValueError("the experiment needs at least one step")
     if 2**n_steps > MAX_SCAN_STATES:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 
 import numpy as np
@@ -33,20 +33,17 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# the header's keys after preset= and map=: every ExperimentConfig field but
+# map_variant, in print order
+_HEADER_FIELDS = ("hamiltonian", "convention", "steps", "seed", "inv_gamma_h",
+                  "inv_gamma_c1", "inv_gamma_c2", "artificial_perturbation")
+
+
 def _config_header(cfg: ExperimentConfig, preset: str, map_choice: str) -> str:
-    fields = [
-        f"preset={preset}",
-        f"map={map_choice}",
-        f"hamiltonian={cfg.hamiltonian}",
-        f"convention={cfg.convention}",
-        f"steps={cfg.steps}",
-        f"seed={cfg.seed}",
-        f"inv_gamma_h={_fmt(cfg.inv_gamma_h)}",
-        f"inv_gamma_c1={_fmt(cfg.inv_gamma_c1)}",
-        f"inv_gamma_c2={_fmt(cfg.inv_gamma_c2)}",
-        f"artificial_perturbation={cfg.artificial_perturbation}",
-    ]
-    return "# " + " ".join(fields)
+    settings = {"preset": preset, "map": map_choice,
+                **{name: getattr(cfg, name) for name in _HEADER_FIELDS}}
+    return "# " + " ".join(f"{k}={_fmt(v) if isinstance(v, float) else v}"
+                           for k, v in settings.items())
 
 
 # ---------------------------------------------------------------------------
@@ -177,32 +174,20 @@ def standard_checks() -> list[VerifyReport]:
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _resolve_config(args, steps_default=None) -> ExperimentConfig:
-    overrides = {}
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    elif steps_default is not None:
-        overrides["steps"] = steps_default
-    if args.gamma_h is not None:
-        overrides["inv_gamma_h"] = args.gamma_h
-    if args.gamma_c1 is not None:
-        overrides["inv_gamma_c1"] = args.gamma_c1
-    if args.gamma_c2 is not None:
-        overrides["inv_gamma_c2"] = args.gamma_c2
-    overrides["hamiltonian"] = args.hamiltonian
-    overrides["convention"] = args.convention
-    overrides["seed"] = args.seed
-    return ExperimentConfig.preset(args.preset, **overrides)
+def _resolve_config(args) -> ExperimentConfig:
+    """The preset, overridden by every flag given (each flag's dest is its field)."""
+    return ExperimentConfig.preset(args.preset, **{
+        f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+        if getattr(args, f.name, None) is not None})
 
 
 def _run_entropy(args) -> str:
-    variants = [args.map] if args.map else ["chaotic", "regular"]
     cfg0 = _resolve_config(args)
     lines = [
-        _config_header(cfg0, args.preset, args.map or "both"),
+        _config_header(cfg0, args.preset, args.map_variant or "both"),
         "step,variant,entropy_bits",
     ]
-    for variant in variants:
+    for variant in [args.map_variant] if args.map_variant else chaos.MAP_VARIANTS:
         cfg = replace(cfg0, map_variant=variant)
         for n, s in chaos.entropy_experiment(cfg):
             lines.append(f"{n},{variant},{_fmt(s)}")
@@ -210,14 +195,12 @@ def _run_entropy(args) -> str:
 
 
 def _run_hyper(args) -> str:
-    variant = args.map or "chaotic"
     # the history ensemble never averages in the artificial perturbation
     # channel, so the header reports it off whatever the preset says
-    cfg = replace(_resolve_config(args, steps_default=3), map_variant=variant,
-                  artificial_perturbation=False)
-    result = chaos.hypersensitivity_experiment(cfg, n_steps=cfg.steps)
+    cfg = replace(_resolve_config(args), artificial_perturbation=False)
+    result = chaos.hypersensitivity_experiment(cfg)
     lines = [
-        _config_header(cfg, args.preset, variant),
+        _config_header(cfg, args.preset, cfg.map_variant),
         f"# s_bar_max_bits={_fmt(result.s_bar_max)} frontier_slope={_fmt(result.slope)}"
         f" partitions={result.n_partitions}",
         "delta_s_bits,i_min_bits,provenance",
@@ -282,24 +265,23 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_physics=True):
         p.add_argument("--out", help="output path (default: stdout)")
         if with_physics:
-            p.add_argument("--preset", default="fig2",
-                           choices=["fig2", "fig3", "fig4", "fig5"])
-            p.add_argument("--steps", type=int, default=None)
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--gamma-h", type=float, default=None,
-                           help="1/Gamma_H in seconds")
-            p.add_argument("--gamma-c1", type=float, default=None,
-                           help="1/Gamma_C1 in seconds")
-            p.add_argument("--gamma-c2", type=float, default=None,
-                           help="1/Gamma_C2 in seconds")
-            p.add_argument("--map", choices=["chaotic", "regular"], default=None)
-        p.add_argument("--hamiltonian", choices=["full", "noxy", "simplified"],
-                       default="noxy")
-        p.add_argument("--convention", choices=["angular", "cycles"],
-                       default="angular")
+            p.add_argument("--preset", default="fig2", choices=sorted(chaos.PRESETS))
+            p.add_argument("--steps", type=int)
+            p.add_argument("--seed", type=int)
+            for spin in ("H", "C1", "C2"):
+                p.add_argument(f"--gamma-{spin.lower()}", dest=f"inv_gamma_{spin.lower()}",
+                               metavar=f"GAMMA_{spin}", type=float,
+                               help=f"1/Gamma_{spin} in seconds")
+            p.add_argument("--map", dest="map_variant", choices=chaos.MAP_VARIANTS)
+        p.add_argument("--hamiltonian", choices=nmr.VARIANTS, default="noxy",
+                       help=None if with_physics else "no effect on the output: the pulse"
+                       " programs read only j1, the C2 offset and the convention")
+        p.add_argument("--convention", choices=nmr.CONVENTIONS, default="angular")
+        return p
 
     add_common(sub.add_parser("entropy", help="entropy-growth experiment"))
-    add_common(sub.add_parser("hyper", help="hypersensitivity experiment"))
+    # 3 steps, 8 histories: the longest ensemble the exhaustive scan takes
+    add_common(sub.add_parser("hyper", help="hypersensitivity experiment")).set_defaults(steps=3)
     verify_p = sub.add_parser("verify", help="run the invariant checks")
     verify_p.add_argument("--out", help="output path (default: stdout)")
     add_common(sub.add_parser("compile", help="dump gate and pulse programs"),

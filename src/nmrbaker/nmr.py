@@ -30,6 +30,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -68,8 +69,9 @@ def _check_spin(spin: str) -> str:
 class HamiltonianModel:
     """Drift Hamiltonian of the three-spin register.
 
-    ``j1`` (H-C1), ``j2`` (C1-C2), ``j3`` (H-C2) and the offset ``delta``
-    are the measured values for trichloroethylene.  Under the default
+    ``j1`` (H-C1), ``j3`` (H-C2) and the offset ``delta`` are class
+    constants, the measured values for trichloroethylene; ``j2`` (C1-C2)
+    is 102 as measured and j1/2 in the compiler reference.  Under the default
     ``angular`` convention the printed magnitudes are used directly as
     rad/s, so products like j1*tau are exactly the dimensionless angles
     the pulse timings are derived from; the ``cycles`` convention
@@ -84,11 +86,11 @@ class HamiltonianModel:
     for pulse-sequence design and verification only).
     """
 
+    j1: ClassVar[float] = 203.0
+    j3: ClassVar[float] = 10.0
+    delta: ClassVar[float] = -905.0
     variant: str = "noxy"
-    j1: float = 203.0
     j2: float = 102.0
-    j3: float = 10.0
-    delta: float = -905.0
     convention: str = "angular"
 
     def __post_init__(self):
@@ -600,7 +602,7 @@ def compiled_distance(seq: PulseSequence, gates, model: HamiltonianModel) -> flo
 # ---------------------------------------------------------------------------
 
 _HEADER_RE = re.compile(
-    r"#\s*name=(\S+)\s+convention=(angular|cycles)\s+total_delay=(\S+)\s*$"
+    rf"#\s*name=(\S+)\s+convention=({'|'.join(CONVENTIONS)})\s+total_delay=(\S+)\s*$"
 )
 
 

@@ -638,6 +638,26 @@ class TestHypersensitivityExperiment:
         with pytest.raises(ValueError):
             chaos.hypersensitivity_experiment(ExperimentConfig.preset("fig5"), n_steps)
 
+    def test_steps_default_to_the_config(self):
+        result = chaos.hypersensitivity_experiment(ExperimentConfig.preset("fig5", steps=2))
+        assert result.n_partitions == 15  # Bell(4): four histories
+
+    def test_config_steps_beyond_the_scan_rejected_before_work(self, monkeypatch):
+        def forbidden(cfg, n_steps):
+            raise AssertionError("history ensemble built for a rejected step count")
+
+        monkeypatch.setattr(chaos, "history_ensemble", forbidden)
+        with pytest.raises(ValueError, match="64 histories"):
+            chaos.hypersensitivity_experiment(ExperimentConfig.preset("fig2"))  # 6 steps
+
+    def test_negative_seed_rejected_before_work(self, monkeypatch):
+        def forbidden(cfg, n_steps):
+            raise AssertionError("history ensemble built for a rejected seed")
+
+        monkeypatch.setattr(chaos, "history_ensemble", forbidden)
+        with pytest.raises(ValueError, match="seed=-1"):
+            chaos.hypersensitivity_experiment(ExperimentConfig.preset("fig5", seed=-1))
+
     def test_one_greedy_run_per_distinct_ordered_draw(self, monkeypatch):
         cfg = ExperimentConfig.preset("fig5", map_variant="regular", seed=5)
         draws = {seed_draw(8, n_groups, [cfg.seed, n_groups, trial])

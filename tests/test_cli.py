@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -50,6 +51,15 @@ class TestEntropyCommand:
         _, out = run_capture(capsys, ["entropy", "--preset", "fig2", "--steps", "1",
                                       "--gamma-h", "9.5"])
         assert "inv_gamma_h=9.5" in out.splitlines()[0]
+
+    @pytest.mark.parametrize("argv", [["entropy", "--steps", "1"],
+                                      ["hyper", "--preset", "fig5", "--steps", "1"]],
+                             ids=lambda argv: argv[0])
+    def test_header_names_every_setting_once(self, argv, capsys):
+        _, out = run_capture(capsys, argv)
+        keys = [token.split("=", 1)[0] for token in out.splitlines()[0].split()[1:]]
+        settings = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "map_variant"]
+        assert sorted(keys) == sorted(["preset", "map", *settings])
 
     def test_byte_identical_runs(self, tmp_path):
         argv = ["entropy", "--preset", "fig2", "--steps", "4", "--seed", "1"]
@@ -128,6 +138,13 @@ class TestCompileCommand:
             assert seq.instructions == rebuilt.instructions
         assert names == {"t_odd", "t_even", "t_regular", "full_baker"}
 
+    @pytest.mark.parametrize("convention", ["angular", "cycles"])
+    def test_hamiltonian_changes_nothing(self, convention, capsys):
+        # the programs read only j1, the C2 offset and the convention
+        outs = {run_capture(capsys, ["compile", "--hamiltonian", h, "--convention", convention])
+                for h in nmr.VARIANTS}
+        assert len(outs) == 1 and outs.pop()[0] == 0
+
     def test_convention_changes_delays(self, capsys):
         _, ang = run_capture(capsys, ["compile"])
         _, cyc = run_capture(capsys, ["compile", "--convention", "cycles"])
@@ -159,6 +176,18 @@ class TestExitCodes:
         monkeypatch.setattr(cli.chaos, "history_ensemble", forbidden)
         assert cli.run(["hyper", "--preset", "fig5", "--steps", "4"]) == 2
         assert "partition scan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["entropy", "hyper"])
+    def test_negative_seed_rejected_before_work(self, command, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an experiment ran for a rejected seed")
+
+        monkeypatch.setattr(cli.chaos, "history_ensemble", forbidden)
+        monkeypatch.setattr(cli.chaos, "entropy_experiment", forbidden)
+        assert cli.run([command, "--preset", "fig5", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed=-1" in captured.err
 
     def test_io_failure_exits_four(self, tmp_path, capsys):
         path = tmp_path / "does" / "not" / "exist" / "out.csv"

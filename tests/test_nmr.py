@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,13 @@ class TestHamiltonianModel:
     def test_default_couplings(self):
         m = HamiltonianModel()
         assert (m.j1, m.j2, m.j3, m.delta) == (203.0, 102.0, 10.0, -905.0)
+
+    def test_only_variant_j2_and_convention_are_settable(self):
+        # j2 is the one coupling a caller varies (the compiler reference sets j1/2)
+        assert [f.name for f in dataclasses.fields(HamiltonianModel)] == [
+            "variant", "j2", "convention"]
+        with pytest.raises(TypeError):
+            HamiltonianModel(j1=200.0)
 
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
