@@ -14,10 +14,6 @@ bits of information about the history are needed to reduce the entropy
 of the averaged state by a given amount.  The exact answer enumerates
 every set partition of the history ensemble; a greedy clustering on a
 Jensen-Shannon-type distance approximates it; its points are scan rows.
-
-Perturbation schedule: the kick acts on H after odd steps and on C2
-after even steps of the chaotic map (the same logical qubit, since the
-labels alternate), and on H after every step of the reference map.
 """
 
 from __future__ import annotations
@@ -29,8 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import nmr, qstate
-from .lindblad import EvolutionEngine, NoiseModel, apply_perturbation, perturbation_unitary, run_sequence
-from .nmr import SPIN_C2, SPIN_H, HamiltonianModel
+from .lindblad import EvolutionEngine, NoiseModel, run_sequence
+from .nmr import LIFTED_PAULI, SPIN_C2, SPIN_H, HamiltonianModel, PulseSequence
 
 MAP_VARIANTS = ("chaotic", "regular")
 MAX_SCAN_STATES = 10  # Bell(10) = 115975 partitions
@@ -102,34 +98,35 @@ def initial_density() -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _step_sequences(config: ExperimentConfig):
+def _steps(config: ExperimentConfig, n_steps: int) -> list[tuple[PulseSequence, np.ndarray]]:
+    """(program, Z of the kicked spin) for each of steps 1..n_steps: the
+    chaotic map alternates ``t_odd`` and ``t_even`` and kicks H after odd
+    steps and C2 after even ones (the same logical qubit, since the labels
+    alternate); the reference map runs ``t_regular`` and kicks H."""
     model = config.model()
     if config.map_variant == "chaotic":
-        odd, even = nmr.t_odd(model), nmr.t_even(model)
-        return lambda n: odd if n % 2 else even
-    regular = nmr.t_regular(model)
-    return lambda n: regular
+        odd = nmr.t_odd(model), LIFTED_PAULI["Z", SPIN_H]
+        even = nmr.t_even(model), LIFTED_PAULI["Z", SPIN_C2]
+        return [odd if n % 2 else even for n in range(1, n_steps + 1)]
+    return [(nmr.t_regular(model), LIFTED_PAULI["Z", SPIN_H])] * n_steps
 
 
-def _perturbed_spin(config: ExperimentConfig, step: int) -> str:
-    """Kick H after odd chaotic steps and C2 after even ones (the same
-    logical qubit under the alternating labels); always H for the
-    reference map."""
-    if config.map_variant == "chaotic" and step % 2 == 0:
-        return SPIN_C2
-    return SPIN_H
+def _averaged_kick(rho: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(rho + Z rho Z)/2, the average of the kicked and unkicked branches:
+    idempotent and unital, it kills every matrix element connecting
+    opposite Z eigenspaces of the kicked spin."""
+    return (rho + z @ rho @ z) / 2
 
 
 def entropy_experiment(config: ExperimentConfig) -> list[tuple[int, float]]:
     """Entropy in bits after 0..steps iterations of the chosen map."""
     engine = config.engine()
-    seq_for = _step_sequences(config)
     rho = initial_density()
     series = [(0, qstate.von_neumann_entropy_bits(rho))]
-    for n in range(1, config.steps + 1):
-        rho = run_sequence(rho, seq_for(n), engine)
+    for n, (program, z) in enumerate(_steps(config, config.steps), start=1):
+        rho = run_sequence(rho, program, engine)
         if config.artificial_perturbation:
-            rho = apply_perturbation(rho, _perturbed_spin(config, n))
+            rho = _averaged_kick(rho, z)
         series.append((n, qstate.von_neumann_entropy_bits(rho)))
     return series
 
@@ -138,7 +135,7 @@ def history_ensemble(config: ExperimentConfig, n_steps: int) -> list[np.ndarray]
     """Final states of all 2**n perturbation histories, in binary order.
 
     History bit k (most significant first) says whether the kick
-    unitary was applied after step k+1.  The all-zero history is the
+    Z rho Z was applied after step k+1.  The all-zero history is the
     unperturbed run.  Histories that share a prefix share its
     evolution: step n is applied once to each of the 2**(n-1) distinct
     states before it, 2**n - 1 step applications in all.
@@ -148,14 +145,12 @@ def history_ensemble(config: ExperimentConfig, n_steps: int) -> list[np.ndarray]
     if n_steps > 6:
         raise ValueError("history ensembles beyond 6 steps are impractical (2^n runs)")
     engine = config.engine()
-    seq_for = _step_sequences(config)
     states = [initial_density()]
-    for n in range(1, n_steps + 1):
-        k = perturbation_unitary(_perturbed_spin(config, n))
+    for program, z in _steps(config, n_steps):
         children = []
         for rho in states:
-            rho = run_sequence(rho, seq_for(n), engine)
-            children += [rho, k @ rho @ k.conj().T]
+            rho = run_sequence(rho, program, engine)
+            children += [rho, z @ rho @ z]
         states = children
     return states
 
@@ -374,6 +369,8 @@ def partition_scan(entropies) -> tuple[np.ndarray, np.ndarray, float]:
     :func:`set_partitions` order; S-bar of each is the ``ddot`` of its
     group probabilities and entropies in first-appearance order."""
     n = len(entropies).bit_length() - 1
+    if not 1 <= n <= MAX_SCAN_STATES or 2**n != len(entropies):
+        raise ValueError(f"need a table of 2**n entries for 1 to {MAX_SCAN_STATES} states")
     # taking S_bar_max from the same table keeps the trivial one-group
     # partition at delta_s = 0 exactly
     s_max = float(entropies[-1])

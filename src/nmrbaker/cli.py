@@ -89,9 +89,9 @@ def _rk4_error() -> float:
 
 def _trace_drift() -> float:
     cfg, rho, drift = ExperimentConfig.preset("fig2"), chaos.initial_density(), 0.0
-    engine, seq_for = cfg.engine(), chaos._step_sequences(cfg)
-    for n in range(1, 7):
-        rho = lindblad.run_sequence(rho, seq_for(n), engine)
+    engine = cfg.engine()
+    for program, _ in chaos._steps(cfg, 6):
+        rho = lindblad.run_sequence(rho, program, engine)
         drift = max(drift, abs(np.trace(rho).real - 1.0))
     return drift
 

@@ -65,10 +65,6 @@ class NoiseModel:
         return zip(SPINS, (self.gamma_h, self.gamma_c1, self.gamma_c2))
 
 
-def _z_operator(spin: str) -> np.ndarray:
-    return LIFTED_PAULI["Z", spin]
-
-
 def liouvillian(model: HamiltonianModel, noise: NoiseModel) -> np.ndarray:
     """64x64 generator acting on row-stacked rho (C-order flatten).
 
@@ -81,7 +77,7 @@ def liouvillian(model: HamiltonianModel, noise: NoiseModel) -> np.ndarray:
     gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     for spin, g in noise.items():
         if g:
-            z = _z_operator(spin)
+            z = LIFTED_PAULI["Z", spin]
             gen += g * (np.kron(z, z.T) - np.eye(DIM * DIM))
     return gen
 
@@ -116,8 +112,8 @@ class EvolutionEngine:
 
     def delay_propagator(self, duration: float) -> np.ndarray:
         """Completely positive trace-preserving map for one delay."""
-        if duration < 0:
-            raise ValueError("delay duration must be >= 0")
+        if not (math.isfinite(duration) and duration >= 0):
+            raise ValueError("delay duration must be finite and >= 0")
         key = float(duration)
         cached = self._cache.get(key)
         if cached is not None:
@@ -173,17 +169,3 @@ def run_sequence(
             rho = u @ rho @ u.conj().T
     return _require_physical(rho)
 
-
-def apply_perturbation(rho: np.ndarray, spin: str) -> np.ndarray:
-    """Average of perturbed and unperturbed branches: (rho + Z rho Z)/2.
-
-    Idempotent and unital; kills every matrix element connecting
-    opposite Z eigenspaces of the chosen spin.
-    """
-    z = _z_operator(spin)
-    return (np.asarray(rho, dtype=complex) + z @ rho @ z) / 2
-
-
-def perturbation_unitary(spin: str) -> np.ndarray:
-    """The perturbing kick exp(i*pi*Z/2) = i*Z on one spin."""
-    return 1j * LIFTED_PAULI["Z", spin]

@@ -639,4 +639,8 @@ def parse_sequence(text: str) -> PulseSequence:
             instructions.append(PulseInstruction(parts[0], parts[1], float(parts[2])))
         else:
             raise ValueError(f"malformed instruction line: {ln!r}")
-    return _seq(name, instructions)
+    seq = _seq(name, instructions)
+    if float(m.group(3)) != seq.total_delay:
+        raise ValueError(f"header total_delay={m.group(3)} is not the program's"
+                         f" {seq.total_delay:.17g}")
+    return seq

@@ -141,6 +141,8 @@ def is_hermitian(h, tol: float = HERMITICITY_TOL) -> bool:
 def density_matrix_defects(rho) -> list[str]:
     """List of violated density-matrix invariants (empty when valid)."""
     rho = np.asarray(rho)
+    if not np.isfinite(rho).all():  # eigvalsh would raise LinAlgError on it
+        return [f"non-finite entries ({np.count_nonzero(~np.isfinite(rho))} of {rho.size})"]
     defects = []
     herm = np.max(np.abs(rho - rho.conj().T))
     if herm > HERMITICITY_TOL:

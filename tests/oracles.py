@@ -11,8 +11,8 @@ import numpy as np
 from nmrbaker import qstate
 from nmrbaker.chaos import (HypersensitivityCurve, _frontier_from_scan, partition_scan, set_partitions,
                             subset_entropies)
-from nmrbaker.lindblad import DIM, EvolutionEngine, NoiseModel, _z_operator
-from nmrbaker.nmr import SPINS, PulseInstruction, PulseSequence, pulse_unitary
+from nmrbaker.lindblad import DIM, EvolutionEngine, NoiseModel
+from nmrbaker.nmr import LIFTED_PAULI, SPINS, PulseInstruction, PulseSequence, pulse_unitary
 from nmrbaker.qstate import ID2, PAULI_X, PAULI_Y
 
 
@@ -47,7 +47,7 @@ def dissipator(rho: np.ndarray, noise: NoiseModel) -> np.ndarray:
     out = np.zeros_like(rho)
     for spin, g in noise.items():
         if g:
-            z = _z_operator(spin)
+            z = LIFTED_PAULI["Z", spin]
             out += g * (z @ rho @ z - rho)
     return out
 
@@ -149,7 +149,7 @@ def _trajectories_diagonal(psi0, seq, engine, streams, h_diag):
     delays = [ins.value for ins in seq.instructions if ins.op == "U"]
     rates = np.array([g for _, g in engine.noise.items()])
     flips = _jump_parities(streams, delays, rates)
-    z_signs = np.stack([np.diag(_z_operator(s)).real for s in SPINS])
+    z_signs = np.stack([np.diag(LIFTED_PAULI["Z", s]).real for s in SPINS])
     n = len(streams)
     psi = np.tile(psi0.reshape(DIM, 1), (1, n)).astype(complex)
     k = 0
@@ -168,7 +168,7 @@ def _trajectories_diagonal(psi0, seq, engine, streams, h_diag):
 
 def _trajectories_general(psi0, seq, engine, streams, h):
     w, v = np.linalg.eigh(h)
-    z_ops = [_z_operator(s) for s in SPINS]
+    z_ops = [LIFTED_PAULI["Z", s] for s in SPINS]
     rates = [g for _, g in engine.noise.items()]
 
     def evolve(psi, dt):

@@ -57,16 +57,14 @@ def basis_projectors(n=8):
 def reference_history_ensemble(config, n_steps):
     """Every history evolved from the start on its own: 2**n * n steps."""
     engine = config.engine()
-    seq_for = chaos._step_sequences(config)
-    kicks = [lindblad.perturbation_unitary(chaos._perturbed_spin(config, n))
-             for n in range(1, n_steps + 1)]
+    steps = chaos._steps(config, n_steps)
     out = []
     for idx in range(2**n_steps):
         rho = chaos.initial_density()
-        for n in range(1, n_steps + 1):
-            rho = lindblad.run_sequence(rho, seq_for(n), engine)
+        for n, (program, z) in enumerate(steps, start=1):
+            rho = lindblad.run_sequence(rho, program, engine)
             if (idx >> (n_steps - n)) & 1:
-                k = kicks[n - 1]
+                k = 1j * z  # the kick exp(i*pi*Z/2)
                 rho = k @ rho @ k.conj().T
         out.append(rho)
     return out
@@ -179,9 +177,9 @@ class TestHistoryEnsemble:
         assert s == pytest.approx(unperturbed_entropy, abs=1e-12)
 
     def test_identity_perturbation_collapses_ensemble(self, monkeypatch):
-        monkeypatch.setattr(
-            chaos, "perturbation_unitary", lambda spin: np.eye(8, dtype=complex)
-        )
+        steps = chaos._steps
+        monkeypatch.setattr(chaos, "_steps", lambda config, n_steps: [
+            (program, np.eye(8, dtype=complex)) for program, _ in steps(config, n_steps)])
         cfg = ExperimentConfig.preset("fig5", map_variant="chaotic")
         rhos = chaos.history_ensemble(cfg, 2)
         for rho in rhos[1:]:
@@ -217,6 +215,61 @@ class TestHistoryEnsemble:
         assert len(rhos) == len(expected) == 8
         for rho, ref in zip(rhos, expected):
             assert np.array_equal(rho, ref)
+
+
+class TestSteps:
+    @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
+    def test_schedule(self, variant):
+        cfg = ExperimentConfig.preset("fig2", map_variant=variant)
+        model = cfg.model()
+        if variant == "chaotic":
+            want = [(nmr.t_odd(model), nmr.SPIN_H), (nmr.t_even(model), nmr.SPIN_C2)] * 2
+        else:
+            want = [(nmr.t_regular(model), nmr.SPIN_H)] * 4
+        steps = chaos._steps(cfg, 4)
+        assert [program for program, _ in steps] == [program for program, _ in want]
+        for (_, z), (_, spin) in zip(steps, want):
+            assert np.array_equal(z, qstate.embed(qstate.PAULI_Z, [spin], nmr.SPINS))
+            assert np.array_equal(z @ z, np.eye(8))
+
+    @pytest.mark.parametrize("ensemble", ["fig2_chaotic_ensemble", "fig2_regular_ensemble"],
+                             ids=chaos.MAP_VARIANTS)
+    def test_z_kick_equals_i_z_conjugation(self, ensemble, request):
+        # Z rho Z is the kick exp(i*pi*Z/2) = i*Z with its phase cancelled,
+        # bit for bit, on every spin of every state of a fig5 ensemble
+        for rho in request.getfixturevalue(ensemble):
+            for spin in nmr.SPINS:
+                z = nmr.LIFTED_PAULI["Z", spin]
+                conjugated = (1j * z) @ rho @ (1j * z).conj().T
+                assert np.array_equal(z @ rho @ z, conjugated)
+                assert np.array_equal(chaos._averaged_kick(rho, z), (rho + conjugated) / 2)
+
+
+class TestAveragedKick:
+    Z_H, Z_C2 = nmr.LIFTED_PAULI["Z", nmr.SPIN_H], nmr.LIFTED_PAULI["Z", nmr.SPIN_C2]
+
+    def test_idempotent(self):
+        once = chaos._averaged_kick(chaos.initial_density(), self.Z_H)
+        np.testing.assert_array_equal(chaos._averaged_kick(once, self.Z_H), once)
+
+    def test_kills_cross_sector_elements(self):
+        rho = chaos.initial_density()
+        out = chaos._averaged_kick(rho, self.Z_H)
+        np.testing.assert_allclose(out[:4, 4:], 0, atol=1e-15)
+        np.testing.assert_allclose(out[:4, :4], rho[:4, :4], atol=1e-15)
+
+    def test_entropy_never_decreases(self):
+        rho = chaos.initial_density()
+        s0 = qstate.von_neumann_entropy_bits(rho)
+        s1 = qstate.von_neumann_entropy_bits(chaos._averaged_kick(rho, self.Z_C2))
+        assert s1 >= s0 - 1e-12
+
+    def test_commutes_with_diagonal_unitary(self):
+        rho = chaos.initial_density()
+        d = np.diag(np.exp(1j * np.arange(8)))
+        np.testing.assert_allclose(chaos._averaged_kick(d @ rho @ d.conj().T, self.Z_H),
+                                   d @ chaos._averaged_kick(rho, self.Z_H) @ d.conj().T,
+                                   atol=1e-15)
 
 
 class TestStepPathLiftsNothing:
@@ -326,6 +379,9 @@ class TestGroupingStats:
                                   ([0] * 11, np.zeros(2**11))):  # past MAX_SCAN_STATES
             with pytest.raises(ValueError):
                 chaos.grouping_stats(assignment, table)
+        for table in ([], np.zeros(1), np.zeros(5), np.zeros(300), np.zeros(2**11)):
+            with pytest.raises(ValueError):
+                chaos.partition_scan(table)
 
 
 class TestJsDistance:

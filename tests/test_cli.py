@@ -193,6 +193,16 @@ class TestExitCodes:
         path = tmp_path / "does" / "not" / "exist" / "out.csv"
         assert cli.run(["entropy", "--steps", "1", "--out", str(path)]) == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--preset", "fig2", "--steps", "1", "--gamma-h", "1e-300"],
+        ["hyper", "--preset", "fig5", "--gamma-c2", "1e-300"]], ids=["entropy", "hyper"])
+    def test_non_finite_state_exits_three(self, argv, capsys):
+        # a 1e300/s dephasing rate overflows expm of the full generator to NaN
+        assert cli.run([*argv, "--hamiltonian", "full"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "physics violation" in captured.err and "non-finite" in captured.err
+
     def test_physics_violation_exits_three(self, monkeypatch, capsys):
         # a negative dephasing rate (which NoiseModel itself refuses) makes
         # the delay channel non-CP; the state check after the step catches it

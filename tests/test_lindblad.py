@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from nmrbaker import cli, lindblad, nmr, qstate
 from nmrbaker.lindblad import EvolutionEngine, NoiseModel
-from nmrbaker.nmr import SPIN_C1, SPIN_C2, SPIN_H, SPINS, HamiltonianModel
+from nmrbaker.nmr import SPIN_C1, SPIN_C2, SPIN_H, HamiltonianModel
 
 FIG2_NOISE = NoiseModel.from_inverse_times(4.0, 0.7, 0.4)
 
@@ -115,6 +115,14 @@ class TestDelayPropagator:
     def test_negative_duration_rejected(self, engine):
         with pytest.raises(ValueError):
             engine.delay_propagator(-1e-3)
+
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        engine = EvolutionEngine(HamiltonianModel(), FIG2_NOISE)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="finite"):
+                engine.delay_propagator(duration)
+        assert engine._cache == {}
 
     def test_cache_returns_identical_object(self, engine):
         assert engine.delay_propagator(0.005) is engine.delay_propagator(0.005)
@@ -270,50 +278,6 @@ class TestRunSequence:
             out = lindblad.run_sequence(rho, seq, engine_closed)
             u = nmr.sequence_unitary(seq, model)
             np.testing.assert_allclose(out, u @ rho @ u.conj().T, atol=1e-9)
-
-
-class TestPerturbation:
-    def test_idempotent(self):
-        rho = plus_y_density()
-        once = lindblad.apply_perturbation(rho, SPIN_H)
-        twice = lindblad.apply_perturbation(once, SPIN_H)
-        np.testing.assert_array_equal(once, twice)
-
-    def test_kills_cross_sector_elements(self):
-        rho = plus_y_density()
-        out = lindblad.apply_perturbation(rho, SPIN_H)
-        np.testing.assert_allclose(out[:4, 4:], 0, atol=1e-15)
-        np.testing.assert_allclose(out[:4, :4], rho[:4, :4], atol=1e-15)
-
-    def test_entropy_never_decreases(self):
-        rho = plus_y_density()
-        s0 = qstate.von_neumann_entropy_bits(rho)
-        s1 = qstate.von_neumann_entropy_bits(lindblad.apply_perturbation(rho, SPIN_C2))
-        assert s1 >= s0 - 1e-12
-
-    def test_unitary_square_is_identity_up_to_phase(self):
-        u = lindblad.perturbation_unitary(SPIN_C1)
-        np.testing.assert_allclose(u @ u, -np.eye(8), atol=1e-15)
-
-    def test_unitary_averaging_reproduces_channel(self):
-        rho = plus_y_density()
-        u = lindblad.perturbation_unitary(SPIN_C2)
-        averaged = (rho + u @ rho @ u.conj().T) / 2
-        np.testing.assert_allclose(
-            averaged, lindblad.apply_perturbation(rho, SPIN_C2), atol=1e-15
-        )
-
-    def test_commutes_with_diagonal_unitary(self):
-        u = lindblad.perturbation_unitary(SPIN_H)
-        diag = np.diag(np.exp(1j * np.arange(8)))
-        np.testing.assert_allclose(u @ diag, diag @ u, atol=1e-15)
-
-    @pytest.mark.parametrize("spin", SPINS)
-    def test_operators_equal_embedded_paulis(self, spin):
-        assert np.array_equal(lindblad._z_operator(spin),
-                              qstate.embed(qstate.PAULI_Z, [spin], SPINS))
-        assert np.array_equal(lindblad.perturbation_unitary(spin),
-                              qstate.embed(1j * qstate.PAULI_Z, [spin], SPINS))
 
 
 class TestTrajectories:

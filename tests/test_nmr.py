@@ -379,6 +379,11 @@ class TestSerialization:
             nmr.parse_sequence(
                 "# name=x convention=angular total_delay=0\nW H 1.0\n"
             )
+        for total in ("5", "abc", "nan", "1.0000000000000002"):
+            with pytest.raises(ValueError):
+                nmr.parse_sequence(f"# name=x convention=angular total_delay={total}\nU 1\n")
+        parsed = nmr.parse_sequence("# name=x convention=angular total_delay=1\nU 1\n")
+        assert parsed.total_delay == 1
 
 
 class TestLiftedPaulis:
@@ -387,6 +392,11 @@ class TestLiftedPaulis:
     def test_shared_operators_are_read_only(self, op):
         with pytest.raises(ValueError):
             op[0, 0] = 0
+
+    @pytest.mark.parametrize("spin", SPINS)
+    def test_z_equals_embedded_pauli(self, spin):
+        assert np.array_equal(nmr.LIFTED_PAULI["Z", spin],
+                              qstate.embed(qstate.PAULI_Z, [spin], SPINS))
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(build=st.sampled_from([rot_x, rot_y]), spin=st.sampled_from(SPINS), angle=finite)

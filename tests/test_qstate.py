@@ -185,3 +185,9 @@ class TestDensityChecks:
     def test_hermiticity_violation_detected(self):
         rho = np.eye(2) / 2 + np.array([[0, 1e-5], [0, 0]])
         assert any("hermiticity" in d for d in qstate.density_matrix_defects(rho))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_detected(self, bad):
+        rho = np.eye(8, dtype=complex) / 8
+        rho[2, 5] = bad
+        assert qstate.density_matrix_defects(rho) == ["non-finite entries (1 of 64)"]
