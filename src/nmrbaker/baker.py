@@ -27,10 +27,10 @@ import numpy as np
 
 from . import qstate
 
-HADAMARD_KIND = "hadamard"
-PHASE_KIND = "phase"
-SWAP_KIND = "swap"
-Z_KIND = "z"
+HADAMARD_KIND = "H"
+PHASE_KIND = "PHASE"
+SWAP_KIND = "SWAP"
+Z_KIND = "Z"
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,8 @@ def gate_unitary(gate: GateSpec, n_qubits: int) -> np.ndarray:
             raise ValueError(f"qubit index {q} out of range for {n_qubits} qubits")
     dim = 2**n_qubits
     if gate.kind == HADAMARD_KIND:
-        order = list(range(n_qubits - 1, -1, -1))  # most significant first
-        return qstate.embed(qstate.HADAMARD, [gate.qubits[0]], order)
+        order = range(n_qubits - 1, -1, -1)  # most significant first
+        return qstate.embed(qstate.HADAMARD, gate.qubits[0], order)
     j = np.arange(dim)
     if gate.kind == Z_KIND:
         up = ((j >> gate.qubits[0]) & 1) == 0
@@ -131,7 +131,7 @@ def baker_unitary(n_qubits: int) -> np.ndarray:
         raise ValueError("the baker's map needs at least two qubits")
     f_full = qstate.dft_matrix(2**n_qubits)
     f_half = qstate.dft_matrix(2 ** (n_qubits - 1))
-    return f_full.conj().T @ qstate.kron(qstate.ID2, f_half)
+    return f_full.conj().T @ np.kron(qstate.ID2, f_half)
 
 
 def baker_gate_sequence() -> list[GateSpec]:

@@ -224,14 +224,10 @@ def _run_verify() -> tuple[str, bool]:
     return "\n".join(lines) + "\n", ok
 
 
-_GATE_WORDS = {baker.HADAMARD_KIND: "H", baker.PHASE_KIND: "PHASE",
-               baker.SWAP_KIND: "SWAP", baker.Z_KIND: "Z"}
-
-
 def _dump_gate_sequence(name: str, gates) -> str:
     lines = [f"# gates name={name} n_qubits=3 order=execution"]
     for g in gates:
-        fields = [_GATE_WORDS[g.kind], *map(str, g.qubits)]
+        fields = [g.kind, *map(str, g.qubits)]
         if g.theta is not None:
             fields.append(_fmt(g.theta))
         if g.control_value != 1:
@@ -268,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--preset", default="fig2", choices=sorted(chaos.PRESETS))
             p.add_argument("--steps", type=int)
             p.add_argument("--seed", type=int)
-            for spin in ("H", "C1", "C2"):
+            for spin in nmr.SPINS:
                 p.add_argument(f"--gamma-{spin.lower()}", dest=f"inv_gamma_{spin.lower()}",
                                metavar=f"GAMMA_{spin}", type=float,
                                help=f"1/Gamma_{spin} in seconds")

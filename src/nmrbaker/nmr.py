@@ -12,8 +12,9 @@ Pulse programs are sequences of instantaneous RF rotations and timed
 delays.  ``X(theta)`` multiplies the state by exp(i*theta*X/2), ``Y``
 likewise, and ``U(t)`` lets the drift Hamiltonian act for ``t``
 seconds.  ``LIFTED_PAULI`` holds X, Y and Z on each spin as 8x8
-matrices, built once at import, so a rotation is evaluated directly on
-the register as cos(theta/2) I + i sin(theta/2) X.  Sequences are
+matrices, built once at import: the drift Hamiltonian is a sum of their
+products, and a rotation is evaluated directly on the register as
+cos(theta/2) I + i sin(theta/2) X.  Sequences are
 stored in EXECUTION order (first instruction applied first); the
 conventional right-to-left operator notation is reversed on
 construction.
@@ -35,7 +36,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import baker, qstate
-from .qstate import ID2, PAULI_X, PAULI_Y, PAULI_Z
+from .qstate import PAULI_X, PAULI_Y, PAULI_Z
 
 SPIN_H = "H"
 SPIN_C1 = "C1"
@@ -45,7 +46,7 @@ SPINS = (SPIN_H, SPIN_C1, SPIN_C2)  # register order, most significant first
 QUBIT = {SPIN_H: 2, SPIN_C1: 1, SPIN_C2: 0}
 # each single-spin Pauli lifted to the register once, keyed (axis, spin), and the
 # register identity: read-only, since every pulse, generator and kick shares them
-LIFTED_PAULI = {(axis, spin): qstate.embed(op, [spin], SPINS)
+LIFTED_PAULI = {(axis, spin): qstate.embed(op, spin, SPINS)
                 for axis, op in (("X", PAULI_X), ("Y", PAULI_Y), ("Z", PAULI_Z))
                 for spin in SPINS}
 _ID8 = np.eye(8, dtype=complex)
@@ -98,6 +99,8 @@ class HamiltonianModel:
             raise ValueError(f"unknown Hamiltonian variant {self.variant!r}")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"unknown frequency convention {self.convention!r}")
+        if not (math.isfinite(self.j2) and self.j2 > 0):
+            raise ValueError(f"C1-C2 coupling j2 must be finite and > 0, got {self.j2!r}")
 
     @property
     def _scale(self) -> float:
@@ -138,16 +141,15 @@ class HamiltonianModel:
 
     def matrix(self) -> np.ndarray:
         """8x8 Hermitian drift Hamiltonian in rad/s."""
-        zz_hc1 = qstate.kron(PAULI_Z, PAULI_Z, ID2)
-        zz_c1c2 = qstate.kron(ID2, PAULI_Z, PAULI_Z)
-        z_c2 = qstate.kron(ID2, ID2, PAULI_Z)
-        h = self.j1_eff / 4 * zz_hc1 + self.j2_eff / 4 * zz_c1c2 + self.delta_eff / 2 * z_c2
+        z_h, z_c1, z_c2 = (LIFTED_PAULI["Z", s] for s in SPINS)
+        h = (self.j1_eff / 4 * (z_h @ z_c1) + self.j2_eff / 4 * (z_c1 @ z_c2)
+             + self.delta_eff / 2 * z_c2)
         if self.variant == "full":
-            h = h + self.j2_eff / 4 * (
-                qstate.kron(ID2, PAULI_X, PAULI_X) + qstate.kron(ID2, PAULI_Y, PAULI_Y)
-            )
+            xx = LIFTED_PAULI["X", SPIN_C1] @ LIFTED_PAULI["X", SPIN_C2]
+            yy = LIFTED_PAULI["Y", SPIN_C1] @ LIFTED_PAULI["Y", SPIN_C2]
+            h = h + self.j2_eff / 4 * (xx + yy)
         if self.variant in ("full", "noxy"):
-            h = h + self.j3_eff / 4 * qstate.kron(PAULI_Z, ID2, PAULI_Z)
+            h = h + self.j3_eff / 4 * (z_h @ z_c2)
         return h
 
     def compiler_reference(self) -> "HamiltonianModel":
@@ -311,8 +313,7 @@ def phase_gate_pulses(pair, angle: float, model: HamiltonianModel) -> PulseSeque
     body = [delay(tau), rot_x(spectator, np.pi), delay(tau), rot_x(spectator, np.pi)]
     seq = _seq(f"phase_{a}{b}", body)
     seq = seq + z_rotation_pulses(a, angle / 2)
-    seq = seq + z_rotation_pulses(b, angle / 2 + extra_b)
-    return _seq(f"phase_{a}{b}", seq.instructions)
+    return seq + z_rotation_pulses(b, angle / 2 + extra_b)
 
 
 def cnot_pulses(control: str, target: str, model: HamiltonianModel) -> PulseSequence:
@@ -419,8 +420,7 @@ def t_even(model: HamiltonianModel) -> PulseSequence:
     # delays are timed off the j1 clock (tau2 = 2*tau1), as if j2 = j1/2
     # held exactly; running against the measured j2 leaves the small
     # coupling-ratio error quantified by compiled_distance.
-    seq = seq + swap_pulses((SPIN_C1, SPIN_C2), replace(model, j2=model.j1 / 2))
-    return _seq("t_even", seq.instructions)
+    return seq + swap_pulses((SPIN_C1, SPIN_C2), replace(model, j2=model.j1 / 2))
 
 
 def t_regular(model: HamiltonianModel) -> PulseSequence:

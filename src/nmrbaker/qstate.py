@@ -30,47 +30,20 @@ TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
 
 
-def kron(*ops) -> np.ndarray:
-    """Kronecker product with the leftmost operand most significant."""
-    ops = [np.asarray(op, dtype=complex) for op in ops]
-    for op in ops:
-        if op.ndim != 2 or op.shape[0] != op.shape[1]:
-            raise ValueError("kron operands must be square matrices")
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
+def embed(op, target, register_order) -> np.ndarray:
+    """Lift the single-qubit ``op`` on ``target`` to the full register.
 
-
-def embed(op, targets, register_order) -> np.ndarray:
-    """Lift ``op`` acting on ``targets`` to the full register.
-
-    ``register_order`` lists all labels, most significant first.  The
-    tensor factors of ``op`` follow the order of ``targets`` (first
-    target = most significant factor of ``op``); all other positions get
-    the identity.
+    ``register_order`` lists all labels, most significant first; every
+    other position gets the identity.
     """
-    targets = list(targets)
     order = list(register_order)
-    for t in targets:
-        if t not in order:
-            raise ValueError(f"unknown register label {t!r}")
-    if len(set(targets)) != len(targets):
-        raise ValueError("duplicate target labels")
+    if target not in order:
+        raise ValueError(f"unknown register label {target!r}")
     op = np.asarray(op, dtype=complex)
-    k = len(targets)
-    if op.shape != (2**k, 2**k):
-        raise ValueError(
-            f"operator shape {op.shape} does not match {k} target qubit(s)"
-        )
-    n = len(order)
-    rest = [q for q in order if q not in targets]
-    full = np.kron(op, np.eye(2 ** (n - k), dtype=complex))
-    current = targets + rest
-    perm = [current.index(q) for q in order]
-    tensor = full.reshape([2] * (2 * n))
-    tensor = tensor.transpose(perm + [p + n for p in perm])
-    return np.ascontiguousarray(tensor.reshape(2**n, 2**n))
+    if op.shape != (2, 2):
+        raise ValueError(f"operator shape {op.shape} is not a single-qubit 2x2")
+    k = order.index(target)
+    return np.kron(np.kron(np.eye(2**k), op), np.eye(2 ** (len(order) - k - 1)))
 
 
 def hermitian_propagator(h):

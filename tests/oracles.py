@@ -38,7 +38,7 @@ def embedded_rotation(instruction: PulseInstruction) -> np.ndarray:
     half = instruction.value / 2
     axis = PAULI_X if instruction.op == "X" else PAULI_Y
     u2 = math.cos(half) * ID2 + 1j * math.sin(half) * axis  # exp(i*theta*axis/2)
-    return qstate.embed(u2, [instruction.spin], SPINS)
+    return qstate.embed(u2, instruction.spin, SPINS)
 
 
 def dissipator(rho: np.ndarray, noise: NoiseModel) -> np.ndarray:

@@ -46,9 +46,9 @@ class TestGateUnitary:
         with pytest.raises(ValueError):
             phase(0, 1, 1.0, control_value=2)
         with pytest.raises(ValueError):
-            baker.GateSpec("swap", (0, 1), control_value=0)
+            baker.GateSpec(baker.SWAP_KIND, (0, 1), control_value=0)
         with pytest.raises(ValueError):
-            baker.GateSpec("z", (0,))
+            baker.GateSpec(baker.Z_KIND, (0,))
         with pytest.raises(ValueError):
             z_rotation(0, float("inf"))
 
@@ -103,9 +103,8 @@ class TestShiftStates:
 
     def test_all_zero_full_domain(self):
         plus = np.array([1, 1]) / np.sqrt(2)
-        expected = qstate.kron(
-            np.diag([1, 0]), np.eye(2), np.eye(2)
-        ) @ np.kron(np.array([1.0, 0]), np.kron(plus, plus))
+        expected = np.kron(np.diag([1, 0]), np.eye(4)) @ np.kron(
+            np.array([1.0, 0]), np.kron(plus, plus))
         np.testing.assert_allclose(
             baker.shift_domain_state((0, 0, 0), "full"), expected, atol=1e-15
         )

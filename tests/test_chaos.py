@@ -132,7 +132,7 @@ class TestInitialState:
         rho = chaos.initial_density()
         y = qstate.PAULI_Y
         for spin in ("H", "C1", "C2"):
-            op = qstate.embed(y, [spin], ("H", "C1", "C2"))
+            op = qstate.embed(y, spin, ("H", "C1", "C2"))
             assert np.trace(op @ rho).real == pytest.approx(1.0)
 
 
@@ -229,7 +229,7 @@ class TestSteps:
         steps = chaos._steps(cfg, 4)
         assert [program for program, _ in steps] == [program for program, _ in want]
         for (_, z), (_, spin) in zip(steps, want):
-            assert np.array_equal(z, qstate.embed(qstate.PAULI_Z, [spin], nmr.SPINS))
+            assert np.array_equal(z, qstate.embed(qstate.PAULI_Z, spin, nmr.SPINS))
             assert np.array_equal(z @ z, np.eye(8))
 
     @pytest.mark.parametrize("ensemble", ["fig2_chaotic_ensemble", "fig2_regular_ensemble"],

@@ -39,7 +39,7 @@ class TestHamiltonianModel:
     def test_noxy_minus_simplified_is_j3_term(self):
         noxy = HamiltonianModel(variant="noxy").matrix()
         simp = HamiltonianModel(variant="simplified").matrix()
-        zz_hc2 = qstate.kron(qstate.PAULI_Z, qstate.ID2, qstate.PAULI_Z)
+        zz_hc2 = np.kron(np.kron(qstate.PAULI_Z, qstate.ID2), qstate.PAULI_Z)
         np.testing.assert_array_equal(noxy - simp, 10.0 / 4 * zz_hc2)
 
     def test_simplified_is_diagonal(self):
@@ -77,12 +77,40 @@ class TestHamiltonianModel:
         with pytest.raises(ValueError):
             HamiltonianModel(variant="exact")
 
+    @pytest.mark.parametrize("j2", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_j2_not_finite_and_positive(self, j2):
+        with pytest.raises(ValueError, match="j2"):
+            HamiltonianModel(j2=j2)
+
+    @pytest.mark.parametrize("j2", [102.0, 203.0 / 2])
+    def test_accepts_measured_and_reference_j2(self, j2):
+        assert HamiltonianModel(j2=j2).j2 == j2
+
+    @pytest.mark.parametrize("j2", [102.0, 203.0 / 2])
+    @pytest.mark.parametrize("convention", nmr.CONVENTIONS)
+    @pytest.mark.parametrize("variant", nmr.VARIANTS)
+    def test_matrix_equals_kron_products(self, variant, convention, j2):
+        # the drift Hamiltonian as a sum of explicit three-factor Kronecker products
+        i, x, y, z = qstate.ID2, qstate.PAULI_X, qstate.PAULI_Y, qstate.PAULI_Z
+
+        def k3(a, b, c):
+            return np.kron(np.kron(a, b), c)
+
+        m = HamiltonianModel(variant=variant, j2=j2, convention=convention)
+        h = (m.j1_eff / 4 * k3(z, z, i) + m.j2_eff / 4 * k3(i, z, z)
+             + m.delta_eff / 2 * k3(i, i, z))
+        if variant == "full":
+            h = h + m.j2_eff / 4 * (k3(i, x, x) + k3(i, y, y))
+        if variant in ("full", "noxy"):
+            h = h + m.j3_eff / 4 * k3(z, i, z)
+        assert np.array_equal(m.matrix(), h)
+
 
 class TestPulseUnitary:
     def test_pi_pulse_is_ix(self, reference):
         u = nmr.pulse_unitary(rot_x(SPIN_H, np.pi), reference)
         np.testing.assert_allclose(
-            u, qstate.embed(1j * qstate.PAULI_X, [SPIN_H], SPINS), atol=1e-15
+            u, qstate.embed(1j * qstate.PAULI_X, SPIN_H, SPINS), atol=1e-15
         )
 
     def test_rotation_inverse(self, reference):
@@ -174,7 +202,7 @@ class TestSequenceUnitary:
             "refocus",
             (delay(tau), rot_x(SPIN_C2, np.pi), delay(tau), rot_x(SPIN_C2, np.pi)),
         )
-        zz = qstate.kron(qstate.PAULI_Z, qstate.PAULI_Z, qstate.ID2)
+        zz = nmr.LIFTED_PAULI["Z", SPIN_H] @ nmr.LIFTED_PAULI["Z", SPIN_C1]
         target = qstate.hermitian_propagator(reference.j1_eff * zz / 2)(tau)
         d = qstate.phase_invariant_distance(
             nmr.sequence_unitary(seq, reference), target
@@ -200,7 +228,7 @@ class TestPhaseGatePulses:
         u = nmr.sequence_unitary(
             nmr.phase_gate_pulses((SPIN_C1, SPIN_H), np.pi / 2, reference), reference
         )
-        z_spec = qstate.embed(qstate.PAULI_Z, [SPIN_C2], SPINS)
+        z_spec = qstate.embed(qstate.PAULI_Z, SPIN_C2, SPINS)
         assert np.max(np.abs(u @ z_spec - z_spec @ u)) < 1e-10
 
     def test_zero_angle_empty(self, reference):
@@ -396,7 +424,7 @@ class TestLiftedPaulis:
     @pytest.mark.parametrize("spin", SPINS)
     def test_z_equals_embedded_pauli(self, spin):
         assert np.array_equal(nmr.LIFTED_PAULI["Z", spin],
-                              qstate.embed(qstate.PAULI_Z, [spin], SPINS))
+                              qstate.embed(qstate.PAULI_Z, spin, SPINS))
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(build=st.sampled_from([rot_x, rot_y]), spin=st.sampled_from(SPINS), angle=finite)
