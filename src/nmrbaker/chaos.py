@@ -170,14 +170,13 @@ def subset_entropies(rhos) -> np.ndarray:
     if any(r.shape != shape for r in rhos):
         raise ValueError("ensemble members must share a dimension")
     sums = np.zeros((2**n, *shape), dtype=complex)
-    for mask in range(1, 2**n):
-        # Add members in ascending index order (strip the highest bit),
-        # as sum(members) / k does for a group.  The frontier and the
-        # Pareto filter compare scores at round-off, so another order
-        # moves greedy point counts.  The means are diagonalised in one
-        # batch, each exactly as on its own.
-        top = mask.bit_length() - 1
-        sums[mask] = sums[mask ^ (1 << top)] + rhos[top]
+    for top, rho in enumerate(rhos):
+        # Add members in ascending index order (a mask with highest bit top
+        # is its rest plus rhos[top]), as sum(members) / k does for a group:
+        # the frontier and the Pareto filter compare scores at round-off, so
+        # another order moves greedy point counts.  The means are
+        # diagonalised in one batch, each exactly as on its own.
+        sums[1 << top:2 << top] = sums[:1 << top] + rho
     sizes = np.array([mask.bit_count() for mask in range(1, 2**n)])
     entropies = np.zeros(2**n)
     entropies[1:] = qstate.von_neumann_entropies_bits(sums[1:] / sizes[:, None, None])
@@ -233,9 +232,9 @@ def greedy_grouping(rhos, entropies, seeds, memo=None) -> list[int]:
     is recomputed when it gains a member (except on the last placement,
     which nothing reads), and each distance equals :func:`js_distance`.
 
-    A group's running sum is ``rhos[seed]`` plus its other members in
-    ascending order, so an entropy depends only on the seed, the member
-    mask and, for a candidate mixture, the index of the state placed.
+    A group's running sum (one array each) is ``rhos[seed]`` plus its other
+    members in ascending order, so an entropy depends only on the seed, the
+    member mask and, for a candidate mixture, the index of the state placed.
     ``memo`` maps those keys, ``(seed, mask, idx)`` for a mixture and
     ``(seed, mask)`` for a grown group, to entropies in bits.  Runs on
     the same ensemble may share one dict; it changes no result, and
@@ -244,17 +243,15 @@ def greedy_grouping(rhos, entropies, seeds, memo=None) -> list[int]:
     """
     rhos = list(rhos)
     n = len(rhos)
-    n_groups = len(seeds)
     if 2**n != len(entropies):
         raise ValueError("the entropy table must have 2**n entries for n states")
-    if not seeds or len(set(seeds)) != n_groups or not set(seeds) <= set(range(n)):
+    if not seeds or len(set(seeds)) != len(seeds) or not set(seeds) <= set(range(n)):
         raise ValueError("seeds must be distinct member indices, at least one")
     memo = {} if memo is None else memo
     assignment = [-1] * n
     for g, idx in enumerate(seeds):
         assignment[idx] = g
-    sums = np.array([rhos[idx] for idx in seeds])
-    counts = np.ones(n_groups)
+    sums = [rhos[idx] for idx in seeds]
     masks = [1 << idx for idx in seeds]
     group_entropies = [float(entropies[mask]) for mask in masks]
     pending = [idx for idx in range(n) if assignment[idx] < 0]
@@ -263,19 +260,18 @@ def greedy_grouping(rhos, entropies, seeds, memo=None) -> list[int]:
         keys = [(seed, mask, idx) for seed, mask in zip(seeds, masks)]
         misses = [g for g, key in enumerate(keys) if key not in memo]
         if misses:
-            mixed = (sums[misses] / counts[misses, None, None] + rhos[idx]) / 2
+            mixed = np.array([(sums[g] / masks[g].bit_count() + rhos[idx]) / 2 for g in misses])
             memo.update(zip([keys[g] for g in misses], qstate.von_neumann_entropies_bits(mixed)))
         # js_distance's own expression, so each distance equals it bit for bit
         dists = [max(memo[key] - (s_g + s_rho) / 2, 0.0) for key, s_g in zip(keys, group_entropies)]
         g = dists.index(min(dists))
         assignment[idx] = g
-        sums[g] += rhos[idx]
-        counts[g] += 1
+        sums[g] = sums[g] + rhos[idx]  # not +=: sums[g] may be a member of rhos
         masks[g] |= 1 << idx
         if idx != pending[-1]:  # nothing reads the entropy after the last placement
             key = (seeds[g], masks[g])
             if key not in memo:
-                memo[key] = qstate.von_neumann_entropy_bits(sums[g] / counts[g])
+                memo[key] = qstate.von_neumann_entropy_bits(sums[g] / masks[g].bit_count())
             group_entropies[g] = memo[key]
     return assignment
 
@@ -436,12 +432,12 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
     The history ensemble runs ``n_steps`` steps, ``config.steps`` unless
     given; 2**n_steps histories must fit the exhaustive scan.
 
-    The greedy pass draws :data:`GREEDY_RESTARTS` seedings per group
-    count and keeps the nondominated (delta_s, information) points.
-    Restarts that draw the same seed members in the same order give the
-    same grouping, so :func:`greedy_grouping` runs once per distinct
-    ordered draw, and all runs share one entropy memo; each grouping is a
-    set partition, read from the scan at its :func:`_partition_position`.
+    The greedy pass draws :data:`GREEDY_RESTARTS` seedings for each of 2
+    to n-1 groups (1 and n give the first and the last scan row whatever
+    the seeds) and keeps the nondominated (delta_s, information) points.
+    A distinct ordered draw runs :func:`greedy_grouping` once, all runs
+    share one entropy memo, and each grouping is the scan row at its
+    :func:`_partition_position`.
     """
     n_steps = config.steps if n_steps is None else n_steps
     if n_steps < 1:
@@ -456,9 +452,10 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
     delta_s, info, s_max = partition_scan(entropies)
     frontier = _frontier_from_scan(delta_s, info)
     slope = frontier_slope(frontier)
+    first, last = ((float(delta_s[pos]), float(info[pos])) for pos in (0, -1))
     # sorted draws would not do: argmin breaks exact ties by group order
     greedy, memo = {}, {}
-    for n_groups in range(1, len(rhos) + 1):
+    for n_groups in range(2, len(rhos)):
         for trial in range(GREEDY_RESTARTS):
             rng = np.random.default_rng([config.seed, n_groups, trial])
             draw = tuple(rng.choice(len(rhos), size=n_groups, replace=False).tolist())
@@ -469,6 +466,6 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
         s_bar_max=s_max,
         frontier=frontier,
         slope=slope,
-        greedy_points=_pareto_points(greedy.values()),
+        greedy_points=_pareto_points([first, *greedy.values(), last]),
         n_partitions=len(delta_s),
     )

@@ -69,24 +69,27 @@ def dft_matrix(dim: int) -> np.ndarray:
 def von_neumann_entropy_bits(rho) -> float:
     """-tr(rho log2 rho) in bits.
 
-    Eigenvalues in [-EIG_CLAMP, 0] are treated as exact zeros (integrator
-    round-off); anything below -EIG_CLAMP signals a corrupted state and
-    raises.
+    Eigenvalues in [-EIG_CLAMP, 0] are exact zeros (integrator round-off);
+    one below -EIG_CLAMP, a NaN one or a non-finite entry raises.
     """
-    return _spectrum_entropy_bits(np.linalg.eigvalsh(np.asarray(rho)))
+    return _spectrum_entropy_bits(_spectra(rho))
 
 
 def von_neumann_entropies_bits(rhos) -> list[float]:
-    """:func:`von_neumann_entropy_bits` of each matrix in a stack, from
-    one batched ``eigvalsh``; each value equals the single-matrix one."""
-    return [_spectrum_entropy_bits(w) for w in np.linalg.eigvalsh(np.asarray(rhos))]
+    """:func:`von_neumann_entropy_bits` of each matrix in a stack, from one batched ``eigvalsh``."""
+    return [_spectrum_entropy_bits(w) for w in _spectra(rhos)]
+
+
+def _spectra(rhos) -> np.ndarray:
+    if not np.isfinite(rhos).all():  # LAPACK may drop a NaN, return one or not converge
+        raise ValueError("density matrix has non-finite entries")
+    spectra = np.linalg.eigvalsh(rhos)
+    if not spectra.min() >= -EIG_CLAMP:  # a NaN fails this comparison too
+        raise ValueError(f"density matrix eigenvalue {spectra.min():.3e} below -{EIG_CLAMP:g} or NaN")
+    return spectra
 
 
 def _spectrum_entropy_bits(w: np.ndarray) -> float:
-    if w.min() < -EIG_CLAMP:
-        raise ValueError(
-            f"density matrix has eigenvalue {w.min():.3e} below -{EIG_CLAMP:g}"
-        )
     w = w[w > 0.0]
     return float(-(w * np.log2(w)).sum())
 

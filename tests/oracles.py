@@ -9,8 +9,9 @@ import math
 import numpy as np
 
 from nmrbaker import qstate
-from nmrbaker.chaos import (HypersensitivityCurve, _frontier_from_scan, partition_scan, set_partitions,
-                            subset_entropies)
+from nmrbaker.chaos import (GREEDY_RESTARTS, HypersensitivityCurve, _frontier_from_scan, _pareto_points,
+                            _partition_position, greedy_grouping, history_ensemble, partition_scan,
+                            set_partitions, subset_entropies)
 from nmrbaker.lindblad import DIM, EvolutionEngine, NoiseModel
 from nmrbaker.nmr import LIFTED_PAULI, SPINS, PulseInstruction, PulseSequence, pulse_unitary
 from nmrbaker.qstate import ID2, PAULI_X, PAULI_Y
@@ -93,6 +94,26 @@ def scored_partition_scan(entropies) -> tuple[np.ndarray, np.ndarray, float]:
         delta_s.append(s_max - s_bar)
         info.append(inf)
     return np.array(delta_s), np.array(info), s_max
+
+
+def drawn_greedy_points(config, n_steps) -> list[tuple[float, float]]:
+    """The greedy points of ``chaos.hypersensitivity_experiment`` with every
+    group count 1..n drawn and run, one and n included, each grouping read
+    from its scan row.  The experiment answers those two counts from the
+    first and the last scan row without drawing, so its points must equal
+    these exactly."""
+    rhos = history_ensemble(config, n_steps)
+    entropies = subset_entropies(rhos)
+    delta_s, info, _ = partition_scan(entropies)
+    greedy, memo = {}, {}
+    for n_groups in range(1, len(rhos) + 1):
+        for trial in range(GREEDY_RESTARTS):
+            rng = np.random.default_rng([config.seed, n_groups, trial])
+            draw = tuple(rng.choice(len(rhos), size=n_groups, replace=False).tolist())
+            if draw not in greedy:
+                pos = _partition_position(greedy_grouping(rhos, entropies, draw, memo))
+                greedy[draw] = (float(delta_s[pos]), float(info[pos]))
+    return _pareto_points(greedy.values())
 
 
 def trajectory_run(

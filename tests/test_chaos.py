@@ -75,6 +75,11 @@ def seed_draw(n, n_groups, seed):
     return tuple(np.random.default_rng(seed).choice(n, size=n_groups, replace=False).tolist())
 
 
+def hex_points(points):
+    """(delta_s, I) points as float.hex pairs, which tell -0.0 from 0.0."""
+    return [(d.hex(), i.hex()) for d, i in points]
+
+
 def reference_greedy_grouping(rhos, n_groups, seed):
     """Greedy clustering with every distance taken from js_distance."""
     rhos = list(rhos)
@@ -715,21 +720,44 @@ class TestHypersensitivityExperiment:
             chaos.hypersensitivity_experiment(ExperimentConfig.preset("fig5", seed=-1))
 
     def test_one_greedy_run_per_distinct_ordered_draw(self, monkeypatch):
+        # one group, or one per state, gives one grouping whatever the draw,
+        # so only 2 <= k <= n - 1 groups are drawn and run
         cfg = ExperimentConfig.preset("fig5", map_variant="regular", seed=5)
-        draws = {seed_draw(8, n_groups, [cfg.seed, n_groups, trial])
-                 for n_groups in range(1, 9) for trial in range(chaos.GREEDY_RESTARTS)}
-        seen = []
-        original = chaos.greedy_grouping
+        n = 8
+        draws = {seed_draw(n, n_groups, [cfg.seed, n_groups, trial])
+                 for n_groups in range(2, n) for trial in range(chaos.GREEDY_RESTARTS)}
+        seen, rngs = [], []
+        original, default_rng = chaos.greedy_grouping, np.random.default_rng
 
         def counting(rhos, entropies, seeds, memo=None):
             seen.append(tuple(seeds))
             return original(rhos, entropies, seeds, memo)
 
+        def counting_rng(seed):
+            rngs.append(seed)
+            return default_rng(seed)
+
         monkeypatch.setattr(chaos, "greedy_grouping", counting)
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
         chaos.hypersensitivity_experiment(cfg)
-        assert len(draws) < 8 * chaos.GREEDY_RESTARTS
+        assert len(rngs) == (n - 2) * chaos.GREEDY_RESTARTS
+        assert len(draws) < len(rngs)
         assert len(seen) == len(set(seen)) == len(draws)
         assert set(seen) == draws
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("hamiltonian", ["noxy", "full"])
+    @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
+    def test_greedy_points_equal_drawing_every_group_count(self, variant, hamiltonian, seed):
+        cfg = ExperimentConfig.preset("fig5", map_variant=variant, hamiltonian=hamiltonian, seed=seed)
+        assert hex_points(chaos.hypersensitivity_experiment(cfg).greedy_points) == hex_points(
+            oracles.drawn_greedy_points(cfg, 3))
+
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    def test_short_ensembles_equal_drawing_every_group_count(self, n_steps):
+        cfg = ExperimentConfig.preset("fig5", map_variant="regular", seed=5)
+        assert hex_points(chaos.hypersensitivity_experiment(cfg, n_steps).greedy_points) == hex_points(
+            oracles.drawn_greedy_points(cfg, n_steps))
 
     def test_greedy_diagonalises_once_per_memo_key(self, monkeypatch):
         memos, diagonalised, inside = [], [], []

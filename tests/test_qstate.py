@@ -128,6 +128,23 @@ class TestEntropy:
         with pytest.raises(ValueError):
             qstate.von_neumann_entropy_bits(np.diag([1.1, -0.1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # OpenBLAS eigvalsh returns finite eigenvalues for diag(nan, 0, ..., 0)
+        rho = np.diag([bad] + [0.0] * 7)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            qstate.von_neumann_entropy_bits(rho)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            qstate.von_neumann_entropies_bits(np.array([np.eye(8) / 8, rho]))
+
+    def test_rejects_non_finite_spectrum(self, monkeypatch):
+        # a NaN eigenvalue fails "below -EIG_CLAMP" as well as "above" it
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(np.shape(a)[:-1], np.nan))
+        with pytest.raises(ValueError, match="or NaN"):
+            qstate.von_neumann_entropy_bits(np.eye(8) / 8)
+        with pytest.raises(ValueError, match="or NaN"):
+            qstate.von_neumann_entropies_bits(np.array([np.eye(8) / 8] * 2))
+
     def test_unitary_invariance(self):
         rng = np.random.default_rng(3)
         w = rng.random(8)
