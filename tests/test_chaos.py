@@ -469,7 +469,7 @@ class TestGreedyGrouping:
     @pytest.mark.parametrize("hamiltonian", ["noxy", "full"])
     @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
     def test_shared_memo_changes_no_assignment(self, variant, hamiltonian):
-        # all 512 draws of a fig5 job, in the job's order, through one memo
+        # all 512 draws of group counts 1 to 8, in draw order, through one memo
         cfg = ExperimentConfig.preset("fig5", map_variant=variant, hamiltonian=hamiltonian)
         rhos = chaos.history_ensemble(cfg, 3)
         table = chaos.subset_entropies(rhos)
