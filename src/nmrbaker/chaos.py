@@ -221,59 +221,87 @@ def js_distance(a: np.ndarray, b: np.ndarray) -> float:
     return max(s_mix - s_avg, 0.0)
 
 
-def greedy_grouping(rhos, entropies, seeds, memo=None) -> list[int]:
-    """Nearly optimal grouping into ``len(seeds)`` clusters.
+def greedy_groupings(rhos, entropies, draws, table=None) -> np.ndarray:
+    """Nearly optimal groupings of ``rhos``, one row of labels per draw.
 
-    Group ``g`` starts as the single member ``seeds[g]``; each remaining
-    state, in list order, joins the group whose running average is
-    closest in :func:`js_distance` (the first of equal distances, as
-    ``np.argmin`` picks).  ``entropies`` is the :func:`subset_entropies`
-    table of ``rhos``: entry ``1 << i`` is S(rhos[i]).  A group's entropy
-    is recomputed when it gains a member (except on the last placement,
-    which nothing reads), and each distance equals :func:`js_distance`.
+    Each row of ``draws`` seeds ``k`` groups: group ``g`` starts as the
+    single member ``draw[g]``.  Each remaining state, in list order, joins
+    the group whose running average is closest in :func:`js_distance` (the
+    first of equal distances, as ``np.argmin`` picks).  ``entropies`` is the
+    :func:`subset_entropies` table of ``rhos``: entry ``1 << i`` is
+    S(rhos[i]).  A group's entropy is recomputed when it gains a member
+    (except on the last placement, which nothing reads), and each distance
+    equals :func:`js_distance`.  The draws run in lockstep, one placement
+    at a time for all rows.
 
-    A group's running sum (one array each) is ``rhos[seed]`` plus its other
-    members in ascending order, so an entropy depends only on the seed, the
-    member mask and, for a candidate mixture, the index of the state placed.
-    ``memo`` maps those keys, ``(seed, mask, idx)`` for a mixture and
-    ``(seed, mask)`` for a grown group, to entropies in bits.  Runs on
-    the same ensemble may share one dict; it changes no result, and
-    only its misses are diagonalised, the mixtures of one placement in
-    one batched ``eigvalsh``.
+    A group's running sum is ``rhos[seed]`` plus its other members in
+    ascending order, so an entropy depends only on the seed, the member
+    mask and, for a candidate mixture, the index of the state placed.
+    ``table`` (n, 2**n, n + 1), NaN where unknown, holds those entropies in
+    bits at ``[seed, mask, idx]``, with ``idx = n`` for a grown group.
+    Runs on the same ensemble may share one table; it changes no result,
+    and each placement diagonalises only its distinct misses, the
+    mixtures in one batched ``eigvalsh`` and the grown groups in another.
     """
-    rhos = list(rhos)
+    rhos, entropies = np.array(list(rhos)), np.asarray(entropies)
     n = len(rhos)
     if 2**n != len(entropies):
         raise ValueError("the entropy table must have 2**n entries for n states")
-    if not seeds or len(set(seeds)) != len(seeds) or not set(seeds) <= set(range(n)):
+    draws = np.asarray(draws)
+    if (draws.ndim != 2 or not draws.shape[1] or not np.issubdtype(draws.dtype, np.integer)
+            or (draws < 0).any() or (draws >= n).any()
+            or (np.diff(np.sort(draws, axis=1), axis=1) == 0).any()):
         raise ValueError("seeds must be distinct member indices, at least one")
-    memo = {} if memo is None else memo
-    assignment = [-1] * n
-    for g, idx in enumerate(seeds):
-        assignment[idx] = g
-    sums = [rhos[idx] for idx in seeds]
-    masks = [1 << idx for idx in seeds]
-    group_entropies = [float(entropies[mask]) for mask in masks]
-    pending = [idx for idx in range(n) if assignment[idx] < 0]
-    for idx in pending:
-        s_rho = float(entropies[1 << idx])
-        keys = [(seed, mask, idx) for seed, mask in zip(seeds, masks)]
-        misses = [g for g, key in enumerate(keys) if key not in memo]
-        if misses:
-            mixed = np.array([(sums[g] / masks[g].bit_count() + rhos[idx]) / 2 for g in misses])
-            memo.update(zip([keys[g] for g in misses], qstate.von_neumann_entropies_bits(mixed)))
+    if table is None:
+        table = np.full((n, 2**n, n + 1), np.nan)
+    if table.shape != (n, 2**n, n + 1) or not table.flags.c_contiguous:
+        raise ValueError("the entropy memo must be a C-contiguous (n, 2**n, n + 1) array")
+    flat = table.reshape(-1)
+    runs, k = draws.shape
+    run = np.arange(runs)
+    labels = np.full((runs, n), -1)
+    labels[run[:, None], draws] = np.arange(k)
+    pending = np.nonzero(labels < 0)[1].reshape(runs, n - k)  # ascending in each run
+    bits = 1 << np.arange(n)
+    sizes = np.array([mask.bit_count() for mask in range(2**n)])  # members of each mask
+    sums = rhos[draws]
+    masks = bits[draws]
+    group_s = entropies[masks]
+    for step in range(n - k):
+        idx = pending[:, step]
+        keys = ((draws << n) + masks) * (n + 1) + idx[:, None]
+        new, (r, g) = _misses(flat, keys)
+        if len(new):
+            flat[new] = qstate.von_neumann_entropies_bits(
+                (sums[r, g] / sizes[masks[r, g], None, None] + rhos[idx[r]]) / 2)
         # js_distance's own expression, so each distance equals it bit for bit
-        dists = [max(memo[key] - (s_g + s_rho) / 2, 0.0) for key, s_g in zip(keys, group_entropies)]
-        g = dists.index(min(dists))
-        assignment[idx] = g
-        sums[g] = sums[g] + rhos[idx]  # not +=: sums[g] may be a member of rhos
-        masks[g] |= 1 << idx
-        if idx != pending[-1]:  # nothing reads the entropy after the last placement
-            key = (seeds[g], masks[g])
-            if key not in memo:
-                memo[key] = qstate.von_neumann_entropy_bits(sums[g] / masks[g].bit_count())
-            group_entropies[g] = memo[key]
-    return assignment
+        dists = np.maximum(flat[keys] - (group_s + entropies[bits[idx]][:, None]) / 2, 0.0)
+        g = dists.argmin(axis=1)
+        labels[run, idx] = g
+        sums[run, g] = sums[run, g] + rhos[idx]
+        masks[run, g] |= bits[idx]
+        if step < n - k - 1:  # nothing reads the entropy after the last placement
+            keys = ((draws[run, g] << n) + masks[run, g]) * (n + 1) + n
+            new, (r,) = _misses(flat, keys)
+            if len(new):
+                flat[new] = qstate.von_neumann_entropies_bits(sums[r, g[r]] / sizes[masks[r, g[r]], None, None])
+            group_s[run, g] = flat[keys]
+    return labels
+
+
+def _misses(flat, keys):
+    """The distinct entries of ``flat`` that ``keys`` names and that are
+    still NaN, with the index in ``keys`` where each first occurs."""
+    where = np.nonzero(np.isnan(flat[keys]))
+    new, first = np.unique(keys[where], return_index=True)
+    return new, tuple(w[first] for w in where)
+
+
+def greedy_grouping(rhos, entropies, seeds, table=None) -> list[int]:
+    """Nearly optimal grouping into ``len(seeds)`` clusters, group ``g``
+    seeded by ``seeds[g]``: the one-draw :func:`greedy_groupings`, its row
+    as a list of group labels."""
+    return greedy_groupings(rhos, entropies, [seeds], table)[0].tolist()
 
 
 def set_partitions(n: int):
@@ -342,15 +370,20 @@ def _partition_layout(n: int):
     return tuple(by_size), information, keys
 
 
+def _partition_positions(labels) -> np.ndarray:
+    """Position in :func:`set_partitions` order of each row of ``labels``
+    (a group label per state), relabelled by first appearance as those
+    strings are."""
+    labels = np.asarray(labels)
+    n = labels.shape[1]
+    first = (labels[:, :, None] == labels[:, None, :]).argmax(axis=2)  # first equal label
+    strings = np.take_along_axis(np.cumsum(first == np.arange(n), axis=1) - 1, first, axis=1)
+    return np.searchsorted(_partition_layout(n)[2], strings @ n ** np.arange(n - 1, -1, -1))
+
+
 def _partition_position(assignment) -> int:
-    """Position in :func:`set_partitions` order of ``assignment`` (a group
-    label per state), relabelled by first appearance as those strings are."""
-    labels: dict = {}
-    n = len(assignment)
-    key = 0
-    for g in assignment:
-        key = key * n + labels.setdefault(g, len(labels))
-    return int(np.searchsorted(_partition_layout(n)[2], key))
+    """The one-row :func:`_partition_positions`."""
+    return int(_partition_positions([assignment])[0])
 
 
 def _dots(a, b) -> np.ndarray:
@@ -435,9 +468,10 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
     The greedy pass draws :data:`GREEDY_RESTARTS` seedings for each of 2
     to n-1 groups (1 and n give the first and the last scan row whatever
     the seeds) and keeps the nondominated (delta_s, information) points.
-    A distinct ordered draw runs :func:`greedy_grouping` once, all runs
-    share one entropy memo, and each grouping is the scan row at its
-    :func:`_partition_position`.
+    The distinct ordered draws of one group count, in draw order, run in
+    lockstep through one :func:`greedy_groupings` call; every group count
+    shares one entropy table, and each grouping is the scan row at its
+    :func:`_partition_positions`.
     """
     n_steps = config.steps if n_steps is None else n_steps
     if n_steps < 1:
@@ -454,18 +488,18 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
     slope = frontier_slope(frontier)
     first, last = ((float(delta_s[pos]), float(info[pos])) for pos in (0, -1))
     # sorted draws would not do: argmin breaks exact ties by group order
-    greedy, memo = {}, {}
+    points, table = [first], np.full((len(rhos), len(entropies), len(rhos) + 1), np.nan)
     for n_groups in range(2, len(rhos)):
-        for trial in range(GREEDY_RESTARTS):
-            rng = np.random.default_rng([config.seed, n_groups, trial])
-            draw = tuple(rng.choice(len(rhos), size=n_groups, replace=False).tolist())
-            if draw not in greedy:
-                pos = _partition_position(greedy_grouping(rhos, entropies, draw, memo))
-                greedy[draw] = (float(delta_s[pos]), float(info[pos]))
+        draws = dict.fromkeys(
+            tuple(np.random.default_rng([config.seed, n_groups, trial])
+                  .choice(len(rhos), size=n_groups, replace=False).tolist())
+            for trial in range(GREEDY_RESTARTS))
+        pos = _partition_positions(greedy_groupings(rhos, entropies, list(draws), table))
+        points += zip(delta_s[pos].tolist(), info[pos].tolist())
     return HyperResult(
         s_bar_max=s_max,
         frontier=frontier,
         slope=slope,
-        greedy_points=_pareto_points([first, *greedy.values(), last]),
+        greedy_points=_pareto_points([*points, last]),
         n_partitions=len(delta_s),
     )

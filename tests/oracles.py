@@ -10,8 +10,7 @@ import numpy as np
 
 from nmrbaker import qstate
 from nmrbaker.chaos import (GREEDY_RESTARTS, HypersensitivityCurve, _frontier_from_scan, _pareto_points,
-                            _partition_position, greedy_grouping, history_ensemble, partition_scan,
-                            set_partitions, subset_entropies)
+                            history_ensemble, js_distance, partition_scan, set_partitions, subset_entropies)
 from nmrbaker.lindblad import DIM, EvolutionEngine, NoiseModel
 from nmrbaker.nmr import LIFTED_PAULI, SPINS, PulseInstruction, PulseSequence, pulse_unitary
 from nmrbaker.qstate import ID2, PAULI_X, PAULI_Y
@@ -96,22 +95,53 @@ def scored_partition_scan(entropies) -> tuple[np.ndarray, np.ndarray, float]:
     return np.array(delta_s), np.array(info), s_max
 
 
+def reference_greedy_grouping(rhos, seeds) -> list[int]:
+    """Greedy clustering one draw at a time, with no memo: group ``g``
+    starts as ``rhos[seeds[g]]``, each other state in list order joins the
+    first group closest in :func:`chaos.js_distance` to its running mean,
+    and every entropy is diagonalised afresh."""
+    rhos = list(rhos)
+    assignment = [-1] * len(rhos)
+    sums, counts = [], []
+    for g, idx in enumerate(seeds):
+        assignment[idx] = g
+        sums.append(rhos[idx].copy())
+        counts.append(1)
+    for idx in range(len(rhos)):
+        if assignment[idx] >= 0:
+            continue
+        dists = [js_distance(total / count, rhos[idx]) for total, count in zip(sums, counts)]
+        g = int(np.argmin(dists))
+        assignment[idx] = g
+        sums[g] += rhos[idx]
+        counts[g] += 1
+    return assignment
+
+
+def first_appearance(labels) -> tuple:
+    """``labels`` relabelled by first appearance: its restricted-growth
+    string in :func:`chaos.set_partitions`."""
+    first: dict = {}
+    return tuple(first.setdefault(g, len(first)) for g in labels)
+
+
 def drawn_greedy_points(config, n_steps) -> list[tuple[float, float]]:
     """The greedy points of ``chaos.hypersensitivity_experiment`` with every
-    group count 1..n drawn and run, one and n included, each grouping read
-    from its scan row.  The experiment answers those two counts from the
-    first and the last scan row without drawing, so its points must equal
-    these exactly."""
+    group count 1..n drawn and run one draw at a time by
+    :func:`reference_greedy_grouping`, each grouping read from the scan row
+    at its index in ``chaos.set_partitions``.  The experiment answers one
+    and n groups from the first and the last scan row without drawing and
+    runs the others in lockstep, so its points must equal these exactly."""
     rhos = history_ensemble(config, n_steps)
-    entropies = subset_entropies(rhos)
-    delta_s, info, _ = partition_scan(entropies)
-    greedy, memo = {}, {}
+    delta_s, info, _ = partition_scan(subset_entropies(rhos))
+    strings = list(set_partitions(len(rhos)))
+    greedy = {}
     for n_groups in range(1, len(rhos) + 1):
         for trial in range(GREEDY_RESTARTS):
             rng = np.random.default_rng([config.seed, n_groups, trial])
             draw = tuple(rng.choice(len(rhos), size=n_groups, replace=False).tolist())
             if draw not in greedy:
-                pos = _partition_position(greedy_grouping(rhos, entropies, draw, memo))
+                pos = strings.index(first_appearance(reference_greedy_grouping(rhos, draw)))
                 greedy[draw] = (float(delta_s[pos]), float(info[pos]))
     return _pareto_points(greedy.values())
 

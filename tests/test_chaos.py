@@ -75,31 +75,27 @@ def seed_draw(n, n_groups, seed):
     return tuple(np.random.default_rng(seed).choice(n, size=n_groups, replace=False).tolist())
 
 
+def memo_keys(draw, assignment) -> set:
+    """The memo entries one greedy run reads, from its draw and result:
+    ``(seed, mask, idx)`` for each group's mixture with each placed state,
+    and ``(seed, mask, n)`` for the group grown by each placement but the
+    last."""
+    n = len(assignment)
+    masks = [1 << seed for seed in draw]
+    pending = [idx for idx in range(n) if idx not in draw]
+    keys = set()
+    for step, idx in enumerate(pending):
+        keys |= {(seed, mask, idx) for seed, mask in zip(draw, masks)}
+        g = assignment[idx]
+        masks[g] |= 1 << idx
+        if step < len(pending) - 1:
+            keys.add((draw[g], masks[g], n))
+    return keys
+
+
 def hex_points(points):
     """(delta_s, I) points as float.hex pairs, which tell -0.0 from 0.0."""
     return [(d.hex(), i.hex()) for d, i in points]
-
-
-def reference_greedy_grouping(rhos, n_groups, seed):
-    """Greedy clustering with every distance taken from js_distance."""
-    rhos = list(rhos)
-    n = len(rhos)
-    seeds = np.random.default_rng(seed).choice(n, size=n_groups, replace=False)
-    assignment = [-1] * n
-    sums, counts = [], []
-    for g, idx in enumerate(seeds):
-        assignment[idx] = g
-        sums.append(rhos[idx].copy())
-        counts.append(1)
-    for idx in range(n):
-        if assignment[idx] >= 0:
-            continue
-        dists = [chaos.js_distance(sums[g] / counts[g], rhos[idx]) for g in range(n_groups)]
-        g = int(np.argmin(dists))
-        assignment[idx] = g
-        sums[g] += rhos[idx]
-        counts[g] += 1
-    return assignment
 
 
 class TestConfig:
@@ -436,18 +432,47 @@ class TestGreedyGrouping:
         with pytest.raises(ValueError):
             chaos.greedy_grouping(fig2_chaotic_ensemble[:7], fig2_chaotic_table, (0, 1, 2))
 
+    @pytest.mark.parametrize("draws", [[(0, 1), (2, 2)], [(0, 1), (2, 8)], [(0, 1), (-1, 2)],
+                                       [(0, 1), (2,)], [(0, 1.0)], [()], []])
+    def test_every_draw_validated(self, draws, fig2_chaotic_ensemble, fig2_chaotic_table):
+        with pytest.raises(ValueError):
+            chaos.greedy_groupings(fig2_chaotic_ensemble, fig2_chaotic_table, draws)
+
+    @pytest.mark.parametrize("table", [np.full((8, 256, 8), np.nan), np.full((8, 256, 18), np.nan)[..., ::2]])
+    def test_memo_shape_validated(self, table, fig2_chaotic_ensemble, fig2_chaotic_table):
+        with pytest.raises(ValueError):
+            chaos.greedy_groupings(fig2_chaotic_ensemble, fig2_chaotic_table, [(0, 1)], table)
+
+    @pytest.mark.parametrize("hamiltonian", ["noxy", "simplified", "full"])
+    def test_lockstep_rows_on_the_regular_map(self, hamiltonian):
+        # every member is bitwise rho or Z_H rho Z_H, so distances tie exactly
+        # and the first of equal distances decides
+        cfg = ExperimentConfig.preset("fig5", map_variant="regular", hamiltonian=hamiltonian)
+        rhos = chaos.history_ensemble(cfg, 3)
+        table = chaos.subset_entropies(rhos)
+        rng = np.random.default_rng(7)
+        memo = np.full((8, 2**8, 9), np.nan)
+        for n_groups in range(1, 9):
+            draws = [tuple(rng.permutation(8)[:n_groups].tolist()) for _ in range(24)]
+            rows = chaos.greedy_groupings(rhos, table, draws, memo)
+            assert rows.tolist() == [oracles.reference_greedy_grouping(rhos, draw) for draw in draws]
+
     @pytest.mark.parametrize("seeds", [(3,), (5, 0, 2), tuple(range(7)), tuple(range(8))])
     def test_group_entropy_calls(self, seeds, monkeypatch, fig2_chaotic_ensemble,
                                  fig2_chaotic_table):
         # a group's entropy is recomputed after each placement but the last,
-        # whose value nothing reads: n - k - 1 calls for n states, k groups
-        calls = []
-        entropy = qstate.von_neumann_entropy_bits
-        monkeypatch.setattr(qstate, "von_neumann_entropy_bits",
-                            lambda rho: calls.append(rho) or entropy(rho))
-        chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, seeds)
+        # whose value nothing reads: n - k - 1 grown entries for n states and
+        # k groups, beside one mixture per group and placement, and each
+        # entry is diagonalised once
+        diagonalised = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: diagonalised.append(len(a)) or eigvalsh(a))
         n, k = len(fig2_chaotic_ensemble), len(seeds)
-        assert len(calls) == (n - k - 1 if n > k else 0)
+        table = np.full((n, 2**n, n + 1), np.nan)
+        chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, seeds, table)
+        grown = np.count_nonzero(~np.isnan(table[..., n]))
+        assert grown == (n - k - 1 if n > k else 0)
+        assert sum(diagonalised) == np.count_nonzero(~np.isnan(table)) == grown + k * (n - k)
 
     @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
     def test_matches_js_distance_reference(self, variant, request):
@@ -458,9 +483,9 @@ class TestGreedyGrouping:
         for n_groups in range(1, 9):
             for trial in range(chaos.GREEDY_RESTARTS):
                 seed = [0, n_groups, trial]
-                reference = reference_greedy_grouping(rhos, n_groups, seed)
-                assert (chaos.greedy_grouping(rhos, table, seed_draw(8, n_groups, seed))
-                        == reference), seed
+                draw = seed_draw(8, n_groups, seed)
+                reference = oracles.reference_greedy_grouping(rhos, draw)
+                assert chaos.greedy_grouping(rhos, table, draw) == reference, seed
                 s_bar, information = oracles._score(reference, table)
                 points.append((table[-1] - s_bar, information))
         result = request.getfixturevalue(f"{variant}_result")
@@ -469,31 +494,34 @@ class TestGreedyGrouping:
     @pytest.mark.parametrize("hamiltonian", ["noxy", "full"])
     @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
     def test_shared_memo_changes_no_assignment(self, variant, hamiltonian):
-        # all 512 draws of group counts 1 to 8, in draw order, through one memo
+        # all 512 draws of group counts 1 to 8: each count's distinct draws
+        # in lockstep, in draw order, every count through one table
         cfg = ExperimentConfig.preset("fig5", map_variant=variant, hamiltonian=hamiltonian)
         rhos = chaos.history_ensemble(cfg, 3)
         table = chaos.subset_entropies(rhos)
-        memo, memo_free = {}, {}
+        memo = np.full((8, 2**8, 9), np.nan)
         for n_groups in range(1, 9):
-            for trial in range(chaos.GREEDY_RESTARTS):
-                seed = [cfg.seed, n_groups, trial]
-                draw = seed_draw(8, n_groups, seed)
-                if draw not in memo_free:
-                    memo_free[draw] = chaos.greedy_grouping(rhos, table, draw)
-                    assert memo_free[draw] == reference_greedy_grouping(rhos, n_groups, seed), seed
-                assert chaos.greedy_grouping(rhos, table, draw, memo) == memo_free[draw], seed
-        # each entry is the entropy its key names: the seed's state plus the
-        # other members in ascending order, averaged, mixed with rhos[idx]
-        assert memo
-        for key, entropy in memo.items():
-            seed, mask = key[:2]
+            draws = list(dict.fromkeys(seed_draw(8, n_groups, [cfg.seed, n_groups, trial])
+                                       for trial in range(chaos.GREEDY_RESTARTS)))
+            rows = chaos.greedy_groupings(rhos, table, draws, memo).tolist()
+            for draw, row in zip(draws, rows):
+                memo_free = chaos.greedy_grouping(rhos, table, draw)
+                assert memo_free == oracles.reference_greedy_grouping(rhos, draw), draw
+                assert row == memo_free, draw
+        # each filled entry is the entropy its index names: the seed's state
+        # plus the other members in ascending order, averaged, mixed with
+        # rhos[idx] (idx = 8: the grown group itself)
+        filled = np.argwhere(~np.isnan(memo))
+        assert len(filled)
+        for seed, mask, idx in filled.tolist():
             total = rhos[seed]
             for i in range(8):
                 if mask >> i & 1 and i != seed:
                     total = total + rhos[i]
             mean = total / mask.bit_count()
-            mixed = (mean + rhos[key[2]]) / 2 if len(key) == 3 else mean
-            assert entropy == qstate.von_neumann_entropy_bits(mixed), key
+            mixed = (mean + rhos[idx]) / 2 if idx < 8 else mean
+            expected = qstate.von_neumann_entropy_bits(mixed)
+            assert float(memo[seed, mask, idx]).hex() == expected.hex(), (seed, mask, idx)
 
 
 class TestSetPartitions:
@@ -584,6 +612,24 @@ def random_ensembles(draw, states=st.integers(2, 6)):
     return rhos
 
 
+@st.composite
+def parity_ensembles(draw):
+    """2, 4 or 8 members, each bitwise rho or Z rho Z by the parity of its
+    index (Z a diagonal of signs), as in the regular map's history
+    ensemble: greedy distances tie exactly."""
+    rho = draw(random_ensembles(st.just(1)))[0]
+    z = np.diag(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=len(rho), max_size=len(rho))))
+    classes = rho, z @ rho @ z
+    return [classes[i.bit_count() % 2] for i in range(draw(st.sampled_from([2, 4, 8])))]
+
+
+@st.composite
+def draw_sets(draw, n):
+    """Ordered draws of one group count of ``n`` members, repeats allowed."""
+    k = draw(st.integers(1, n))
+    return draw(st.lists(st.permutations(range(n)).map(lambda p: tuple(p[:k])), min_size=1, max_size=12))
+
+
 class TestPartitionProperties:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(random_ensembles())
@@ -622,8 +668,7 @@ class TestPartitionProperties:
         rhos = data.draw(random_ensembles(st.sampled_from(range(1, 9))))
         n = len(rhos)
         labels = data.draw(st.lists(st.integers(-3, 12), min_size=n, max_size=n))
-        first: dict = {}
-        string = tuple(first.setdefault(g, len(first)) for g in labels)
+        string = oracles.first_appearance(labels)
         assert chaos._partition_position(labels) == list(chaos.set_partitions(n)).index(string)
         table = chaos.subset_entropies(rhos)
         stats = chaos.grouping_stats(labels, table)
@@ -631,6 +676,33 @@ class TestPartitionProperties:
         # float.hex tells -0.0 from 0.0
         assert ((stats.mean_conditional_entropy.hex(), stats.information.hex())
                 == tuple(x.hex() for x in expected))
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_positions_equal_the_set_partitions_index(self, data):
+        n = data.draw(st.integers(1, 8))
+        rows = data.draw(st.lists(st.lists(st.integers(-3, 12), min_size=n, max_size=n),
+                                  min_size=1, max_size=6))
+        # renaming the labels by any bijection moves no row
+        values = sorted({g for row in rows for g in row})
+        rename = dict(zip(values, data.draw(st.permutations(values))))
+        strings = list(chaos.set_partitions(n))
+        expected = [strings.index(oracles.first_appearance(row)) for row in rows]
+        assert chaos._partition_positions(rows).tolist() == expected
+        assert chaos._partition_positions([[rename[g] for g in row] for row in rows]).tolist() == expected
+
+    @pytest.mark.parametrize("ensembles", [random_ensembles(), parity_ensembles()], ids=["random", "parity"])
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_lockstep_rows_equal_one_draw_at_a_time(self, ensembles, data):
+        rhos = data.draw(ensembles)
+        n = len(rhos)
+        table = chaos.subset_entropies(rhos)
+        memo = np.full((n, 2**n, n + 1), np.nan)
+        for _ in range(2):  # two draw sets through one memo
+            draws = data.draw(draw_sets(n))
+            rows = chaos.greedy_groupings(rhos, table, draws, memo)
+            assert rows.tolist() == [oracles.reference_greedy_grouping(rhos, draw) for draw in draws]
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(random_ensembles())
@@ -640,13 +712,50 @@ class TestPartitionProperties:
         for n_groups in range(1, len(rhos) + 1):
             for trial in range(4):
                 seed = [0, n_groups, trial]
-                assignment = chaos.greedy_grouping(rhos, table, seed_draw(len(rhos), n_groups, seed))
-                assert assignment == reference_greedy_grouping(rhos, n_groups, seed)
+                draw = seed_draw(len(rhos), n_groups, seed)
+                assignment = chaos.greedy_grouping(rhos, table, draw)
+                assert assignment == oracles.reference_greedy_grouping(rhos, draw)
                 stats = chaos.grouping_stats(assignment, table)
                 d = table[-1] - stats.mean_conditional_entropy
                 feasible = frontier.i_min[frontier.delta_s >= d - 1e-12]
                 assert feasible.size
                 assert stats.information >= feasible.min() - 1e-12
+
+
+def binary_entropy(p: float) -> float:
+    return -sum(x * math.log2(x) for x in (p, 1 - p) if x > 0)
+
+
+class TestRegularMapClosedForm:
+    # Z_H commutes with the whole regular step under every Hamiltonian:
+    # t_regular pulses only C1, every drift term with H is diagonal, the
+    # full exchange term couples only C1 and C2, and dephasing commutes
+    # with Z conjugation
+
+    @pytest.mark.parametrize("hamiltonian", ["noxy", "simplified"])
+    @pytest.mark.parametrize("preset", sorted(chaos.PRESETS))
+    def test_entropy_series(self, preset, hamiltonian):
+        # a diagonal drift also commutes with the dephasing and the C1 pi
+        # pulses, so only each spin's coherence decay exp(-2 Gamma n T)
+        # changes the spectrum; fig4's averaged kick dephases H fully, one
+        # bit from the first step on
+        cfg = ExperimentConfig.preset(preset, map_variant="regular", hamiltonian=hamiltonian)
+        period = nmr.t_regular(cfg.model()).total_delay
+        for n, entropy in chaos.entropy_experiment(cfg):
+            terms = [1.0 if cfg.artificial_perturbation and n and spin == nmr.SPIN_H
+                     else binary_entropy((1 + math.exp(-2 * gamma * n * period)) / 2)
+                     for spin, gamma in cfg.noise().items()]
+            assert entropy == pytest.approx(sum(terms), rel=0, abs=1e-12), n
+
+    @pytest.mark.parametrize("hamiltonian", ["noxy", "simplified", "full"])
+    @pytest.mark.parametrize("preset", sorted(chaos.PRESETS))
+    def test_history_members_are_two_states(self, preset, hamiltonian):
+        cfg = ExperimentConfig.preset(preset, map_variant="regular", hamiltonian=hamiltonian)
+        rhos = chaos.history_ensemble(cfg, 3)
+        z = nmr.LIFTED_PAULI["Z", nmr.SPIN_H]
+        classes = rhos[0], z @ rhos[0] @ z
+        for history, rho in enumerate(rhos):
+            assert np.array_equal(rho, classes[history.bit_count() % 2]), history
 
 
 class TestHypersensitivityExperiment:
@@ -721,29 +830,32 @@ class TestHypersensitivityExperiment:
 
     def test_one_greedy_run_per_distinct_ordered_draw(self, monkeypatch):
         # one group, or one per state, gives one grouping whatever the draw,
-        # so only 2 <= k <= n - 1 groups are drawn and run
+        # so only 2 <= k <= n - 1 groups are drawn and run: each distinct
+        # ordered draw once, in draw order, one lockstep call per k
         cfg = ExperimentConfig.preset("fig5", map_variant="regular", seed=5)
         n = 8
-        draws = {seed_draw(n, n_groups, [cfg.seed, n_groups, trial])
-                 for n_groups in range(2, n) for trial in range(chaos.GREEDY_RESTARTS)}
-        seen, rngs = [], []
-        original, default_rng = chaos.greedy_grouping, np.random.default_rng
+        draws = list(dict.fromkeys(seed_draw(n, n_groups, [cfg.seed, n_groups, trial])
+                                   for n_groups in range(2, n)
+                                   for trial in range(chaos.GREEDY_RESTARTS)))
+        seen, calls, rngs = [], [], []
+        original, default_rng = chaos.greedy_groupings, np.random.default_rng
 
-        def counting(rhos, entropies, seeds, memo=None):
-            seen.append(tuple(seeds))
-            return original(rhos, entropies, seeds, memo)
+        def counting(rhos, entropies, draws, table=None):
+            calls.append(len(draws))
+            seen.extend(map(tuple, draws))
+            return original(rhos, entropies, draws, table)
 
         def counting_rng(seed):
             rngs.append(seed)
             return default_rng(seed)
 
-        monkeypatch.setattr(chaos, "greedy_grouping", counting)
+        monkeypatch.setattr(chaos, "greedy_groupings", counting)
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
         chaos.hypersensitivity_experiment(cfg)
         assert len(rngs) == (n - 2) * chaos.GREEDY_RESTARTS
         assert len(draws) < len(rngs)
-        assert len(seen) == len(set(seen)) == len(draws)
-        assert set(seen) == draws
+        assert len(calls) == n - 2
+        assert seen == draws
 
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("hamiltonian", ["noxy", "full"])
@@ -760,28 +872,38 @@ class TestHypersensitivityExperiment:
             oracles.drawn_greedy_points(cfg, n_steps))
 
     def test_greedy_diagonalises_once_per_memo_key(self, monkeypatch):
-        memos, diagonalised, inside = [], [], []
-        greedy, eigvalsh = chaos.greedy_grouping, np.linalg.eigvalsh
+        tables, runs, diagonalised, inside = [], [], [], []
+        greedy, eigvalsh = chaos.greedy_groupings, np.linalg.eigvalsh
 
         def counting_eigvalsh(a):
             if inside:
                 diagonalised.append(math.prod(np.shape(a)[:-2]))
             return eigvalsh(a)
 
-        def counting_greedy(rhos, entropies, seeds, memo=None):
-            memos.append(memo)
+        def counting_greedy(rhos, entropies, draws, table=None):
+            tables.append(table)
             inside.append(True)
             try:
-                return greedy(rhos, entropies, seeds, memo)
+                rows = greedy(rhos, entropies, draws, table)
             finally:
                 inside.pop()
+            runs.extend(zip(draws, rows.tolist()))
+            return rows
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-        monkeypatch.setattr(chaos, "greedy_grouping", counting_greedy)
+        monkeypatch.setattr(chaos, "greedy_groupings", counting_greedy)
         chaos.hypersensitivity_experiment(ExperimentConfig.preset("fig5"))
-        # one memo for the whole job, and no key diagonalised twice
-        assert memos and all(memo is memos[0] for memo in memos)
-        assert 0 < sum(diagonalised) <= len(memos[0])
+        # one table for the whole job, filled at exactly the entries the runs
+        # read, and no entry diagonalised twice
+        assert tables and all(table is tables[0] for table in tables)
+        filled = {tuple(key) for key in np.argwhere(~np.isnan(tables[0])).tolist()}
+        assert filled == set().union(*(memo_keys(draw, row) for draw, row in runs))
+        assert sum(diagonalised) == len(filled)
+        # one batched call for the mixtures of each placement and one for the
+        # grown groups of each placement but the last: at most 2 (n - k) - 1
+        # for each k = 2..7, where one call per draw made about 210
+        n = 8
+        assert len(diagonalised) <= sum(2 * (n - k) - 1 for k in range(2, n)) < 2 * sum(n - k for k in range(2, n))
 
     @pytest.mark.parametrize("hamiltonian", ["noxy", "full"])
     @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
