@@ -72,6 +72,14 @@ MUTANTS = (
            "_pareto_points(points)",
            (HYPER + "test_greedy_points_equal_drawing_every_group_count",
             HYPER + "test_short_ensembles_equal_drawing_every_group_count")),
+    Mutant("regular-map-kicks-c2", "chaos.py",
+           'return [(nmr.t_regular(model), LIFTED_PAULI["Z", SPIN_H])] * n_steps',
+           'return [(nmr.t_regular(model), LIFTED_PAULI["Z", SPIN_C2])] * n_steps',
+           (CHAOS + "TestRegularMapClosedForm::test_history_members_are_two_states",)),
+    Mutant("averaged-kick-dropped", "chaos.py",
+           "rho = _averaged_kick(rho, z)",
+           "rho = rho",
+           (CHAOS + "TestRegularMapClosedForm::test_entropy_series",)),
     Mutant("j2-guard-dropped", "nmr.py",
            "if not (math.isfinite(self.j2) and self.j2 > 0):",
            "if False:",

@@ -757,6 +757,29 @@ class TestRegularMapClosedForm:
         for history, rho in enumerate(rhos):
             assert np.array_equal(rho, classes[history.bit_count() % 2]), history
 
+    @pytest.mark.parametrize("hamiltonian", ["noxy", "simplified", "full"])
+    def test_scan_rows_and_parity_split(self, hamiltonian):
+        # a group with a fraction f of even-parity histories has the mean
+        # f rho + (1 - f) Z rho Z, and the even/odd split recovers the most
+        # entropy for the least information, one bit
+        cfg = ExperimentConfig.preset("fig5", map_variant="regular", hamiltonian=hamiltonian)
+        rhos = chaos.history_ensemble(cfg, 3)
+        z = nmr.LIFTED_PAULI["Z", nmr.SPIN_H]
+        rho, kicked = rhos[0], z @ rhos[0] @ z
+        delta_s, info, s_max = chaos.partition_scan(chaos.subset_entropies(rhos))
+        parity = [history.bit_count() % 2 for history in range(8)]
+        group_entropy = {(even, size): qstate.von_neumann_entropy_bits((even * rho + (size - even) * kicked) / size)
+                         for size in range(1, 9) for even in range(size + 1)}
+        for pos, string in enumerate(chaos.set_partitions(8)):
+            members = [[i for i in range(8) if string[i] == g] for g in range(max(string) + 1)]
+            s_bar = sum(len(group) / 8 * group_entropy[sum(1 - parity[i] for i in group), len(group)]
+                        for group in members)
+            assert delta_s[pos] == pytest.approx(s_max - s_bar, rel=0, abs=1e-12), string
+        frontier = chaos.hypersensitivity_experiment(cfg).frontier
+        split = qstate.von_neumann_entropy_bits((rho + kicked) / 2) - qstate.von_neumann_entropy_bits(rho)
+        assert frontier.delta_s[-1] == pytest.approx(split, rel=0, abs=1e-12)
+        assert frontier.i_min[-1] == 1.0
+
 
 class TestHypersensitivityExperiment:
     def test_chaotic_anchor(self, chaotic_result):
