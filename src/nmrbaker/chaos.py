@@ -18,7 +18,6 @@ Jensen-Shannon-type distance approximates it; its points are scan rows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -155,12 +154,14 @@ def history_ensemble(config: ExperimentConfig, n_steps: int) -> list[np.ndarray]
     return states
 
 
-def subset_entropies(rhos) -> np.ndarray:
-    """S(mean of the members in ``mask``) in bits for every nonempty subset.
+def subset_means(rhos) -> np.ndarray:
+    """The (2**n, d, d) table of member means: entry ``mask`` averages the
+    states whose indices are the set bits of ``mask``; entry 0 is zero.
 
-    Entry ``mask`` scores the states whose indices are the set bits of
-    ``mask``; entry 0 is unused.  :func:`partition_scan` scores every
-    partition of the ensemble, exhaustive or greedy, on this one table.
+    Members are added in ascending index order (a mask with highest bit
+    ``top`` is its rest plus ``rhos[top]``), as sum(members) / k does for a
+    group: the frontier and the Pareto filter compare scores at round-off,
+    so another order moves greedy point counts.
     """
     rhos = list(rhos)
     n = len(rhos)
@@ -169,17 +170,24 @@ def subset_entropies(rhos) -> np.ndarray:
     shape = rhos[0].shape
     if any(r.shape != shape for r in rhos):
         raise ValueError("ensemble members must share a dimension")
-    sums = np.zeros((2**n, *shape), dtype=complex)
+    means = np.zeros((2**n, *shape), dtype=complex)
     for top, rho in enumerate(rhos):
-        # Add members in ascending index order (a mask with highest bit top
-        # is its rest plus rhos[top]), as sum(members) / k does for a group:
-        # the frontier and the Pareto filter compare scores at round-off, so
-        # another order moves greedy point counts.  The means are
-        # diagonalised in one batch, each exactly as on its own.
-        sums[1 << top:2 << top] = sums[:1 << top] + rho
-    sizes = np.array([mask.bit_count() for mask in range(1, 2**n)])
+        means[1 << top:2 << top] = means[:1 << top] + rho
+    means[1:] /= np.array([mask.bit_count() for mask in range(1, 2**n)])[:, None, None]
+    return means
+
+
+def subset_entropies(means) -> np.ndarray:
+    """S(``means[mask]``) in bits for every nonempty subset of the
+    :func:`subset_means` table, diagonalised in one batch, each exactly as
+    on its own; entry 0 is unused.  :func:`partition_scan` scores every
+    partition of the ensemble, exhaustive or greedy, on this one table.
+    """
+    n = len(means).bit_length() - 1
+    if not 1 <= n <= MAX_SCAN_STATES or 2**n != len(means):
+        raise ValueError(f"need a table of 2**n means for 1 to {MAX_SCAN_STATES} states")
     entropies = np.zeros(2**n)
-    entropies[1:] = qstate.von_neumann_entropies_bits(sums[1:] / sizes[:, None, None])
+    entropies[1:] = qstate.von_neumann_entropies_bits(means[1:])
     return entropies
 
 
@@ -221,41 +229,38 @@ def js_distance(a: np.ndarray, b: np.ndarray) -> float:
     return max(s_mix - s_avg, 0.0)
 
 
-def greedy_groupings(rhos, entropies, draws, table=None) -> np.ndarray:
-    """Nearly optimal groupings of ``rhos``, one row of labels per draw.
+def greedy_groupings(means, entropies, draws, table=None) -> np.ndarray:
+    """Nearly optimal groupings of an ensemble, one row of labels per draw.
 
-    Each row of ``draws`` seeds ``k`` groups: group ``g`` starts as the
-    single member ``draw[g]``.  Each remaining state, in list order, joins
-    the group whose running average is closest in :func:`js_distance` (the
-    first of equal distances, as ``np.argmin`` picks).  ``entropies`` is the
-    :func:`subset_entropies` table of ``rhos``: entry ``1 << i`` is
-    S(rhos[i]).  A group's entropy is recomputed when it gains a member
-    (except on the last placement, which nothing reads), and each distance
-    equals :func:`js_distance`.  The draws run in lockstep, one placement
-    at a time for all rows.
+    ``means`` and ``entropies`` are the :func:`subset_means` and
+    :func:`subset_entropies` tables of the ensemble's n states.  Each row
+    of ``draws`` seeds ``k`` groups: group ``g`` starts as the single
+    member ``draw[g]``.  Each remaining state, in list order, joins the
+    group closest to it in :func:`js_distance` (the first of equal
+    distances, as ``np.argmin`` picks).  A group is its member mask: its
+    state is ``means[mask]`` and its entropy ``entropies[mask]``.  The
+    draws run in lockstep, one placement at a time for all rows.
 
-    A group's running sum is ``rhos[seed]`` plus its other members in
-    ascending order, so an entropy depends only on the seed, the member
-    mask and, for a candidate mixture, the index of the state placed.
-    ``table`` (n, 2**n, n + 1), NaN where unknown, holds those entropies in
-    bits at ``[seed, mask, idx]``, with ``idx = n`` for a grown group.
+    The entropy of a candidate mixture ``(means[mask] + means[1 << idx]) / 2``
+    depends only on ``mask`` and the index of the state placed.  ``table``
+    (2**n, n), NaN where unknown, holds it in bits at ``[mask, idx]``.
     Runs on the same ensemble may share one table; it changes no result,
-    and each placement diagonalises only its distinct misses, the
-    mixtures in one batched ``eigvalsh`` and the grown groups in another.
+    and each placement diagonalises its distinct misses in one batched
+    ``eigvalsh``.
     """
-    rhos, entropies = np.array(list(rhos)), np.asarray(entropies)
-    n = len(rhos)
-    if 2**n != len(entropies):
-        raise ValueError("the entropy table must have 2**n entries for n states")
+    means, entropies = np.asarray(means), np.asarray(entropies)
+    n = len(entropies).bit_length() - 1
+    if 2**n != len(entropies) or len(means) != len(entropies):
+        raise ValueError("the mean and entropy tables must have 2**n entries for n states")
     draws = np.asarray(draws)
     if (draws.ndim != 2 or not draws.shape[1] or not np.issubdtype(draws.dtype, np.integer)
             or (draws < 0).any() or (draws >= n).any()
             or (np.diff(np.sort(draws, axis=1), axis=1) == 0).any()):
         raise ValueError("seeds must be distinct member indices, at least one")
     if table is None:
-        table = np.full((n, 2**n, n + 1), np.nan)
-    if table.shape != (n, 2**n, n + 1) or not table.flags.c_contiguous:
-        raise ValueError("the entropy memo must be a C-contiguous (n, 2**n, n + 1) array")
+        table = np.full((2**n, n), np.nan)
+    if table.shape != (2**n, n) or not table.flags.c_contiguous:
+        raise ValueError("the entropy memo must be a C-contiguous (2**n, n) array")
     flat = table.reshape(-1)
     runs, k = draws.shape
     run = np.arange(runs)
@@ -263,45 +268,27 @@ def greedy_groupings(rhos, entropies, draws, table=None) -> np.ndarray:
     labels[run[:, None], draws] = np.arange(k)
     pending = np.nonzero(labels < 0)[1].reshape(runs, n - k)  # ascending in each run
     bits = 1 << np.arange(n)
-    sizes = np.array([mask.bit_count() for mask in range(2**n)])  # members of each mask
-    sums = rhos[draws]
     masks = bits[draws]
-    group_s = entropies[masks]
     for step in range(n - k):
         idx = pending[:, step]
-        keys = ((draws << n) + masks) * (n + 1) + idx[:, None]
-        new, (r, g) = _misses(flat, keys)
+        keys = masks * n + idx[:, None]
+        new = np.unique(keys[np.isnan(flat[keys])])
         if len(new):
-            flat[new] = qstate.von_neumann_entropies_bits(
-                (sums[r, g] / sizes[masks[r, g], None, None] + rhos[idx[r]]) / 2)
+            mask, placed = np.divmod(new, n)
+            flat[new] = qstate.von_neumann_entropies_bits((means[mask] + means[bits[placed]]) / 2)
         # js_distance's own expression, so each distance equals it bit for bit
-        dists = np.maximum(flat[keys] - (group_s + entropies[bits[idx]][:, None]) / 2, 0.0)
+        dists = np.maximum(flat[keys] - (entropies[masks] + entropies[bits[idx]][:, None]) / 2, 0.0)
         g = dists.argmin(axis=1)
         labels[run, idx] = g
-        sums[run, g] = sums[run, g] + rhos[idx]
         masks[run, g] |= bits[idx]
-        if step < n - k - 1:  # nothing reads the entropy after the last placement
-            keys = ((draws[run, g] << n) + masks[run, g]) * (n + 1) + n
-            new, (r,) = _misses(flat, keys)
-            if len(new):
-                flat[new] = qstate.von_neumann_entropies_bits(sums[r, g[r]] / sizes[masks[r, g[r]], None, None])
-            group_s[run, g] = flat[keys]
     return labels
 
 
-def _misses(flat, keys):
-    """The distinct entries of ``flat`` that ``keys`` names and that are
-    still NaN, with the index in ``keys`` where each first occurs."""
-    where = np.nonzero(np.isnan(flat[keys]))
-    new, first = np.unique(keys[where], return_index=True)
-    return new, tuple(w[first] for w in where)
-
-
-def greedy_grouping(rhos, entropies, seeds, table=None) -> list[int]:
+def greedy_grouping(means, entropies, seeds, table=None) -> list[int]:
     """Nearly optimal grouping into ``len(seeds)`` clusters, group ``g``
     seeded by ``seeds[g]``: the one-draw :func:`greedy_groupings`, its row
     as a list of group labels."""
-    return greedy_groupings(rhos, entropies, [seeds], table)[0].tolist()
+    return greedy_groupings(means, entropies, [seeds], table)[0].tolist()
 
 
 def set_partitions(n: int):
@@ -416,15 +403,11 @@ def _frontier_from_scan(delta_s, info) -> HypersensitivityCurve:
     order = np.argsort(delta_s)[::-1]  # descending delta_s
     d_sorted = delta_s[order]
     i_suffix = np.minimum.accumulate(info[order])
-    # keep one point per distinct delta_s (the running minimum I)
-    grid, imin = [], []
-    for d, i in zip(d_sorted, i_suffix):
-        if grid and math.isclose(d, grid[-1], rel_tol=0, abs_tol=1e-12):
-            imin[-1] = i
-        else:
-            grid.append(d)
-            imin.append(i)
-    return HypersensitivityCurve(delta_s=np.array(grid[::-1]), i_min=np.array(imin[::-1]))
+    # one point per run of delta_s values each within 1e-12 of the one
+    # before: the run's first delta_s, with the running minimum I at its end
+    starts = np.flatnonzero(np.abs(np.diff(d_sorted, prepend=np.inf)) > 1e-12)
+    ends = np.append(starts[1:], len(d_sorted)) - 1
+    return HypersensitivityCurve(delta_s=d_sorted[starts][::-1], i_min=i_suffix[ends][::-1])
 
 
 def _pareto_points(points) -> list[tuple[float, float]]:
@@ -469,8 +452,10 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
     to n-1 groups (1 and n give the first and the last scan row whatever
     the seeds) and keeps the nondominated (delta_s, information) points.
     The distinct ordered draws of one group count, in draw order, run in
-    lockstep through one :func:`greedy_groupings` call; every group count
-    shares one entropy table, and each grouping is the scan row at its
+    lockstep through one :func:`greedy_groupings` call.  The exhaustive
+    scan and greedy read one :func:`subset_means` table and its
+    :func:`subset_entropies`; every group count shares one memo of mixture
+    entropies, and each grouping is the scan row at its
     :func:`_partition_positions`.
     """
     n_steps = config.steps if n_steps is None else n_steps
@@ -481,20 +466,21 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
             f"{n_steps} steps give {2**n_steps} histories; the exhaustive"
             f" partition scan is limited to {MAX_SCAN_STATES} states"
         )
-    rhos = history_ensemble(config, n_steps)
-    entropies = subset_entropies(rhos)
+    means = subset_means(history_ensemble(config, n_steps))
+    entropies = subset_entropies(means)
     delta_s, info, s_max = partition_scan(entropies)
     frontier = _frontier_from_scan(delta_s, info)
     slope = frontier_slope(frontier)
     first, last = ((float(delta_s[pos]), float(info[pos])) for pos in (0, -1))
-    # sorted draws would not do: argmin breaks exact ties by group order
-    points, table = [first], np.full((len(rhos), len(entropies), len(rhos) + 1), np.nan)
-    for n_groups in range(2, len(rhos)):
+    n = 2**n_steps  # histories
+    points, table = [first], np.full((2**n, n), np.nan)
+    for n_groups in range(2, n):
+        # sorted draws would not do: argmin breaks exact ties by group order
         draws = dict.fromkeys(
             tuple(np.random.default_rng([config.seed, n_groups, trial])
-                  .choice(len(rhos), size=n_groups, replace=False).tolist())
+                  .choice(n, size=n_groups, replace=False).tolist())
             for trial in range(GREEDY_RESTARTS))
-        pos = _partition_positions(greedy_groupings(rhos, entropies, list(draws), table))
+        pos = _partition_positions(greedy_groupings(means, entropies, list(draws), table))
         points += zip(delta_s[pos].tolist(), info[pos].tolist())
     return HyperResult(
         s_bar_max=s_max,

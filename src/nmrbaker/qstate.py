@@ -72,26 +72,18 @@ def von_neumann_entropy_bits(rho) -> float:
     Eigenvalues in [-EIG_CLAMP, 0] are exact zeros (integrator round-off);
     one below -EIG_CLAMP, a NaN one or a non-finite entry raises.
     """
-    return _spectrum_entropy_bits(_spectra(rho))
+    return float(von_neumann_entropies_bits(rho))
 
 
-def von_neumann_entropies_bits(rhos) -> list[float]:
+def von_neumann_entropies_bits(rhos) -> np.ndarray:
     """:func:`von_neumann_entropy_bits` of each matrix in a stack, from one batched ``eigvalsh``."""
-    return [_spectrum_entropy_bits(w) for w in _spectra(rhos)]
-
-
-def _spectra(rhos) -> np.ndarray:
     if not np.isfinite(rhos).all():  # LAPACK may drop a NaN, return one or not converge
         raise ValueError("density matrix has non-finite entries")
-    spectra = np.linalg.eigvalsh(rhos)
-    if not spectra.min() >= -EIG_CLAMP:  # a NaN fails this comparison too
-        raise ValueError(f"density matrix eigenvalue {spectra.min():.3e} below -{EIG_CLAMP:g} or NaN")
-    return spectra
-
-
-def _spectrum_entropy_bits(w: np.ndarray) -> float:
-    w = w[w > 0.0]
-    return float(-(w * np.log2(w)).sum())
+    w = np.linalg.eigvalsh(rhos)
+    if not w.min() >= -EIG_CLAMP:  # a NaN fails this comparison too
+        raise ValueError(f"density matrix eigenvalue {w.min():.3e} below -{EIG_CLAMP:g} or NaN")
+    w = np.where(w > 0.0, w, 1.0)  # a nonpositive eigenvalue counts as 0: 1 log2 1 = 0
+    return -(w * np.log2(w)).sum(axis=-1)
 
 
 def phase_invariant_distance(u, v) -> float:

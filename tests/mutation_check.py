@@ -49,15 +49,21 @@ MUTANTS = (
            "g = k - 1 - dists[:, ::-1].argmin(axis=1)",
            (GREEDY + "test_lockstep_rows_on_the_regular_map",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
-    Mutant("seed-summed-in-ascending-position", "chaos.py",
-           "sums[run, g] = sums[run, g] + rhos[idx]",
-           "sums[run, g] = [sum((rhos[i] for i in range(n) if m >> i & 1), np.zeros_like(rhos[0]))"
-           " for m in masks[run, g] | bits[idx]]",
-           (GREEDY + "test_shared_memo_changes_no_assignment",)),
-    Mutant("grown-entropy-after-last-placement", "chaos.py",
-           "if step < n - k - 1:",
-           "if True:",
-           (HYPER + "test_greedy_diagonalises_once_per_memo_key",)),
+    Mutant("memo-key-ignores-idx", "chaos.py",
+           "keys = masks * n + idx[:, None]",
+           "keys = masks * n + 0 * idx[:, None]",
+           (GREEDY + "test_shared_memo_changes_no_assignment",
+            HYPER + "test_greedy_diagonalises_once_per_memo_key")),
+    Mutant("mixture-is-the-grown-mean", "chaos.py",
+           "(means[mask] + means[bits[placed]]) / 2",
+           "means[mask | bits[placed]]",
+           (GREEDY + "test_shared_memo_changes_no_assignment",
+            CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
+    Mutant("group-entropy-of-the-seed-only", "chaos.py",
+           "(entropies[masks] + entropies[bits[idx]][:, None])",
+           "(entropies[bits[draws]] + entropies[bits[idx]][:, None])",
+           (GREEDY + "test_matches_js_distance_reference",
+            CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
     Mutant("dots-by-einsum", "chaos.py",
            "return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]",
            'return np.einsum("ij,ij->i", a, b)',
@@ -92,6 +98,27 @@ MUTANTS = (
            "k = order.index(target)",
            "k = len(order) - 1 - order.index(target)",
            ("tests/test_qstate.py::TestEmbed::test_every_position_is_the_kron_placement",)),
+    Mutant("subset-member-shape-guard-dropped", "chaos.py",
+           "if any(r.shape != shape for r in rhos):",
+           "if False:",
+           (CHAOS + "TestSubsetEntropies::test_mixed_shapes_rejected",)),
+    Mutant("greedy-memo-shape-guard-dropped", "chaos.py",
+           "if table.shape != (2**n, n) or not table.flags.c_contiguous:",
+           "if not table.flags.c_contiguous:",
+           (GREEDY + "test_memo_shape_validated",)),
+    Mutant("noise-rate-guard-dropped", "lindblad.py",
+           "if not (math.isfinite(g) and g >= 0):",
+           "if False:",
+           ("tests/test_lindblad.py::TestNoiseModel::test_negative_rate_rejected",)),
+    Mutant("delay-duration-guard-dropped", "lindblad.py",
+           "if not (math.isfinite(duration) and duration >= 0):",
+           "if False:",
+           ("tests/test_lindblad.py::TestDelayPropagator::test_negative_duration_rejected",
+            "tests/test_lindblad.py::TestDelayPropagator::test_non_finite_duration_rejected")),
+    Mutant("entropy-finiteness-guard-dropped", "qstate.py",
+           "if not np.isfinite(rhos).all():",
+           "if False:",
+           ("tests/test_qstate.py::TestEntropy::test_rejects_non_finite_entries",)),
     Mutant("diagonal-terms-reordered", "nmr.py",
            "h = (self.j1_eff / 4 * (z_h @ z_c1) + self.j2_eff / 4 * (z_c1 @ z_c2)\n"
            "             + self.delta_eff / 2 * z_c2)",

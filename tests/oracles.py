@@ -10,7 +10,8 @@ import numpy as np
 
 from nmrbaker import qstate
 from nmrbaker.chaos import (GREEDY_RESTARTS, HypersensitivityCurve, _frontier_from_scan, _pareto_points,
-                            history_ensemble, js_distance, partition_scan, set_partitions, subset_entropies)
+                            history_ensemble, js_distance, partition_scan, set_partitions, subset_entropies,
+                            subset_means)
 from nmrbaker.lindblad import DIM, EvolutionEngine, NoiseModel
 from nmrbaker.nmr import LIFTED_PAULI, SPINS, PulseInstruction, PulseSequence, pulse_unitary
 from nmrbaker.qstate import ID2, PAULI_X, PAULI_Y
@@ -59,7 +60,7 @@ def exhaustive_imin(rhos) -> HypersensitivityCurve:
     the grid of all achieved delta_s values; nondecreasing by
     construction.
     """
-    delta_s, info, _ = partition_scan(subset_entropies(rhos))
+    delta_s, info, _ = partition_scan(subset_entropies(subset_means(rhos)))
     return _frontier_from_scan(delta_s, info)
 
 
@@ -133,7 +134,7 @@ def drawn_greedy_points(config, n_steps) -> list[tuple[float, float]]:
     and n groups from the first and the last scan row without drawing and
     runs the others in lockstep, so its points must equal these exactly."""
     rhos = history_ensemble(config, n_steps)
-    delta_s, info, _ = partition_scan(subset_entropies(rhos))
+    delta_s, info, _ = partition_scan(subset_entropies(subset_means(rhos)))
     strings = list(set_partitions(len(rhos)))
     greedy = {}
     for n_groups in range(1, len(rhos) + 1):

@@ -27,13 +27,23 @@ def fig2_regular_ensemble():
 
 
 @pytest.fixture(scope="module")
-def fig2_chaotic_table(fig2_chaotic_ensemble):
-    return chaos.subset_entropies(fig2_chaotic_ensemble)
+def fig2_chaotic_means(fig2_chaotic_ensemble):
+    return chaos.subset_means(fig2_chaotic_ensemble)
 
 
 @pytest.fixture(scope="module")
-def fig2_regular_table(fig2_regular_ensemble):
-    return chaos.subset_entropies(fig2_regular_ensemble)
+def fig2_regular_means(fig2_regular_ensemble):
+    return chaos.subset_means(fig2_regular_ensemble)
+
+
+@pytest.fixture(scope="module")
+def fig2_chaotic_table(fig2_chaotic_means):
+    return chaos.subset_entropies(fig2_chaotic_means)
+
+
+@pytest.fixture(scope="module")
+def fig2_regular_table(fig2_regular_means):
+    return chaos.subset_entropies(fig2_regular_means)
 
 
 @pytest.fixture(scope="module")
@@ -77,19 +87,13 @@ def seed_draw(n, n_groups, seed):
 
 def memo_keys(draw, assignment) -> set:
     """The memo entries one greedy run reads, from its draw and result:
-    ``(seed, mask, idx)`` for each group's mixture with each placed state,
-    and ``(seed, mask, n)`` for the group grown by each placement but the
-    last."""
-    n = len(assignment)
+    ``(mask, idx)`` for each group's mixture with each placed state."""
     masks = [1 << seed for seed in draw]
-    pending = [idx for idx in range(n) if idx not in draw]
     keys = set()
-    for step, idx in enumerate(pending):
-        keys |= {(seed, mask, idx) for seed, mask in zip(draw, masks)}
-        g = assignment[idx]
-        masks[g] |= 1 << idx
-        if step < len(pending) - 1:
-            keys.add((draw[g], masks[g], n))
+    for idx in range(len(assignment)):
+        if idx not in draw:
+            keys |= {(mask, idx) for mask in masks}
+            masks[assignment[idx]] |= 1 << idx
     return keys
 
 
@@ -185,7 +189,7 @@ class TestHistoryEnsemble:
         rhos = chaos.history_ensemble(cfg, 2)
         for rho in rhos[1:]:
             np.testing.assert_allclose(rho, rhos[0], atol=1e-12)
-        s_bar_max = chaos.subset_entropies(rhos)[-1]
+        s_bar_max = chaos.subset_entropies(chaos.subset_means(rhos))[-1]
         assert s_bar_max == pytest.approx(
             qstate.von_neumann_entropy_bits(rhos[0]), abs=1e-12
         )
@@ -308,13 +312,13 @@ class TestAverageRho:
     # every subset_entropies entry is the entropy of the members' mean
     def test_identical_states_average_to_themselves(self):
         rho = chaos.initial_density()
-        table = chaos.subset_entropies([rho, rho, rho])
+        table = chaos.subset_entropies(chaos.subset_means([rho, rho, rho]))
         assert np.all(table[1:] == qstate.von_neumann_entropy_bits(rho))
 
     def test_unit_trace(self):
         # each subset is averaged, not summed: k orthogonal pure states
         # mix to log2(k) bits
-        table = chaos.subset_entropies(basis_projectors())
+        table = chaos.subset_entropies(chaos.subset_means(basis_projectors()))
         counts = [mask.bit_count() for mask in range(1, 256)]
         np.testing.assert_allclose(table[1:], np.log2(counts), rtol=0, atol=1e-9)
 
@@ -330,22 +334,32 @@ class TestAverageRho:
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError):
-            chaos.subset_entropies([])
+            chaos.subset_means([])
 
 
 class TestSubsetEntropies:
     def test_mixed_shapes_rejected(self):
+        # the last two would broadcast into the table without the check
+        for odd in (np.eye(4) / 4, np.full(2, 0.5), np.full((1, 2), 0.5)):
+            with pytest.raises(ValueError, match="share a dimension"):
+                chaos.subset_means([np.eye(2) / 2, odd])
+
+    @pytest.mark.parametrize("entries", [0, 1, 3, 5, 2**11])
+    def test_table_length_validated(self, entries):
         with pytest.raises(ValueError):
-            chaos.subset_entropies([np.eye(2) / 2, np.eye(4) / 4])
+            chaos.subset_entropies(np.zeros((entries, 2, 2)))
 
     def test_members_summed_in_ascending_order(self, fig2_regular_ensemble):
         # the order a per-group average adds its members; the greedy
         # Pareto filter and the golden outputs depend on it at round-off
-        table = chaos.subset_entropies(fig2_regular_ensemble)
+        means = chaos.subset_means(fig2_regular_ensemble)
+        table = chaos.subset_entropies(means)
+        assert not means[0].any()
         for mask in range(1, 256):
             members = [fig2_regular_ensemble[i] for i in range(8) if mask >> i & 1]
-            expected = qstate.von_neumann_entropy_bits(sum(members) / len(members))
-            assert table[mask] == expected, mask
+            mean = sum(members) / len(members)
+            assert np.array_equal(means[mask], mean), mask
+            assert table[mask] == qstate.von_neumann_entropy_bits(mean), mask
 
 
 class TestGroupingStats:
@@ -405,43 +419,46 @@ class TestJsDistance:
 
 
 class TestGreedyGrouping:
-    def test_all_singletons_when_groups_equal_size(self, fig2_chaotic_ensemble, fig2_chaotic_table):
+    def test_all_singletons_when_groups_equal_size(self, fig2_chaotic_means, fig2_chaotic_table):
         for seed in range(5):
-            assignment = chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, seed_draw(8, 8, seed))
+            assignment = chaos.greedy_grouping(fig2_chaotic_means, fig2_chaotic_table, seed_draw(8, 8, seed))
             assert sorted(assignment) == list(range(8))
 
-    def test_single_group(self, fig2_chaotic_ensemble, fig2_chaotic_table):
-        assignment = chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, (3,))
+    def test_single_group(self, fig2_chaotic_means, fig2_chaotic_table):
+        assignment = chaos.greedy_grouping(fig2_chaotic_means, fig2_chaotic_table, (3,))
         assert set(assignment) == {0}
 
-    def test_deterministic_for_fixed_seed(self, fig2_chaotic_ensemble, fig2_chaotic_table):
-        a = chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, (5, 0, 2))
-        b = chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, (5, 0, 2))
+    def test_deterministic_for_fixed_seed(self, fig2_chaotic_means, fig2_chaotic_table):
+        a = chaos.greedy_grouping(fig2_chaotic_means, fig2_chaotic_table, (5, 0, 2))
+        b = chaos.greedy_grouping(fig2_chaotic_means, fig2_chaotic_table, (5, 0, 2))
         assert a == b
 
-    def test_group_count_validated(self, fig2_chaotic_ensemble, fig2_chaotic_table):
+    def test_group_count_validated(self, fig2_chaotic_means, fig2_chaotic_table):
         with pytest.raises(ValueError):
-            chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, tuple(range(9)))
+            chaos.greedy_grouping(fig2_chaotic_means, fig2_chaotic_table, tuple(range(9)))
 
     @pytest.mark.parametrize("seeds", [(), (1, 1), (0, 8), (-1, 2)])
-    def test_seed_members_validated(self, seeds, fig2_chaotic_ensemble, fig2_chaotic_table):
+    def test_seed_members_validated(self, seeds, fig2_chaotic_means, fig2_chaotic_table):
         with pytest.raises(ValueError):
-            chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, seeds)
+            chaos.greedy_grouping(fig2_chaotic_means, fig2_chaotic_table, seeds)
 
-    def test_table_size_validated(self, fig2_chaotic_ensemble, fig2_chaotic_table):
+    def test_table_size_validated(self, fig2_chaotic_ensemble, fig2_chaotic_means, fig2_chaotic_table):
         with pytest.raises(ValueError):
-            chaos.greedy_grouping(fig2_chaotic_ensemble[:7], fig2_chaotic_table, (0, 1, 2))
+            chaos.greedy_grouping(chaos.subset_means(fig2_chaotic_ensemble[:7]), fig2_chaotic_table, (0, 1, 2))
+        with pytest.raises(ValueError):
+            chaos.greedy_grouping(fig2_chaotic_means, fig2_chaotic_table[:128], (0, 1, 2))
 
     @pytest.mark.parametrize("draws", [[(0, 1), (2, 2)], [(0, 1), (2, 8)], [(0, 1), (-1, 2)],
                                        [(0, 1), (2,)], [(0, 1.0)], [()], []])
-    def test_every_draw_validated(self, draws, fig2_chaotic_ensemble, fig2_chaotic_table):
+    def test_every_draw_validated(self, draws, fig2_chaotic_means, fig2_chaotic_table):
         with pytest.raises(ValueError):
-            chaos.greedy_groupings(fig2_chaotic_ensemble, fig2_chaotic_table, draws)
+            chaos.greedy_groupings(fig2_chaotic_means, fig2_chaotic_table, draws)
 
-    @pytest.mark.parametrize("table", [np.full((8, 256, 8), np.nan), np.full((8, 256, 18), np.nan)[..., ::2]])
-    def test_memo_shape_validated(self, table, fig2_chaotic_ensemble, fig2_chaotic_table):
+    @pytest.mark.parametrize("table", [np.full((256, 9), np.nan), np.full((8, 256, 9), np.nan),
+                                       np.full((256, 16), np.nan)[:, ::2]])
+    def test_memo_shape_validated(self, table, fig2_chaotic_means, fig2_chaotic_table):
         with pytest.raises(ValueError):
-            chaos.greedy_groupings(fig2_chaotic_ensemble, fig2_chaotic_table, [(0, 1)], table)
+            chaos.greedy_groupings(fig2_chaotic_means, fig2_chaotic_table, [(0, 1)], table)
 
     @pytest.mark.parametrize("hamiltonian", ["noxy", "simplified", "full"])
     def test_lockstep_rows_on_the_regular_map(self, hamiltonian):
@@ -449,34 +466,32 @@ class TestGreedyGrouping:
         # and the first of equal distances decides
         cfg = ExperimentConfig.preset("fig5", map_variant="regular", hamiltonian=hamiltonian)
         rhos = chaos.history_ensemble(cfg, 3)
-        table = chaos.subset_entropies(rhos)
+        means = chaos.subset_means(rhos)
+        table = chaos.subset_entropies(means)
         rng = np.random.default_rng(7)
-        memo = np.full((8, 2**8, 9), np.nan)
+        memo = np.full((2**8, 8), np.nan)
         for n_groups in range(1, 9):
             draws = [tuple(rng.permutation(8)[:n_groups].tolist()) for _ in range(24)]
-            rows = chaos.greedy_groupings(rhos, table, draws, memo)
+            rows = chaos.greedy_groupings(means, table, draws, memo)
             assert rows.tolist() == [oracles.reference_greedy_grouping(rhos, draw) for draw in draws]
 
     @pytest.mark.parametrize("seeds", [(3,), (5, 0, 2), tuple(range(7)), tuple(range(8))])
-    def test_group_entropy_calls(self, seeds, monkeypatch, fig2_chaotic_ensemble,
-                                 fig2_chaotic_table):
-        # a group's entropy is recomputed after each placement but the last,
-        # whose value nothing reads: n - k - 1 grown entries for n states and
-        # k groups, beside one mixture per group and placement, and each
-        # entry is diagonalised once
+    def test_group_entropy_calls(self, seeds, monkeypatch, fig2_chaotic_means, fig2_chaotic_table):
+        # a group's entropy is read from the subset table, so one run fills
+        # one mixture per group and placement, k (n - k) entries for n states
+        # and k groups, and diagonalises each once
         diagonalised = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: diagonalised.append(len(a)) or eigvalsh(a))
-        n, k = len(fig2_chaotic_ensemble), len(seeds)
-        table = np.full((n, 2**n, n + 1), np.nan)
-        chaos.greedy_grouping(fig2_chaotic_ensemble, fig2_chaotic_table, seeds, table)
-        grown = np.count_nonzero(~np.isnan(table[..., n]))
-        assert grown == (n - k - 1 if n > k else 0)
-        assert sum(diagonalised) == np.count_nonzero(~np.isnan(table)) == grown + k * (n - k)
+        n, k = 8, len(seeds)
+        table = np.full((2**n, n), np.nan)
+        chaos.greedy_grouping(fig2_chaotic_means, fig2_chaotic_table, seeds, table)
+        assert sum(diagonalised) == np.count_nonzero(~np.isnan(table)) == k * (n - k)
 
     @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
     def test_matches_js_distance_reference(self, variant, request):
         rhos = request.getfixturevalue(f"fig2_{variant}_ensemble")
+        means = request.getfixturevalue(f"fig2_{variant}_means")
         table = request.getfixturevalue(f"fig2_{variant}_table")
         # the Pareto points of all GREEDY_RESTARTS reference runs per group count
         points = []
@@ -485,7 +500,7 @@ class TestGreedyGrouping:
                 seed = [0, n_groups, trial]
                 draw = seed_draw(8, n_groups, seed)
                 reference = oracles.reference_greedy_grouping(rhos, draw)
-                assert chaos.greedy_grouping(rhos, table, draw) == reference, seed
+                assert chaos.greedy_grouping(means, table, draw) == reference, seed
                 s_bar, information = oracles._score(reference, table)
                 points.append((table[-1] - s_bar, information))
         result = request.getfixturevalue(f"{variant}_result")
@@ -498,30 +513,29 @@ class TestGreedyGrouping:
         # in lockstep, in draw order, every count through one table
         cfg = ExperimentConfig.preset("fig5", map_variant=variant, hamiltonian=hamiltonian)
         rhos = chaos.history_ensemble(cfg, 3)
-        table = chaos.subset_entropies(rhos)
-        memo = np.full((8, 2**8, 9), np.nan)
+        means = chaos.subset_means(rhos)
+        table = chaos.subset_entropies(means)
+        memo = np.full((2**8, 8), np.nan)
         for n_groups in range(1, 9):
             draws = list(dict.fromkeys(seed_draw(8, n_groups, [cfg.seed, n_groups, trial])
                                        for trial in range(chaos.GREEDY_RESTARTS)))
-            rows = chaos.greedy_groupings(rhos, table, draws, memo).tolist()
+            rows = chaos.greedy_groupings(means, table, draws, memo).tolist()
             for draw, row in zip(draws, rows):
-                memo_free = chaos.greedy_grouping(rhos, table, draw)
+                memo_free = chaos.greedy_grouping(means, table, draw)
                 assert memo_free == oracles.reference_greedy_grouping(rhos, draw), draw
                 assert row == memo_free, draw
-        # each filled entry is the entropy its index names: the seed's state
-        # plus the other members in ascending order, averaged, mixed with
-        # rhos[idx] (idx = 8: the grown group itself)
+        # each filled entry is the entropy its index names: the members of
+        # mask summed in ascending order, averaged, mixed with rhos[idx]
         filled = np.argwhere(~np.isnan(memo))
         assert len(filled)
-        for seed, mask, idx in filled.tolist():
-            total = rhos[seed]
-            for i in range(8):
-                if mask >> i & 1 and i != seed:
-                    total = total + rhos[i]
-            mean = total / mask.bit_count()
-            mixed = (mean + rhos[idx]) / 2 if idx < 8 else mean
-            expected = qstate.von_neumann_entropy_bits(mixed)
-            assert float(memo[seed, mask, idx]).hex() == expected.hex(), (seed, mask, idx)
+        for mask, idx in filled.tolist():
+            assert not mask >> idx & 1, (mask, idx)
+            first, *rest = [rhos[i] for i in range(8) if mask >> i & 1]
+            total = first
+            for rho in rest:
+                total = total + rho
+            expected = qstate.von_neumann_entropy_bits((total / mask.bit_count() + rhos[idx]) / 2)
+            assert float(memo[mask, idx]).hex() == expected.hex(), (mask, idx)
 
 
 class TestSetPartitions:
@@ -558,8 +572,19 @@ class TestExhaustiveFrontier:
         # I = delta_s exactly, so the frontier is the identity line
         curve = oracles.exhaustive_imin(basis_projectors())
         np.testing.assert_allclose(curve.i_min, curve.delta_s, atol=1e-9)
-        delta_s, info, _ = chaos.partition_scan(chaos.subset_entropies(basis_projectors()))
+        delta_s, info, _ = chaos.partition_scan(chaos.subset_entropies(chaos.subset_means(basis_projectors())))
         np.testing.assert_allclose(info, delta_s, atol=1e-9)
+
+    def test_near_equal_delta_s_chain_is_one_point(self):
+        # a point starts where delta_s falls by more than 1e-12 from the one
+        # before, so a chain of gaps under 1e-12 is one point even where it
+        # spans more than 1e-12; the point keeps the chain's largest delta_s
+        # and the least I over it and everything above
+        delta_s = np.array([1.0, 0.0, 1.0 + 1.6e-12, 2.0, 1.0 + 0.8e-12])
+        info = np.array([0.5, 0.0, 0.9, 1.5, 0.7])
+        curve = chaos._frontier_from_scan(delta_s, info)
+        assert curve.delta_s.tolist() == [0.0, 1.0 + 1.6e-12, 2.0]
+        assert curve.i_min.tolist() == [0.0, 0.5, 1.5]
 
     def test_frontier_nondecreasing_and_bounded(self, fig2_chaotic_ensemble):
         curve = oracles.exhaustive_imin(fig2_chaotic_ensemble)
@@ -591,7 +616,7 @@ class TestExhaustiveFrontier:
 
     def test_too_large_ensemble_rejected(self):
         with pytest.raises(ValueError):
-            chaos.subset_entropies([np.eye(2) / 2] * 11)
+            chaos.subset_means([np.eye(2) / 2] * 11)
 
 
 @st.composite
@@ -635,7 +660,7 @@ class TestPartitionProperties:
     @given(random_ensembles())
     def test_every_partition(self, rhos):
         k = len(rhos)
-        table = chaos.subset_entropies(rhos)
+        table = chaos.subset_entropies(chaos.subset_means(rhos))
         delta_s, info, s_max = chaos.partition_scan(table)
         # Holevo: the entropy a partition recovers never exceeds its cost
         assert np.all(info >= delta_s - 1e-12)
@@ -654,7 +679,7 @@ class TestPartitionProperties:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(random_ensembles(st.sampled_from(range(1, 9))))  # every size drawn, 8 included
     def test_scan_equals_scoring_each_partition(self, rhos):
-        table = chaos.subset_entropies(rhos)
+        table = chaos.subset_entropies(chaos.subset_means(rhos))
         delta_s, info, s_max = chaos.partition_scan(table)
         expected_delta_s, expected_info, expected_s_max = oracles.scored_partition_scan(table)
         assert np.array_equal(delta_s, expected_delta_s)
@@ -670,7 +695,7 @@ class TestPartitionProperties:
         labels = data.draw(st.lists(st.integers(-3, 12), min_size=n, max_size=n))
         string = oracles.first_appearance(labels)
         assert chaos._partition_position(labels) == list(chaos.set_partitions(n)).index(string)
-        table = chaos.subset_entropies(rhos)
+        table = chaos.subset_entropies(chaos.subset_means(rhos))
         stats = chaos.grouping_stats(labels, table)
         expected = oracles._score(labels, table)
         # float.hex tells -0.0 from 0.0
@@ -697,23 +722,25 @@ class TestPartitionProperties:
     def test_lockstep_rows_equal_one_draw_at_a_time(self, ensembles, data):
         rhos = data.draw(ensembles)
         n = len(rhos)
-        table = chaos.subset_entropies(rhos)
-        memo = np.full((n, 2**n, n + 1), np.nan)
+        means = chaos.subset_means(rhos)
+        table = chaos.subset_entropies(means)
+        memo = np.full((2**n, n), np.nan)
         for _ in range(2):  # two draw sets through one memo
             draws = data.draw(draw_sets(n))
-            rows = chaos.greedy_groupings(rhos, table, draws, memo)
+            rows = chaos.greedy_groupings(means, table, draws, memo)
             assert rows.tolist() == [oracles.reference_greedy_grouping(rhos, draw) for draw in draws]
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(random_ensembles())
     def test_greedy_matches_reference_and_never_beats_frontier(self, rhos):
-        table = chaos.subset_entropies(rhos)
+        means = chaos.subset_means(rhos)
+        table = chaos.subset_entropies(means)
         frontier = oracles.exhaustive_imin(rhos)
         for n_groups in range(1, len(rhos) + 1):
             for trial in range(4):
                 seed = [0, n_groups, trial]
                 draw = seed_draw(len(rhos), n_groups, seed)
-                assignment = chaos.greedy_grouping(rhos, table, draw)
+                assignment = chaos.greedy_grouping(means, table, draw)
                 assert assignment == oracles.reference_greedy_grouping(rhos, draw)
                 stats = chaos.grouping_stats(assignment, table)
                 d = table[-1] - stats.mean_conditional_entropy
@@ -766,7 +793,7 @@ class TestRegularMapClosedForm:
         rhos = chaos.history_ensemble(cfg, 3)
         z = nmr.LIFTED_PAULI["Z", nmr.SPIN_H]
         rho, kicked = rhos[0], z @ rhos[0] @ z
-        delta_s, info, s_max = chaos.partition_scan(chaos.subset_entropies(rhos))
+        delta_s, info, s_max = chaos.partition_scan(chaos.subset_entropies(chaos.subset_means(rhos)))
         parity = [history.bit_count() % 2 for history in range(8)]
         group_entropy = {(even, size): qstate.von_neumann_entropy_bits((even * rho + (size - even) * kicked) / size)
                          for size in range(1, 9) for even in range(size + 1)}
@@ -794,7 +821,7 @@ class TestHypersensitivityExperiment:
         assert 4.0 <= chaotic_result.slope <= 8.0
 
     def test_regular_one_bit_recovers_half_bit(self, fig2_regular_ensemble):
-        delta_s, info, _ = chaos.partition_scan(chaos.subset_entropies(fig2_regular_ensemble))
+        delta_s, info, _ = chaos.partition_scan(chaos.subset_entropies(chaos.subset_means(fig2_regular_ensemble)))
         one_bit = delta_s[np.isclose(info, 1.0, atol=1e-9)]
         assert one_bit.max() >= 0.5
 
@@ -806,7 +833,7 @@ class TestHypersensitivityExperiment:
             "fig5", map_variant="regular", hamiltonian="full"
         )
         ensemble = chaos.history_ensemble(cfg, 3)
-        table = chaos.subset_entropies(ensemble)
+        table = chaos.subset_entropies(chaos.subset_means(ensemble))
         assert table[-1] == pytest.approx(2.72, abs=0.1)
         delta_s, info, _ = chaos.partition_scan(table)
         one_bit = delta_s[np.isclose(info, 1.0, atol=1e-9)]
@@ -863,10 +890,10 @@ class TestHypersensitivityExperiment:
         seen, calls, rngs = [], [], []
         original, default_rng = chaos.greedy_groupings, np.random.default_rng
 
-        def counting(rhos, entropies, draws, table=None):
+        def counting(means, entropies, draws, table=None):
             calls.append(len(draws))
             seen.extend(map(tuple, draws))
-            return original(rhos, entropies, draws, table)
+            return original(means, entropies, draws, table)
 
         def counting_rng(seed):
             rngs.append(seed)
@@ -903,11 +930,11 @@ class TestHypersensitivityExperiment:
                 diagonalised.append(math.prod(np.shape(a)[:-2]))
             return eigvalsh(a)
 
-        def counting_greedy(rhos, entropies, draws, table=None):
+        def counting_greedy(means, entropies, draws, table=None):
             tables.append(table)
             inside.append(True)
             try:
-                rows = greedy(rhos, entropies, draws, table)
+                rows = greedy(means, entropies, draws, table)
             finally:
                 inside.pop()
             runs.extend(zip(draws, rows.tolist()))
@@ -922,11 +949,11 @@ class TestHypersensitivityExperiment:
         filled = {tuple(key) for key in np.argwhere(~np.isnan(tables[0])).tolist()}
         assert filled == set().union(*(memo_keys(draw, row) for draw, row in runs))
         assert sum(diagonalised) == len(filled)
-        # one batched call for the mixtures of each placement and one for the
-        # grown groups of each placement but the last: at most 2 (n - k) - 1
-        # for each k = 2..7, where one call per draw made about 210
+        # at most one batched call for the mixtures of each placement:
+        # n - k for each k = 2..7, 21 in all, where one call per draw made
+        # about 210
         n = 8
-        assert len(diagonalised) <= sum(2 * (n - k) - 1 for k in range(2, n)) < 2 * sum(n - k for k in range(2, n))
+        assert len(diagonalised) <= sum(n - k for k in range(2, n)) == 21
 
     @pytest.mark.parametrize("hamiltonian", ["noxy", "full"])
     @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)

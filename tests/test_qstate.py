@@ -145,6 +145,19 @@ class TestEntropy:
         with pytest.raises(ValueError, match="or NaN"):
             qstate.von_neumann_entropies_bits(np.array([np.eye(8) / 8] * 2))
 
+    def test_stack_equals_each_matrix_alone(self):
+        # full rank, rank deficient, pure, and with an eigenvalue in the
+        # clamp window: a nonpositive eigenvalue counts as 0 either way
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+        low_rank = a @ a.conj().T
+        stack = np.array([np.eye(8) / 8, low_rank / np.trace(low_rank).real,
+                          np.diag([1.0] + [0.0] * 7), np.diag([1.0 + 5e-10, -5e-10] + [0.0] * 6)])
+        entropies = qstate.von_neumann_entropies_bits(stack)
+        assert entropies.shape == (4,)
+        assert [x.hex() for x in entropies.tolist()] == [
+            qstate.von_neumann_entropy_bits(rho).hex() for rho in stack]
+
     def test_unitary_invariance(self):
         rng = np.random.default_rng(3)
         w = rng.random(8)
