@@ -26,14 +26,10 @@ print("--------------------------------------")
 print("bits    full-map fidelity   simplified-map fidelity")
 t_simple = baker.simplified_baker_unitary()
 for bits in product([0, 1], repeat=3):
-    f_full = qstate.state_fidelity(
-        baker.shift_image_state(bits, "full"),
-        t_closed @ baker.shift_domain_state(bits, "full"),
-    )
-    f_simple = qstate.state_fidelity(
-        baker.shift_image_state(bits, "simplified"),
-        t_simple @ baker.shift_domain_state(bits, "simplified"),
-    )
+    dom, img = baker.shift_states(bits, "full")
+    f_full = qstate.state_fidelity(img, t_closed @ dom)
+    dom, img = baker.shift_states(bits, "simplified")
+    f_simple = qstate.state_fidelity(img, t_simple @ dom)
     print(f"{''.join(map(str, bits))}     1 - {1 - f_full:.1e}          1 - {1 - f_simple:.1e}")
 
 print()
@@ -44,7 +40,7 @@ print(" it has the same shift structure but different internal phases)")
 
 print()
 print("one simplified-map example, all-zero bits:")
-dom = baker.shift_domain_state((0, 0, 0), "simplified")
+dom, _ = baker.shift_states((0, 0, 0), "simplified")
 img = t_simple @ dom
 print("  domain:", np.round(dom, 3))
 print("  image: ", np.round(img, 3), " (uniform superposition)")

@@ -20,6 +20,7 @@ Qubit index 0 is the least significant bit of the basis index.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -170,84 +171,42 @@ def simplified_baker_unitary() -> np.ndarray:
     return gate_sequence_unitary(simplified_baker_gate_sequence(), 3)
 
 
-def _binary_fraction(bits) -> float:
-    """0.b0 b1 b2 ... for the given bit list (first bit is the 1/2 place)."""
-    return sum(b / 2 ** (k + 1) for k, b in enumerate(bits))
-
-
-def _phase_qubit(fraction: float) -> np.ndarray:
-    """(|0> + exp(-2*pi*i*fraction)|1>)/sqrt(2)."""
-    return np.array([1.0, np.exp(-2j * np.pi * fraction)], dtype=complex) / np.sqrt(2)
-
-
-def _basis_qubit(bit: int) -> np.ndarray:
-    return np.array([1.0 - bit, bit], dtype=complex)
-
-
-def _product_state(factors) -> np.ndarray:
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
-
-
-def shift_domain_state(bits, map_variant: str = "full") -> np.ndarray:
-    """Product state the map acts on, for symbolic-dynamics verification.
+def shift_states(bits, map_variant: str = "full") -> tuple[np.ndarray, np.ndarray]:
+    """(domain, image): the product state the map acts on and its image,
+    for symbolic-dynamics verification.
 
     ``bits`` lists a_{N-1} ... a_0, most significant first.  Each binary
-    superposition factor carries an explicit 1/sqrt(2), so the result is
-    normalized.
+    superposition factor (|0> + exp(-2*pi*i*0.b_1 b_2 ...)|1>)/sqrt(2)
+    carries its 1/sqrt(2), so both states are normalized.
 
-    For the full map the most significant qubit holds |a_{N-1}> and the
-    lower qubits hold phase factors exp(-2*pi*i*0.a_{p-1}...a_0).  The
+    For the full map the most significant domain qubit holds |a_{N-1}> and
+    the lower qubits hold phase factors exp(-2*pi*i*0.a_{p-1}...a_0).  The
     simplified map T_M keeps bit 0 as the "working" qubit (that is where
     its Hadamard and controlled phases act), so its basis factor |a_{N-1}>
     sits on the LEAST significant qubit and the phase factors, fractions
     written forward as 0.a_p a_{p+1} ... a_{N-2}, fill the rest.
     """
-    a = _significance_indexed(bits)
-    n = len(a)
-    if map_variant == "full":
-        factors = [_basis_qubit(a[n - 1])]
-        # position p >= 1 carries the fraction 0.a_{p-1} a_{p-2} ... a_0
-        for p in range(1, n):
-            factors.append(_phase_qubit(_binary_fraction([a[k] for k in range(p - 1, -1, -1)])))
-    elif map_variant == "simplified":
-        # position p <= N-2 carries the fraction 0.a_p a_{p+1} ... a_{N-2}
-        factors = [
-            _phase_qubit(_binary_fraction([a[k] for k in range(p, n - 1)]))
-            for p in range(n - 1)
-        ]
-        factors.append(_basis_qubit(a[n - 1]))
-    else:
-        raise ValueError(f"unknown map variant {map_variant!r}")
-    return _product_state(factors)
-
-
-def shift_image_state(bits, map_variant: str = "full") -> np.ndarray:
-    """Image of :func:`shift_domain_state` under the (simplified) baker's map."""
-    a = _significance_indexed(bits)
-    n = len(a)
-    if map_variant == "full":
-        # position p carries the fraction 0.a_p a_{p-1} ... a_0
-        factors = [
-            _phase_qubit(_binary_fraction([a[k] for k in range(p, -1, -1)]))
-            for p in range(n)
-        ]
-    elif map_variant == "simplified":
-        # the shifted-in bit a_{N-1} lands on the most significant qubit;
-        # position p >= 1 carries the fraction 0.a_{p-1} a_p ... a_{N-1}
-        factors = [_phase_qubit(_binary_fraction([a[n - 1]]))]
-        for p in range(1, n):
-            factors.append(_phase_qubit(_binary_fraction([a[k] for k in range(p - 1, n)])))
-    else:
-        raise ValueError(f"unknown map variant {map_variant!r}")
-    return _product_state(factors)
-
-
-def _significance_indexed(bits) -> list[int]:
-    """Reindex a most-significant-first bit list so a[k] is the 2**k bit."""
-    bits = list(bits)
-    if not bits or any(b not in (0, 1) for b in bits):
+    a = list(bits)[::-1]  # a[k] is the 2**k bit
+    if not a or any(b not in (0, 1) for b in a):
         raise ValueError("bits must be a non-empty sequence of 0/1")
-    return bits[::-1]
+    n = len(a)
+
+    def phase_qubit(ks):
+        """Phase factor of the fraction 0.a_{ks[0]} a_{ks[1]} ..."""
+        fraction = sum(a[k] / 2 ** (j + 1) for j, k in enumerate(ks))
+        return np.array([1.0, np.exp(-2j * np.pi * fraction)], dtype=complex) / np.sqrt(2)
+
+    basis = np.array([1.0 - a[n - 1], a[n - 1]], dtype=complex)
+    if map_variant == "full":
+        # domain position p >= 1 carries 0.a_{p-1} ... a_0, image position p 0.a_p ... a_0
+        domain = [basis] + [phase_qubit(range(p - 1, -1, -1)) for p in range(1, n)]
+        image = [phase_qubit(range(p, -1, -1)) for p in range(n)]
+    elif map_variant == "simplified":
+        # domain position p <= N-2 carries 0.a_p ... a_{N-2}; in the image the
+        # shifted-in bit a_{N-1} lands on the most significant qubit and
+        # position p >= 1 carries 0.a_{p-1} a_p ... a_{N-1}
+        domain = [phase_qubit(range(p, n - 1)) for p in range(n - 1)] + [basis]
+        image = [phase_qubit([n - 1])] + [phase_qubit(range(p - 1, n)) for p in range(1, n)]
+    else:
+        raise ValueError(f"unknown map variant {map_variant!r}")
+    return functools.reduce(np.kron, domain), functools.reduce(np.kron, image)

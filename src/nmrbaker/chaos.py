@@ -211,7 +211,7 @@ def grouping_stats(assignment, entropies) -> GroupingStats:
     if not 1 <= n <= MAX_SCAN_STATES or 2**n != len(entropies):
         raise ValueError(f"need 1 to {MAX_SCAN_STATES} labels, one per ensemble state")
     by_size, information, _ = _partition_layout(n)
-    pos = _partition_position(assignment)
+    pos = _partition_positions([assignment])[0]
     positions, masks, probs = by_size[len(set(assignment)) - 1]
     row = [np.searchsorted(positions, pos)]
     s_bar = _dots(probs[row], entropies[masks[row]])[0]
@@ -366,11 +366,6 @@ def _partition_positions(labels) -> np.ndarray:
     first = (labels[:, :, None] == labels[:, None, :]).argmax(axis=2)  # first equal label
     strings = np.take_along_axis(np.cumsum(first == np.arange(n), axis=1) - 1, first, axis=1)
     return np.searchsorted(_partition_layout(n)[2], strings @ n ** np.arange(n - 1, -1, -1))
-
-
-def _partition_position(assignment) -> int:
-    """The one-row :func:`_partition_positions`."""
-    return int(_partition_positions([assignment])[0])
 
 
 def _dots(a, b) -> np.ndarray:

@@ -63,9 +63,8 @@ def _compiled(programs, gates, model=_REF) -> float:
 def _shift_error(variant: str) -> float:
     """Worst 1 - fidelity of the map's shift action over the 8 bit strings."""
     u = baker.baker_unitary(3) if variant == "full" else baker.simplified_baker_unitary()
-    return max(1 - qstate.state_fidelity(baker.shift_image_state(bits, variant),
-                                         u @ baker.shift_domain_state(bits, variant))
-               for bits in product([0, 1], repeat=3))
+    states = (baker.shift_states(bits, variant) for bits in product([0, 1], repeat=3))
+    return max(1 - qstate.state_fidelity(image, u @ domain) for domain, image in states)
 
 
 def _dephasing_error() -> float:

@@ -118,9 +118,7 @@ class EvolutionEngine:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        if key == 0.0:
-            prop = np.eye(DIM * DIM, dtype=complex)
-        elif self._diagonal is not None:
+        if self._diagonal is not None:
             prop = np.diag(np.exp(self._diagonal * key))
         else:
             import scipy.linalg  # 0.25 s to import, so only a non-diagonal generator pays it

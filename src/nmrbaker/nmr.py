@@ -420,7 +420,7 @@ def t_even(model: HamiltonianModel) -> PulseSequence:
     # delays are timed off the j1 clock (tau2 = 2*tau1), as if j2 = j1/2
     # held exactly; running against the measured j2 leaves the small
     # coupling-ratio error quantified by compiled_distance.
-    return seq + swap_pulses((SPIN_C1, SPIN_C2), replace(model, j2=model.j1 / 2))
+    return seq + swap_pulses((SPIN_C1, SPIN_C2), model.compiler_reference())
 
 
 def t_regular(model: HamiltonianModel) -> PulseSequence:

@@ -30,6 +30,12 @@ ROOT = Path(__file__).resolve().parent.parent
 CHAOS = "tests/test_chaos.py::"
 GREEDY = CHAOS + "TestGreedyGrouping::"
 HYPER = CHAOS + "TestHypersensitivityExperiment::"
+SHIFT = "tests/test_baker.py::TestShiftStates::"
+CANNED = "tests/test_nmr.py::TestCannedSequences::"
+SWAP = "tests/test_nmr.py::TestCnotAndSwap::"
+ACCEPT = "tests/test_acceptance.py::test_criterion_"
+# the lightest test that evaluates a cli.CHECKS row with no test of its own
+VERIFY = "tests/test_cli.py::TestVerifyCommand::test_all_checks_pass"
 
 
 @dataclass(frozen=True)
@@ -119,6 +125,126 @@ MUTANTS = (
            "if not np.isfinite(rhos).all():",
            "if False:",
            ("tests/test_qstate.py::TestEntropy::test_rejects_non_finite_entries",)),
+    Mutant("simplified-image-drops-shifted-in-bit", "baker.py",
+           "[phase_qubit([n - 1])]",
+           "[phase_qubit([])]",
+           (SHIFT + "test_simplified_map_shift_property",)),
+    Mutant("full-domain-basis-at-wrong-end", "baker.py",
+           "[basis] + [phase_qubit(range(p - 1, -1, -1)) for p in range(1, n)]",
+           "[phase_qubit(range(p - 1, -1, -1)) for p in range(1, n)] + [basis]",
+           (SHIFT + "test_full_map_shift_property",)),
+    # the verify row times t_even on the compiler reference already, so only
+    # a run under the measured j2 shows swap delays that follow it
+    Mutant("t-even-swap-on-measured-j2", "nmr.py",
+           "swap_pulses((SPIN_C1, SPIN_C2), model.compiler_reference())",
+           "swap_pulses((SPIN_C1, SPIN_C2), model)",
+           ("tests/test_golden.py::test_cli_output_matches_golden[entropy_fig2]",)),
+    Mutant("config-map-variant-guard-dropped", "chaos.py",
+           "if self.map_variant not in MAP_VARIANTS:",
+           "if False:",
+           (CHAOS + "TestConfig::test_bad_field_rejected_at_construction",)),
+    Mutant("config-steps-guard-dropped", "chaos.py",
+           "if self.steps < 1:",
+           "if False:",
+           (CHAOS + "TestConfig::test_bad_field_rejected_at_construction",)),
+    Mutant("config-seed-guard-dropped", "chaos.py",
+           "if self.seed < 0:",
+           "if False:",
+           (HYPER + "test_negative_seed_rejected_before_work",)),
+    Mutant("model-variant-guard-dropped", "nmr.py",
+           "if self.variant not in VARIANTS:",
+           "if False:",
+           ("tests/test_nmr.py::TestHamiltonianModel::test_rejects_unknown_variant",)),
+    Mutant("model-convention-guard-dropped", "nmr.py",
+           "if self.convention not in CONVENTIONS:",
+           "if False:",
+           ("tests/test_nmr.py::TestHamiltonianModel::test_rejects_unknown_convention",)),
+    # one mutant per cli.CHECKS row, in registry order, each caught by that row
+    Mutant("gate-sequence-phase-angle", "baker.py",
+           "phase(0, 1, np.pi / 2),",
+           "phase(0, 1, np.pi / 4),",
+           (ACCEPT + "1_map_construction_equivalence",)),
+    Mutant("full-image-drops-bit-0", "baker.py",
+           "image = [phase_qubit(range(p, -1, -1)) for p in range(n)]",
+           "image = [phase_qubit(range(p, 0, -1)) for p in range(n)]",
+           (ACCEPT + "2_shift_map_property",)),
+    Mutant("simplified-domain-drops-bit-n-2", "baker.py",
+           "[phase_qubit(range(p, n - 1)) for p in range(n - 1)]",
+           "[phase_qubit(range(p, n - 2)) for p in range(n - 1)]",
+           (ACCEPT + "2_shift_map_property",)),
+    Mutant("z-rotation-variant-3-sign", "nmr.py",
+           "body = [rot_y(spin, -half_pi), rot_x(spin, angle), rot_y(spin, half_pi)]",
+           "body = [rot_y(spin, -half_pi), rot_x(spin, -angle), rot_y(spin, half_pi)]",
+           (VERIFY,)),
+    Mutant("hadamard-variant-2-reordered", "nmr.py",
+           "body = [rot_y(spin, -np.pi / 2), rot_x(spin, -np.pi)]",
+           "body = [rot_x(spin, -np.pi), rot_y(spin, -np.pi / 2)]",
+           (VERIFY,)),
+    Mutant("phase-gate-hc1-delay-halved", "nmr.py",
+           "tau = angle / (2 * model.j1_eff)",
+           "tau = angle / (4 * model.j1_eff)",
+           ("tests/test_nmr.py::TestPhaseGatePulses::test_matches_logical_gate",)),
+    Mutant("phase-gate-c1c2-offset-uncorrected", "nmr.py",
+           "extra_b = 2 * model.delta_eff * tau",
+           "extra_b = 0 * model.delta_eff * tau",
+           (VERIFY,)),
+    Mutant("swap-cnots-one-direction", "nmr.py",
+           "seq = seq + cnot_pulses(a, b, model)",
+           "seq = seq + cnot_pulses(b, a, model)",
+           (SWAP + "test_swap_matrix",)),
+    Mutant("cnot-half-phase", "nmr.py",
+           "seq = seq + phase_gate_pulses(pair, np.pi, model)",
+           "seq = seq + phase_gate_pulses(pair, np.pi / 2, model)",
+           (SWAP + "test_swap_squares_to_identity",)),
+    Mutant("t-odd-c2-correction-sign", "nmr.py",
+           "rot_y(SPIN_C2, d * t1 - np.pi / 8),",
+           "rot_y(SPIN_C2, d * t1 + np.pi / 8),",
+           (CANNED + "test_t_odd_matches_ideal",)),
+    Mutant("t-even-h-rotation-doubled", "nmr.py",
+           "z_rotation_pulses(SPIN_H, np.pi / 8)",
+           "z_rotation_pulses(SPIN_H, np.pi / 4)",
+           (CANNED + "test_t_even_matches_ideal",)),
+    Mutant("t-regular-odd-pulse-count", "nmr.py",
+           "for _ in range(8):",
+           "for _ in range(7):",
+           (CANNED + "test_t_regular_matches_offset_rotation",)),
+    Mutant("full-baker-last-rotation", "nmr.py",
+           "rot_x(SPIN_H, np.pi / 4),",
+           "rot_x(SPIN_H, np.pi / 2),",
+           (CANNED + "test_appendix_matches_ideal",)),
+    Mutant("t-odd-last-delay-dropped", "nmr.py",
+           '        delay(t1),\n    ]\n    return _seq("t_odd"',
+           '    ]\n    return _seq("t_odd"',
+           (ACCEPT + "3_pulse_compiler_correctness",)),
+    Mutant("t-even-phase-period-shortened", "nmr.py",
+           "delay(5 * t3 / 2), rot_x(SPIN_H, np.pi), delay(3 * t3 / 2)",
+           "delay(3 * t3 / 2), rot_x(SPIN_H, np.pi), delay(3 * t3 / 2)",
+           (ACCEPT + "3_pulse_compiler_correctness",)),
+    Mutant("tau4-not-matched-to-mean-step", "nmr.py",
+           "return 21 * self.tau1 / 16",
+           "return 5 * self.tau1 / 4",
+           (ACCEPT + "3_pulse_compiler_correctness",)),
+    Mutant("dephasing-rate-doubled", "lindblad.py",
+           "gen += g * (np.kron(z, z.T) - np.eye(DIM * DIM))",
+           "gen += 2 * g * (np.kron(z, z.T) - np.eye(DIM * DIM))",
+           (VERIFY,)),
+    Mutant("delay-propagator-first-order", "lindblad.py",
+           "prop = np.diag(np.exp(self._diagonal * key))",
+           "prop = np.diag(1 + self._diagonal * key)",
+           ("tests/test_lindblad.py::TestDelayPropagator::test_semigroup_property",)),
+    Mutant("rk4-steps-too-coarse", "lindblad.py",
+           "(self.model.tau1 / 200)",
+           "(self.model.tau1 / 2)",
+           ("tests/test_lindblad.py::TestDelayPropagator::test_rk4_agrees_with_exact_exponential",)),
+    # the drift fails run_sequence's own trace check first, so verify exits 3
+    Mutant("delay-gains-trace", "lindblad.py",
+           "return (propagator @ np.asarray(rho, dtype=complex).reshape(-1))",
+           "return (1 + 1e-9) * (propagator @ np.asarray(rho, dtype=complex).reshape(-1))",
+           (VERIFY,)),
+    Mutant("j1-ignores-convention", "nmr.py",
+           "return self.j1 * self._scale",
+           "return self.j1",
+           (VERIFY,)),
     Mutant("diagonal-terms-reordered", "nmr.py",
            "h = (self.j1_eff / 4 * (z_h @ z_c1) + self.j2_eff / 4 * (z_c1 @ z_c2)\n"
            "             + self.delta_eff / 2 * z_c2)",
@@ -141,11 +267,13 @@ def run(mutant: Mutant, scratch: Path) -> bool:
         raise SystemExit(f"{mutant.name}: the text to replace occurs {text.count(mutant.old)}"
                          f" times in {mutant.module}, not once")
     path.write_text(text.replace(mutant.old, mutant.new))
-    # -o pythonpath puts the copy ahead of the checkout's src/ from pyproject.toml
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    # -o pythonpath puts the copy ahead of the checkout's src/ from pyproject.toml;
+    # of the installed plugins only Hypothesis's is loaded, which halves start-up
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+               PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         "-o", f"pythonpath={src}", *mutant.tests],
+         "-p", "_hypothesis_pytestplugin", "-o", f"pythonpath={src}", *mutant.tests],
         cwd=ROOT, env=env, capture_output=True, text=True)
     if result.returncode not in (0, 1):  # 1: tests failed; anything else: pytest could not run them
         raise SystemExit(f"{mutant.name}: pytest exited {result.returncode}\n{result.stdout}{result.stderr}")

@@ -121,6 +121,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.preset("fig9")
 
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param("map_variant", "bogus", "unknown map variant 'bogus'", id="map_variant"),
+        pytest.param("steps", 0, "at least one step", id="steps=0"),
+        pytest.param("steps", -1, "at least one step", id="steps=-1"),
+    ])
+    def test_bad_field_rejected_at_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{field: value})
+
     def test_overrides(self):
         cfg = ExperimentConfig.preset("fig2", steps=3, map_variant="regular")
         assert cfg.steps == 3 and cfg.map_variant == "regular"
@@ -694,7 +703,7 @@ class TestPartitionProperties:
         n = len(rhos)
         labels = data.draw(st.lists(st.integers(-3, 12), min_size=n, max_size=n))
         string = oracles.first_appearance(labels)
-        assert chaos._partition_position(labels) == list(chaos.set_partitions(n)).index(string)
+        assert chaos._partition_positions([labels])[0] == list(chaos.set_partitions(n)).index(string)
         table = chaos.subset_entropies(chaos.subset_means(rhos))
         stats = chaos.grouping_stats(labels, table)
         expected = oracles._score(labels, table)

@@ -99,7 +99,10 @@ class TestLiouvillian:
 
 
 class TestDelayPropagator:
-    def test_zero_duration_is_identity(self, engine):
+    @pytest.mark.parametrize("variant", nmr.VARIANTS)
+    def test_zero_duration_is_identity(self, variant):
+        # elementwise exp under noxy and simplified, scipy's expm under full
+        engine = EvolutionEngine(HamiltonianModel(variant=variant), FIG2_NOISE)
         np.testing.assert_array_equal(engine.delay_propagator(0.0), np.eye(64))
 
     def test_closed_system_matches_unitary(self, engine_closed, model):

@@ -77,6 +77,11 @@ class TestHamiltonianModel:
         with pytest.raises(ValueError):
             HamiltonianModel(variant="exact")
 
+    @pytest.mark.parametrize("convention", ["bogus", "hertz", "Cycles"])
+    def test_rejects_unknown_convention(self, convention):
+        with pytest.raises(ValueError, match="frequency convention"):
+            HamiltonianModel(convention=convention)
+
     @pytest.mark.parametrize("j2", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_j2_not_finite_and_positive(self, j2):
         with pytest.raises(ValueError, match="j2"):
