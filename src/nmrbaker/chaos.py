@@ -18,6 +18,7 @@ Jensen-Shannon-type distance approximates it; its points are scan rows.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -317,10 +318,22 @@ def set_partitions(n: int):
 
 @dataclass(frozen=True)
 class HypersensitivityCurve:
-    """Minimum information vs entropy reduction, from the exhaustive scan."""
+    """Minimum information vs entropy reduction, from the exhaustive scan.
+
+    I_min is a nondecreasing staircase over the ascending ``delta_s`` grid
+    with one level per partition shape at most (22 for 8 histories), so
+    the curve keeps its ``levels`` and the grid position ``starts`` where
+    each begins.
+    """
 
     delta_s: np.ndarray
-    i_min: np.ndarray
+    levels: np.ndarray
+    starts: np.ndarray
+
+    @property
+    def i_min(self) -> np.ndarray:
+        """I_min at each ``delta_s``."""
+        return np.repeat(self.levels, np.diff(self.starts, append=len(self.delta_s)))
 
     def points(self) -> list[tuple[float, float]]:
         return list(zip(self.delta_s.tolist(), self.i_min.tolist()))
@@ -402,7 +415,11 @@ def _frontier_from_scan(delta_s, info) -> HypersensitivityCurve:
     # before: the run's first delta_s, with the running minimum I at its end
     starts = np.flatnonzero(np.abs(np.diff(d_sorted, prepend=np.inf)) > 1e-12)
     ends = np.append(starts[1:], len(d_sorted)) - 1
-    return HypersensitivityCurve(delta_s=d_sorted[starts][::-1], i_min=i_suffix[ends][::-1])
+    i_min = i_suffix[ends][::-1]
+    rises = np.flatnonzero(np.diff(i_min, prepend=-np.inf))
+    # arrays that own their data, as results are kept: flatnonzero returns
+    # a view of an (m, 1) array, and a reversed slice keeps its base alive
+    return HypersensitivityCurve(delta_s=d_sorted[starts[::-1]], levels=i_min[rises], starts=rises.copy())
 
 
 def _pareto_points(points) -> list[tuple[float, float]]:
@@ -435,6 +452,114 @@ class HyperResult:
 
 
 GREEDY_RESTARTS = 64
+_M32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier, high and low words
+_MULT = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+
+
+def _seed_state(words) -> list[np.ndarray]:
+    """numpy's ``SeedSequence(words).generate_state(4, np.uint64)`` for lanes
+    of uint32 entropy ``words``, one array per word: a pool of four words
+    hashes the first four in, mixes each pool word into every other, then
+    mixes each word past the pool into every pool word."""
+    def hasher(const, mult):
+        def hashmix(value):
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * mult & _M32
+            value = value * np.uint32(const)
+            return value ^ value >> 16
+        return hashmix
+
+    def mix(x, y):
+        x = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return x ^ x >> 16
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0 * words[0]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out = hasher(0x8B51F9DD, 0x58F38DED)
+    state = [out(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    return [lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])]
+
+
+def _add128(a, b):
+    """a + b mod 2**128 on (high, low) pairs of uint64 words."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
+
+
+def _pcg_step(state, inc):
+    """state * multiplier + inc mod 2**128, the high word of the low
+    words' product summed from 32-bit limbs."""
+    (hi, lo), (c_hi, c_lo) = state, _MULT
+    a0, a1, b0, b1 = lo & _M32, lo >> 32, c_lo & _M32, c_lo >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return _add128((carry + hi * c_lo + lo * c_hi, lo * c_lo), inc)
+
+
+def greedy_draws(seed: int, n: int, group_counts=None) -> dict[int, np.ndarray]:
+    """Row ``trial`` of entry ``k`` is
+    ``np.random.default_rng([seed, k, trial]).choice(n, size=k, replace=False)``
+    for each trial < :data:`GREEDY_RESTARTS` and k in ``group_counts``
+    (2 to n-1 unless given), all drawn at once as numpy draws each:
+    ``SeedSequence`` seeds a PCG64, whose XSL-RR outputs (O'Neill 2014)
+    give ``next_uint32`` words, low half first; Lemire's method (2019)
+    bounds a word to [0, j], redrawing while its low product word is under
+    2**32 mod (j + 1); Floyd's selection draws j = n-k .. n-1, a repeat
+    becoming j, and a shuffle swaps each i = k-1 .. 1 with a draw on [0, i].
+    """
+    group_counts = range(2, n) if group_counts is None else group_counts
+    seed = operator.index(seed)  # a float seed raises TypeError, as in numpy
+    if seed < 0 or not n <= _M32 or not all(1 <= k < n and (n <= 10000 or k <= n // 50) for k in group_counts):
+        raise ValueError(f"need seed >= 0 and 1 <= k < n <= 2**32 - 1 with n <= 10000 or k <= n // 50, where"
+                         f" numpy draws by Floyd's method, not seed={seed}, n={n}, k in {list(group_counts)}")
+    k = np.repeat(np.asarray(group_counts, dtype=np.int64), GREEDY_RESTARTS)
+    seed_words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words = [np.full(len(k), word, np.uint32) for word in seed_words]
+    words += [k.astype(np.uint32), np.resize(np.arange(GREEDY_RESTARTS, dtype=np.uint32), len(k))]
+    s_hi, s_lo, i_hi, i_lo = _seed_state(words)
+    inc = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+    state = _pcg_step(_add128(inc, (s_hi, s_lo)), inc)
+    stream, cursor = np.empty((len(k), 0), np.uint64), np.zeros(len(k), np.int64)
+
+    def bounded(rows, top):  # a value on [0, top] for each lane in rows
+        nonlocal stream, state
+        out, excl = np.empty(len(k), np.int64), np.zeros(len(k), np.uint64)
+        excl[rows] = top + 1
+        while len(rows):
+            while cursor[rows].max() >= stream.shape[1]:
+                state = _pcg_step(state, inc)
+                x, rot = state[0] ^ state[1], state[0] >> 58
+                x = x >> rot | x << (64 - rot & 63)
+                stream = np.column_stack([stream, x & _M32, x >> 32])
+            m = stream[rows, cursor[rows]] * excl[rows]
+            cursor[rows] += 1
+            kept = m & _M32 >= (1 << 32) % excl[rows]
+            out[rows[kept]] = m[kept] >> 32
+            rows = rows[~kept]
+        return out
+
+    chosen = np.full((len(k), k.max(initial=0)), -1, np.int64)
+    for t in range(chosen.shape[1]):  # Floyd's selection
+        rows = np.flatnonzero(k > t)
+        j = n - k[rows] + t
+        val = bounded(rows, j)[rows]
+        chosen[rows, t] = np.where((chosen[rows] == val[:, None]).any(axis=1), j, val)
+    for t in range(chosen.shape[1] - 1):  # the shuffle
+        rows = np.flatnonzero(k - 1 > t)
+        i = k[rows] - 1 - t
+        j = bounded(rows, i)[rows]
+        chosen[rows, i], chosen[rows, j] = chosen[rows, j], chosen[rows, i]
+    return {g: chosen[k == g, :g] for g in group_counts}
 
 
 def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = None) -> HyperResult:
@@ -443,9 +568,10 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
     The history ensemble runs ``n_steps`` steps, ``config.steps`` unless
     given; 2**n_steps histories must fit the exhaustive scan.
 
-    The greedy pass draws :data:`GREEDY_RESTARTS` seedings for each of 2
-    to n-1 groups (1 and n give the first and the last scan row whatever
-    the seeds) and keeps the nondominated (delta_s, information) points.
+    The greedy pass takes the :func:`greedy_draws` of ``config.seed``,
+    :data:`GREEDY_RESTARTS` seedings for each of 2 to n-1 groups (1 and n
+    give the first and the last scan row whatever the seeds), and keeps
+    the nondominated (delta_s, information) points.
     The distinct ordered draws of one group count, in draw order, run in
     lockstep through one :func:`greedy_groupings` call.  The exhaustive
     scan and greedy read one :func:`subset_means` table and its
@@ -469,12 +595,9 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
     first, last = ((float(delta_s[pos]), float(info[pos])) for pos in (0, -1))
     n = 2**n_steps  # histories
     points, table = [first], np.full((2**n, n), np.nan)
-    for n_groups in range(2, n):
+    for rows in greedy_draws(config.seed, n).values():
         # sorted draws would not do: argmin breaks exact ties by group order
-        draws = dict.fromkeys(
-            tuple(np.random.default_rng([config.seed, n_groups, trial])
-                  .choice(n, size=n_groups, replace=False).tolist())
-            for trial in range(GREEDY_RESTARTS))
+        draws = dict.fromkeys(map(tuple, rows.tolist()))
         pos = _partition_positions(greedy_groupings(means, entropies, list(draws), table))
         points += zip(delta_s[pos].tolist(), info[pos].tolist())
     return HyperResult(

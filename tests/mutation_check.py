@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CHAOS = "tests/test_chaos.py::"
 GREEDY = CHAOS + "TestGreedyGrouping::"
 HYPER = CHAOS + "TestHypersensitivityExperiment::"
+DRAWS = CHAOS + "TestGreedyDraws::"
 SHIFT = "tests/test_baker.py::TestShiftStates::"
 CANNED = "tests/test_nmr.py::TestCannedSequences::"
 SWAP = "tests/test_nmr.py::TestCnotAndSwap::"
@@ -70,6 +71,34 @@ MUTANTS = (
            "(entropies[bits[draws]] + entropies[bits[idx]][:, None])",
            (GREEDY + "test_matches_js_distance_reference",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
+    Mutant("pcg-carry-dropped", "chaos.py",
+           "return a[0] + b[0] + (lo < b[1]), lo",
+           "return a[0] + b[0], lo",
+           (DRAWS + "test_seeds_at_word_edges",)),
+    Mutant("floyd-repeat-keeps-val", "chaos.py",
+           "(chosen[rows] == val[:, None]).any(axis=1), j, val)",
+           "(chosen[rows] == val[:, None]).any(axis=1), val, val)",
+           (DRAWS + "test_seeds_at_word_edges",)),
+    Mutant("rejection-loop-skipped", "chaos.py",
+           "kept = m & _M32 >= (1 << 32) % excl[rows]",
+           "kept = m & _M32 >= 0",
+           (DRAWS + "test_rejected_words_are_redrawn",)),
+    Mutant("entropy-past-the-pool-ignored", "chaos.py",
+           "for word in words[4:]:",
+           "for word in words[4:4]:",
+           (DRAWS + "test_seeds_at_word_edges",)),
+    Mutant("shuffle-stops-at-two", "chaos.py",
+           "rows = np.flatnonzero(k - 1 > t)",
+           "rows = np.flatnonzero(k - 2 > t)",
+           (DRAWS + "test_seeds_at_word_edges",)),
+    Mutant("draw-guard-dropped", "chaos.py",
+           "if seed < 0 or not n <= _M32 or not all(",
+           "if False and not all(",
+           (DRAWS + "test_draws_numpy_makes_otherwise_rejected",)),
+    Mutant("curve-levels-start-at-their-last-point", "chaos.py",
+           "rises = np.flatnonzero(np.diff(i_min, prepend=-np.inf))",
+           "rises = np.flatnonzero(np.diff(i_min, append=np.inf))",
+           (CHAOS + "TestExhaustiveFrontier::test_staircase_expands_to_the_running_minimum",)),
     Mutant("dots-by-einsum", "chaos.py",
            "return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]",
            'return np.einsum("ij,ij->i", a, b)',

@@ -64,6 +64,19 @@ def exhaustive_imin(rhos) -> HypersensitivityCurve:
     return _frontier_from_scan(delta_s, info)
 
 
+def running_minimum_frontier(delta_s, info) -> tuple[np.ndarray, np.ndarray]:
+    """(delta_s, I_min) of ``chaos._frontier_from_scan`` as two full arrays,
+    I_min stored at every point: one point per run of descending delta_s
+    values each within 1e-12 of the one before, holding the run's first
+    delta_s and the running minimum I at its last member, ascending."""
+    order = np.argsort(delta_s)[::-1]
+    d_sorted = delta_s[order]
+    i_suffix = np.minimum.accumulate(info[order])
+    starts = np.flatnonzero(np.abs(np.diff(d_sorted, prepend=np.inf)) > 1e-12)
+    ends = np.append(starts[1:], len(d_sorted)) - 1
+    return d_sorted[starts][::-1], i_suffix[ends][::-1]
+
+
 def _score(assignment, entropies) -> tuple[float, float]:
     """(S-bar, I) of one partition (a group label per state), looked up in
     its ``chaos.subset_entropies`` table on its own, with no partition

@@ -6,7 +6,8 @@
 It prints one JSON object that maps each job of the ``entropy_sweep``,
 ``hyper_sweep`` and ``cli_cold`` workloads, seeds 0 and 1, to its outputs.
 In-process results have every float written by ``float.hex``, so a
-one-ulp move shows.  Each ``cli_cold`` argv runs through ``cli.run`` in
+one-ulp move shows; a frontier curve is written as its ``delta_s`` and
+``i_min`` arrays.  Each ``cli_cold`` argv runs through ``cli.run`` in
 this process, and its exit code and stdout are recorded.  The job lists
 come from ``perfbench/workloads.py``; nothing under ``perfbench/`` is
 written.  Run it before and after a change that must move no output and
@@ -33,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from nmrbaker import cli  # noqa: E402
+from nmrbaker.chaos import HypersensitivityCurve  # noqa: E402
 from workloads import WORKLOADS, job_label, run_job  # noqa: E402
 
 SEEDS = (0, 1)
@@ -44,6 +46,8 @@ def hexed(value):
         return float.hex(value)
     if isinstance(value, np.ndarray):
         return hexed(value.tolist())
+    if isinstance(value, HypersensitivityCurve):  # by its public arrays, whatever it stores
+        return {"delta_s": hexed(value.delta_s), "i_min": hexed(value.i_min)}
     if dataclasses.is_dataclass(value):
         return {f.name: hexed(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, (list, tuple)):

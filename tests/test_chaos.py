@@ -547,6 +547,63 @@ class TestGreedyGrouping:
             assert float(memo[mask, idx]).hex() == expected.hex(), (mask, idx)
 
 
+def numpy_draws(seed, n, n_groups, trials=chaos.GREEDY_RESTARTS):
+    """numpy's own ``choice`` draws of ``n_groups`` of ``n`` members, one row per trial."""
+    return np.array([seed_draw(n, n_groups, [seed, n_groups, trial]) for trial in range(trials)],
+                    dtype=np.int64).reshape(trials, n_groups)
+
+
+class TestGreedyDraws:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**130), st.integers(1, chaos.MAX_SCAN_STATES))
+    def test_rows_equal_numpy_choice(self, seed, n):
+        draws = chaos.greedy_draws(seed, n)
+        assert list(draws) == list(range(2, n))
+        for n_groups, rows in draws.items():
+            assert np.array_equal(rows, numpy_draws(seed, n, n_groups)), n_groups
+
+    # the seed's last word, its first two-word value, and seeds of three and
+    # five words, whose entropy runs past SeedSequence's pool of four words
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**128 + 1])
+    def test_seeds_at_word_edges(self, seed):
+        for n_groups, rows in chaos.greedy_draws(seed, 8).items():
+            assert np.array_equal(rows, numpy_draws(seed, 8, n_groups)), n_groups
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rejected_words_are_redrawn(self, seed):
+        # on [0, j] with j + 1 = 3 * 2**30, Lemire's method rejects a word
+        # whose low product word is under 2**32 mod (j + 1) = 2**30, about a
+        # quarter of words, where n <= 10 rejects one in 2**30 at most;
+        # numpy still selects by Floyd's method for k <= n // 50
+        n = 3 * 2**30
+        draws = chaos.greedy_draws(seed, n, range(1, 8))
+        for n_groups, rows in draws.items():
+            assert np.array_equal(rows, numpy_draws(seed, n, n_groups)), n_groups
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nothing_to_draw_below_three_states(self, n):
+        assert chaos.greedy_draws(0, n) == {}
+
+    @pytest.mark.parametrize("seed, n, group_counts", [(0, 8, [0]), (0, 8, [8]), (0, 8, [2, 9]),
+                                                       (0, 2**32, [1]), (0, 20000, [401]), (-1, 8, None)])
+    def test_draws_numpy_makes_otherwise_rejected(self, seed, n, group_counts):
+        with pytest.raises(ValueError, match="Floyd"):
+            chaos.greedy_draws(seed, n, group_counts)
+
+    def test_float_seed_rejected_as_numpy_rejects_it(self):
+        with pytest.raises(TypeError):
+            np.random.default_rng([1.5, 2, 0])
+        with pytest.raises(TypeError):
+            chaos.greedy_draws(1.5, 8)
+        assert np.array_equal(chaos.greedy_draws(np.int64(5), 8)[3], numpy_draws(5, 8, 3))
+
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    def test_short_ensembles_of_a_five_word_seed(self, n_steps):
+        cfg = ExperimentConfig.preset("fig5", map_variant="chaotic", seed=2**128 + 1)
+        assert hex_points(chaos.hypersensitivity_experiment(cfg, n_steps).greedy_points) == hex_points(
+            oracles.drawn_greedy_points(cfg, n_steps))
+
+
 class TestSetPartitions:
     @pytest.mark.parametrize(
         "n,bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (8, 4140)]
@@ -594,6 +651,22 @@ class TestExhaustiveFrontier:
         curve = chaos._frontier_from_scan(delta_s, info)
         assert curve.delta_s.tolist() == [0.0, 1.0 + 1.6e-12, 2.0]
         assert curve.i_min.tolist() == [0.0, 0.5, 1.5]
+
+    @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
+    @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4", "fig5"])
+    def test_staircase_expands_to_the_running_minimum(self, preset, variant):
+        rhos = chaos.history_ensemble(ExperimentConfig.preset(preset, map_variant=variant), 3)
+        delta_s, info, _ = chaos.partition_scan(chaos.subset_entropies(chaos.subset_means(rhos)))
+        curve = chaos._frontier_from_scan(delta_s, info)
+        expected_d, expected_i = oracles.running_minimum_frontier(delta_s, info)
+        assert [x.hex() for x in curve.delta_s.tolist()] == [x.hex() for x in expected_d.tolist()]
+        assert [x.hex() for x in curve.i_min.tolist()] == [x.hex() for x in expected_i.tolist()]
+        assert hex_points(curve.points()) == hex_points(zip(expected_d.tolist(), expected_i.tolist()))
+        # one level per partition shape at most: 22 integer partitions of 8
+        assert len(curve.levels) <= 22 and np.all(np.diff(curve.levels) > 0)
+        held = sum((a if a.base is None else a.base).nbytes
+                   for a in (getattr(curve, f.name) for f in dataclasses.fields(curve)))
+        assert held <= curve.delta_s.nbytes + 16 * len(curve.levels)
 
     def test_frontier_nondecreasing_and_bounded(self, fig2_chaotic_ensemble):
         curve = oracles.exhaustive_imin(fig2_chaotic_ensemble)
@@ -890,29 +963,29 @@ class TestHypersensitivityExperiment:
     def test_one_greedy_run_per_distinct_ordered_draw(self, monkeypatch):
         # one group, or one per state, gives one grouping whatever the draw,
         # so only 2 <= k <= n - 1 groups are drawn and run: each distinct
-        # ordered draw once, in draw order, one lockstep call per k
+        # ordered draw once, in numpy's draw order, one lockstep call per k,
+        # with no numpy generator built
         cfg = ExperimentConfig.preset("fig5", map_variant="regular", seed=5)
         n = 8
         draws = list(dict.fromkeys(seed_draw(n, n_groups, [cfg.seed, n_groups, trial])
                                    for n_groups in range(2, n)
                                    for trial in range(chaos.GREEDY_RESTARTS)))
-        seen, calls, rngs = [], [], []
-        original, default_rng = chaos.greedy_groupings, np.random.default_rng
+        seen, calls = [], []
+        original = chaos.greedy_groupings
 
         def counting(means, entropies, draws, table=None):
             calls.append(len(draws))
             seen.extend(map(tuple, draws))
             return original(means, entropies, draws, table)
 
-        def counting_rng(seed):
-            rngs.append(seed)
-            return default_rng(seed)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the experiment built a numpy generator")
 
         monkeypatch.setattr(chaos, "greedy_groupings", counting)
-        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        for name in ("default_rng", "SeedSequence", "PCG64", "Generator"):
+            monkeypatch.setattr(np.random, name, forbidden)
         chaos.hypersensitivity_experiment(cfg)
-        assert len(rngs) == (n - 2) * chaos.GREEDY_RESTARTS
-        assert len(draws) < len(rngs)
+        assert len(draws) < (n - 2) * chaos.GREEDY_RESTARTS
         assert len(calls) == n - 2
         assert seen == draws
 
