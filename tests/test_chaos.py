@@ -547,10 +547,10 @@ class TestGreedyGrouping:
             assert float(memo[mask, idx]).hex() == expected.hex(), (mask, idx)
 
 
-def numpy_draws(seed, n, n_groups, trials=chaos.GREEDY_RESTARTS):
-    """numpy's own ``choice`` draws of ``n_groups`` of ``n`` members, one row per trial."""
-    return np.array([seed_draw(n, n_groups, [seed, n_groups, trial]) for trial in range(trials)],
-                    dtype=np.int64).reshape(trials, n_groups)
+def numpy_draws(seed, n, n_groups):
+    """numpy's own ``choice`` draws of ``n_groups`` of ``n`` members, one row per restart."""
+    return np.array([seed_draw(n, n_groups, [seed, n_groups, trial]) for trial in range(chaos.GREEDY_RESTARTS)],
+                    dtype=np.int64)
 
 
 class TestGreedyDraws:
