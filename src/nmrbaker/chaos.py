@@ -323,7 +323,10 @@ class HypersensitivityCurve:
     I_min is a nondecreasing staircase over the ascending ``delta_s`` grid
     with one level per partition shape at most (22 for 8 histories), so
     the curve keeps its ``levels`` and the grid position ``starts`` where
-    each begins.
+    each begins.  The only reason for this form is that the benchmark
+    harness (``perfbench/run.py``) keeps every job's result until its
+    timed window ends, so its peak RSS grows with each kept curve; once it
+    checks each result as it returns, ``i_min`` can be a plain field again.
     """
 
     delta_s: np.ndarray
@@ -506,60 +509,67 @@ def _pcg_step(state, inc):
     return _add128((carry + hi * c_lo + lo * c_hi, lo * c_lo), inc)
 
 
-def greedy_draws(seed: int, n: int, group_counts=None) -> dict[int, np.ndarray]:
-    """Row ``trial`` of entry ``k`` is
-    ``np.random.default_rng([seed, k, trial]).choice(n, size=k, replace=False)``
-    for each trial < :data:`GREEDY_RESTARTS` and k in ``group_counts``
-    (2 to n-1 unless given), all drawn at once as numpy draws each:
-    ``SeedSequence`` seeds a PCG64, whose XSL-RR outputs (O'Neill 2014)
-    give ``next_uint32`` words, low half first; Lemire's method (2019)
-    bounds a word to [0, j], redrawing while its low product word is under
-    2**32 mod (j + 1); Floyd's selection draws j = n-k .. n-1, a repeat
-    becoming j, and a shuffle swaps each i = k-1 .. 1 with a draw on [0, i].
-    """
-    group_counts = range(2, n) if group_counts is None else group_counts
-    seed = operator.index(seed)  # a float seed raises TypeError, as in numpy
-    if seed < 0 or not n <= _M32 or not all(1 <= k < n and (n <= 10000 or k <= n // 50) for k in group_counts):
-        raise ValueError(f"need seed >= 0 and 1 <= k < n <= 2**32 - 1 with n <= 10000 or k <= n // 50, where"
-                         f" numpy draws by Floyd's method, not seed={seed}, n={n}, k in {list(group_counts)}")
-    k = np.repeat(np.asarray(group_counts, dtype=np.int64), GREEDY_RESTARTS)
-    seed_words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words = [np.full(len(k), word, np.uint32) for word in seed_words]
-    words += [k.astype(np.uint32), np.resize(np.arange(GREEDY_RESTARTS, dtype=np.uint32), len(k))]
-    s_hi, s_lo, i_hi, i_lo = _seed_state(words)
-    inc = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
-    state = _pcg_step(_add128(inc, (s_hi, s_lo)), inc)
-    stream, cursor = np.empty((len(k), 0), np.uint64), np.zeros(len(k), np.int64)
+class _Pcg64Lanes:
+    """One numpy ``PCG64`` per lane, seeded as ``default_rng(words)`` by
+    lanes of uint32 entropy ``words``: its XSL-RR outputs (O'Neill 2014)
+    give ``next_uint32`` words, low half first."""
 
-    def bounded(rows, top):  # a value on [0, top] for each lane in rows
-        nonlocal stream, state
-        out, excl = np.empty(len(k), np.int64), np.zeros(len(k), np.uint64)
+    def __init__(self, words):
+        s_hi, s_lo, i_hi, i_lo = _seed_state(words)
+        self.inc = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+        self.state = _pcg_step(_add128(self.inc, (s_hi, s_lo)), self.inc)
+        self.stream, self.cursor = np.empty((len(s_lo), 0), np.uint64), np.zeros(len(s_lo), np.int64)
+
+    def bounded(self, rows, top) -> np.ndarray:
+        """numpy's bounded integer on [0, ``top``] for each lane in ``rows``,
+        at the lane's index of the returned array: Lemire's method (2019)
+        keeps the high word of a word times top + 1, redrawing while its low
+        word is under 2**32 mod (top + 1)."""
+        out, excl = np.empty(len(self.cursor), np.int64), np.zeros(len(self.cursor), np.uint64)
         excl[rows] = top + 1
         while len(rows):
-            while cursor[rows].max() >= stream.shape[1]:
-                state = _pcg_step(state, inc)
-                x, rot = state[0] ^ state[1], state[0] >> 58
+            while self.cursor[rows].max() >= self.stream.shape[1]:
+                self.state = _pcg_step(self.state, self.inc)
+                x, rot = self.state[0] ^ self.state[1], self.state[0] >> 58
                 x = x >> rot | x << (64 - rot & 63)
-                stream = np.column_stack([stream, x & _M32, x >> 32])
-            m = stream[rows, cursor[rows]] * excl[rows]
-            cursor[rows] += 1
+                self.stream = np.column_stack([self.stream, x & _M32, x >> 32])
+            m = self.stream[rows, self.cursor[rows]] * excl[rows]
+            self.cursor[rows] += 1
             kept = m & _M32 >= (1 << 32) % excl[rows]
             out[rows[kept]] = m[kept] >> 32
             rows = rows[~kept]
         return out
 
+
+def greedy_draws(seed: int, n: int) -> dict[int, np.ndarray]:
+    """Row ``trial`` of entry ``k`` is
+    ``np.random.default_rng([seed, k, trial]).choice(n, size=k, replace=False)``
+    for each trial < :data:`GREEDY_RESTARTS` and 2 <= k <= n - 1, all
+    drawn at once on :class:`_Pcg64Lanes`, one lane per draw, as numpy
+    draws each (checked against numpy 2.4): Floyd's selection draws
+    j = n-k .. n-1, a repeat becoming j, and a shuffle swaps each
+    i = k-1 .. 1 with a draw on [0, i].
+    """
+    seed = operator.index(seed)  # a float seed raises TypeError, as in numpy
+    if seed < 0 or not 1 <= n <= MAX_SCAN_STATES:
+        raise ValueError(f"need seed >= 0 and 1 <= n <= {MAX_SCAN_STATES}, not seed={seed}, n={n}")
+    k = np.repeat(np.arange(2, n, dtype=np.int64), GREEDY_RESTARTS)
+    seed_words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words = [np.full(len(k), word, np.uint32) for word in seed_words]
+    words += [k.astype(np.uint32), np.resize(np.arange(GREEDY_RESTARTS, dtype=np.uint32), len(k))]
+    lanes = _Pcg64Lanes(words)
     chosen = np.full((len(k), k.max(initial=0)), -1, np.int64)
     for t in range(chosen.shape[1]):  # Floyd's selection
         rows = np.flatnonzero(k > t)
         j = n - k[rows] + t
-        val = bounded(rows, j)[rows]
+        val = lanes.bounded(rows, j)[rows]
         chosen[rows, t] = np.where((chosen[rows] == val[:, None]).any(axis=1), j, val)
     for t in range(chosen.shape[1] - 1):  # the shuffle
         rows = np.flatnonzero(k - 1 > t)
         i = k[rows] - 1 - t
-        j = bounded(rows, i)[rows]
+        j = lanes.bounded(rows, i)[rows]
         chosen[rows, i], chosen[rows, j] = chosen[rows, j], chosen[rows, i]
-    return {g: chosen[k == g, :g] for g in group_counts}
+    return {g: chosen[k == g, :g] for g in range(2, n)}
 
 
 def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = None) -> HyperResult:

@@ -92,9 +92,9 @@ MUTANTS = (
            "rows = np.flatnonzero(k - 2 > t)",
            (DRAWS + "test_seeds_at_word_edges",)),
     Mutant("draw-guard-dropped", "chaos.py",
-           "if seed < 0 or not n <= _M32 or not all(",
-           "if False and not all(",
-           (DRAWS + "test_draws_numpy_makes_otherwise_rejected",)),
+           "if seed < 0 or not 1 <= n <= MAX_SCAN_STATES:",
+           "if False:",
+           (DRAWS + "test_bad_seed_or_state_count_rejected",)),
     Mutant("curve-levels-start-at-their-last-point", "chaos.py",
            "rises = np.flatnonzero(np.diff(i_min, prepend=-np.inf))",
            "rises = np.flatnonzero(np.diff(i_min, append=np.inf))",
