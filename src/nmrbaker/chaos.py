@@ -62,9 +62,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.map_variant not in MAP_VARIANTS:
             raise ValueError(f"unknown map variant {self.map_variant!r}")
-        if self.steps < 1:
+        # operator.index raises TypeError on a float or other non-integral
+        # value here, before any engine is built
+        if operator.index(self.steps) < 1:
             raise ValueError("need at least one step")
-        if self.seed < 0:
+        if operator.index(self.seed) < 0:
             raise ValueError(f"the greedy seed must be >= 0, got seed={self.seed}")
 
     @classmethod
@@ -94,8 +96,18 @@ def initial_state() -> np.ndarray:
 
 
 def initial_density() -> np.ndarray:
-    psi = initial_state()
-    return np.outer(psi, psi.conj())
+    """|psi><psi| of :func:`initial_state`: a copy of the one built at import."""
+    return _INITIAL_DENSITY.copy()
+
+
+_INITIAL_DENSITY = np.outer(initial_state(), initial_state().conj())
+
+
+@lru_cache(maxsize=64)
+def _programs(model: HamiltonianModel) -> tuple[PulseSequence, PulseSequence, PulseSequence]:
+    """(``t_odd``, ``t_even``, ``t_regular``) of one model, built once:
+    programs are immutable, and engines resolve each once by value."""
+    return nmr.t_odd(model), nmr.t_even(model), nmr.t_regular(model)
 
 
 def _steps(config: ExperimentConfig, n_steps: int) -> list[tuple[PulseSequence, np.ndarray]]:
@@ -103,12 +115,12 @@ def _steps(config: ExperimentConfig, n_steps: int) -> list[tuple[PulseSequence, 
     chaotic map alternates ``t_odd`` and ``t_even`` and kicks H after odd
     steps and C2 after even ones (the same logical qubit, since the labels
     alternate); the reference map runs ``t_regular`` and kicks H."""
-    model = config.model()
+    t_odd, t_even, t_regular = _programs(config.model())
     if config.map_variant == "chaotic":
-        odd = nmr.t_odd(model), LIFTED_PAULI["Z", SPIN_H]
-        even = nmr.t_even(model), LIFTED_PAULI["Z", SPIN_C2]
+        odd = t_odd, LIFTED_PAULI["Z", SPIN_H]
+        even = t_even, LIFTED_PAULI["Z", SPIN_C2]
         return [odd if n % 2 else even for n in range(1, n_steps + 1)]
-    return [(nmr.t_regular(model), LIFTED_PAULI["Z", SPIN_H])] * n_steps
+    return [(t_regular, LIFTED_PAULI["Z", SPIN_H])] * n_steps
 
 
 def _averaged_kick(rho: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -138,21 +150,20 @@ def history_ensemble(config: ExperimentConfig, n_steps: int) -> list[np.ndarray]
     Z rho Z was applied after step k+1.  The all-zero history is the
     unperturbed run.  Histories that share a prefix share its
     evolution: step n is applied once to each of the 2**(n-1) distinct
-    states before it, 2**n - 1 step applications in all.
+    states before it, 2**n - 1 step applications in all, as one stacked
+    :func:`run_sequence` per step followed by one stacked kick.
     """
     if n_steps < 1:
         raise ValueError("a history ensemble needs at least one step")
     if n_steps > 6:
         raise ValueError("history ensembles beyond 6 steps are impractical (2^n runs)")
     engine = config.engine()
-    states = [initial_density()]
+    states = initial_density()[None]
     for program, z in _steps(config, n_steps):
-        children = []
-        for rho in states:
-            rho = run_sequence(rho, program, engine)
-            children += [rho, z @ rho @ z]
-        states = children
-    return states
+        states = run_sequence(states, program, engine)
+        # each state, then its kicked copy: the children in binary order
+        states = np.stack([states, z @ states @ z], axis=1).reshape(-1, *states.shape[1:])
+    return list(states)
 
 
 def subset_means(rhos) -> np.ndarray:

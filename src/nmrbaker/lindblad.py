@@ -19,17 +19,26 @@ fixed-step RK4 solution of the same generator
 that ``nmrbaker verify`` runs.  The tests add a second, statistical
 cross-check: a quantum-trajectory unraveling (Z jumps as Poisson
 processes) in ``tests/oracles.py``.
+
+Each operator is built once, where every user can share it: the
+commutator half of the generator once per Hamiltonian model
+(:func:`_commutator`), each spin's dephasing term at import
+(:data:`_DEPHASING`), each rotation and its adjoint once per instruction
+and model (:func:`_rotation`), and each program's operator list and each
+delay propagator once per engine.  Every shared operator is read-only.
+:func:`run_sequence` takes one state or a stack of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import qstate
-from .nmr import LIFTED_PAULI, SPINS, HamiltonianModel, PulseSequence, pulse_unitary
+from .nmr import LIFTED_PAULI, SPINS, HamiltonianModel, PulseInstruction, PulseSequence, pulse_unitary
 
 DIM = 8
 
@@ -65,34 +74,77 @@ class NoiseModel:
         return zip(SPINS, (self.gamma_h, self.gamma_c1, self.gamma_c2))
 
 
+# Z kron Z^T - I of each spin, its dephasing generator at unit rate
+_DEPHASING = {spin: np.kron(z, z.T) - np.eye(DIM * DIM)
+              for spin in SPINS for z in [LIFTED_PAULI["Z", spin]]}
+for _op in _DEPHASING.values():
+    _op.flags.writeable = False
+
+
+@lru_cache(maxsize=64)
+def _commutator(model: HamiltonianModel) -> np.ndarray:
+    """-i (H kron I - I kron H^T), once per distinct (frozen, hashable) model."""
+    h = model.matrix()
+    eye = np.eye(DIM)
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    gen.flags.writeable = False
+    return gen
+
+
 def liouvillian(model: HamiltonianModel, noise: NoiseModel) -> np.ndarray:
     """64x64 generator acting on row-stacked rho (C-order flatten).
 
     vec(A rho B) = (A kron B^T) vec(rho), so the commutator part is
     -i (H kron I - I kron H^T) and each dephasing channel contributes
-    Gamma (Z kron Z - I).
+    Gamma (Z kron Z - I).  Both parts are built once and shared, so a
+    call adds rates times constants and runs no ``np.kron``.
     """
-    h = model.matrix()
-    eye = np.eye(DIM)
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    gen = _commutator(model).copy()
     for spin, g in noise.items():
         if g:
-            z = LIFTED_PAULI["Z", spin]
-            gen += g * (np.kron(z, z.T) - np.eye(DIM * DIM))
+            gen += g * _DEPHASING[spin]
     return gen
 
 
+@lru_cache(maxsize=1024)
+def _rotation(instruction: PulseInstruction, model: HamiltonianModel) -> tuple:
+    """(u, u^dag) of an X/Y rotation, from :func:`nmr.pulse_unitary`: read-only,
+    as every engine that runs the instruction shares the pair."""
+    u = pulse_unitary(instruction, model)
+    uh = u.conj().T
+    u.flags.writeable = uh.flags.writeable = False
+    return u, uh
+
+
+def _states(rho: np.ndarray) -> np.ndarray:
+    """The density matrices of ``rho``, one (8, 8) state or a (..., 8, 8)
+    stack, as an (m, 8, 8) view."""
+    if rho.shape[-2:] != (DIM, DIM):
+        raise ValueError(f"expected ({DIM}, {DIM}) density matrices, got shape {rho.shape}")
+    return rho.reshape(-1, DIM, DIM)
+
+
 def apply_superoperator(propagator: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return (propagator @ np.asarray(rho, dtype=complex).reshape(-1)).reshape(DIM, DIM)
+    """``propagator`` applied to a density matrix or to each of a
+    (..., 8, 8) stack: one matrix-vector product per row-stacked state,
+    each equal to the product on its state alone."""
+    rho = np.asarray(rho, dtype=complex)
+    return np.matmul(propagator, rho.reshape(*rho.shape[:-2], DIM * DIM, 1)).reshape(rho.shape)
 
 
 class EvolutionEngine:
-    """Holds the model, noise, and a propagator cache keyed by duration.
+    """Holds the model, noise, a propagator cache keyed by duration and an
+    operator-list cache keyed by program.
 
     Pulse programs use only a handful of distinct delay durations, so
-    each 64x64 exponential is computed exactly once.  The cache is a
-    thread-safe memo: the same duration always yields the identical
-    propagator, and independent evolutions may run concurrently.
+    each 64x64 exponential is computed exactly once, and each program is
+    resolved once into the operators :func:`run_sequence` applies.  Both
+    caches are thread-safe memos: threads that race to build an entry
+    may each build it, but all of them get the first one stored, so the
+    same duration or program always yields the identical object, and
+    independent evolutions may run concurrently.  The module-level
+    caches (:func:`_commutator`, :func:`_rotation`) are ``lru_cache``s:
+    racing threads get equal arrays, not always the same object.
 
     A generator with no nonzero off-diagonal entry (every variant but
     ``full``) is exponentiated elementwise, the expression
@@ -109,6 +161,7 @@ class EvolutionEngine:
         self._diagonal = (diagonal if np.array_equal(self._generator, np.diag(diagonal))
                           else None)
         self._cache: dict[float, np.ndarray] = {}
+        self._operators: dict[PulseSequence, tuple] = {}
 
     def delay_propagator(self, duration: float) -> np.ndarray:
         """Completely positive trace-preserving map for one delay."""
@@ -124,9 +177,22 @@ class EvolutionEngine:
             import scipy.linalg  # 0.25 s to import, so only a non-diagonal generator pays it
 
             prop = scipy.linalg.expm(self._generator * key)
+        prop.flags.writeable = False  # operator lists share it
         # one atomic step (float keys hash and compare in C): threads that
         # raced to build the same duration all get the first one stored
         return self._cache.setdefault(key, prop)
+
+    def operators(self, seq: PulseSequence) -> tuple:
+        """``seq`` resolved once into what :func:`run_sequence` applies, in
+        order: the :func:`_rotation` pair (u, u^dag) of each rotation and
+        ``(propagator, None)`` for each delay."""
+        ops = self._operators.get(seq)
+        if ops is None:
+            ops = tuple((self.delay_propagator(ins.value), None) if ins.op == "U"
+                        else _rotation(ins, self.model) for ins in seq.instructions)
+            # as in delay_propagator: racing threads all get the first list stored
+            ops = self._operators.setdefault(seq, ops)
+        return ops
 
     def _rk4_propagator(self, duration: float) -> np.ndarray:
         """Fixed-step RK4 cross-check of :meth:`delay_propagator`: on this
@@ -140,30 +206,26 @@ class EvolutionEngine:
         return np.linalg.matrix_power(step, steps)
 
 
-def _require_physical(rho: np.ndarray) -> np.ndarray:
-    defects = qstate.density_matrix_defects(rho)
-    if defects:
-        raise PhysicsError("evolution produced an invalid state: " + "; ".join(defects))
-    return rho
-
-
 def run_sequence(
     rho0: np.ndarray, seq: PulseSequence, engine: EvolutionEngine
 ) -> np.ndarray:
-    """Evolve a density matrix through a pulse program with dephasing.
+    """Evolve a density matrix, or each of a (..., 8, 8) stack, through a
+    pulse program with dephasing.
 
     Rotations act as unitary conjugations; delays apply the cached
-    master-equation propagator.  The output is checked against the
-    density-matrix invariants (positivity repair is deliberately not
-    attempted: a violation indicates a bug, not noise).
+    master-equation propagator, walking :meth:`EvolutionEngine.operators`.
+    Each state of a stack evolves exactly as it does alone.  Every input
+    and every output state is checked against the density-matrix
+    invariants (positivity repair is deliberately not attempted: a
+    violation indicates a bug, not noise).
     """
-    qstate.check_density_matrix(rho0)
     rho = np.asarray(rho0, dtype=complex)
-    for ins in seq.instructions:
-        if ins.op == "U":
-            rho = apply_superoperator(engine.delay_propagator(ins.value), rho)
-        else:
-            u = pulse_unitary(ins, engine.model)
-            rho = u @ rho @ u.conj().T
-    return _require_physical(rho)
-
+    for state in _states(rho):
+        qstate.check_density_matrix(state)
+    for a, b in engine.operators(seq):
+        rho = apply_superoperator(a, rho) if b is None else a @ rho @ b
+    for state in _states(rho):
+        defects = qstate.density_matrix_defects(state)
+        if defects:
+            raise PhysicsError("evolution produced an invalid state: " + "; ".join(defects))
+    return rho

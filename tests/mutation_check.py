@@ -32,6 +32,8 @@ GREEDY = CHAOS + "TestGreedyGrouping::"
 HYPER = CHAOS + "TestHypersensitivityExperiment::"
 DRAWS = CHAOS + "TestGreedyDraws::"
 SHIFT = "tests/test_baker.py::TestShiftStates::"
+LIOUVILLIAN = "tests/test_lindblad.py::TestLiouvillian::"
+RUN = "tests/test_lindblad.py::TestRunSequence::"
 CANNED = "tests/test_nmr.py::TestCannedSequences::"
 SWAP = "tests/test_nmr.py::TestCnotAndSwap::"
 ACCEPT = "tests/test_acceptance.py::test_criterion_"
@@ -114,8 +116,8 @@ MUTANTS = (
            (HYPER + "test_greedy_points_equal_drawing_every_group_count",
             HYPER + "test_short_ensembles_equal_drawing_every_group_count")),
     Mutant("regular-map-kicks-c2", "chaos.py",
-           'return [(nmr.t_regular(model), LIFTED_PAULI["Z", SPIN_H])] * n_steps',
-           'return [(nmr.t_regular(model), LIFTED_PAULI["Z", SPIN_C2])] * n_steps',
+           'return [(t_regular, LIFTED_PAULI["Z", SPIN_H])] * n_steps',
+           'return [(t_regular, LIFTED_PAULI["Z", SPIN_C2])] * n_steps',
            (CHAOS + "TestRegularMapClosedForm::test_history_members_are_two_states",)),
     Mutant("averaged-kick-dropped", "chaos.py",
            "rho = _averaged_kick(rho, z)",
@@ -173,13 +175,17 @@ MUTANTS = (
            "if False:",
            (CHAOS + "TestConfig::test_bad_field_rejected_at_construction",)),
     Mutant("config-steps-guard-dropped", "chaos.py",
-           "if self.steps < 1:",
+           "if operator.index(self.steps) < 1:",
            "if False:",
            (CHAOS + "TestConfig::test_bad_field_rejected_at_construction",)),
     Mutant("config-seed-guard-dropped", "chaos.py",
-           "if self.seed < 0:",
+           "if operator.index(self.seed) < 0:",
            "if False:",
            (HYPER + "test_negative_seed_rejected_before_work",)),
+    Mutant("config-seed-may-be-a-float", "chaos.py",
+           "if operator.index(self.seed) < 0:",
+           "if self.seed < 0:",
+           (CHAOS + "TestConfig::test_non_integral_count_rejected_before_any_engine",)),
     Mutant("model-variant-guard-dropped", "nmr.py",
            "if self.variant not in VARIANTS:",
            "if False:",
@@ -254,9 +260,25 @@ MUTANTS = (
            "return 5 * self.tau1 / 4",
            (ACCEPT + "3_pulse_compiler_correctness",)),
     Mutant("dephasing-rate-doubled", "lindblad.py",
-           "gen += g * (np.kron(z, z.T) - np.eye(DIM * DIM))",
-           "gen += 2 * g * (np.kron(z, z.T) - np.eye(DIM * DIM))",
+           "gen += g * _DEPHASING[spin]",
+           "gen += 2 * g * _DEPHASING[spin]",
            (VERIFY,)),
+    # every model after the first gets the first model's commutator
+    Mutant("commutator-cache-ignores-model", "lindblad.py",
+           "@lru_cache(maxsize=64)\ndef _commutator(",
+           "@lambda build: lambda model, first=[]: first[0] if first else first.append(build(model))"
+           " or first[0]\ndef _commutator(",
+           (LIOUVILLIAN + "test_cached_parts_equal_the_kron_build",)),
+    # one dict, kept on the function, serves every engine
+    Mutant("operator-list-shared-across-engines", "lindblad.py",
+           "self._operators: dict[PulseSequence, tuple] = {}",
+           'self._operators = EvolutionEngine.__init__.__dict__.setdefault("operators", {})',
+           ("tests/test_lindblad.py::TestOperators::test_engines_do_not_share_operator_lists",)),
+    Mutant("stack-check-reads-first-state-only", "lindblad.py",
+           "return rho.reshape(-1, DIM, DIM)",
+           "return rho.reshape(-1, DIM, DIM)[:1]",
+           (RUN + "test_invalid_input_anywhere_in_a_stack_rejected",
+            RUN + "test_invalid_output_anywhere_in_a_stack_raises")),
     Mutant("delay-propagator-first-order", "lindblad.py",
            "prop = np.diag(np.exp(self._diagonal * key))",
            "prop = np.diag(1 + self._diagonal * key)",
@@ -267,8 +289,8 @@ MUTANTS = (
            ("tests/test_lindblad.py::TestDelayPropagator::test_rk4_agrees_with_exact_exponential",)),
     # the drift fails run_sequence's own trace check first, so verify exits 3
     Mutant("delay-gains-trace", "lindblad.py",
-           "return (propagator @ np.asarray(rho, dtype=complex).reshape(-1))",
-           "return (1 + 1e-9) * (propagator @ np.asarray(rho, dtype=complex).reshape(-1))",
+           "return np.matmul(propagator,",
+           "return (1 + 1e-9) * np.matmul(propagator,",
            (VERIFY,)),
     Mutant("j1-ignores-convention", "nmr.py",
            "return self.j1 * self._scale",

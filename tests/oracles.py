@@ -53,6 +53,20 @@ def dissipator(rho: np.ndarray, noise: NoiseModel) -> np.ndarray:
     return out
 
 
+def kron_liouvillian(model, noise: NoiseModel) -> np.ndarray:
+    """``lindblad.liouvillian`` built from scratch with ``np.kron`` on every
+    call, as it was before its parts were cached: the cached build must
+    equal it bit for bit."""
+    h = model.matrix()
+    eye = np.eye(DIM)
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for spin, g in noise.items():
+        if g:
+            z = LIFTED_PAULI["Z", spin]
+            gen += g * (np.kron(z, z.T) - np.eye(DIM * DIM))
+    return gen
+
+
 def exhaustive_imin(rhos) -> HypersensitivityCurve:
     """Exact I_min(delta_s) frontier from the full set-partition scan.
 

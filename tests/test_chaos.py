@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -130,6 +131,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("steps", 2.5), ("seed", "1")])
+    def test_non_integral_count_rejected_before_any_engine(self, field, value, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(chaos, "EvolutionEngine", forbidden)
+        with pytest.raises(AssertionError, match="engine was built"):  # the patch is live
+            chaos.entropy_experiment(ExperimentConfig.preset("fig5"))
+        with pytest.raises(TypeError):
+            chaos.entropy_experiment(ExperimentConfig.preset("fig5", **{field: value}))
+
     def test_overrides(self):
         cfg = ExperimentConfig.preset("fig2", steps=3, map_variant="regular")
         assert cfg.steps == 3 and cfg.map_variant == "regular"
@@ -216,16 +228,17 @@ class TestHistoryEnsemble:
     def test_shared_prefixes_match_separate_histories(self, variant, monkeypatch):
         cfg = ExperimentConfig.preset("fig5", map_variant=variant)
         expected = reference_history_ensemble(cfg, 3)
-        calls = []
+        states = []
 
-        def counting(*args):
-            calls.append(1)
-            return lindblad.run_sequence(*args)
+        def counting(rho, *args):
+            states.append(np.asarray(rho).reshape(-1, 8, 8).shape[0])
+            return lindblad.run_sequence(rho, *args)
 
         monkeypatch.setattr(chaos, "run_sequence", counting)
         rhos = chaos.history_ensemble(cfg, 3)
-        # one step application per distinct state before each step: 1 + 2 + 4
-        assert len(calls) == 7
+        # one step application per distinct state before each step, counted
+        # as the states passed in: 1 + 2 + 4
+        assert sum(states) == 7
         assert len(rhos) == len(expected) == 8
         for rho, ref in zip(rhos, expected):
             assert np.array_equal(rho, ref)
@@ -245,6 +258,15 @@ class TestSteps:
         for (_, z), (_, spin) in zip(steps, want):
             assert np.array_equal(z, qstate.embed(qstate.PAULI_Z, spin, nmr.SPINS))
             assert np.array_equal(z @ z, np.eye(8))
+
+    def test_programs_are_built_once_per_model(self):
+        model = ExperimentConfig().model()
+        programs = chaos._programs(model)
+        assert programs == (nmr.t_odd(model), nmr.t_even(model), nmr.t_regular(model))
+        chaotic = chaos._steps(ExperimentConfig.preset("fig2"), 2)
+        regular = chaos._steps(ExperimentConfig.preset("fig3", map_variant="regular"), 1)
+        assert all(map(operator.is_, [p for p, _ in chaotic + regular], programs))
+        assert chaos._programs(nmr.HamiltonianModel(convention="cycles"))[0] != programs[0]
 
     @pytest.mark.parametrize("ensemble", ["fig2_chaotic_ensemble", "fig2_regular_ensemble"],
                              ids=chaos.MAP_VARIANTS)

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nmrbaker import cli, lindblad, nmr, qstate
+from nmrbaker import chaos, cli, lindblad, nmr, qstate
+from nmrbaker.chaos import ExperimentConfig
 from nmrbaker.lindblad import EvolutionEngine, NoiseModel
 from nmrbaker.nmr import SPIN_C1, SPIN_C2, SPIN_H, HamiltonianModel
 
@@ -97,6 +98,16 @@ class TestLiouvillian:
             (gen @ rho.reshape(-1)).reshape(8, 8), direct, atol=1e-12
         )
 
+    @pytest.mark.parametrize("noise", [NoiseModel(), FIG2_NOISE, NoiseModel(gamma_c1=3.0)],
+                             ids=["closed", "fig2", "c1-only"])
+    @pytest.mark.parametrize("convention", nmr.CONVENTIONS)
+    @pytest.mark.parametrize("variant", nmr.VARIANTS)
+    def test_cached_parts_equal_the_kron_build(self, variant, convention, noise):
+        model = HamiltonianModel(variant=variant, convention=convention)
+        for _ in range(2):  # the build that fills the cache, then one that reads it
+            assert np.array_equal(lindblad.liouvillian(model, noise),
+                                  oracles.kron_liouvillian(model, noise))
+
 
 class TestDelayPropagator:
     @pytest.mark.parametrize("variant", nmr.VARIANTS)
@@ -187,6 +198,52 @@ class TestDelayPropagator:
         np.testing.assert_allclose(engine._rk4_propagator(model.tau1), prop, rtol=0, atol=1e-13)
 
 
+class TestOperators:
+    def test_cached_operators_are_read_only(self, engine, model):
+        ops = engine.operators(nmr.t_even(model))
+        arrays = [lindblad._commutator(model), *lindblad._DEPHASING.values(),
+                  *(a for pair in ops for a in pair if a is not None)]
+        assert any(b is None for _, b in ops) and len(arrays) > len(ops)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+    def test_program_resolves_once_per_engine(self, engine, model):
+        seq = nmr.t_odd(model)
+        ops = engine.operators(seq)
+        assert engine.operators(nmr.t_odd(model)) is ops  # an equal program, by value
+        for (a, b), ins in zip(ops, seq.instructions):
+            if ins.op == "U":
+                assert b is None and a is engine.delay_propagator(ins.value)
+            else:
+                np.testing.assert_array_equal(a, nmr.pulse_unitary(ins, model))
+                np.testing.assert_array_equal(b, nmr.pulse_unitary(ins, model).conj().T)
+
+    def test_operator_cache_is_thread_safe(self, model):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        eng = EvolutionEngine(model, FIG2_NOISE)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                # equal programs built apart, so every lookup hashes and compares
+                futures = [pool.submit(lambda: eng.operators(nmr.t_even(model))) for _ in range(32)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r is results[0] for r in results)
+
+    def test_engines_do_not_share_operator_lists(self, model):
+        seq = nmr.t_odd(model)
+        closed, noisy = EvolutionEngine(model, NoiseModel()), EvolutionEngine(model, FIG2_NOISE)
+        closed.operators(seq)
+        for (a, _), ins in zip(noisy.operators(seq), seq.instructions):
+            if ins.op == "U":
+                assert a is noisy.delay_propagator(ins.value)
+
+
 def choi(prop):
     """Choi matrix sum_kl |k><l| (x) E(|k><l|) of a superoperator acting on
     row-stacked density matrices (Wood, Biamonte & Cory, arXiv:1111.6950)."""
@@ -262,6 +319,53 @@ class TestRunSequence:
     def test_invalid_input_rejected(self, engine, model):
         with pytest.raises(ValueError):
             lindblad.run_sequence(np.eye(8), nmr.t_odd(model), engine)
+
+    @pytest.mark.parametrize("shape", [(8,), (4, 8), (2, 8, 4)])
+    def test_states_must_be_eight_by_eight(self, engine, model, shape):
+        with pytest.raises(ValueError, match="density matrices"):
+            lindblad.run_sequence(np.zeros(shape), nmr.t_odd(model), engine)
+
+    @pytest.mark.parametrize("variant", nmr.VARIANTS)
+    @pytest.mark.parametrize("map_variant", ["chaotic", "regular"])
+    def test_stack_equals_each_state_alone(self, map_variant, variant):
+        cfg = ExperimentConfig.preset("fig5", map_variant=map_variant, hamiltonian=variant)
+        engine = cfg.engine()
+        states = np.array(chaos.history_ensemble(cfg, 2))  # 4 distinct states
+        for program, _ in chaos._steps(cfg, 2):  # t_odd and t_even, or t_regular twice
+            stacked = lindblad.run_sequence(states.reshape(2, 2, 8, 8), program, engine)
+            assert stacked.shape == (2, 2, 8, 8)
+            for got, rho in zip(stacked.reshape(4, 8, 8), states):
+                assert np.array_equal(got, lindblad.run_sequence(rho, program, engine))
+
+    def test_superoperator_on_a_stack_equals_each_state_alone(self, engine, model):
+        prop = engine.delay_propagator(model.tau1)
+        states = np.array([plus_y_density(), np.eye(8) / 8, np.diag(np.arange(8.0)) / 28])
+        stacked = lindblad.apply_superoperator(prop, states)
+        for got, rho in zip(stacked, states):
+            assert np.array_equal(got, lindblad.apply_superoperator(prop, rho))
+            assert np.array_equal(got, (prop @ rho.astype(complex).reshape(-1)).reshape(8, 8))
+
+    @pytest.mark.parametrize("bad", range(3))
+    def test_invalid_input_anywhere_in_a_stack_rejected(self, engine, model, bad):
+        states = np.array([plus_y_density()] * 3)
+        states[bad] = np.eye(8)  # trace 8
+        with pytest.raises(ValueError, match="trace"):
+            lindblad.run_sequence(states, nmr.t_odd(model), engine)
+
+    @pytest.mark.parametrize("bad", range(3))
+    def test_invalid_output_anywhere_in_a_stack_raises(self, model, bad):
+        # under a negative rate the delay leaves a diagonal state as it is
+        # (every Z commutes with it) but drives a coherent one non-positive
+        noise = NoiseModel()
+        object.__setattr__(noise, "gamma_c2", -2.5)
+        engine = EvolutionEngine(model, noise)
+        states = np.array([np.diag(np.arange(1.0, 9.0)) / 36] * 3, dtype=complex)
+        states[bad] = plus_y_density()
+        seq = nmr.PulseSequence("wait", (nmr.delay(model.tau1),))
+        with pytest.raises(lindblad.PhysicsError, match="negative eigenvalue"):
+            lindblad.run_sequence(states, seq, engine)
+        for rho in np.delete(states, bad, axis=0):
+            lindblad.run_sequence(rho, seq, engine)  # the other states stay physical
 
     def test_random_programs_closed_system(self, engine_closed, model):
         rng = np.random.default_rng(6)

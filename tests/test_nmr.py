@@ -162,6 +162,14 @@ class TestPulseUnitary:
             rot_x("N", 1.0)
 
 
+class TestPulseSequence:
+    def test_hash_is_the_hash_of_its_fields(self, reference):
+        a, b = nmr.t_even(reference), nmr.t_even(reference)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.name, a.instructions))
+        assert len({a, b, nmr.t_odd(reference)}) == 2
+
+
 class TestSequenceUnitary:
     def test_empty_sequence_is_identity(self, reference):
         seq = PulseSequence("empty", ())
