@@ -38,7 +38,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import qstate
-from .nmr import LIFTED_PAULI, SPINS, HamiltonianModel, PulseInstruction, PulseSequence, pulse_unitary
+from .nmr import (LIFTED_PAULI, SPINS, HamiltonianModel, PulseInstruction, PulseSequence,
+                  pulse_unitary)
 
 DIM = 8
 
