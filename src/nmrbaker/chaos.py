@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import nmr, qstate
-from .lindblad import EvolutionEngine, NoiseModel, run_sequence
+from .lindblad import EvolutionEngine, NoiseModel, _evolve
 from .nmr import LIFTED_PAULI, SPIN_C2, SPIN_H, HamiltonianModel, PulseSequence
 
 MAP_VARIANTS = ("chaotic", "regular")
@@ -101,6 +101,7 @@ def initial_density() -> np.ndarray:
 
 
 _INITIAL_DENSITY = np.outer(initial_state(), initial_state().conj())
+_INITIAL_DENSITY.flags.writeable = False  # every run starts from it
 
 
 @lru_cache(maxsize=64)
@@ -110,33 +111,35 @@ def _programs(model: HamiltonianModel) -> tuple[PulseSequence, PulseSequence, Pu
     return nmr.t_odd(model), nmr.t_even(model), nmr.t_regular(model)
 
 
-def _steps(config: ExperimentConfig, n_steps: int) -> list[tuple[PulseSequence, np.ndarray]]:
-    """(program, Z of the kicked spin) for each of steps 1..n_steps: the
+def _steps(config: ExperimentConfig, engine: EvolutionEngine, n_steps: int) -> list[tuple]:
+    """(operators, Z of the kicked spin) for each of steps 1..n_steps: the
     chaotic map alternates ``t_odd`` and ``t_even`` and kicks H after odd
     steps and C2 after even ones (the same logical qubit, since the labels
-    alternate); the reference map runs ``t_regular`` and kicks H."""
+    alternate); the reference map runs ``t_regular`` and kicks H.  Only
+    the programs used are resolved, once: a ``full`` engine pays expm."""
     t_odd, t_even, t_regular = _programs(config.model())
-    if config.map_variant == "chaotic":
-        odd = t_odd, LIFTED_PAULI["Z", SPIN_H]
-        even = t_even, LIFTED_PAULI["Z", SPIN_C2]
-        return [odd if n % 2 else even for n in range(1, n_steps + 1)]
-    return [(t_regular, LIFTED_PAULI["Z", SPIN_H])] * n_steps
+    cycle = ([(t_odd, SPIN_H), (t_even, SPIN_C2)][:n_steps] if config.map_variant == "chaotic"
+             else [(t_regular, SPIN_H)])
+    resolved = [(engine.operators(program), LIFTED_PAULI["Z", spin]) for program, spin in cycle]
+    return [resolved[n % len(resolved)] for n in range(n_steps)]
 
 
 def _averaged_kick(rho: np.ndarray, z: np.ndarray) -> np.ndarray:
     """(rho + Z rho Z)/2, the average of the kicked and unkicked branches:
     idempotent and unital, it kills every matrix element connecting
-    opposite Z eigenspaces of the kicked spin."""
+    opposite Z eigenspaces of the kicked spin.  Neither kick of a valid rho
+    needs a check: Z rho Z (Z a +-1 diagonal) has rho's trace, hermiticity
+    defect and spectrum, and the average is a convex mix of the two."""
     return (rho + z @ rho @ z) / 2
 
 
 def entropy_experiment(config: ExperimentConfig) -> list[tuple[int, float]]:
     """Entropy in bits after 0..steps iterations of the chosen map."""
     engine = config.engine()
-    rho = initial_density()
+    rho = _INITIAL_DENSITY
     series = [(0, qstate.von_neumann_entropy_bits(rho))]
-    for n, (program, z) in enumerate(_steps(config, config.steps), start=1):
-        rho = run_sequence(rho, program, engine)
+    for n, (operators, z) in enumerate(_steps(config, engine, config.steps), start=1):
+        rho = _evolve(rho, operators)
         if config.artificial_perturbation:
             rho = _averaged_kick(rho, z)
         series.append((n, qstate.von_neumann_entropy_bits(rho)))
@@ -151,16 +154,16 @@ def history_ensemble(config: ExperimentConfig, n_steps: int) -> list[np.ndarray]
     unperturbed run.  Histories that share a prefix share its
     evolution: step n is applied once to each of the 2**(n-1) distinct
     states before it, 2**n - 1 step applications in all, as one stacked
-    :func:`run_sequence` per step followed by one stacked kick.
+    :func:`lindblad._evolve` per step followed by one stacked kick.
     """
     if n_steps < 1:
         raise ValueError("a history ensemble needs at least one step")
     if n_steps > 6:
         raise ValueError("history ensembles beyond 6 steps are impractical (2^n runs)")
     engine = config.engine()
-    states = initial_density()[None]
-    for program, z in _steps(config, n_steps):
-        states = run_sequence(states, program, engine)
+    states = _INITIAL_DENSITY[None]
+    for operators, z in _steps(config, engine, n_steps):
+        states = _evolve(states, operators)
         # each state, then its kicked copy: the children in binary order
         states = np.stack([states, z @ states @ z], axis=1).reshape(-1, *states.shape[1:])
     return list(states)

@@ -89,8 +89,8 @@ def _rk4_error() -> float:
 def _trace_drift() -> float:
     cfg, rho, drift = ExperimentConfig.preset("fig2"), chaos.initial_density(), 0.0
     engine = cfg.engine()
-    for program, _ in chaos._steps(cfg, 6):
-        rho = lindblad.run_sequence(rho, program, engine)
+    for operators, _ in chaos._steps(cfg, engine, 6):
+        rho = lindblad._evolve(rho, operators)
         drift = max(drift, abs(np.trace(rho).real - 1.0))
     return drift
 

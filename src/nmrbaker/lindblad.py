@@ -24,9 +24,10 @@ Each operator is built once, where every user can share it: the
 commutator half of the generator once per Hamiltonian model
 (:func:`_commutator`), each spin's dephasing term at import
 (:data:`_DEPHASING`), each rotation and its adjoint once per instruction
-and model (:func:`_rotation`), and each program's operator list and each
-delay propagator once per engine.  Every shared operator is read-only.
-:func:`run_sequence` takes one state or a stack of them.
+and model (:func:`_rotation`), and each delay propagator once per engine.
+Every shared operator is read-only.  :func:`_evolve` applies a resolved
+program to a stack and checks each state it produces, in one call;
+:func:`run_sequence`, the public entry, checks its input states first.
 """
 
 from __future__ import annotations
@@ -117,14 +118,6 @@ def _rotation(instruction: PulseInstruction, model: HamiltonianModel) -> tuple:
     return u, uh
 
 
-def _states(rho: np.ndarray) -> np.ndarray:
-    """The density matrices of ``rho``, one (8, 8) state or a (..., 8, 8)
-    stack, as an (m, 8, 8) view."""
-    if rho.shape[-2:] != (DIM, DIM):
-        raise ValueError(f"expected ({DIM}, {DIM}) density matrices, got shape {rho.shape}")
-    return rho.reshape(-1, DIM, DIM)
-
-
 def apply_superoperator(propagator: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """``propagator`` applied to a density matrix or to each of a
     (..., 8, 8) stack: one matrix-vector product per row-stacked state,
@@ -134,18 +127,15 @@ def apply_superoperator(propagator: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 class EvolutionEngine:
-    """Holds the model, noise, a propagator cache keyed by duration and an
-    operator-list cache keyed by program.
+    """Holds the model, the noise and one cache: the delay propagators,
+    keyed by duration.
 
     Pulse programs use only a handful of distinct delay durations, so
-    each 64x64 exponential is computed exactly once, and each program is
-    resolved once into the operators :func:`run_sequence` applies.  Both
-    caches are thread-safe memos: threads that race to build an entry
-    may each build it, but all of them get the first one stored, so the
-    same duration or program always yields the identical object, and
-    independent evolutions may run concurrently.  The module-level
-    caches (:func:`_commutator`, :func:`_rotation`) are ``lru_cache``s:
-    racing threads get equal arrays, not always the same object.
+    each 64x64 exponential is computed exactly once.  The cache is a
+    thread-safe memo: racing threads may each build an entry, but all
+    get the first one stored, so independent evolutions may run
+    concurrently.  The module-level ``lru_cache``s (:func:`_commutator`,
+    :func:`_rotation`) may hand racing threads equal, not identical, arrays.
 
     A generator with no nonzero off-diagonal entry (every variant but
     ``full``) is exponentiated elementwise, the expression
@@ -162,7 +152,6 @@ class EvolutionEngine:
         self._diagonal = (diagonal if np.array_equal(self._generator, np.diag(diagonal))
                           else None)
         self._cache: dict[float, np.ndarray] = {}
-        self._operators: dict[PulseSequence, tuple] = {}
 
     def delay_propagator(self, duration: float) -> np.ndarray:
         """Completely positive trace-preserving map for one delay."""
@@ -184,16 +173,11 @@ class EvolutionEngine:
         return self._cache.setdefault(key, prop)
 
     def operators(self, seq: PulseSequence) -> tuple:
-        """``seq`` resolved once into what :func:`run_sequence` applies, in
-        order: the :func:`_rotation` pair (u, u^dag) of each rotation and
+        """``seq`` resolved into what :func:`_evolve` applies, in order: the
+        :func:`_rotation` pair (u, u^dag) of each rotation and
         ``(propagator, None)`` for each delay."""
-        ops = self._operators.get(seq)
-        if ops is None:
-            ops = tuple((self.delay_propagator(ins.value), None) if ins.op == "U"
-                        else _rotation(ins, self.model) for ins in seq.instructions)
-            # as in delay_propagator: racing threads all get the first list stored
-            ops = self._operators.setdefault(seq, ops)
-        return ops
+        return tuple((self.delay_propagator(ins.value), None) if ins.op == "U"
+                     else _rotation(ins, self.model) for ins in seq.instructions)
 
     def _rk4_propagator(self, duration: float) -> np.ndarray:
         """Fixed-step RK4 cross-check of :meth:`delay_propagator`: on this
@@ -207,26 +191,27 @@ class EvolutionEngine:
         return np.linalg.matrix_power(step, steps)
 
 
-def run_sequence(
-    rho0: np.ndarray, seq: PulseSequence, engine: EvolutionEngine
-) -> np.ndarray:
-    """Evolve a density matrix, or each of a (..., 8, 8) stack, through a
-    pulse program with dephasing.
+def _evolve(rho: np.ndarray, operators: tuple) -> np.ndarray:
+    """Apply ``operators`` (:meth:`EvolutionEngine.operators`) to a checked
+    complex state or (..., 8, 8) stack, each state exactly as alone, and
+    check every state produced in one call (positivity repair is
+    deliberately not attempted: a violation indicates a bug, not noise)."""
+    for a, b in operators:
+        rho = apply_superoperator(a, rho) if b is None else a @ rho @ b
+    defects = qstate.density_matrix_defects(rho)
+    if defects:
+        raise PhysicsError("evolution produced an invalid state: " + "; ".join(defects))
+    return rho
 
-    Rotations act as unitary conjugations; delays apply the cached
-    master-equation propagator, walking :meth:`EvolutionEngine.operators`.
-    Each state of a stack evolves exactly as it does alone.  Every input
-    and every output state is checked against the density-matrix
-    invariants (positivity repair is deliberately not attempted: a
-    violation indicates a bug, not noise).
+
+def run_sequence(rho0: np.ndarray, seq: PulseSequence, engine: EvolutionEngine) -> np.ndarray:
+    """Evolve a density matrix, or each of a (..., 8, 8) stack, through a
+    pulse program with dephasing: every input state is checked
+    (``ValueError``), then :func:`_evolve` applies the program and checks
+    every output state (:class:`PhysicsError`).
     """
     rho = np.asarray(rho0, dtype=complex)
-    for state in _states(rho):
-        qstate.check_density_matrix(state)
-    for a, b in engine.operators(seq):
-        rho = apply_superoperator(a, rho) if b is None else a @ rho @ b
-    for state in _states(rho):
-        defects = qstate.density_matrix_defects(state)
-        if defects:
-            raise PhysicsError("evolution produced an invalid state: " + "; ".join(defects))
-    return rho
+    if rho.shape[-2:] != (DIM, DIM):
+        raise ValueError(f"expected ({DIM}, {DIM}) density matrices, got shape {rho.shape}")
+    qstate.check_density_matrix(rho)
+    return _evolve(rho, engine.operators(seq))

@@ -207,15 +207,6 @@ class PulseSequence:
     def __add__(self, other: "PulseSequence") -> "PulseSequence":
         return PulseSequence(self.name, self.instructions + other.instructions)
 
-    # hashed once, not per instruction on every lookup: each step of a run
-    # finds its program's operators in the engine by this key
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.name, self.instructions))
-
-    def __hash__(self) -> int:
-        return self._hash
-
 
 def _seq(name: str, instructions) -> PulseSequence:
     return PulseSequence(name, tuple(instructions))

@@ -107,25 +107,42 @@ def is_hermitian(h, tol: float = HERMITICITY_TOL) -> bool:
 
 
 def density_matrix_defects(rho) -> list[str]:
-    """List of violated density-matrix invariants (empty when valid)."""
+    """Violated density-matrix invariants of ``rho``, one matrix or a
+    (..., d, d) stack: empty when every state is valid, else the messages
+    of the first state that is not.  The whole stack is tested in one
+    pass, one batched ``eigvalsh``; messages are built only on a failure."""
     rho = np.asarray(rho)
-    if not np.isfinite(rho).all():  # eigvalsh would raise LinAlgError on it
-        return [f"non-finite entries ({np.count_nonzero(~np.isfinite(rho))} of {rho.size})"]
-    defects = []
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > HERMITICITY_TOL:
-        defects.append(f"hermiticity violated by {herm:.3e}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_TOL:
-        defects.append(f"trace {tr:.12g} deviates from 1 by {abs(tr - 1.0):.3e}")
-    wmin = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-    if wmin < -EIG_CLAMP:
-        defects.append(f"negative eigenvalue {wmin:.3e}")
-    return defects
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {rho.shape}")
+    states = rho.reshape(-1, *rho.shape[-2:])
+    # a non-finite state goes straight to its messages: here inf - inf
+    # would warn, and eigvalsh may raise LinAlgError on it
+    if np.isfinite(states).all():
+        adjoint = states.conj().swapaxes(-1, -2)
+        if (np.abs(states - adjoint).max(initial=0.0) <= HERMITICITY_TOL
+                and np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0).max(initial=0.0) <= TRACE_TOL
+                and np.linalg.eigvalsh((states + adjoint) / 2).min(initial=0.0) >= -EIG_CLAMP):
+            return []
+    for rho in states:
+        if not np.isfinite(rho).all():
+            return [f"non-finite entries ({np.count_nonzero(~np.isfinite(rho))} of {rho.size})"]
+        defects = []
+        herm = np.max(np.abs(rho - rho.conj().T))
+        if herm > HERMITICITY_TOL:
+            defects.append(f"hermiticity violated by {herm:.3e}")
+        tr = np.trace(rho)
+        if abs(tr - 1.0) > TRACE_TOL:
+            defects.append(f"trace {tr:.12g} deviates from 1 by {abs(tr - 1.0):.3e}")
+        wmin = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
+        if wmin < -EIG_CLAMP:
+            defects.append(f"negative eigenvalue {wmin:.3e}")
+        if defects:
+            return defects
+    return []
 
 
 def check_density_matrix(rho) -> None:
-    """Raise ValueError when ``rho`` violates a density-matrix invariant."""
+    """Raise ValueError when a matrix of ``rho`` violates a density-matrix invariant."""
     defects = density_matrix_defects(rho)
     if defects:
         raise ValueError("invalid density matrix: " + "; ".join(defects))

@@ -34,6 +34,7 @@ DRAWS = CHAOS + "TestGreedyDraws::"
 SHIFT = "tests/test_baker.py::TestShiftStates::"
 LIOUVILLIAN = "tests/test_lindblad.py::TestLiouvillian::"
 RUN = "tests/test_lindblad.py::TestRunSequence::"
+STACKED = "tests/test_qstate.py::TestStackedDensityChecks::"
 CANNED = "tests/test_nmr.py::TestCannedSequences::"
 SWAP = "tests/test_nmr.py::TestCnotAndSwap::"
 ACCEPT = "tests/test_acceptance.py::test_criterion_"
@@ -116,9 +117,18 @@ MUTANTS = (
            (HYPER + "test_greedy_points_equal_drawing_every_group_count",
             HYPER + "test_short_ensembles_equal_drawing_every_group_count")),
     Mutant("regular-map-kicks-c2", "chaos.py",
-           'return [(t_regular, LIFTED_PAULI["Z", SPIN_H])] * n_steps',
-           'return [(t_regular, LIFTED_PAULI["Z", SPIN_C2])] * n_steps',
+           "else [(t_regular, SPIN_H)])",
+           "else [(t_regular, SPIN_C2)])",
            (CHAOS + "TestRegularMapClosedForm::test_history_members_are_two_states",)),
+    Mutant("even-steps-run-t-odd", "chaos.py",
+           "[(t_odd, SPIN_H), (t_even, SPIN_C2)]",
+           "[(t_odd, SPIN_H), (t_odd, SPIN_C2)]",
+           (CHAOS + "TestSteps::test_schedule",)),
+    # a one-step chaotic run would build t_even's propagators for nothing
+    Mutant("steps-resolve-unused-programs", "chaos.py",
+           "(t_even, SPIN_C2)][:n_steps]",
+           "(t_even, SPIN_C2)]",
+           (CHAOS + "TestSteps::test_each_used_program_resolves_once",)),
     Mutant("averaged-kick-dropped", "chaos.py",
            "rho = _averaged_kick(rho, z)",
            "rho = rho",
@@ -269,16 +279,34 @@ MUTANTS = (
            "@lambda build: lambda model, first=[]: first[0] if first else first.append(build(model))"
            " or first[0]\ndef _commutator(",
            (LIOUVILLIAN + "test_cached_parts_equal_the_kron_build",)),
-    # one dict, kept on the function, serves every engine
-    Mutant("operator-list-shared-across-engines", "lindblad.py",
-           "self._operators: dict[PulseSequence, tuple] = {}",
-           'self._operators = EvolutionEngine.__init__.__dict__.setdefault("operators", {})',
-           ("tests/test_lindblad.py::TestOperators::test_engines_do_not_share_operator_lists",)),
-    Mutant("stack-check-reads-first-state-only", "lindblad.py",
-           "return rho.reshape(-1, DIM, DIM)",
-           "return rho.reshape(-1, DIM, DIM)[:1]",
+    Mutant("stack-check-reads-first-state-only", "qstate.py",
+           "states = rho.reshape(-1, *rho.shape[-2:])",
+           "states = rho.reshape(-1, *rho.shape[-2:])[:1]",
            (RUN + "test_invalid_input_anywhere_in_a_stack_rejected",
             RUN + "test_invalid_output_anywhere_in_a_stack_raises")),
+    # each vectorised test of the stacked check, on the first state only; a
+    # non-finite state past the first then reaches inf - inf, which warns
+    Mutant("stack-finite-test-reads-first-state-only", "qstate.py",
+           "if np.isfinite(states).all():",
+           "if np.isfinite(states[:1]).all():",
+           (STACKED + "test_one_bad_state_anywhere_gives_its_own_messages",)),
+    Mutant("stack-hermiticity-test-reads-first-state-only", "qstate.py",
+           "np.abs(states - adjoint).max(",
+           "np.abs(states - adjoint)[:1].max(",
+           (STACKED + "test_one_bad_state_anywhere_gives_its_own_messages",)),
+    Mutant("stack-trace-test-reads-first-state-only", "qstate.py",
+           "np.trace(states, axis1=-2, axis2=-1)",
+           "np.trace(states[:1], axis1=-2, axis2=-1)",
+           (STACKED + "test_one_bad_state_anywhere_gives_its_own_messages",)),
+    Mutant("stack-eigenvalue-test-reads-first-state-only", "qstate.py",
+           "np.linalg.eigvalsh((states + adjoint) / 2)",
+           "np.linalg.eigvalsh((states + adjoint)[:1] / 2)",
+           (STACKED + "test_one_bad_state_anywhere_gives_its_own_messages",)),
+    Mutant("evolve-output-check-dropped", "lindblad.py",
+           "defects = qstate.density_matrix_defects(rho)\n",
+           "defects = []\n",
+           (RUN + "test_invalid_output_anywhere_in_a_stack_raises",
+            "tests/test_cli.py::TestExitCodes::test_physics_violation_exits_three")),
     Mutant("delay-propagator-first-order", "lindblad.py",
            "prop = np.diag(np.exp(self._diagonal * key))",
            "prop = np.diag(1 + self._diagonal * key)",
@@ -287,7 +315,7 @@ MUTANTS = (
            "(self.model.tau1 / 200)",
            "(self.model.tau1 / 2)",
            ("tests/test_lindblad.py::TestDelayPropagator::test_rk4_agrees_with_exact_exponential",)),
-    # the drift fails run_sequence's own trace check first, so verify exits 3
+    # the drift fails _evolve's output check first, so verify exits 3
     Mutant("delay-gains-trace", "lindblad.py",
            "return np.matmul(propagator,",
            "return (1 + 1e-9) * np.matmul(propagator,",

@@ -32,6 +32,25 @@ def is_unitary(u, tol: float = 1e-10) -> bool:
     )
 
 
+def single_state_defects(rho) -> list[str]:
+    """``qstate.density_matrix_defects`` as it was for one matrix before it
+    took stacks, test by test; the stacked check must give its messages."""
+    rho = np.asarray(rho)
+    if not np.isfinite(rho).all():
+        return [f"non-finite entries ({np.count_nonzero(~np.isfinite(rho))} of {rho.size})"]
+    defects = []
+    herm = np.max(np.abs(rho - rho.conj().T))
+    if herm > qstate.HERMITICITY_TOL:
+        defects.append(f"hermiticity violated by {herm:.3e}")
+    tr = np.trace(rho)
+    if abs(tr - 1.0) > qstate.TRACE_TOL:
+        defects.append(f"trace {tr:.12g} deviates from 1 by {abs(tr - 1.0):.3e}")
+    wmin = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
+    if wmin < -qstate.EIG_CLAMP:
+        defects.append(f"negative eigenvalue {wmin:.3e}")
+    return defects
+
+
 def embedded_rotation(instruction: PulseInstruction) -> np.ndarray:
     """An X/Y rotation evaluated on its 2x2 factor and then lifted to the
     register with ``qstate.embed``; ``nmr.pulse_unitary`` must equal it

@@ -65,15 +65,36 @@ def basis_projectors(n=8):
     return [np.diag([1.0 + 0j if i == k else 0 for i in range(n)]) for k in range(n)]
 
 
+def count_checks(monkeypatch):
+    """Patch ``qstate.density_matrix_defects`` to record, per call, the
+    number of states it checks; return that list."""
+    checked, check = [], qstate.density_matrix_defects
+
+    def counting(rho):
+        checked.append(np.asarray(rho).reshape(-1, 8, 8).shape[0])
+        return check(rho)
+
+    monkeypatch.setattr(qstate, "density_matrix_defects", counting)
+    return checked
+
+
+def assert_same_operators(got, want):
+    """Two resolved programs apply the same operators, in order."""
+    assert len(got) == len(want)
+    for pair, ref in zip(got, want):
+        for a, b in zip(pair, ref, strict=True):
+            assert (a is None) == (b is None) and (a is None or np.array_equal(a, b))
+
+
 def reference_history_ensemble(config, n_steps):
     """Every history evolved from the start on its own: 2**n * n steps."""
     engine = config.engine()
-    steps = chaos._steps(config, n_steps)
+    steps = chaos._steps(config, engine, n_steps)
     out = []
     for idx in range(2**n_steps):
         rho = chaos.initial_density()
-        for n, (program, z) in enumerate(steps, start=1):
-            rho = lindblad.run_sequence(rho, program, engine)
+        for n, (operators, z) in enumerate(steps, start=1):
+            rho = lindblad._evolve(rho, operators)
             if (idx >> (n_steps - n)) & 1:
                 k = 1j * z  # the kick exp(i*pi*Z/2)
                 rho = k @ rho @ k.conj().T
@@ -188,6 +209,13 @@ class TestEntropyExperiment:
         b = chaos.entropy_experiment(cfg)
         assert a == b
 
+    @pytest.mark.parametrize("preset", ["fig2", "fig4"])  # fig4 averages a kick in
+    def test_each_state_is_checked_once(self, preset, monkeypatch):
+        cfg = ExperimentConfig.preset(preset, steps=5)
+        checked = count_checks(monkeypatch)
+        chaos.entropy_experiment(cfg)
+        assert checked == [1] * cfg.steps
+
 
 class TestHistoryEnsemble:
     def test_three_steps_give_eight_states(self, fig2_chaotic_ensemble):
@@ -204,8 +232,9 @@ class TestHistoryEnsemble:
 
     def test_identity_perturbation_collapses_ensemble(self, monkeypatch):
         steps = chaos._steps
-        monkeypatch.setattr(chaos, "_steps", lambda config, n_steps: [
-            (program, np.eye(8, dtype=complex)) for program, _ in steps(config, n_steps)])
+        monkeypatch.setattr(chaos, "_steps", lambda config, engine, n_steps: [
+            (operators, np.eye(8, dtype=complex))
+            for operators, _ in steps(config, engine, n_steps)])
         cfg = ExperimentConfig.preset("fig5", map_variant="chaotic")
         rhos = chaos.history_ensemble(cfg, 2)
         for rho in rhos[1:]:
@@ -219,6 +248,12 @@ class TestHistoryEnsemble:
         with pytest.raises(ValueError):
             chaos.history_ensemble(ExperimentConfig.preset("fig5"), 7)
 
+    @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
+    def test_each_state_is_checked_once(self, variant, monkeypatch):
+        checked = count_checks(monkeypatch)
+        chaos.history_ensemble(ExperimentConfig.preset("fig5", map_variant=variant), 3)
+        assert checked == [1, 2, 4]  # one stacked call per step, each state once
+
     @pytest.mark.parametrize("n_steps", [0, -1])
     def test_too_few_steps_rejected(self, n_steps):
         with pytest.raises(ValueError):
@@ -230,11 +265,11 @@ class TestHistoryEnsemble:
         expected = reference_history_ensemble(cfg, 3)
         states = []
 
-        def counting(rho, *args):
-            states.append(np.asarray(rho).reshape(-1, 8, 8).shape[0])
-            return lindblad.run_sequence(rho, *args)
+        def counting(rho, operators):
+            states.append(rho.reshape(-1, 8, 8).shape[0])
+            return lindblad._evolve(rho, operators)
 
-        monkeypatch.setattr(chaos, "run_sequence", counting)
+        monkeypatch.setattr(chaos, "_evolve", counting)
         rhos = chaos.history_ensemble(cfg, 3)
         # one step application per distinct state before each step, counted
         # as the states passed in: 1 + 2 + 4
@@ -248,24 +283,42 @@ class TestSteps:
     @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
     def test_schedule(self, variant):
         cfg = ExperimentConfig.preset("fig2", map_variant=variant)
-        model = cfg.model()
+        model, engine = cfg.model(), cfg.engine()
         if variant == "chaotic":
             want = [(nmr.t_odd(model), nmr.SPIN_H), (nmr.t_even(model), nmr.SPIN_C2)] * 2
         else:
             want = [(nmr.t_regular(model), nmr.SPIN_H)] * 4
-        steps = chaos._steps(cfg, 4)
-        assert [program for program, _ in steps] == [program for program, _ in want]
-        for (_, z), (_, spin) in zip(steps, want):
+        steps = chaos._steps(cfg, engine, 4)
+        assert len(steps) == len(want)
+        for (operators, z), (program, spin) in zip(steps, want):
+            assert_same_operators(operators, engine.operators(program))
             assert np.array_equal(z, qstate.embed(qstate.PAULI_Z, spin, nmr.SPINS))
             assert np.array_equal(z @ z, np.eye(8))
 
-    def test_programs_are_built_once_per_model(self):
+    @pytest.mark.parametrize("variant, n_steps, used", [
+        ("chaotic", 1, ["t_odd"]), ("chaotic", 5, ["t_odd", "t_even"]),
+        ("regular", 1, ["t_regular"]), ("regular", 5, ["t_regular"])])
+    def test_each_used_program_resolves_once(self, variant, n_steps, used, monkeypatch):
+        cfg = ExperimentConfig.preset("fig2", map_variant=variant, hamiltonian="full")
+        engine, resolved = cfg.engine(), []
+        resolve = engine.operators
+        monkeypatch.setattr(engine, "operators", lambda seq: resolved.append(seq) or resolve(seq))
+        steps = chaos._steps(cfg, engine, n_steps)
+        assert resolved == [getattr(nmr, name)(cfg.model()) for name in used]
+        # a full engine builds an expm only for the delays of programs it runs
+        assert set(engine._cache) == {ins.value for seq in resolved
+                                      for ins in seq.instructions if ins.op == "U"}
+        assert all(steps[n][0] is steps[n % len(used)][0] for n in range(n_steps))
+
+    def test_programs_are_built_once_per_model(self, monkeypatch):
         model = ExperimentConfig().model()
         programs = chaos._programs(model)
         assert programs == (nmr.t_odd(model), nmr.t_even(model), nmr.t_regular(model))
-        chaotic = chaos._steps(ExperimentConfig.preset("fig2"), 2)
-        regular = chaos._steps(ExperimentConfig.preset("fig3", map_variant="regular"), 1)
-        assert all(map(operator.is_, [p for p, _ in chaotic + regular], programs))
+        engine, resolved = ExperimentConfig.preset("fig2").engine(), []
+        monkeypatch.setattr(engine, "operators", resolved.append)
+        chaos._steps(ExperimentConfig.preset("fig2"), engine, 2)
+        chaos._steps(ExperimentConfig.preset("fig3", map_variant="regular"), engine, 1)
+        assert len(resolved) == 3 and all(map(operator.is_, resolved, programs))
         assert chaos._programs(nmr.HamiltonianModel(convention="cycles"))[0] != programs[0]
 
     @pytest.mark.parametrize("ensemble", ["fig2_chaotic_ensemble", "fig2_regular_ensemble"],
@@ -287,6 +340,20 @@ class TestAveragedKick:
     def test_idempotent(self):
         once = chaos._averaged_kick(chaos.initial_density(), self.Z_H)
         np.testing.assert_array_equal(chaos._averaged_kick(once, self.Z_H), once)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 8),
+           spin=st.sampled_from(nmr.SPINS))
+    def test_kicks_of_a_valid_state_stay_valid(self, seed, rank, spin):
+        # why neither kick is checked again before the next step
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho)
+        assert qstate.density_matrix_defects(rho) == []
+        z = nmr.LIFTED_PAULI["Z", spin]
+        assert qstate.density_matrix_defects(z @ rho @ z) == []
+        assert qstate.density_matrix_defects(chaos._averaged_kick(rho, z)) == []
 
     def test_kills_cross_sector_elements(self):
         rho = chaos.initial_density()

@@ -211,29 +211,12 @@ class TestOperators:
     def test_program_resolves_once_per_engine(self, engine, model):
         seq = nmr.t_odd(model)
         ops = engine.operators(seq)
-        assert engine.operators(nmr.t_odd(model)) is ops  # an equal program, by value
         for (a, b), ins in zip(ops, seq.instructions):
             if ins.op == "U":
                 assert b is None and a is engine.delay_propagator(ins.value)
             else:
                 np.testing.assert_array_equal(a, nmr.pulse_unitary(ins, model))
                 np.testing.assert_array_equal(b, nmr.pulse_unitary(ins, model).conj().T)
-
-    def test_operator_cache_is_thread_safe(self, model):
-        import sys
-        from concurrent.futures import ThreadPoolExecutor
-
-        eng = EvolutionEngine(model, FIG2_NOISE)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                # equal programs built apart, so every lookup hashes and compares
-                futures = [pool.submit(lambda: eng.operators(nmr.t_even(model))) for _ in range(32)]
-                results = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(r is results[0] for r in results)
 
     def test_engines_do_not_share_operator_lists(self, model):
         seq = nmr.t_odd(model)
@@ -331,7 +314,8 @@ class TestRunSequence:
         cfg = ExperimentConfig.preset("fig5", map_variant=map_variant, hamiltonian=variant)
         engine = cfg.engine()
         states = np.array(chaos.history_ensemble(cfg, 2))  # 4 distinct states
-        for program, _ in chaos._steps(cfg, 2):  # t_odd and t_even, or t_regular twice
+        t_odd, t_even, t_regular = chaos._programs(cfg.model())
+        for program in [t_odd, t_even] if map_variant == "chaotic" else [t_regular]:
             stacked = lindblad.run_sequence(states.reshape(2, 2, 8, 8), program, engine)
             assert stacked.shape == (2, 2, 8, 8)
             for got, rho in zip(stacked.reshape(4, 8, 8), states):

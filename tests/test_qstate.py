@@ -1,7 +1,10 @@
 import functools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from nmrbaker import qstate
@@ -198,3 +201,70 @@ class TestDensityChecks:
         rho = np.eye(8, dtype=complex) / 8
         rho[2, 5] = bad
         assert qstate.density_matrix_defects(rho) == ["non-finite entries (1 of 64)"]
+
+
+def random_densities(rng, shape):
+    """A random density matrix of random rank 1..8 at each index of ``shape``."""
+    out = np.empty((*shape, 8, 8), dtype=complex)
+    for idx in np.ndindex(*shape):
+        size = (8, rng.integers(1, 9))
+        a = rng.normal(size=size) + 1j * rng.normal(size=size)
+        rho = a @ a.conj().T
+        out[idx] = rho / np.trace(rho)
+    return out
+
+
+def with_entry(rho, idx, value):
+    rho = rho.copy()
+    rho[idx] = value
+    return rho
+
+
+# one defect of each kind, and its messages word for word
+EYE = np.eye(8, dtype=complex)
+BAD_STATES = {
+    "non-finite": (with_entry(EYE / 8, (3, 3), np.inf), ["non-finite entries (1 of 64)"]),
+    "hermiticity": (with_entry(EYE / 8, (0, 1), 1e-6), ["hermiticity violated by 1.000e-06"]),
+    "trace": (EYE / 8 * 1.01, ["trace 1.01+0j deviates from 1 by 1.000e-02"]),
+    "negative eigenvalue": (np.diag([1 + 1e-6, -1e-6, 0, 0, 0, 0, 0, 0]).astype(complex),
+                            ["negative eigenvalue -1.000e-06"]),
+    "hermiticity and trace": (with_entry(EYE / 4, (0, 1), 1e-6),
+                              ["hermiticity violated by 1.000e-06",
+                               "trace 2+0j deviates from 1 by 1.000e+00"]),
+}
+
+
+class TestStackedDensityChecks:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(1,), (3,), (7,), (2, 3)]))
+    def test_valid_stack_passes_as_each_state_does(self, seed, shape):
+        states = random_densities(np.random.default_rng(seed), shape)
+        assert all(oracles.single_state_defects(rho) == [] for rho in states.reshape(-1, 8, 8))
+        assert qstate.density_matrix_defects(states) == []
+        qstate.check_density_matrix(states)
+
+    @pytest.mark.parametrize("position", [0, 3, 5])
+    @pytest.mark.parametrize("kind", sorted(BAD_STATES))
+    def test_one_bad_state_anywhere_gives_its_own_messages(self, kind, position):
+        bad, messages = BAD_STATES[kind]
+        assert oracles.single_state_defects(bad) == qstate.density_matrix_defects(bad) == messages
+        states = random_densities(np.random.default_rng(position), (6,))
+        states[position] = bad
+        for stack in (states, states.reshape(2, 3, 8, 8)):
+            assert qstate.density_matrix_defects(stack) == messages
+            with pytest.raises(ValueError, match=re.escape("; ".join(messages))):
+                qstate.check_density_matrix(stack)
+
+    def test_first_bad_state_is_the_one_reported(self):
+        states = random_densities(np.random.default_rng(1), (4,))
+        states[1], states[2] = BAD_STATES["negative eigenvalue"][0], BAD_STATES["non-finite"][0]
+        assert qstate.density_matrix_defects(states) == BAD_STATES["negative eigenvalue"][1]
+        assert qstate.density_matrix_defects(states[::-1]) == BAD_STATES["non-finite"][1]
+
+    def test_empty_stack_has_no_defects(self):
+        assert qstate.density_matrix_defects(np.zeros((0, 8, 8))) == []
+
+    @pytest.mark.parametrize("shape", [(), (8,), (4, 8), (2, 8, 4)])
+    def test_non_square_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            qstate.density_matrix_defects(np.zeros(shape))
