@@ -21,6 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -248,54 +249,70 @@ def greedy_groupings(means, entropies, draws, table=None) -> np.ndarray:
     """Nearly optimal groupings of an ensemble, one row of labels per draw.
 
     ``means`` and ``entropies`` are the :func:`subset_means` and
-    :func:`subset_entropies` tables of the ensemble's n states.  Each row
-    of ``draws`` seeds ``k`` groups: group ``g`` starts as the single
-    member ``draw[g]``.  Each remaining state, in list order, joins the
-    group closest to it in :func:`js_distance` (the first of equal
-    distances, as ``np.argmin`` picks).  A group is its member mask: its
-    state is ``means[mask]`` and its entropy ``entropies[mask]``.  The
-    draws run in lockstep, one placement at a time for all rows.
+    :func:`subset_entropies` tables of the ensemble's n states.  Each draw
+    seeds ``len(draw)`` groups, and draws may differ in length: group ``g``
+    starts as the single member ``draw[g]``.  Each remaining state, in list
+    order, joins the group closest to it in :func:`js_distance` (the first
+    of equal distances, as ``np.argmin`` picks).  A group is its member
+    mask: its state is ``means[mask]`` and its entropy ``entropies[mask]``.
+    The draws run in lockstep, one placement at a time for every run that
+    still has a state to place; a shorter draw's unused group slots read
+    distance +inf, so no state joins them.
 
     The entropy of a candidate mixture ``(means[mask] + means[1 << idx]) / 2``
-    depends only on ``mask`` and the index of the state placed.  ``table``
-    (2**n, n), NaN where unknown, holds it in bits at ``[mask, idx]``.
-    Runs on the same ensemble may share one table; it changes no result,
-    and each placement diagonalises its distinct misses in one batched
-    ``eigvalsh``.
+    depends only on ``mask`` and the index of the state placed.  For a
+    one-member ``mask`` it is ``entropies[mask | 1 << idx]``, the same matrix
+    summed in the same order.  Otherwise ``table`` (2**n, n), NaN where
+    unknown, holds it in bits at ``[mask, idx]``.  Runs on the same ensemble
+    may share one table; it changes no result, and each placement
+    diagonalises its distinct misses in one batched ``eigvalsh``.
     """
     means, entropies = np.asarray(means), np.asarray(entropies)
     n = len(entropies).bit_length() - 1
     if 2**n != len(entropies) or len(means) != len(entropies):
         raise ValueError("the mean and entropy tables must have 2**n entries for n states")
-    draws = np.asarray(draws)
-    if (draws.ndim != 2 or not draws.shape[1] or not np.issubdtype(draws.dtype, np.integer)
-            or (draws < 0).any() or (draws >= n).any()
-            or (np.diff(np.sort(draws, axis=1), axis=1) == 0).any()):
-        raise ValueError("seeds must be distinct member indices, at least one")
+    bad_draws = "seeds must be distinct member indices, at least one"
+    try:
+        sizes = np.array(list(map(len, draws)), dtype=np.int64)
+        members = np.array(list(chain.from_iterable(draws)))
+    except (TypeError, ValueError):  # a draw that is no sequence, or a member that is one
+        raise ValueError(bad_draws) from None
+    if (not len(sizes) or not sizes.all() or members.ndim != 1
+            or not np.issubdtype(members.dtype, np.integer) or (members < 0).any() or (members >= n).any()):
+        raise ValueError(bad_draws)
+    runs = len(sizes)
+    run = np.repeat(np.arange(runs), sizes)
+    slot = np.arange(len(members)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    labels = np.full((runs, n), -1)
+    labels[run, members] = slot
+    if ((labels >= 0).sum(axis=1) != sizes).any():  # a repeated member
+        raise ValueError(bad_draws)
     if table is None:
         table = np.full((2**n, n), np.nan)
     if table.shape != (2**n, n) or not table.flags.c_contiguous:
         raise ValueError("the entropy memo must be a C-contiguous (2**n, n) array")
     flat = table.reshape(-1)
-    runs, k = draws.shape
-    run = np.arange(runs)
-    labels = np.full((runs, n), -1)
-    labels[run[:, None], draws] = np.arange(k)
-    pending = np.nonzero(labels < 0)[1].reshape(runs, n - k)  # ascending in each run
     bits = 1 << np.arange(n)
-    masks = bits[draws]
-    for step in range(n - k):
-        idx = pending[:, step]
-        keys = masks * n + idx[:, None]
-        new = np.unique(keys[np.isnan(flat[keys])])
+    masks = np.zeros((runs, sizes.max()), np.int64)  # 0: an unused group slot
+    masks[run, slot] = bits[members]
+    pending = np.argsort(labels >= 0, axis=1, kind="stable")  # unplaced states first, ascending
+    for step in range(n - sizes.min()):
+        rows = np.flatnonzero(sizes < n - step)  # the runs with a state left to place
+        idx = pending[rows, step]
+        m = masks[rows]
+        one = (m & (m - 1)) == 0  # a one-member group or an unused slot
+        keys = m * n + idx[:, None]
+        new = np.unique(keys[~one & np.isnan(flat[keys])])
         if len(new):
             mask, placed = np.divmod(new, n)
             flat[new] = qstate.von_neumann_entropies_bits((means[mask] + means[bits[placed]]) / 2)
+        mixed = np.where(one, entropies[m | bits[idx][:, None]], flat[keys])
         # js_distance's own expression, so each distance equals it bit for bit
-        dists = np.maximum(flat[keys] - (entropies[masks] + entropies[bits[idx]][:, None]) / 2, 0.0)
+        dists = np.maximum(mixed - (entropies[m] + entropies[bits[idx]][:, None]) / 2, 0.0)
+        dists[m == 0] = np.inf
         g = dists.argmin(axis=1)
-        labels[run, idx] = g
-        masks[run, g] |= bits[idx]
+        labels[rows, idx] = g
+        masks[rows, g] |= bits[idx]
     return labels
 
 
@@ -596,12 +613,14 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
     :data:`GREEDY_RESTARTS` seedings for each of 2 to n-1 groups (1 and n
     give the first and the last scan row whatever the seeds), and keeps
     the nondominated (delta_s, information) points.
-    The distinct ordered draws of one group count, in draw order, run in
-    lockstep through one :func:`greedy_groupings` call.  The exhaustive
-    scan and greedy read one :func:`subset_means` table and its
-    :func:`subset_entropies`; every group count shares one memo of mixture
-    entropies, and each grouping is the scan row at its
-    :func:`_partition_positions`.
+    Each group count's distinct ordered draws, in draw order, and the
+    counts in ascending order, run in lockstep through one
+    :func:`greedy_groupings` call, so every count shares one memo of
+    mixture entropies.  The exhaustive scan and greedy read one
+    :func:`subset_means` table and its :func:`subset_entropies`, which also
+    gives every mixture of two states.  Each grouping is the scan row at its
+    :func:`_partition_positions`, and the Pareto filter reads each distinct
+    row once.
     """
     n_steps = config.steps if n_steps is None else n_steps
     if n_steps < 1:
@@ -616,18 +635,18 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
     delta_s, info, s_max = partition_scan(entropies)
     frontier = _frontier_from_scan(delta_s, info)
     slope = frontier_slope(frontier)
-    first, last = ((float(delta_s[pos]), float(info[pos])) for pos in (0, -1))
     n = 2**n_steps  # histories
-    points, table = [first], np.full((2**n, n), np.nan)
-    for rows in greedy_draws(config.seed, n).values():
-        # sorted draws would not do: argmin breaks exact ties by group order
-        draws = dict.fromkeys(map(tuple, rows.tolist()))
-        pos = _partition_positions(greedy_groupings(means, entropies, list(draws), table))
-        points += zip(delta_s[pos].tolist(), info[pos].tolist())
+    # sorted draws would not do: argmin breaks exact ties by group order
+    draws = [draw for rows in greedy_draws(config.seed, n).values()
+             for draw in dict.fromkeys(map(tuple, rows.tolist()))]
+    pos = [0, len(delta_s) - 1]  # one group, and one per state, whatever the seeds
+    if draws:
+        pos += _partition_positions(greedy_groupings(means, entropies, draws)).tolist()
+    pos = np.unique(pos)
     return HyperResult(
         s_bar_max=s_max,
         frontier=frontier,
         slope=slope,
-        greedy_points=_pareto_points([*points, last]),
+        greedy_points=_pareto_points(zip(delta_s[pos].tolist(), info[pos].tolist())),
         n_partitions=len(delta_s),
     )

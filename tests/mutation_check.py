@@ -56,12 +56,12 @@ class Mutant:
 MUTANTS = (
     Mutant("argmin-last-of-equal", "chaos.py",
            "g = dists.argmin(axis=1)",
-           "g = k - 1 - dists[:, ::-1].argmin(axis=1)",
+           "g = dists.shape[1] - 1 - dists[:, ::-1].argmin(axis=1)",
            (GREEDY + "test_lockstep_rows_on_the_regular_map",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
     Mutant("memo-key-ignores-idx", "chaos.py",
-           "keys = masks * n + idx[:, None]",
-           "keys = masks * n + 0 * idx[:, None]",
+           "keys = m * n + idx[:, None]",
+           "keys = m * n + 0 * idx[:, None]",
            (GREEDY + "test_shared_memo_changes_no_assignment",
             HYPER + "test_greedy_diagonalises_once_per_memo_key")),
     Mutant("mixture-is-the-grown-mean", "chaos.py",
@@ -69,11 +69,32 @@ MUTANTS = (
            "means[mask | bits[placed]]",
            (GREEDY + "test_shared_memo_changes_no_assignment",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
-    Mutant("group-entropy-of-the-seed-only", "chaos.py",
-           "(entropies[masks] + entropies[bits[idx]][:, None])",
-           "(entropies[bits[draws]] + entropies[bits[idx]][:, None])",
+    Mutant("group-entropy-of-its-first-member-only", "chaos.py",
+           "(entropies[m] + entropies[bits[idx]][:, None])",
+           "(entropies[m & -m] + entropies[bits[idx]][:, None])",
            (GREEDY + "test_matches_js_distance_reference",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
+    Mutant("one-member-mixture-read-at-the-group", "chaos.py",
+           "np.where(one, entropies[m | bits[idx][:, None]], flat[keys])",
+           "np.where(one, entropies[m], flat[keys])",
+           (GREEDY + "test_shared_memo_changes_no_assignment",
+            CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
+    # a shorter draw's unused slot (mask 0) then reads S(rho_idx) / 2
+    Mutant("unused-group-slot-not-masked", "chaos.py",
+           "dists[m == 0] = np.inf",
+           "dists[m < 0] = np.inf",
+           (GREEDY + "test_shared_memo_changes_no_assignment",
+            CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
+    # a finished run then places one of its seeds again
+    Mutant("finished-run-still-advances", "chaos.py",
+           "rows = np.flatnonzero(sizes < n - step)",
+           "rows = np.arange(runs)",
+           (GREEDY + "test_shared_memo_changes_no_assignment",
+            CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
+    Mutant("greedy-repeat-guard-dropped", "chaos.py",
+           "if ((labels >= 0).sum(axis=1) != sizes).any():",
+           "if False:",
+           (GREEDY + "test_every_draw_validated",)),
     Mutant("pcg-carry-dropped", "chaos.py",
            "return a[0] + b[0] + (lo < b[1]), lo",
            "return a[0] + b[0], lo",
@@ -107,13 +128,13 @@ MUTANTS = (
            'return np.einsum("ij,ij->i", a, b)',
            (CHAOS + "TestPartitionProperties::test_scan_equals_scoring_each_partition",)),
     Mutant("first-scan-row-dropped", "chaos.py",
-           "points, table = [first],",
-           "points, table = [],",
+           "pos = [0, len(delta_s) - 1]",
+           "pos = [len(delta_s) - 1]",
            (HYPER + "test_greedy_points_equal_drawing_every_group_count",
             HYPER + "test_short_ensembles_equal_drawing_every_group_count")),
     Mutant("last-scan-row-dropped", "chaos.py",
-           "_pareto_points([*points, last])",
-           "_pareto_points(points)",
+           "pos = [0, len(delta_s) - 1]",
+           "pos = [0]",
            (HYPER + "test_greedy_points_equal_drawing_every_group_count",
             HYPER + "test_short_ensembles_equal_drawing_every_group_count")),
     Mutant("regular-map-kicks-c2", "chaos.py",

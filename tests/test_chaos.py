@@ -109,14 +109,33 @@ def seed_draw(n, n_groups, seed):
 
 def memo_keys(draw, assignment) -> set:
     """The memo entries one greedy run reads, from its draw and result:
-    ``(mask, idx)`` for each group's mixture with each placed state."""
+    ``(mask, idx)`` for each group of two or more members and each state
+    placed while it has them (a one-member group's mixture is read from the
+    subset table)."""
     masks = [1 << seed for seed in draw]
     keys = set()
     for idx in range(len(assignment)):
         if idx not in draw:
-            keys |= {(mask, idx) for mask in masks}
+            keys |= {(mask, idx) for mask in masks if mask.bit_count() > 1}
             masks[assignment[idx]] |= 1 << idx
     return keys
+
+
+def assert_pair_mixtures_are_subset_entries(rhos):
+    """Greedy reads a one-member group's mixture with state ``i`` from the
+    subset table: for every a != i, the entropy of
+    ``(means[1 << a] + means[1 << i]) / 2``, diagonalised alone or in one
+    batch as the memo would, hex-equals ``entropies[1 << a | 1 << i]``."""
+    n = len(rhos)
+    means = chaos.subset_means(rhos)
+    entropies = chaos.subset_entropies(means)
+    pairs = [(a, i) for a in range(n) for i in range(n) if a != i]
+    mixtures = np.array([(means[1 << a] + means[1 << i]) / 2 for a, i in pairs])
+    batched = qstate.von_neumann_entropies_bits(mixtures)
+    for (a, i), mixture, entropy in zip(pairs, mixtures, batched.tolist()):
+        expected = float(entropies[1 << a | 1 << i]).hex()
+        assert entropy.hex() == expected, (a, i)
+        assert qstate.von_neumann_entropy_bits(mixture).hex() == expected, (a, i)
 
 
 def hex_points(points):
@@ -447,6 +466,12 @@ class TestSubsetEntropies:
         with pytest.raises(ValueError):
             chaos.subset_entropies(np.zeros((entries, 2, 2)))
 
+    @pytest.mark.parametrize("hamiltonian", ["noxy", "full"])
+    @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
+    def test_pair_mixtures_are_subset_entries(self, variant, hamiltonian):
+        cfg = ExperimentConfig.preset("fig5", map_variant=variant, hamiltonian=hamiltonian)
+        assert_pair_mixtures_are_subset_entries(chaos.history_ensemble(cfg, 3))
+
     def test_members_summed_in_ascending_order(self, fig2_regular_ensemble):
         # the order a per-group average adds its members; the greedy
         # Pareto filter and the golden outputs depend on it at round-off
@@ -546,8 +571,11 @@ class TestGreedyGrouping:
         with pytest.raises(ValueError):
             chaos.greedy_grouping(fig2_chaotic_means, fig2_chaotic_table[:128], (0, 1, 2))
 
+    # draws of different lengths are valid; an empty, nested or non-sequence
+    # draw, a repeat, an out-of-range or non-integer member, or no draw is not
     @pytest.mark.parametrize("draws", [[(0, 1), (2, 2)], [(0, 1), (2, 8)], [(0, 1), (-1, 2)],
-                                       [(0, 1), (2,)], [(0, 1.0)], [()], []])
+                                       [(0, 1), ()], [(0, 1), (2, 3, 2)], [(0, 1), 2], [(0, (1, 2))],
+                                       [(0, 1.0)], [(2,), (0, 1.0)], [()], []])
     def test_every_draw_validated(self, draws, fig2_chaotic_means, fig2_chaotic_table):
         with pytest.raises(ValueError):
             chaos.greedy_groupings(fig2_chaotic_means, fig2_chaotic_table, draws)
@@ -575,16 +603,21 @@ class TestGreedyGrouping:
 
     @pytest.mark.parametrize("seeds", [(3,), (5, 0, 2), tuple(range(7)), tuple(range(8))])
     def test_group_entropy_calls(self, seeds, monkeypatch, fig2_chaotic_means, fig2_chaotic_table):
-        # a group's entropy is read from the subset table, so one run fills
-        # one mixture per group and placement, k (n - k) entries for n states
-        # and k groups, and diagonalises each once
+        # a group's entropy, and its mixture with a state while it has one
+        # member, are read from the subset table, so one run fills one
+        # mixture per group of two or more members and placement, of the
+        # k (n - k) it reads for n states and k groups, and diagonalises each
+        # once
         diagonalised = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: diagonalised.append(len(a)) or eigvalsh(a))
         n, k = 8, len(seeds)
         table = np.full((2**n, n), np.nan)
-        chaos.greedy_grouping(fig2_chaotic_means, fig2_chaotic_table, seeds, table)
-        assert sum(diagonalised) == np.count_nonzero(~np.isnan(table)) == k * (n - k)
+        assignment = chaos.greedy_grouping(fig2_chaotic_means, fig2_chaotic_table, seeds, table)
+        filled = {tuple(key) for key in np.argwhere(~np.isnan(table)).tolist()}
+        assert filled == memo_keys(seeds, assignment)
+        # the first placement, if any, reads every group with one member
+        assert sum(diagonalised) == len(filled) <= k * max(n - k - 1, 0)
 
     @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
     def test_matches_js_distance_reference(self, variant, request):
@@ -614,6 +647,7 @@ class TestGreedyGrouping:
         means = chaos.subset_means(rhos)
         table = chaos.subset_entropies(means)
         memo = np.full((2**8, 8), np.nan)
+        every_count, every_row = [], []
         for n_groups in range(1, 9):
             draws = list(dict.fromkeys(seed_draw(8, n_groups, [cfg.seed, n_groups, trial])
                                        for trial in range(chaos.GREEDY_RESTARTS)))
@@ -622,6 +656,11 @@ class TestGreedyGrouping:
                 memo_free = chaos.greedy_grouping(means, table, draw)
                 assert memo_free == oracles.reference_greedy_grouping(rhos, draw), draw
                 assert row == memo_free, draw
+            every_count += draws
+            every_row += rows
+        # every count in one call, through the memo the calls above filled,
+        # row for row as the per-count calls and the reference
+        assert chaos.greedy_groupings(means, table, every_count, memo).tolist() == every_row
         # each filled entry is the entropy its index names: the members of
         # mask summed in ascending order, averaged, mixed with rhos[idx]
         filled = np.argwhere(~np.isnan(memo))
@@ -832,9 +871,13 @@ def parity_ensembles(draw):
 
 @st.composite
 def draw_sets(draw, n):
-    """Ordered draws of one group count of ``n`` members, repeats allowed."""
-    k = draw(st.integers(1, n))
-    return draw(st.lists(st.permutations(range(n)).map(lambda p: tuple(p[:k])), min_size=1, max_size=12))
+    """Ordered draws of ``n`` members, one group count for all or one each,
+    repeats allowed."""
+    counts = st.integers(1, n)
+    if draw(st.booleans()):
+        counts = st.just(draw(counts))
+    draw_of = st.tuples(st.permutations(range(n)), counts).map(lambda pk: tuple(pk[0][:pk[1]]))
+    return draw(st.lists(draw_of, min_size=1, max_size=12))
 
 
 class TestPartitionProperties:
@@ -911,6 +954,11 @@ class TestPartitionProperties:
             draws = data.draw(draw_sets(n))
             rows = chaos.greedy_groupings(means, table, draws, memo)
             assert rows.tolist() == [oracles.reference_greedy_grouping(rhos, draw) for draw in draws]
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(random_ensembles(st.integers(2, 8)))
+    def test_pair_mixtures_are_subset_entries(self, rhos):
+        assert_pair_mixtures_are_subset_entries(rhos)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(random_ensembles())
@@ -1063,8 +1111,8 @@ class TestHypersensitivityExperiment:
     def test_one_greedy_run_per_distinct_ordered_draw(self, monkeypatch):
         # one group, or one per state, gives one grouping whatever the draw,
         # so only 2 <= k <= n - 1 groups are drawn and run: each distinct
-        # ordered draw once, in numpy's draw order, one lockstep call per k,
-        # with no numpy generator built
+        # ordered draw of each k once, in numpy's draw order, k ascending, all
+        # in one lockstep call, with no numpy generator built
         cfg = ExperimentConfig.preset("fig5", map_variant="regular", seed=5)
         n = 8
         draws = list(dict.fromkeys(seed_draw(n, n_groups, [cfg.seed, n_groups, trial])
@@ -1086,7 +1134,7 @@ class TestHypersensitivityExperiment:
             monkeypatch.setattr(np.random, name, forbidden)
         chaos.hypersensitivity_experiment(cfg)
         assert len(draws) < (n - 2) * chaos.GREEDY_RESTARTS
-        assert len(calls) == n - 2
+        assert calls == [len(draws)]
         assert seen == draws
 
     @pytest.mark.parametrize("seed", [0, 5])
@@ -1113,10 +1161,12 @@ class TestHypersensitivityExperiment:
             return eigvalsh(a)
 
         def counting_greedy(means, entropies, draws, table=None):
-            tables.append(table)
+            # the job's one call keeps its own memo: read this one instead
+            assert table is None
+            tables.append(np.full((len(entropies), len(entropies).bit_length() - 1), np.nan))
             inside.append(True)
             try:
-                rows = greedy(means, entropies, draws, table)
+                rows = greedy(means, entropies, draws, tables[-1])
             finally:
                 inside.pop()
             runs.extend(zip(draws, rows.tolist()))
@@ -1125,17 +1175,19 @@ class TestHypersensitivityExperiment:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         monkeypatch.setattr(chaos, "greedy_groupings", counting_greedy)
         chaos.hypersensitivity_experiment(ExperimentConfig.preset("fig5"))
-        # one table for the whole job, filled at exactly the entries the runs
-        # read, and no entry diagonalised twice
-        assert tables and all(table is tables[0] for table in tables)
+        # one call for the whole job, its memo filled at exactly the
+        # multi-member entries the runs read; each diagonalised once, and no
+        # one-member entry diagonalised at all
+        assert len(tables) == 1
         filled = {tuple(key) for key in np.argwhere(~np.isnan(tables[0])).tolist()}
         assert filled == set().union(*(memo_keys(draw, row) for draw, row in runs))
+        assert all(mask.bit_count() > 1 for mask, _ in filled)
         assert sum(diagonalised) == len(filled)
-        # at most one batched call for the mixtures of each placement:
-        # n - k for each k = 2..7, 21 in all, where one call per draw made
-        # about 210
+        # at most one batched call for the mixtures of each placement: the
+        # n - 2 placements of the two-group runs, where one call per k made
+        # up to 21 and one call per draw about 210
         n = 8
-        assert len(diagonalised) <= sum(n - k for k in range(2, n)) == 21
+        assert len(diagonalised) <= n - 2 == 6
 
     @pytest.mark.parametrize("hamiltonian", ["noxy", "full"])
     @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
