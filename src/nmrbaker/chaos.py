@@ -245,7 +245,7 @@ def js_distance(a: np.ndarray, b: np.ndarray) -> float:
     return max(s_mix - s_avg, 0.0)
 
 
-def greedy_groupings(means, entropies, draws, table=None) -> np.ndarray:
+def greedy_groupings(means, entropies, draws) -> np.ndarray:
     """Nearly optimal groupings of an ensemble, one row of labels per draw.
 
     ``means`` and ``entropies`` are the :func:`subset_means` and
@@ -262,9 +262,8 @@ def greedy_groupings(means, entropies, draws, table=None) -> np.ndarray:
     The entropy of a candidate mixture ``(means[mask] + means[1 << idx]) / 2``
     depends only on ``mask`` and the index of the state placed.  For a
     one-member ``mask`` it is ``entropies[mask | 1 << idx]``, the same matrix
-    summed in the same order.  Otherwise ``table`` (2**n, n), NaN where
-    unknown, holds it in bits at ``[mask, idx]``.  Runs on the same ensemble
-    may share one table; it changes no result, and each placement
+    summed in the same order.  Otherwise a (2**n, n) memo, NaN where
+    unknown, holds it in bits at ``[mask, idx]``, and each placement
     diagonalises its distinct misses in one batched ``eigvalsh``.
     """
     means, entropies = np.asarray(means), np.asarray(entropies)
@@ -287,11 +286,7 @@ def greedy_groupings(means, entropies, draws, table=None) -> np.ndarray:
     labels[run, members] = slot
     if ((labels >= 0).sum(axis=1) != sizes).any():  # a repeated member
         raise ValueError(bad_draws)
-    if table is None:
-        table = np.full((2**n, n), np.nan)
-    if table.shape != (2**n, n) or not table.flags.c_contiguous:
-        raise ValueError("the entropy memo must be a C-contiguous (2**n, n) array")
-    flat = table.reshape(-1)
+    memo = np.full(2**n * n, np.nan)  # at mask * n + idx
     bits = 1 << np.arange(n)
     masks = np.zeros((runs, sizes.max()), np.int64)  # 0: an unused group slot
     masks[run, slot] = bits[members]
@@ -302,11 +297,11 @@ def greedy_groupings(means, entropies, draws, table=None) -> np.ndarray:
         m = masks[rows]
         one = (m & (m - 1)) == 0  # a one-member group or an unused slot
         keys = m * n + idx[:, None]
-        new = np.unique(keys[~one & np.isnan(flat[keys])])
+        new = np.unique(keys[~one & np.isnan(memo[keys])])
         if len(new):
             mask, placed = np.divmod(new, n)
-            flat[new] = qstate.von_neumann_entropies_bits((means[mask] + means[bits[placed]]) / 2)
-        mixed = np.where(one, entropies[m | bits[idx][:, None]], flat[keys])
+            memo[new] = qstate.von_neumann_entropies_bits((means[mask] + means[bits[placed]]) / 2)
+        mixed = np.where(one, entropies[m | bits[idx][:, None]], memo[keys])
         # js_distance's own expression, so each distance equals it bit for bit
         dists = np.maximum(mixed - (entropies[m] + entropies[bits[idx]][:, None]) / 2, 0.0)
         dists[m == 0] = np.inf
@@ -316,11 +311,11 @@ def greedy_groupings(means, entropies, draws, table=None) -> np.ndarray:
     return labels
 
 
-def greedy_grouping(means, entropies, seeds, table=None) -> list[int]:
+def greedy_grouping(means, entropies, seeds) -> list[int]:
     """Nearly optimal grouping into ``len(seeds)`` clusters, group ``g``
     seeded by ``seeds[g]``: the one-draw :func:`greedy_groupings`, its row
     as a list of group labels."""
-    return greedy_groupings(means, entropies, [seeds], table)[0].tolist()
+    return greedy_groupings(means, entropies, [seeds])[0].tolist()
 
 
 def set_partitions(n: int):

@@ -23,8 +23,8 @@ processes) in ``tests/oracles.py``.
 Each operator is built once, where every user can share it: the
 commutator half of the generator once per Hamiltonian model
 (:func:`_commutator`), each spin's dephasing term at import
-(:data:`_DEPHASING`), each rotation and its adjoint once per instruction
-and model (:func:`_rotation`), and each delay propagator once per engine.
+(:data:`_DEPHASING`), one pair (u, u^dag) per run of back-to-back pulses
+and model (:func:`_pulses`), and each delay propagator once per engine.
 Every shared operator is read-only.  :func:`_evolve` applies a resolved
 program to a stack and checks each state it produces, in one call;
 :func:`run_sequence`, the public entry, checks its input states first.
@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -109,10 +110,15 @@ def liouvillian(model: HamiltonianModel, noise: NoiseModel) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def _rotation(instruction: PulseInstruction, model: HamiltonianModel) -> tuple:
-    """(u, u^dag) of an X/Y rotation, from :func:`nmr.pulse_unitary`: read-only,
-    as every engine that runs the instruction shares the pair."""
-    u = pulse_unitary(instruction, model)
+def _pulses(run: tuple[PulseInstruction, ...], model: HamiltonianModel) -> tuple:
+    """(u, u^dag) of a run of back-to-back X/Y rotations: u is the product
+    of their :func:`nmr.pulse_unitary` matrices, first pulse applied first,
+    starting from the first pulse's own matrix, so a one-pulse run is that
+    pulse's pair.  Read-only, as every engine that runs the run shares it."""
+    first, *rest = run
+    u = pulse_unitary(first, model)
+    for instruction in rest:
+        u = pulse_unitary(instruction, model) @ u
     uh = u.conj().T
     u.flags.writeable = uh.flags.writeable = False
     return u, uh
@@ -135,7 +141,7 @@ class EvolutionEngine:
     thread-safe memo: racing threads may each build an entry, but all
     get the first one stored, so independent evolutions may run
     concurrently.  The module-level ``lru_cache``s (:func:`_commutator`,
-    :func:`_rotation`) may hand racing threads equal, not identical, arrays.
+    :func:`_pulses`) may hand racing threads equal, not identical, arrays.
 
     A generator with no nonzero off-diagonal entry (every variant but
     ``full``) is exponentiated elementwise, the expression
@@ -173,11 +179,16 @@ class EvolutionEngine:
         return self._cache.setdefault(key, prop)
 
     def operators(self, seq: PulseSequence) -> tuple:
-        """``seq`` resolved into what :func:`_evolve` applies, in order: the
-        :func:`_rotation` pair (u, u^dag) of each rotation and
+        """``seq`` resolved into what :func:`_evolve` applies, in order: one
+        :func:`_pulses` pair (u, u^dag) per run of back-to-back pulses and
         ``(propagator, None)`` for each delay."""
-        return tuple((self.delay_propagator(ins.value), None) if ins.op == "U"
-                     else _rotation(ins, self.model) for ins in seq.instructions)
+        operators = []
+        for pulses, run in groupby(seq.instructions, key=lambda ins: ins.op != "U"):
+            if pulses:
+                operators.append(_pulses(tuple(run), self.model))
+            else:
+                operators.extend((self.delay_propagator(ins.value), None) for ins in run)
+        return tuple(operators)
 
     def _rk4_propagator(self, duration: float) -> np.ndarray:
         """Fixed-step RK4 cross-check of :meth:`delay_propagator`: on this

@@ -34,6 +34,8 @@ DRAWS = CHAOS + "TestGreedyDraws::"
 SHIFT = "tests/test_baker.py::TestShiftStates::"
 LIOUVILLIAN = "tests/test_lindblad.py::TestLiouvillian::"
 RUN = "tests/test_lindblad.py::TestRunSequence::"
+OPERATORS = "tests/test_lindblad.py::TestOperators::"
+ORACLE = CHAOS + "TestPerInstructionOracle::"
 STACKED = "tests/test_qstate.py::TestStackedDensityChecks::"
 CANNED = "tests/test_nmr.py::TestCannedSequences::"
 SWAP = "tests/test_nmr.py::TestCnotAndSwap::"
@@ -62,12 +64,12 @@ MUTANTS = (
     Mutant("memo-key-ignores-idx", "chaos.py",
            "keys = m * n + idx[:, None]",
            "keys = m * n + 0 * idx[:, None]",
-           (GREEDY + "test_shared_memo_changes_no_assignment",
+           (GREEDY + "test_one_call_over_every_count_changes_no_assignment",
             HYPER + "test_greedy_diagonalises_once_per_memo_key")),
     Mutant("mixture-is-the-grown-mean", "chaos.py",
            "(means[mask] + means[bits[placed]]) / 2",
            "means[mask | bits[placed]]",
-           (GREEDY + "test_shared_memo_changes_no_assignment",
+           (GREEDY + "test_one_call_over_every_count_changes_no_assignment",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
     Mutant("group-entropy-of-its-first-member-only", "chaos.py",
            "(entropies[m] + entropies[bits[idx]][:, None])",
@@ -75,21 +77,21 @@ MUTANTS = (
            (GREEDY + "test_matches_js_distance_reference",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
     Mutant("one-member-mixture-read-at-the-group", "chaos.py",
-           "np.where(one, entropies[m | bits[idx][:, None]], flat[keys])",
-           "np.where(one, entropies[m], flat[keys])",
-           (GREEDY + "test_shared_memo_changes_no_assignment",
+           "np.where(one, entropies[m | bits[idx][:, None]], memo[keys])",
+           "np.where(one, entropies[m], memo[keys])",
+           (GREEDY + "test_one_call_over_every_count_changes_no_assignment",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
     # a shorter draw's unused slot (mask 0) then reads S(rho_idx) / 2
     Mutant("unused-group-slot-not-masked", "chaos.py",
            "dists[m == 0] = np.inf",
            "dists[m < 0] = np.inf",
-           (GREEDY + "test_shared_memo_changes_no_assignment",
+           (GREEDY + "test_one_call_over_every_count_changes_no_assignment",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
     # a finished run then places one of its seeds again
     Mutant("finished-run-still-advances", "chaos.py",
            "rows = np.flatnonzero(sizes < n - step)",
            "rows = np.arange(runs)",
-           (GREEDY + "test_shared_memo_changes_no_assignment",
+           (GREEDY + "test_one_call_over_every_count_changes_no_assignment",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
     Mutant("greedy-repeat-guard-dropped", "chaos.py",
            "if ((labels >= 0).sum(axis=1) != sizes).any():",
@@ -170,10 +172,6 @@ MUTANTS = (
            "if any(r.shape != shape for r in rhos):",
            "if False:",
            (CHAOS + "TestSubsetEntropies::test_mixed_shapes_rejected",)),
-    Mutant("greedy-memo-shape-guard-dropped", "chaos.py",
-           "if table.shape != (2**n, n) or not table.flags.c_contiguous:",
-           "if not table.flags.c_contiguous:",
-           (GREEDY + "test_memo_shape_validated",)),
     Mutant("noise-rate-guard-dropped", "lindblad.py",
            "if not (math.isfinite(g) and g >= 0):",
            "if False:",
@@ -328,6 +326,22 @@ MUTANTS = (
            "defects = []\n",
            (RUN + "test_invalid_output_anywhere_in_a_stack_raises",
             "tests/test_cli.py::TestExitCodes::test_physics_violation_exits_three")),
+    Mutant("pulse-product-order-reversed", "lindblad.py",
+           "u = pulse_unitary(instruction, model) @ u",
+           "u = u @ pulse_unitary(instruction, model)",
+           (OPERATORS + "test_program_resolves_once_per_engine",
+            ORACLE + "test_chaotic_map_equals_it_at_round_off")),
+    Mutant("pulse-adjoint-of-the-first-pulse-only", "lindblad.py",
+           "uh = u.conj().T",
+           "uh = pulse_unitary(first, model).conj().T",
+           (OPERATORS + "test_program_resolves_once_per_engine",
+            ORACLE + "test_chaotic_map_equals_it_at_round_off")),
+    # every pulse of the program in one run, and every delay after it
+    Mutant("pulse-runs-merged-across-delays", "lindblad.py",
+           'groupby(seq.instructions, key=lambda ins: ins.op != "U")',
+           'groupby(sorted(seq.instructions, key=lambda ins: ins.op == "U"), key=lambda ins: ins.op != "U")',
+           (OPERATORS + "test_program_resolves_once_per_engine",
+            ORACLE + "test_chaotic_map_equals_it_at_round_off")),
     Mutant("delay-propagator-first-order", "lindblad.py",
            "prop = np.diag(np.exp(self._diagonal * key))",
            "prop = np.diag(1 + self._diagonal * key)",

@@ -10,10 +10,11 @@ import numpy as np
 
 from nmrbaker import qstate
 from nmrbaker.chaos import (GREEDY_RESTARTS, HypersensitivityCurve, _frontier_from_scan, _pareto_points,
-                            history_ensemble, js_distance, partition_scan, set_partitions, subset_entropies,
-                            subset_means)
-from nmrbaker.lindblad import DIM, EvolutionEngine, NoiseModel
-from nmrbaker.nmr import LIFTED_PAULI, SPINS, PulseInstruction, PulseSequence, pulse_unitary
+                            history_ensemble, initial_density, js_distance, partition_scan, set_partitions,
+                            subset_entropies, subset_means)
+from nmrbaker.lindblad import DIM, EvolutionEngine, NoiseModel, apply_superoperator
+from nmrbaker.nmr import (LIFTED_PAULI, SPIN_C2, SPIN_H, SPINS, PulseInstruction, PulseSequence, pulse_unitary,
+                          t_even, t_odd, t_regular)
 from nmrbaker.qstate import ID2, PAULI_X, PAULI_Y
 
 
@@ -84,6 +85,63 @@ def kron_liouvillian(model, noise: NoiseModel) -> np.ndarray:
             z = LIFTED_PAULI["Z", spin]
             gen += g * (np.kron(z, z.T) - np.eye(DIM * DIM))
     return gen
+
+
+def per_instruction_program(rho, seq: PulseSequence, engine: EvolutionEngine) -> np.ndarray:
+    """``seq`` applied to one state one instruction at a time: each pulse
+    as u rho u^dag with its own ``nmr.pulse_unitary`` u, each delay as its
+    ``engine.delay_propagator``.  ``EvolutionEngine.operators`` composes
+    each run of back-to-back pulses into one pair, so its results equal
+    these at round-off, and bit for bit where no two pulses are adjacent
+    (``t_regular``)."""
+    for ins in seq.instructions:
+        if ins.op == "U":
+            rho = apply_superoperator(engine.delay_propagator(ins.value), rho)
+        else:
+            u = pulse_unitary(ins, engine.model)
+            rho = u @ rho @ u.conj().T
+    return rho
+
+
+def _map_steps(config, n_steps) -> list[tuple[PulseSequence, np.ndarray]]:
+    """(program, Z of the kicked spin) of steps 1..n_steps, from the map's
+    schedule: the chaotic map alternates ``t_odd`` (kick H) and ``t_even``
+    (kick C2), the regular map repeats ``t_regular`` (kick H)."""
+    model = config.model()
+    cycle = ([(t_odd(model), SPIN_H), (t_even(model), SPIN_C2)] if config.map_variant == "chaotic"
+             else [(t_regular(model), SPIN_H)])
+    return [(seq, LIFTED_PAULI["Z", spin]) for seq, spin in (cycle[n % len(cycle)] for n in range(n_steps))]
+
+
+def per_instruction_history_ensemble(config, n_steps) -> list[np.ndarray]:
+    """``chaos.history_ensemble`` with each history evolved from the start
+    on its own by :func:`per_instruction_program`, kicked as Z rho Z after
+    step k when its bit k (most significant first) is set."""
+    engine = config.engine()
+    steps = _map_steps(config, n_steps)
+    out = []
+    for history in range(2**n_steps):
+        rho = initial_density()
+        for k, (seq, z) in enumerate(steps):
+            rho = per_instruction_program(rho, seq, engine)
+            if history >> (n_steps - 1 - k) & 1:
+                rho = z @ rho @ z
+        out.append(rho)
+    return out
+
+
+def per_instruction_entropy_series(config) -> list[tuple[int, float]]:
+    """``chaos.entropy_experiment`` with each step applied by
+    :func:`per_instruction_program`."""
+    engine = config.engine()
+    rho = initial_density()
+    series = [(0, qstate.von_neumann_entropy_bits(rho))]
+    for n, (seq, z) in enumerate(_map_steps(config, config.steps), start=1):
+        rho = per_instruction_program(rho, seq, engine)
+        if config.artificial_perturbation:
+            rho = (rho + z @ rho @ z) / 2
+        series.append((n, qstate.von_neumann_entropy_bits(rho)))
+    return series
 
 
 def exhaustive_imin(rhos) -> HypersensitivityCurve:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import operator
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -119,6 +120,26 @@ def memo_keys(draw, assignment) -> set:
             keys |= {(mask, idx) for mask in masks if mask.bit_count() > 1}
             masks[assignment[idx]] |= 1 << idx
     return keys
+
+
+def record_mixtures(monkeypatch) -> list:
+    """Record every (matrix, entropy) of ``qstate.von_neumann_entropies_bits``
+    calls from here on: greedy diagonalises its memo's misses through it."""
+    recorded, entropies = [], qstate.von_neumann_entropies_bits
+
+    def recording(rhos):
+        out = entropies(rhos)
+        recorded.extend(zip(np.reshape(rhos, (-1, *np.shape(rhos)[-2:])), np.ravel(out).tolist()))
+        return out
+
+    monkeypatch.setattr(qstate, "von_neumann_entropies_bits", recording)
+    return recorded
+
+
+def memo_mixtures(means, keys) -> Counter:
+    """The mixtures ``(means[mask] + means[1 << idx]) / 2`` of memo entries
+    ``keys``, each counted by its bytes."""
+    return Counter(((means[mask] + means[1 << idx]) / 2).tobytes() for mask, idx in keys)
 
 
 def assert_pair_mixtures_are_subset_entries(rhos):
@@ -353,6 +374,39 @@ class TestSteps:
                 assert np.array_equal(chaos._averaged_kick(rho, z), (rho + conjugated) / 2)
 
 
+class TestPerInstructionOracle:
+    """Each run of back-to-back pulses is applied as one pair: against every
+    pulse and delay applied one at a time, the regular map (no two pulses
+    adjacent) is unchanged to the bit and the chaotic map moves at round-off."""
+
+    @pytest.mark.parametrize("convention", nmr.CONVENTIONS)
+    @pytest.mark.parametrize("hamiltonian", nmr.VARIANTS)
+    def test_regular_map_equals_it_bit_for_bit(self, hamiltonian, convention):
+        cfg = ExperimentConfig.preset("fig5", map_variant="regular", hamiltonian=hamiltonian,
+                                      convention=convention)
+        want = oracles.per_instruction_history_ensemble(cfg, 3)
+        assert all(np.array_equal(a, b) for a, b in zip(chaos.history_ensemble(cfg, 3), want, strict=True))
+        for preset in "fig2", "fig4":
+            cfg = ExperimentConfig.preset(preset, map_variant="regular", hamiltonian=hamiltonian,
+                                          convention=convention)
+            assert chaos.entropy_experiment(cfg) == oracles.per_instruction_entropy_series(cfg)
+
+    @pytest.mark.parametrize("convention", nmr.CONVENTIONS)
+    @pytest.mark.parametrize("hamiltonian", nmr.VARIANTS)
+    def test_chaotic_map_equals_it_at_round_off(self, hamiltonian, convention):
+        cfg = ExperimentConfig.preset("fig5", map_variant="chaotic", hamiltonian=hamiltonian,
+                                      convention=convention)
+        want = oracles.per_instruction_history_ensemble(cfg, 3)
+        for got, rho in zip(chaos.history_ensemble(cfg, 3), want, strict=True):
+            np.testing.assert_allclose(got, rho, rtol=0, atol=1e-13)
+        for preset in "fig2", "fig4":
+            cfg = ExperimentConfig.preset(preset, map_variant="chaotic", hamiltonian=hamiltonian,
+                                          convention=convention)
+            got, want = chaos.entropy_experiment(cfg), oracles.per_instruction_entropy_series(cfg)
+            assert [n for n, _ in got] == [n for n, _ in want] == list(range(cfg.steps + 1))
+            np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-12)
+
+
 class TestAveragedKick:
     Z_H, Z_C2 = nmr.LIFTED_PAULI["Z", nmr.SPIN_H], nmr.LIFTED_PAULI["Z", nmr.SPIN_C2]
 
@@ -580,12 +634,6 @@ class TestGreedyGrouping:
         with pytest.raises(ValueError):
             chaos.greedy_groupings(fig2_chaotic_means, fig2_chaotic_table, draws)
 
-    @pytest.mark.parametrize("table", [np.full((256, 9), np.nan), np.full((8, 256, 9), np.nan),
-                                       np.full((256, 16), np.nan)[:, ::2]])
-    def test_memo_shape_validated(self, table, fig2_chaotic_means, fig2_chaotic_table):
-        with pytest.raises(ValueError):
-            chaos.greedy_groupings(fig2_chaotic_means, fig2_chaotic_table, [(0, 1)], table)
-
     @pytest.mark.parametrize("hamiltonian", ["noxy", "simplified", "full"])
     def test_lockstep_rows_on_the_regular_map(self, hamiltonian):
         # every member is bitwise rho or Z_H rho Z_H, so distances tie exactly
@@ -595,29 +643,27 @@ class TestGreedyGrouping:
         means = chaos.subset_means(rhos)
         table = chaos.subset_entropies(means)
         rng = np.random.default_rng(7)
-        memo = np.full((2**8, 8), np.nan)
         for n_groups in range(1, 9):
             draws = [tuple(rng.permutation(8)[:n_groups].tolist()) for _ in range(24)]
-            rows = chaos.greedy_groupings(means, table, draws, memo)
+            rows = chaos.greedy_groupings(means, table, draws)
             assert rows.tolist() == [oracles.reference_greedy_grouping(rhos, draw) for draw in draws]
 
     @pytest.mark.parametrize("seeds", [(3,), (5, 0, 2), tuple(range(7)), tuple(range(8))])
     def test_group_entropy_calls(self, seeds, monkeypatch, fig2_chaotic_means, fig2_chaotic_table):
         # a group's entropy, and its mixture with a state while it has one
-        # member, are read from the subset table, so one run fills one
+        # member, are read from the subset table, so one run diagonalises one
         # mixture per group of two or more members and placement, of the
-        # k (n - k) it reads for n states and k groups, and diagonalises each
-        # once
+        # k (n - k) it reads for n states and k groups, each once
         diagonalised = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: diagonalised.append(len(a)) or eigvalsh(a))
+        mixtures = record_mixtures(monkeypatch)
         n, k = 8, len(seeds)
-        table = np.full((2**n, n), np.nan)
-        assignment = chaos.greedy_grouping(fig2_chaotic_means, fig2_chaotic_table, seeds, table)
-        filled = {tuple(key) for key in np.argwhere(~np.isnan(table)).tolist()}
-        assert filled == memo_keys(seeds, assignment)
+        assignment = chaos.greedy_grouping(fig2_chaotic_means, fig2_chaotic_table, seeds)
+        keys = memo_keys(seeds, assignment)
+        assert Counter(m.tobytes() for m, _ in mixtures) == memo_mixtures(fig2_chaotic_means, keys)
         # the first placement, if any, reads every group with one member
-        assert sum(diagonalised) == len(filled) <= k * max(n - k - 1, 0)
+        assert sum(diagonalised) == len(keys) <= k * max(n - k - 1, 0)
 
     @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
     def test_matches_js_distance_reference(self, variant, request):
@@ -639,40 +685,43 @@ class TestGreedyGrouping:
 
     @pytest.mark.parametrize("hamiltonian", ["noxy", "full"])
     @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
-    def test_shared_memo_changes_no_assignment(self, variant, hamiltonian):
+    def test_one_call_over_every_count_changes_no_assignment(self, variant, hamiltonian, monkeypatch):
         # all 512 draws of group counts 1 to 8: each count's distinct draws
-        # in lockstep, in draw order, every count through one table
+        # in lockstep, in draw order, then every count in one call
         cfg = ExperimentConfig.preset("fig5", map_variant=variant, hamiltonian=hamiltonian)
         rhos = chaos.history_ensemble(cfg, 3)
         means = chaos.subset_means(rhos)
         table = chaos.subset_entropies(means)
-        memo = np.full((2**8, 8), np.nan)
         every_count, every_row = [], []
         for n_groups in range(1, 9):
             draws = list(dict.fromkeys(seed_draw(8, n_groups, [cfg.seed, n_groups, trial])
                                        for trial in range(chaos.GREEDY_RESTARTS)))
-            rows = chaos.greedy_groupings(means, table, draws, memo).tolist()
+            rows = chaos.greedy_groupings(means, table, draws).tolist()
             for draw, row in zip(draws, rows):
-                memo_free = chaos.greedy_grouping(means, table, draw)
-                assert memo_free == oracles.reference_greedy_grouping(rhos, draw), draw
-                assert row == memo_free, draw
+                alone = chaos.greedy_grouping(means, table, draw)
+                assert alone == oracles.reference_greedy_grouping(rhos, draw), draw
+                assert row == alone, draw
             every_count += draws
             every_row += rows
-        # every count in one call, through the memo the calls above filled,
-        # row for row as the per-count calls and the reference
-        assert chaos.greedy_groupings(means, table, every_count, memo).tolist() == every_row
-        # each filled entry is the entropy its index names: the members of
-        # mask summed in ascending order, averaged, mixed with rhos[idx]
-        filled = np.argwhere(~np.isnan(memo))
-        assert len(filled)
-        for mask, idx in filled.tolist():
+        # every count in one call, through one memo, row for row as the
+        # per-count calls and the reference
+        mixtures = record_mixtures(monkeypatch)
+        assert chaos.greedy_groupings(means, table, every_count).tolist() == every_row
+        # it diagonalises the mixture of each entry its runs read, once
+        keys = set().union(*(memo_keys(draw, row) for draw, row in zip(every_count, every_row)))
+        assert keys and Counter(m.tobytes() for m, _ in mixtures) == memo_mixtures(means, keys)
+        # and each entry is the entropy its index names: the members of mask
+        # summed in ascending order, averaged, mixed with rhos[idx]
+        entropies = {m.tobytes(): entropy for m, entropy in mixtures}
+        for mask, idx in keys:
             assert not mask >> idx & 1, (mask, idx)
             first, *rest = [rhos[i] for i in range(8) if mask >> i & 1]
             total = first
             for rho in rest:
                 total = total + rho
             expected = qstate.von_neumann_entropy_bits((total / mask.bit_count() + rhos[idx]) / 2)
-            assert float(memo[mask, idx]).hex() == expected.hex(), (mask, idx)
+            mixture = ((means[mask] + means[1 << idx]) / 2).tobytes()
+            assert float(entropies[mixture]).hex() == expected.hex(), (mask, idx)
 
 
 def numpy_draws(seed, n, n_groups):
@@ -949,10 +998,9 @@ class TestPartitionProperties:
         n = len(rhos)
         means = chaos.subset_means(rhos)
         table = chaos.subset_entropies(means)
-        memo = np.full((2**n, n), np.nan)
-        for _ in range(2):  # two draw sets through one memo
+        for _ in range(2):  # two draw sets per ensemble
             draws = data.draw(draw_sets(n))
-            rows = chaos.greedy_groupings(means, table, draws, memo)
+            rows = chaos.greedy_groupings(means, table, draws)
             assert rows.tolist() == [oracles.reference_greedy_grouping(rhos, draw) for draw in draws]
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -1121,10 +1169,10 @@ class TestHypersensitivityExperiment:
         seen, calls = [], []
         original = chaos.greedy_groupings
 
-        def counting(means, entropies, draws, table=None):
+        def counting(means, entropies, draws):
             calls.append(len(draws))
             seen.extend(map(tuple, draws))
-            return original(means, entropies, draws, table)
+            return original(means, entropies, draws)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the experiment built a numpy generator")
@@ -1152,7 +1200,7 @@ class TestHypersensitivityExperiment:
             oracles.drawn_greedy_points(cfg, n_steps))
 
     def test_greedy_diagonalises_once_per_memo_key(self, monkeypatch):
-        tables, runs, diagonalised, inside = [], [], [], []
+        calls, runs, diagonalised, inside, greedy_mixtures = [], [], [], [], Counter()
         greedy, eigvalsh = chaos.greedy_groupings, np.linalg.eigvalsh
 
         def counting_eigvalsh(a):
@@ -1160,29 +1208,30 @@ class TestHypersensitivityExperiment:
                 diagonalised.append(math.prod(np.shape(a)[:-2]))
             return eigvalsh(a)
 
-        def counting_greedy(means, entropies, draws, table=None):
-            # the job's one call keeps its own memo: read this one instead
-            assert table is None
-            tables.append(np.full((len(entropies), len(entropies).bit_length() - 1), np.nan))
+        def counting_greedy(means, entropies, draws):
+            calls.append(means)
             inside.append(True)
+            before = len(mixtures)
             try:
-                rows = greedy(means, entropies, draws, tables[-1])
+                rows = greedy(means, entropies, draws)
             finally:
                 inside.pop()
+            greedy_mixtures.update(m.tobytes() for m, _ in mixtures[before:])
             runs.extend(zip(draws, rows.tolist()))
             return rows
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         monkeypatch.setattr(chaos, "greedy_groupings", counting_greedy)
+        mixtures = record_mixtures(monkeypatch)
         chaos.hypersensitivity_experiment(ExperimentConfig.preset("fig5"))
-        # one call for the whole job, its memo filled at exactly the
-        # multi-member entries the runs read; each diagonalised once, and no
-        # one-member entry diagonalised at all
-        assert len(tables) == 1
-        filled = {tuple(key) for key in np.argwhere(~np.isnan(tables[0])).tolist()}
-        assert filled == set().union(*(memo_keys(draw, row) for draw, row in runs))
-        assert all(mask.bit_count() > 1 for mask, _ in filled)
-        assert sum(diagonalised) == len(filled)
+        # one call for the whole job; it diagonalises exactly the mixtures
+        # of the multi-member entries the runs read, each once, and no
+        # one-member entry at all
+        assert len(calls) == 1
+        keys = set().union(*(memo_keys(draw, row) for draw, row in runs))
+        assert all(mask.bit_count() > 1 for mask, _ in keys)
+        assert greedy_mixtures == memo_mixtures(calls[0], keys)
+        assert sum(diagonalised) == len(keys)
         # at most one batched call for the mixtures of each placement: the
         # n - 2 placements of the two-group runs, where one call per k made
         # up to 21 and one call per draw about 210

@@ -198,6 +198,18 @@ class TestDelayPropagator:
         np.testing.assert_allclose(engine._rk4_propagator(model.tau1), prop, rtol=0, atol=1e-13)
 
 
+def pulse_runs(seq) -> list:
+    """``seq`` split as its operators are resolved: each delay alone, and
+    each run of back-to-back pulses as one list."""
+    parts = []
+    for ins in seq.instructions:
+        if ins.op != "U" and parts and isinstance(parts[-1], list):
+            parts[-1].append(ins)
+        else:
+            parts.append(ins if ins.op == "U" else [ins])
+    return parts
+
+
 class TestOperators:
     def test_cached_operators_are_read_only(self, engine, model):
         ops = engine.operators(nmr.t_even(model))
@@ -209,22 +221,48 @@ class TestOperators:
                 array[0, 0] = 1.0
 
     def test_program_resolves_once_per_engine(self, engine, model):
-        seq = nmr.t_odd(model)
-        ops = engine.operators(seq)
-        for (a, b), ins in zip(ops, seq.instructions):
+        # one entry per delay and one per run of back-to-back pulses
+        for program, entries in (nmr.t_odd, 14), (nmr.t_even, 16), (nmr.t_regular, 16):
+            seq = program(model)
+            ops, parts = engine.operators(seq), pulse_runs(seq)
+            assert len(ops) == len(parts) == entries, seq.name
+            for (a, b), part in zip(ops, parts):
+                if isinstance(part, list):
+                    # the run's product, first pulse applied first
+                    run = nmr.sequence_unitary(nmr.PulseSequence("run", tuple(part)), model)
+                    np.testing.assert_allclose(a, run, rtol=0, atol=1e-15)
+                    assert np.array_equal(b, a.conj().T)
+                else:
+                    assert b is None and a is engine.delay_propagator(part.value)
+
+    def test_engines_do_not_share_operator_lists(self, model):
+        # the pulse pairs depend on the model alone, so engines share them;
+        # each engine's propagators are its own
+        closed, noisy = EvolutionEngine(model, NoiseModel()), EvolutionEngine(model, FIG2_NOISE)
+        for program in nmr.t_odd, nmr.t_even, nmr.t_regular:
+            seq = program(model)
+            for (a, b), (c, d), part in zip(closed.operators(seq), noisy.operators(seq), pulse_runs(seq),
+                                            strict=True):
+                if isinstance(part, list):
+                    assert a is c and b is d
+                else:
+                    assert a is closed.delay_propagator(part.value) and c is noisy.delay_propagator(part.value)
+                    assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("convention", nmr.CONVENTIONS)
+    @pytest.mark.parametrize("variant", nmr.VARIANTS)
+    def test_regular_program_resolves_one_entry_per_instruction(self, variant, convention):
+        # t_regular alternates delay and pulse, so no pulses compose and each
+        # pair is the pulse's own: regular-map outputs stay bit for bit
+        model = HamiltonianModel(variant=variant, convention=convention)
+        engine = EvolutionEngine(model, FIG2_NOISE)
+        seq = nmr.t_regular(model)
+        for (a, b), ins in zip(engine.operators(seq), seq.instructions, strict=True):
             if ins.op == "U":
                 assert b is None and a is engine.delay_propagator(ins.value)
             else:
-                np.testing.assert_array_equal(a, nmr.pulse_unitary(ins, model))
-                np.testing.assert_array_equal(b, nmr.pulse_unitary(ins, model).conj().T)
-
-    def test_engines_do_not_share_operator_lists(self, model):
-        seq = nmr.t_odd(model)
-        closed, noisy = EvolutionEngine(model, NoiseModel()), EvolutionEngine(model, FIG2_NOISE)
-        closed.operators(seq)
-        for (a, _), ins in zip(noisy.operators(seq), seq.instructions):
-            if ins.op == "U":
-                assert a is noisy.delay_propagator(ins.value)
+                u = nmr.pulse_unitary(ins, model)
+                assert np.array_equal(a, u) and np.array_equal(b, u.conj().T)
 
 
 def choi(prop):
