@@ -26,7 +26,7 @@ from itertools import chain
 import numpy as np
 
 from . import nmr, qstate
-from .lindblad import EvolutionEngine, NoiseModel, _evolve
+from .lindblad import DIM, EvolutionEngine, NoiseModel, _check_evolved, _evolve
 from .nmr import LIFTED_PAULI, SPIN_C2, SPIN_H, HamiltonianModel, PulseSequence
 
 MAP_VARIANTS = ("chaotic", "regular")
@@ -135,16 +135,25 @@ def _averaged_kick(rho: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def entropy_experiment(config: ExperimentConfig) -> list[tuple[int, float]]:
-    """Entropy in bits after 0..steps iterations of the chosen map."""
+    """Entropy in bits after 0..steps iterations of the chosen map.
+
+    Every step is evolved into one stack first.  One
+    :func:`lindblad._check_evolved` call then checks the evolved states in
+    step order, before any kick (which could average a defect away), and
+    one batched entropy call scores the ``steps + 1`` series states.
+    """
     engine = config.engine()
-    rho = _INITIAL_DENSITY
-    series = [(0, qstate.von_neumann_entropy_bits(rho))]
-    for n, (operators, z) in enumerate(_steps(config, engine, config.steps), start=1):
-        rho = _evolve(rho, operators)
-        if config.artificial_perturbation:
-            rho = _averaged_kick(rho, z)
-        series.append((n, qstate.von_neumann_entropy_bits(rho)))
-    return series
+    states = np.empty((config.steps + 1, DIM, DIM), dtype=complex)
+    states[0] = rho = _INITIAL_DENSITY
+    evolved = np.empty_like(states[1:]) if config.artificial_perturbation else states[1:]
+    # past a bad step the state may overflow; the check reports that step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, (operators, z) in enumerate(_steps(config, engine, config.steps)):
+            evolved[n] = rho = _evolve(rho, operators)
+            if config.artificial_perturbation:
+                states[n + 1] = rho = _averaged_kick(rho, z)
+    _check_evolved(evolved)
+    return list(enumerate(qstate.von_neumann_entropies_bits(states).tolist()))
 
 
 def history_ensemble(config: ExperimentConfig, n_steps: int) -> list[np.ndarray]:
@@ -155,18 +164,23 @@ def history_ensemble(config: ExperimentConfig, n_steps: int) -> list[np.ndarray]
     unperturbed run.  Histories that share a prefix share its
     evolution: step n is applied once to each of the 2**(n-1) distinct
     states before it, 2**n - 1 step applications in all, as one stacked
-    :func:`lindblad._evolve` per step followed by one stacked kick.
+    :func:`lindblad._evolve` per step followed by one stacked kick.  The
+    evolved states of every step are then checked in one
+    :func:`lindblad._check_evolved` call, step by step in order.
     """
     if n_steps < 1:
         raise ValueError("a history ensemble needs at least one step")
     if n_steps > 6:
         raise ValueError("history ensembles beyond 6 steps are impractical (2^n runs)")
     engine = config.engine()
+    evolved = np.empty((2**n_steps - 1, DIM, DIM), dtype=complex)  # step k's at 2**k - 1
     states = _INITIAL_DENSITY[None]
-    for operators, z in _steps(config, engine, n_steps):
-        states = _evolve(states, operators)
-        # each state, then its kicked copy: the children in binary order
-        states = np.stack([states, z @ states @ z], axis=1).reshape(-1, *states.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # as in entropy_experiment
+        for k, (operators, z) in enumerate(_steps(config, engine, n_steps)):
+            states = evolved[2**k - 1:2**(k + 1) - 1] = _evolve(states, operators)
+            # each state, then its kicked copy: the children in binary order
+            states = np.stack([states, z @ states @ z], axis=1).reshape(-1, *states.shape[1:])
+    _check_evolved(evolved)
     return list(states)
 
 

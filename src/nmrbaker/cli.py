@@ -87,12 +87,12 @@ def _rk4_error() -> float:
 
 
 def _trace_drift() -> float:
-    cfg, rho, drift = ExperimentConfig.preset("fig2"), chaos.initial_density(), 0.0
-    engine = cfg.engine()
-    for operators, _ in chaos._steps(cfg, engine, 6):
+    cfg, rho, states = ExperimentConfig.preset("fig2"), chaos.initial_density(), []
+    for operators, _ in chaos._steps(cfg, cfg.engine(), 6):
         rho = lindblad._evolve(rho, operators)
-        drift = max(drift, abs(np.trace(rho).real - 1.0))
-    return drift
+        states.append(rho)
+    lindblad._check_evolved(np.array(states))
+    return max(abs(np.trace(rho).real - 1.0) for rho in states)
 
 
 def _convention_error() -> float:

@@ -25,9 +25,11 @@ commutator half of the generator once per Hamiltonian model
 (:func:`_commutator`), each spin's dephasing term at import
 (:data:`_DEPHASING`), one pair (u, u^dag) per run of back-to-back pulses
 and model (:func:`_pulses`), and each delay propagator once per engine.
-Every shared operator is read-only.  :func:`_evolve` applies a resolved
-program to a stack and checks each state it produces, in one call;
-:func:`run_sequence`, the public entry, checks its input states first.
+Every shared operator is read-only.  :func:`_evolve` only applies a
+resolved program to a state or stack; the states are checked once per
+run, by :func:`_check_evolved` in one stacked call, after the run has
+evolved them all.  :func:`run_sequence`, the public entry, checks its
+input states, evolves them and checks its output states.
 """
 
 from __future__ import annotations
@@ -203,26 +205,37 @@ class EvolutionEngine:
 
 
 def _evolve(rho: np.ndarray, operators: tuple) -> np.ndarray:
-    """Apply ``operators`` (:meth:`EvolutionEngine.operators`) to a checked
-    complex state or (..., 8, 8) stack, each state exactly as alone, and
-    check every state produced in one call (positivity repair is
-    deliberately not attempted: a violation indicates a bug, not noise)."""
+    """Apply ``operators`` (:meth:`EvolutionEngine.operators`) to a complex
+    state or (..., 8, 8) stack, each state exactly as alone.  It checks
+    nothing: each run checks the states it evolved with one
+    :func:`_check_evolved` call."""
     for a, b in operators:
         rho = apply_superoperator(a, rho) if b is None else a @ rho @ b
-    defects = qstate.density_matrix_defects(rho)
+    return rho
+
+
+def _check_evolved(states: np.ndarray) -> None:
+    """Raise :class:`PhysicsError` with the defects of the first invalid
+    state of ``states``, one matrix or a stack, from one check call
+    (positivity repair is deliberately not attempted: a violation
+    indicates a bug, not noise).  A run that stacks its states in step
+    order reports the state its first bad step produced, as a check
+    after each step would."""
+    defects = qstate.density_matrix_defects(states)
     if defects:
         raise PhysicsError("evolution produced an invalid state: " + "; ".join(defects))
-    return rho
 
 
 def run_sequence(rho0: np.ndarray, seq: PulseSequence, engine: EvolutionEngine) -> np.ndarray:
     """Evolve a density matrix, or each of a (..., 8, 8) stack, through a
     pulse program with dephasing: every input state is checked
-    (``ValueError``), then :func:`_evolve` applies the program and checks
-    every output state (:class:`PhysicsError`).
+    (``ValueError``), :func:`_evolve` applies the program, and every output
+    state is checked (:class:`PhysicsError`).
     """
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape[-2:] != (DIM, DIM):
         raise ValueError(f"expected ({DIM}, {DIM}) density matrices, got shape {rho.shape}")
     qstate.check_density_matrix(rho)
-    return _evolve(rho, engine.operators(seq))
+    rho = _evolve(rho, engine.operators(seq))
+    _check_evolved(rho)
+    return rho

@@ -36,6 +36,7 @@ LIOUVILLIAN = "tests/test_lindblad.py::TestLiouvillian::"
 RUN = "tests/test_lindblad.py::TestRunSequence::"
 OPERATORS = "tests/test_lindblad.py::TestOperators::"
 ORACLE = CHAOS + "TestPerInstructionOracle::"
+ENTROPY = CHAOS + "TestEntropyExperiment::"
 STACKED = "tests/test_qstate.py::TestStackedDensityChecks::"
 CANNED = "tests/test_nmr.py::TestCannedSequences::"
 SWAP = "tests/test_nmr.py::TestCnotAndSwap::"
@@ -322,10 +323,27 @@ MUTANTS = (
            "np.linalg.eigvalsh((states + adjoint)[:1] / 2)",
            (STACKED + "test_one_bad_state_anywhere_gives_its_own_messages",)),
     Mutant("evolve-output-check-dropped", "lindblad.py",
-           "defects = qstate.density_matrix_defects(rho)\n",
+           "defects = qstate.density_matrix_defects(states)\n",
            "defects = []\n",
            (RUN + "test_invalid_output_anywhere_in_a_stack_raises",
             "tests/test_cli.py::TestExitCodes::test_physics_violation_exits_three")),
+    # a bad step before the last one then shows only as the later NaN
+    Mutant("entropy-check-reads-the-last-state-only", "chaos.py",
+           "    _check_evolved(evolved)\n    return list(enumerate(",
+           "    _check_evolved(evolved[-1])\n    return list(enumerate(",
+           (ENTROPY + "test_first_bad_step_raises_what_a_per_step_check_raised",)),
+    Mutant("perturbed-run-checks-the-kicked-states", "chaos.py",
+           "    _check_evolved(evolved)\n    return list(enumerate(",
+           "    _check_evolved(states[1:])\n    return list(enumerate(",
+           (ENTROPY + "test_defect_the_kick_would_erase_still_raises",)),
+    Mutant("series-scores-the-unkicked-states", "chaos.py",
+           "qstate.von_neumann_entropies_bits(states)",
+           "qstate.von_neumann_entropies_bits(np.concatenate([states[:1], evolved]))",
+           (ENTROPY + "test_equals_the_per_step_loop_bit_for_bit",)),
+    Mutant("history-checks-its-last-step-only", "chaos.py",
+           "    _check_evolved(evolved)\n    return list(states)",
+           "    _check_evolved(evolved[2**(n_steps - 1) - 1:])\n    return list(states)",
+           (CHAOS + "TestHistoryEnsemble::test_first_bad_step_raises_what_a_per_step_check_raised",)),
     Mutant("pulse-product-order-reversed", "lindblad.py",
            "u = pulse_unitary(instruction, model) @ u",
            "u = u @ pulse_unitary(instruction, model)",
@@ -350,7 +368,7 @@ MUTANTS = (
            "(self.model.tau1 / 200)",
            "(self.model.tau1 / 2)",
            ("tests/test_lindblad.py::TestDelayPropagator::test_rk4_agrees_with_exact_exponential",)),
-    # the drift fails _evolve's output check first, so verify exits 3
+    # the drift fails the run's output check first, so verify exits 3
     Mutant("delay-gains-trace", "lindblad.py",
            "return np.matmul(propagator,",
            "return (1 + 1e-9) * np.matmul(propagator,",

@@ -8,11 +8,11 @@ import math
 
 import numpy as np
 
-from nmrbaker import qstate
+from nmrbaker import chaos, qstate
 from nmrbaker.chaos import (GREEDY_RESTARTS, HypersensitivityCurve, _frontier_from_scan, _pareto_points,
                             history_ensemble, initial_density, js_distance, partition_scan, set_partitions,
                             subset_entropies, subset_means)
-from nmrbaker.lindblad import DIM, EvolutionEngine, NoiseModel, apply_superoperator
+from nmrbaker.lindblad import DIM, EvolutionEngine, NoiseModel, PhysicsError, apply_superoperator
 from nmrbaker.nmr import (LIFTED_PAULI, SPIN_C2, SPIN_H, SPINS, PulseInstruction, PulseSequence, pulse_unitary,
                           t_even, t_odd, t_regular)
 from nmrbaker.qstate import ID2, PAULI_X, PAULI_Y
@@ -138,6 +138,27 @@ def per_instruction_entropy_series(config) -> list[tuple[int, float]]:
     series = [(0, qstate.von_neumann_entropy_bits(rho))]
     for n, (seq, z) in enumerate(_map_steps(config, config.steps), start=1):
         rho = per_instruction_program(rho, seq, engine)
+        if config.artificial_perturbation:
+            rho = (rho + z @ rho @ z) / 2
+        series.append((n, qstate.von_neumann_entropy_bits(rho)))
+    return series
+
+
+def per_step_entropy_series(config) -> list[tuple[int, float]]:
+    """``chaos.entropy_experiment`` as a loop over ``chaos._steps`` that,
+    after each step, checks the evolved state alone and then takes the
+    entropy of the series state alone: the package checks a run's evolved
+    states and scores its series in one call each, and must equal this
+    by ``float.hex`` and raise the same :class:`lindblad.PhysicsError` text."""
+    engine = config.engine()
+    rho = initial_density()
+    series = [(0, qstate.von_neumann_entropy_bits(rho))]
+    for n, (operators, z) in enumerate(chaos._steps(config, engine, config.steps), start=1):
+        for a, b in operators:
+            rho = apply_superoperator(a, rho) if b is None else a @ rho @ b
+        defects = qstate.density_matrix_defects(rho)
+        if defects:
+            raise PhysicsError("evolution produced an invalid state: " + "; ".join(defects))
         if config.artificial_perturbation:
             rho = (rho + z @ rho @ z) / 2
         series.append((n, qstate.von_neumann_entropy_bits(rho)))

@@ -66,17 +66,35 @@ def basis_projectors(n=8):
     return [np.diag([1.0 + 0j if i == k else 0 for i in range(n)]) for k in range(n)]
 
 
-def count_checks(monkeypatch):
-    """Patch ``qstate.density_matrix_defects`` to record, per call, the
-    number of states it checks; return that list."""
+def record_checks(monkeypatch):
+    """Patch ``qstate.density_matrix_defects`` to record a (-1, 8, 8) copy
+    of the states each call checks; return that list."""
     checked, check = [], qstate.density_matrix_defects
 
-    def counting(rho):
-        checked.append(np.asarray(rho).reshape(-1, 8, 8).shape[0])
+    def recording(rho):
+        checked.append(np.array(rho).reshape(-1, 8, 8))
         return check(rho)
 
-    monkeypatch.setattr(qstate, "density_matrix_defects", counting)
+    monkeypatch.setattr(qstate, "density_matrix_defects", recording)
     return checked
+
+
+def with_extra_operators(monkeypatch, extra):
+    """Patch ``chaos._steps`` to append ``extra(n, z)``, a tuple of operator
+    pairs, to the program of each step n = 1, 2, ...; z is the Z of the
+    step's kicked spin."""
+    steps = chaos._steps
+    monkeypatch.setattr(chaos, "_steps", lambda config, engine, n_steps: [
+        (operators + extra(n, z), z)
+        for n, (operators, z) in enumerate(steps(config, engine, n_steps), start=1)])
+
+
+def grow_from(bad_step):
+    """``extra`` for :func:`with_extra_operators`: from ``bad_step`` on, each
+    step scales the state by 1e200, so that step breaks the trace, the next
+    overflows to inf and the one after that reaches NaN."""
+    grow = (1e200 * np.eye(64), None)
+    return lambda n, z: (grow,) if n >= bad_step else ()
 
 
 def assert_same_operators(got, want):
@@ -252,9 +270,64 @@ class TestEntropyExperiment:
     @pytest.mark.parametrize("preset", ["fig2", "fig4"])  # fig4 averages a kick in
     def test_each_state_is_checked_once(self, preset, monkeypatch):
         cfg = ExperimentConfig.preset(preset, steps=5)
-        checked = count_checks(monkeypatch)
+        checked = record_checks(monkeypatch)
         chaos.entropy_experiment(cfg)
-        assert checked == [1] * cfg.steps
+        # one stacked call over every step's evolved state
+        assert [len(states) for states in checked] == [cfg.steps]
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("hamiltonian", nmr.VARIANTS)
+    @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
+    def test_equals_the_per_step_loop_bit_for_bit(self, variant, hamiltonian, perturbed):
+        cfg = ExperimentConfig.preset("fig2", map_variant=variant, hamiltonian=hamiltonian,
+                                      artificial_perturbation=perturbed)
+        got, want = chaos.entropy_experiment(cfg), oracles.per_step_entropy_series(cfg)
+        assert [(n, s.hex()) for n, s in got] == [(n, s.hex()) for n, s in want]
+        assert all(type(n) is int and type(s) is float for n, s in got)
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("bad_step", [1, 4, 8])
+    def test_first_bad_step_raises_what_a_per_step_check_raised(self, bad_step, perturbed, monkeypatch):
+        # the steps after the bad one run on and turn its state non-finite;
+        # pytest turns any warning that escapes into an error
+        with_extra_operators(monkeypatch, grow_from(bad_step))
+        cfg = ExperimentConfig.preset("fig2", steps=8, artificial_perturbation=perturbed)
+        with pytest.raises(lindblad.PhysicsError, match="trace") as want:
+            oracles.per_step_entropy_series(cfg)
+        checked = record_checks(monkeypatch)
+        with pytest.raises(lindblad.PhysicsError) as got:
+            chaos.entropy_experiment(cfg)
+        assert str(got.value) == str(want.value)
+        [states] = checked
+        assert np.isfinite(states[:bad_step]).all()
+        assert not np.isfinite(states[bad_step + 1:]).any()
+
+    @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
+    def test_defect_the_kick_would_erase_still_raises(self, variant, monkeypatch):
+        # step 3 adds i*eps to two mirrored entries on opposite sides of the
+        # kicked spin: only hermiticity breaks, and the averaged kick that
+        # follows zeroes both entries, so only the pre-kick state shows it
+        def coherence(n, z):
+            if n != 3:
+                return ()
+            j = np.flatnonzero(np.diag(z) != z[0, 0])[0]
+            e = np.zeros((8, 8), dtype=complex)
+            e[0, j] = e[j, 0] = 1e-6j
+            return ((np.eye(64) + np.outer(e.ravel(), np.eye(8).ravel()), None),)
+
+        [(operator_, _)] = coherence(3, nmr.LIFTED_PAULI["Z", nmr.SPIN_H])
+        bad = lindblad.apply_superoperator(operator_, chaos.initial_density())
+        assert qstate.density_matrix_defects(bad) == ["hermiticity violated by 2.000e-06"]
+        assert qstate.density_matrix_defects(
+            chaos._averaged_kick(bad, nmr.LIFTED_PAULI["Z", nmr.SPIN_H])) == []
+        with_extra_operators(monkeypatch, coherence)
+        cfg = ExperimentConfig.preset("fig4", map_variant=variant)
+        assert cfg.artificial_perturbation
+        with pytest.raises(lindblad.PhysicsError, match="hermiticity") as want:
+            oracles.per_step_entropy_series(cfg)
+        with pytest.raises(lindblad.PhysicsError) as got:
+            chaos.entropy_experiment(cfg)
+        assert str(got.value) == str(want.value)
 
 
 class TestHistoryEnsemble:
@@ -290,9 +363,26 @@ class TestHistoryEnsemble:
 
     @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
     def test_each_state_is_checked_once(self, variant, monkeypatch):
-        checked = count_checks(monkeypatch)
+        checked = record_checks(monkeypatch)
         chaos.history_ensemble(ExperimentConfig.preset("fig5", map_variant=variant), 3)
-        assert checked == [1, 2, 4]  # one stacked call per step, each state once
+        # one stacked call over the 1 + 2 + 4 evolved states
+        assert [len(states) for states in checked] == [7]
+
+    @pytest.mark.parametrize("bad_step", [1, 2, 3])
+    def test_first_bad_step_raises_what_a_per_step_check_raised(self, bad_step, monkeypatch):
+        # the first state of each step is the unkicked run's, whose per-step
+        # check the entropy series makes; later steps turn it non-finite
+        with_extra_operators(monkeypatch, grow_from(bad_step))
+        cfg = ExperimentConfig.preset("fig5")
+        with pytest.raises(lindblad.PhysicsError, match="trace") as want:
+            oracles.per_step_entropy_series(cfg)
+        checked = record_checks(monkeypatch)
+        with pytest.raises(lindblad.PhysicsError) as got:
+            chaos.history_ensemble(cfg, 3)
+        assert str(got.value) == str(want.value)
+        [states] = checked
+        assert np.isfinite(states[:2**(bad_step - 1) - 1]).all()
+        assert not np.isfinite(states[2**bad_step - 1:]).any()
 
     @pytest.mark.parametrize("n_steps", [0, -1])
     def test_too_few_steps_rejected(self, n_steps):
@@ -686,6 +776,17 @@ class TestGreedyGrouping:
     @pytest.mark.parametrize("hamiltonian", ["noxy", "full"])
     @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
     def test_one_call_over_every_count_changes_no_assignment(self, variant, hamiltonian, monkeypatch):
+        # a fixed ragged call on pure states: a state's distance to an unused
+        # slot of a shorter draw would be S(rho_idx)/2, about 0, below its
+        # distance to every real group, so only the +inf mask keeps it out
+        vectors = np.random.default_rng(5).normal(size=(6, 8, 2)) @ [1, 1j]
+        pure = [np.outer(v, v.conj()) / np.vdot(v, v).real for v in vectors]
+        pure_means = chaos.subset_means(pure)
+        pure_table = chaos.subset_entropies(pure_means)
+        ragged = [(0,), (4, 1), (5, 2, 0)]
+        assert max(pure_table[1 << i] for i in range(6)) < 1e-12
+        assert chaos.greedy_groupings(pure_means, pure_table, ragged).tolist() == [
+            oracles.reference_greedy_grouping(pure, draw) for draw in ragged]
         # all 512 draws of group counts 1 to 8: each count's distinct draws
         # in lockstep, in draw order, then every count in one call
         cfg = ExperimentConfig.preset("fig5", map_variant=variant, hamiltonian=hamiltonian)

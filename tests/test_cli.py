@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nmrbaker
-from nmrbaker import cli, nmr
+from nmrbaker import cli, nmr, qstate
 from nmrbaker.chaos import ExperimentConfig
 
 
@@ -113,6 +114,13 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         lines = [ln for ln in out.splitlines() if ln.endswith("PASS")]
         assert [ln.split("  ")[0].rstrip() for ln in lines] == [name for name, _, _ in cli.CHECKS]
+
+    def test_trace_drift_checks_its_six_states_once(self, monkeypatch):
+        checked, check = [], qstate.density_matrix_defects
+        monkeypatch.setattr(qstate, "density_matrix_defects",
+                            lambda rho: checked.append(np.shape(rho)) or check(rho))
+        assert cli.check("trace drift over six noisy steps").passed
+        assert checked == [(6, 8, 8)]
 
 
 class TestCompileCommand:
