@@ -36,6 +36,7 @@ LIOUVILLIAN = "tests/test_lindblad.py::TestLiouvillian::"
 RUN = "tests/test_lindblad.py::TestRunSequence::"
 OPERATORS = "tests/test_lindblad.py::TestOperators::"
 ORACLE = CHAOS + "TestPerInstructionOracle::"
+DISTINCT = CHAOS + "TestDistinctMatrices::"
 ENTROPY = CHAOS + "TestEntropyExperiment::"
 STACKED = "tests/test_qstate.py::TestStackedDensityChecks::"
 CANNED = "tests/test_nmr.py::TestCannedSequences::"
@@ -88,6 +89,26 @@ MUTANTS = (
            "dists[m < 0] = np.inf",
            (GREEDY + "test_one_call_over_every_count_changes_no_assignment",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
+    # members repeat, distinct matrices: one diagonalisation each
+    Mutant("distinct-key-reads-the-real-part-only", "chaos.py",
+           "slots.setdefault(rho.tobytes(), len(slots))",
+           "slots.setdefault(rho.real.tobytes(), len(slots))",
+           (DISTINCT + "test_matrices_are_told_apart_by_every_byte",)),
+    Mutant("distinct-matrices-gate-inverted", "chaos.py",
+           "for member in members}) == len(members):",
+           "for member in members}) != len(members):",
+           (DISTINCT + "test_subset_table_diagonalises_each_distinct_mean_once",
+            GREEDY + "test_one_call_over_every_count_changes_no_assignment")),
+    # each distinct entropy lands at its first position only, zero elsewhere
+    Mutant("distinct-entropy-at-its-first-occurrence-only", "chaos.py",
+           "qstate.von_neumann_entropies_bits(rhos[first])[inverse]",
+           "np.bincount(first, qstate.von_neumann_entropies_bits(rhos[first]), len(rhos))",
+           (DISTINCT + "test_fig5_tables_and_rows_equal_the_plain_batch",
+            DISTINCT + "test_repeated_members_equal_the_plain_batch")),
+    Mutant("memo-fill-diagonalises-repeats", "chaos.py",
+           "memo[new] = _entropies((means[mask] + means[bits[placed]]) / 2, means[bits])",
+           "memo[new] = qstate.von_neumann_entropies_bits((means[mask] + means[bits[placed]]) / 2)",
+           (GREEDY + "test_one_call_over_every_count_changes_no_assignment",)),
     # a finished run then places one of its seeds again
     Mutant("finished-run-still-advances", "chaos.py",
            "rows = np.flatnonzero(sizes < n - step)",

@@ -244,6 +244,38 @@ def reference_greedy_grouping(rhos, seeds) -> list[int]:
     return assignment
 
 
+def plain_subset_entropies(means) -> np.ndarray:
+    """``chaos.subset_entropies`` as one plain ``qstate.von_neumann_entropies_bits``
+    batch over every nonempty subset's mean, repeats included.  The
+    package diagonalises each distinct mean once when members repeat a
+    state, and must equal this by ``float.hex``."""
+    entropies = np.zeros(len(means))
+    entropies[1:] = qstate.von_neumann_entropies_bits(means[1:])
+    return entropies
+
+
+def plain_greedy_groupings(means, entropies, draws) -> list[list[int]]:
+    """``chaos.greedy_groupings`` one draw at a time with no memo: each
+    placement diagonalises the placed state's mixture with every group,
+    one-member groups included, in one plain batch, repeats included, and
+    takes the package's distance expression and first-of-equal ``argmin``.
+    The package's rows must equal these."""
+    n = len(entropies).bit_length() - 1
+    rows = []
+    for draw in draws:
+        labels, masks = [-1] * n, [1 << seed for seed in draw]
+        for g, seed in enumerate(draw):
+            labels[seed] = g
+        for idx in range(n):
+            if labels[idx] < 0:
+                mixed = qstate.von_neumann_entropies_bits(np.array([(means[m] + means[1 << idx]) / 2 for m in masks]))
+                dists = np.maximum(mixed - (entropies[masks] + entropies[1 << idx]) / 2, 0.0)
+                labels[idx] = g = int(dists.argmin())
+                masks[g] |= 1 << idx
+        rows.append(labels)
+    return rows
+
+
 def first_appearance(labels) -> tuple:
     """``labels`` relabelled by first appearance: its restricted-growth
     string in :func:`chaos.set_partitions`."""

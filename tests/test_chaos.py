@@ -2,6 +2,7 @@ import dataclasses
 import math
 import operator
 from collections import Counter
+from itertools import chain, zip_longest
 
 import numpy as np
 import pytest
@@ -126,18 +127,23 @@ def seed_draw(n, n_groups, seed):
     return tuple(np.random.default_rng(seed).choice(n, size=n_groups, replace=False).tolist())
 
 
-def memo_keys(draw, assignment) -> set:
-    """The memo entries one greedy run reads, from its draw and result:
-    ``(mask, idx)`` for each group of two or more members and each state
-    placed while it has them (a one-member group's mixture is read from the
-    subset table)."""
+def memo_keys_by_placement(draw, assignment) -> list[set]:
+    """The memo entries one greedy run reads at each of its placements, from
+    its draw and result: ``(mask, idx)`` for each group of two or more
+    members when state ``idx`` is placed (a one-member group's mixture is
+    read from the subset table)."""
     masks = [1 << seed for seed in draw]
-    keys = set()
+    placements = []
     for idx in range(len(assignment)):
         if idx not in draw:
-            keys |= {(mask, idx) for mask in masks if mask.bit_count() > 1}
+            placements.append({(mask, idx) for mask in masks if mask.bit_count() > 1})
             masks[assignment[idx]] |= 1 << idx
-    return keys
+    return placements
+
+
+def memo_keys(draw, assignment) -> set:
+    """The memo entries one greedy run reads, at any placement."""
+    return set().union(*memo_keys_by_placement(draw, assignment))
 
 
 def record_mixtures(monkeypatch) -> list:
@@ -149,6 +155,20 @@ def record_mixtures(monkeypatch) -> list:
         out = entropies(rhos)
         recorded.extend(zip(np.reshape(rhos, (-1, *np.shape(rhos)[-2:])), np.ravel(out).tolist()))
         return out
+
+    monkeypatch.setattr(qstate, "von_neumann_entropies_bits", recording)
+    return recorded
+
+
+def record_batches(monkeypatch) -> list:
+    """Record each ``qstate.von_neumann_entropies_bits`` call from here on
+    as the set of its matrices' bytes and its number of matrices."""
+    recorded, entropies = [], qstate.von_neumann_entropies_bits
+
+    def recording(rhos):
+        stack = np.reshape(rhos, (-1, *np.shape(rhos)[-2:]))
+        recorded.append(({m.tobytes() for m in stack}, len(stack)))
+        return entropies(rhos)
 
     monkeypatch.setattr(qstate, "von_neumann_entropies_bits", recording)
     return recorded
@@ -180,6 +200,11 @@ def assert_pair_mixtures_are_subset_entries(rhos):
 def hex_points(points):
     """(delta_s, I) points as float.hex pairs, which tell -0.0 from 0.0."""
     return [(d.hex(), i.hex()) for d, i in points]
+
+
+def hexes(values):
+    """Each float of ``values`` by float.hex."""
+    return [float(x).hex() for x in values]
 
 
 class TestConfig:
@@ -807,10 +832,25 @@ class TestGreedyGrouping:
         # every count in one call, through one memo, row for row as the
         # per-count calls and the reference
         mixtures = record_mixtures(monkeypatch)
+        batches = record_batches(monkeypatch)
         assert chaos.greedy_groupings(means, table, every_count).tolist() == every_row
-        # it diagonalises the mixture of each entry its runs read, once
-        keys = set().union(*(memo_keys(draw, row) for draw, row in zip(every_count, every_row)))
-        assert keys and Counter(m.tobytes() for m, _ in mixtures) == memo_mixtures(means, keys)
+        runs = [memo_keys_by_placement(draw, row) for draw, row in zip(every_count, every_row)]
+        keys = set().union(*chain.from_iterable(runs))
+        if variant == "chaotic":
+            # every entry its runs read is its own mixture, diagonalised once
+            assert keys and Counter(m.tobytes() for m, _ in mixtures) == memo_mixtures(means, keys)
+        else:
+            # the members are two states, so distinct entries share mixtures
+            assert keys and sum(count for _, count in batches) < len(keys)
+        # each placement diagonalises the distinct mixtures of the entries
+        # first read there, each once
+        first_read, seen = [], set()
+        for placement in zip_longest(*runs, fillvalue=set()):
+            new = set().union(*placement) - seen
+            seen |= new
+            if new:
+                first_read.append(set(memo_mixtures(means, new)))
+        assert batches == [(distinct, len(distinct)) for distinct in first_read]
         # and each entry is the entropy its index names: the members of mask
         # summed in ascending order, averaged, mixed with rhos[idx]
         entropies = {m.tobytes(): entropy for m, entropy in mixtures}
@@ -1126,6 +1166,125 @@ class TestPartitionProperties:
                 feasible = frontier.i_min[frontier.delta_s >= d - 1e-12]
                 assert feasible.size
                 assert stats.information >= feasible.min() - 1e-12
+
+
+@st.composite
+def repeated_member_ensembles(draw):
+    """2-8 members drawn from 1-4 distinct states of one dimension, each a
+    state or its copy Z rho Z under one drawn Z (a diagonal of signs), at
+    random positions, so members repeat by their exact bytes."""
+    states = draw(random_ensembles(st.integers(1, 4)))
+    d = len(states[0])
+    z = np.diag(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=d, max_size=d)))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(states) - 1), st.booleans()), min_size=2, max_size=8))
+    return [z @ states[i] @ z if kicked else states[i] for i, kicked in picks]
+
+
+def hyper_draws(cfg, n):
+    """The draws ``chaos.hypersensitivity_experiment`` runs: each group
+    count's distinct ordered draws, in draw order."""
+    return [draw for rows in chaos.greedy_draws(cfg.seed, n).values()
+            for draw in dict.fromkeys(map(tuple, rows.tolist()))]
+
+
+class TestDistinctMatrices:
+    # when members repeat a state, subset_entropies and each memo fill of
+    # greedy_groupings diagonalise each distinct matrix once; every entropy,
+    # row and error must still be the one plain batch's
+
+    @pytest.mark.parametrize("convention", nmr.CONVENTIONS)
+    @pytest.mark.parametrize("hamiltonian", ["noxy", "full", "simplified"])
+    @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
+    def test_fig5_tables_and_rows_equal_the_plain_batch(self, variant, hamiltonian, convention, monkeypatch):
+        cfg = ExperimentConfig.preset("fig5", map_variant=variant, hamiltonian=hamiltonian, convention=convention)
+        means = chaos.subset_means(chaos.history_ensemble(cfg, 3))
+        calls, entropies = [], chaos._entropies
+
+        def recording(rhos, members):
+            calls.append((rhos, entropies(rhos, members)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(chaos, "_entropies", recording)
+        table = chaos.subset_entropies(means)
+        assert hexes(table) == hexes(oracles.plain_subset_entropies(means))
+        draws = hyper_draws(cfg, 8)
+        assert chaos.greedy_groupings(means, table, draws).tolist() == oracles.plain_greedy_groupings(
+            means, table, draws)
+        # the subset table, then each placement's memo fill
+        assert len(calls) > 1
+        for rhos, out in calls:
+            assert hexes(out) == hexes(qstate.von_neumann_entropies_bits(rhos))
+
+    @pytest.mark.parametrize("convention", nmr.CONVENTIONS)
+    @pytest.mark.parametrize("hamiltonian", ["noxy", "full", "simplified"])
+    @pytest.mark.parametrize("variant, distinct", [("chaotic", 255), ("regular", 24)])
+    def test_subset_table_diagonalises_each_distinct_mean_once(self, variant, distinct, hamiltonian, convention,
+                                                               monkeypatch):
+        # the regular map's members are two states, A and B; a subset mean
+        # is then fixed by its count of each, 5 * 5 - 1 = 24 at fig5 noise
+        cfg = ExperimentConfig.preset("fig5", map_variant=variant, hamiltonian=hamiltonian, convention=convention)
+        means = chaos.subset_means(chaos.history_ensemble(cfg, 3))
+        diagonalised = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: diagonalised.append(len(a)) or eigvalsh(a))
+        chaos.subset_entropies(means)
+        assert diagonalised == [len({m.tobytes() for m in means[1:]})] == [distinct]
+
+    @pytest.mark.parametrize("bad", ["non-finite", "negative"])
+    def test_bad_entry_raises_the_plain_batch_text(self, bad, monkeypatch):
+        # the regular map's members repeat, so both sites take the distinct
+        # matrices; every mean of two or more members is made bad
+        cfg = ExperimentConfig.preset("fig5", map_variant="regular")
+        means = chaos.subset_means(chaos.history_ensemble(cfg, 3))
+        table = chaos.subset_entropies(means)
+        multi = [mask for mask in range(256) if mask.bit_count() > 1]
+        broken = means.copy()
+        broken[multi] = np.nan if bad == "non-finite" else means[multi] - np.eye(8) / 2
+        with pytest.raises(ValueError) as want:
+            oracles.plain_subset_entropies(broken)
+        with pytest.raises(ValueError) as got:
+            chaos.subset_entropies(broken)
+        assert str(got.value) == str(want.value)
+        calls, entropies = [], chaos._entropies
+
+        def recording(rhos, members):
+            calls.append(rhos)
+            return entropies(rhos, members)
+
+        monkeypatch.setattr(chaos, "_entropies", recording)
+        with pytest.raises(ValueError) as got:
+            chaos.greedy_groupings(broken, table, hyper_draws(cfg, 8))
+        with pytest.raises(ValueError) as want:
+            qstate.von_neumann_entropies_bits(calls[-1])
+        assert len({m.tobytes() for m in calls[-1]}) < len(calls[-1])
+        assert str(got.value) == str(want.value)
+
+    def test_matrices_are_told_apart_by_every_byte(self):
+        # rho and its complex conjugate share their real part, and so does
+        # their mean Re rho, a mixed state: only imaginary bytes tell it apart
+        vector = np.random.default_rng(3).normal(size=(8, 2)) @ [1, 1j]
+        rho = np.outer(vector, vector.conj()) / np.vdot(vector, vector).real
+        rhos = [rho, rho, rho.conj()]
+        means = chaos.subset_means(rhos)
+        table = chaos.subset_entropies(means)
+        assert hexes(table) == hexes(oracles.plain_subset_entropies(means))
+        assert table[0b101] > 0.1 > table[0b001]
+        draws = [(0,), (2,), (0, 2), (2, 1), (1, 0)]
+        assert chaos.greedy_groupings(means, table, draws).tolist() == oracles.plain_greedy_groupings(
+            means, table, draws)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_repeated_members_equal_the_plain_batch(self, data):
+        rhos = data.draw(repeated_member_ensembles())
+        means = chaos.subset_means(rhos)
+        table = chaos.subset_entropies(means)
+        expected = oracles.plain_subset_entropies(means)
+        assert hexes(table) == hexes(expected)
+        for _ in range(2):  # two draw sets per ensemble
+            draws = data.draw(draw_sets(len(rhos)))
+            assert chaos.greedy_groupings(means, table, draws).tolist() == oracles.plain_greedy_groupings(
+                means, expected, draws)
 
 
 def binary_entropy(p: float) -> float:
