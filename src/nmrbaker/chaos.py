@@ -649,7 +649,10 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
     :func:`greedy_groupings` call, so every count shares one memo of
     mixture entropies.  The exhaustive scan and greedy read one
     :func:`subset_means` table and its :func:`subset_entropies`, which also
-    gives every mixture of two states.  Each grouping is the scan row at its
+    gives every mixture of two states.  When the histories repeat a state,
+    as the regular map's two-state ensemble does, the table and each memo
+    fill diagonalise each distinct matrix once, and every output keeps its
+    bits.  Each grouping is the scan row at its
     :func:`_partition_positions`, and the Pareto filter reads each distinct
     row once.
     """
