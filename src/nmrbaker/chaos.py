@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -518,120 +518,120 @@ class HyperResult:
 
 GREEDY_RESTARTS = 64
 _M32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier, high and low words
-_MULT = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # M, PCG64's 128-bit LCG multiplier
 
 
-def _seed_state(words) -> list[np.ndarray]:
-    """numpy's ``SeedSequence(words).generate_state(4, np.uint64)`` for lanes
-    of uint32 entropy ``words``, one array per word: a pool of four words
-    hashes the first four in, mixes each pool word into every other, then
-    mixes each word past the pool into every pool word."""
-    def hasher(const, mult):
-        def hashmix(value):
-            nonlocal const
-            value = value ^ np.uint32(const)
-            const = const * mult & _M32
-            value = value * np.uint32(const)
-            return value ^ value >> 16
-        return hashmix
+@lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constants, shape (2, count, 1): hash i xors in constant i, multiplies by i + 1."""
+    consts = np.array(list(accumulate(range(count), lambda c, _: c * mult & _M32, initial=init)), np.uint32)
+    return np.stack([consts[:-1], consts[1:]])[..., None]
 
+
+def _hashmix(value, consts):
+    value = (value ^ consts[0]) * consts[1]
+    return value ^ value >> 16
+
+
+def _seed_state(words) -> np.ndarray:
+    """numpy's ``SeedSequence(words).generate_state(4, np.uint64)`` for each lane (column)
+    of uint32 entropy ``words``, as rows: the pool hashes four words in, mixes each
+    into the other three, then each word past it into all four."""
     def mix(x, y):
         x = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
         return x ^ x >> 16
 
-    hashmix = hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(words[i] if i < len(words) else 0 * words[0]) for i in range(4)]
+    consts = _hash_constants(0x43B0D7E5, 0x931E8875, 16 + 4 * len(words[4:]))
+    pool = _hashmix(np.vstack([words[:4], np.zeros((4, words.shape[1]), np.uint32)])[:4], consts[:, :4])
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    out = hasher(0x8B51F9DD, 0x58F38DED)
-    state = [out(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    return [lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])]
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], _hashmix(pool[src], consts[:, 4 + 3 * src:7 + 3 * src]))
+    for hashed in _hashmix(words[4:, None], consts[:, 16:].reshape(2, -1, 4, 1)):
+        pool = mix(pool, hashed)
+    out = _hashmix(np.concatenate([pool, pool]), _hash_constants(0x8B51F9DD, 0x58F38DED, 8)).astype(np.uint64)
+    return out[::2] | out[1::2] << 32
 
 
-def _add128(a, b):
-    """a + b mod 2**128 on (high, low) pairs of uint64 words."""
-    lo = a[1] + b[1]
-    return a[0] + b[0] + (lo < b[1]), lo
+@lru_cache(maxsize=None)
+def _jump(count: int) -> np.ndarray:
+    """High, then low words of M**(t+1) and (M**(t+2) - 1) / (M - 1) mod 2**128, t = 1 .. ``count``."""
+    powers = list(accumulate(range(count + 1), lambda p, _: p * _MULT % 2**128, initial=1))
+    pairs = powers[2:], list(accumulate(powers, lambda a, b: (a + b) % 2**128))[2:]
+    words = [[[v >> shift & 2**64 - 1 for v in row] for row in pairs] for shift in (64, 0)]
+    return np.array(words, np.uint64)[..., None]
 
 
-def _pcg_step(state, inc):
-    """state * multiplier + inc mod 2**128, the high word of the low
-    words' product summed from 32-bit limbs."""
-    (hi, lo), (c_hi, c_lo) = state, _MULT
-    a0, a1, b0, b1 = lo & _M32, lo >> 32, c_lo & _M32, c_lo >> 32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
-    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    return _add128((carry + hi * c_lo + lo * c_hi, lo * c_lo), inc)
+def _pcg_words(seeded, start: int, stop: int) -> np.ndarray:
+    """Outputs ``start`` + 1 .. ``stop`` of numpy's ``PCG64`` seeded by each lane of ``seeded``, as uint32
+    words in uint64 rows, low half first.  Seeded with state s and increment c, its t-th state is
+    M**(t+1) s + (M**(t+2) - 1) / (M - 1) c (Brown 1994), output by XSL-RR (O'Neill 2014)."""
+    s_hi, s_lo, i_hi, i_lo = seeded
+    x_hi, x_lo = np.stack([s_hi, i_hi << 1 | i_lo >> 63])[:, None], np.stack([s_lo, i_lo << 1 | 1])[:, None]
+    c_hi, c_lo = _jump(stop)[:, :, start:]
+    u0, u1, v0, v1 = c_lo & _M32, c_lo >> 32, x_lo & _M32, x_lo >> 32
+    w = u1 * v0 + (u0 * v0 >> 32)  # c_lo * x_lo's high word from 32-bit limbs (Hacker's Delight 8-2)
+    p_hi = u1 * v1 + (w >> 32) + ((w & _M32) + u0 * v1 >> 32) + c_hi * x_lo + c_lo * x_hi
+    p_lo = c_lo * x_lo
+    lo = p_lo[0] + p_lo[1]
+    hi = p_hi[0] + p_hi[1] + (lo < p_lo[1])
+    x, rot = hi ^ lo, hi >> 58
+    x = x >> rot | x << (64 - rot & 63)
+    return np.stack([x & _M32, x >> 32], axis=1).reshape(-1, x.shape[1])
 
 
-class _Pcg64Lanes:
-    """One numpy ``PCG64`` per lane, seeded as ``default_rng(words)`` by
-    lanes of uint32 entropy ``words``: its XSL-RR outputs (O'Neill 2014)
-    give ``next_uint32`` words, low half first."""
+def _bounded(seeded, tops) -> np.ndarray:
+    """numpy's bounded integer on [0, top] for each of ``tops`` (a row per draw, a column per lane,
+    zero past a lane's last draw) by Lemire's method (2019): the high word of a word times top + 1,
+    where a low word under 2**32 mod (top + 1) rejects the word and moves the lane on one word."""
+    excl, lanes = tops.astype(np.uint64) + 1, tops.shape[1]
+    at = np.arange(tops.size).reshape(tops.shape)  # each draw's word in the flat stream
+    words = _pcg_words(seeded, 0, -(-len(tops) // 2)).reshape(-1)
+    while True:
+        if at.max() >= words.size:  # extend the stream
+            words = np.append(words, _pcg_words(seeded, words.size // lanes // 2, at.max() // lanes // 2 + 1))
+        m = words[at] * excl
+        rejected = (m & _M32) < excl  # 2**32 mod (top + 1) is under top + 1
+        rejected[rejected] = (m[rejected] & _M32) < (1 << 32) % excl[rejected]
+        if not rejected.any():
+            return (m >> 32).astype(np.int64)
+        at = at + lanes * np.maximum.accumulate(rejected, axis=0)
 
-    def __init__(self, words):
-        s_hi, s_lo, i_hi, i_lo = _seed_state(words)
-        self.inc = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
-        self.state = _pcg_step(_add128(self.inc, (s_hi, s_lo)), self.inc)
-        self.stream, self.cursor = np.empty((len(s_lo), 0), np.uint64), np.zeros(len(s_lo), np.int64)
 
-    def bounded(self, rows, top) -> np.ndarray:
-        """numpy's bounded integer on [0, ``top``] for each lane in ``rows``,
-        at the lane's index of the returned array: Lemire's method (2019)
-        keeps the high word of a word times top + 1, redrawing while its low
-        word is under 2**32 mod (top + 1)."""
-        out, excl = np.empty(len(self.cursor), np.int64), np.zeros(len(self.cursor), np.uint64)
-        excl[rows] = top + 1
-        while len(rows):
-            while self.cursor[rows].max() >= self.stream.shape[1]:
-                self.state = _pcg_step(self.state, self.inc)
-                x, rot = self.state[0] ^ self.state[1], self.state[0] >> 58
-                x = x >> rot | x << (64 - rot & 63)
-                self.stream = np.column_stack([self.stream, x & _M32, x >> 32])
-            m = self.stream[rows, self.cursor[rows]] * excl[rows]
-            self.cursor[rows] += 1
-            kept = m & _M32 >= (1 << 32) % excl[rows]
-            out[rows[kept]] = m[kept] >> 32
-            rows = rows[~kept]
-        return out
+@lru_cache(maxsize=None)
+def _draw_plan(n: int):
+    """Per lane of ``n`` states: words past the seed, draw tops (Floyd's, the shuffle's), shuffle draws."""
+    k = np.repeat(np.arange(2, n), GREEDY_RESTARTS)
+    t, s = np.arange(2 * n - 3)[:, None], np.arange(n - 2)[:, None]
+    plan = (np.stack([k, np.tile(np.arange(GREEDY_RESTARTS), n - 2)]).astype(np.uint32),
+            np.where(t < k, n - k + t, np.maximum(2 * k - 1 - t, 0)), (k + s) * len(k) + np.arange(len(k)))
+    for array in plan:  # every call for n shares it
+        array.flags.writeable = False
+    return plan
 
 
 def greedy_draws(seed: int, n: int) -> dict[int, np.ndarray]:
     """Row ``trial`` of entry ``k`` is
-    ``np.random.default_rng([seed, k, trial]).choice(n, size=k, replace=False)``
-    for each trial < :data:`GREEDY_RESTARTS` and 2 <= k <= n - 1, all
-    drawn at once on :class:`_Pcg64Lanes`, one lane per draw, as numpy
-    draws each (checked against numpy 2.4): Floyd's selection draws
-    j = n-k .. n-1, a repeat becoming j, and a shuffle swaps each
-    i = k-1 .. 1 with a draw on [0, i].
-    """
+    ``np.random.default_rng([seed, k, trial]).choice(n, size=k, replace=False)`` for each trial <
+    :data:`GREEDY_RESTARTS` and 2 <= k <= n - 1, as numpy 2.4 draws it: Floyd's selection draws
+    j = n-k .. n-1, a repeat becoming j, and a shuffle swaps each i = k-1 .. 1 with a draw on [0, i].
+    Each restart is a lane; the seeding, the words and all draws take a fixed number of array passes."""
     seed = operator.index(seed)  # a float seed raises TypeError, as in numpy
     if seed < 0 or not 1 <= n <= MAX_SCAN_STATES:
         raise ValueError(f"need seed >= 0 and 1 <= n <= {MAX_SCAN_STATES}, not seed={seed}, n={n}")
-    k = np.repeat(np.arange(2, n, dtype=np.int64), GREEDY_RESTARTS)
-    seed_words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words = [np.full(len(k), word, np.uint32) for word in seed_words]
-    words += [k.astype(np.uint32), np.resize(np.arange(GREEDY_RESTARTS, dtype=np.uint32), len(k))]
-    lanes = _Pcg64Lanes(words)
-    chosen = np.full((len(k), k.max(initial=0)), -1, np.int64)
-    for t in range(chosen.shape[1]):  # Floyd's selection
-        rows = np.flatnonzero(k > t)
-        j = n - k[rows] + t
-        val = lanes.bounded(rows, j)[rows]
-        chosen[rows, t] = np.where((chosen[rows] == val[:, None]).any(axis=1), j, val)
-    for t in range(chosen.shape[1] - 1):  # the shuffle
-        rows = np.flatnonzero(k - 1 > t)
-        i = k[rows] - 1 - t
-        j = lanes.bounded(rows, i)[rows]
-        chosen[rows, i], chosen[rows, j] = chosen[rows, j], chosen[rows, i]
-    return {g: chosen[k == g, :g] for g in range(2, n)}
+    if n <= 2:
+        return {}
+    tail, tops, at = _draw_plan(n)
+    lanes = tail.shape[1]
+    words = np.array([[seed >> bit & _M32] for bit in range(0, max(seed.bit_length(), 1), 32)], np.uint32)
+    drawn = _bounded(_seed_state(np.concatenate([words.repeat(lanes, axis=1), tail])), tops)
+    chosen, taken = np.empty((n - 1, lanes), np.int64), np.zeros(lanes, np.int64)
+    for t in range(n - 1):  # Floyd's selection; a bitmask per lane holds what is chosen
+        chosen[t] = np.where(taken >> drawn[t] & 1, tops[t], drawn[t])
+        taken |= 1 << chosen[t]
+    flat = chosen.reshape(-1)
+    for i, j in zip(*(a.reshape(-1)[at] * lanes + at % lanes for a in (tops, drawn))):
+        flat[i], flat[j] = flat[j], flat[i]  # the shuffle; a zero top swaps a slot with itself
+    return {g: chosen.T[(g - 2) * GREEDY_RESTARTS:(g - 1) * GREEDY_RESTARTS, :g] for g in range(2, n)}
 
 
 def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = None) -> HyperResult:

@@ -120,29 +120,54 @@ MUTANTS = (
            "if False:",
            (GREEDY + "test_every_draw_validated",)),
     Mutant("pcg-carry-dropped", "chaos.py",
-           "return a[0] + b[0] + (lo < b[1]), lo",
-           "return a[0] + b[0], lo",
-           (DRAWS + "test_seeds_at_word_edges",)),
+           "hi = p_hi[0] + p_hi[1] + (lo < p_lo[1])",
+           "hi = p_hi[0] + p_hi[1]",
+           (DRAWS + "test_seeds_at_word_edges",
+            DRAWS + "test_words_equal_pcg64_raw_outputs")),
     Mutant("floyd-repeat-keeps-val", "chaos.py",
-           "(chosen[rows] == val[:, None]).any(axis=1), j, val)",
-           "(chosen[rows] == val[:, None]).any(axis=1), val, val)",
+           "np.where(taken >> drawn[t] & 1, tops[t], drawn[t])",
+           "np.where(taken >> drawn[t] & 1, drawn[t], drawn[t])",
            (DRAWS + "test_seeds_at_word_edges",)),
     Mutant("rejection-loop-skipped", "chaos.py",
-           "kept = m & _M32 >= (1 << 32) % excl[rows]",
-           "kept = m & _M32 >= 0",
+           "if not rejected.any():",
+           "if True:",
            (DRAWS + "test_rejected_words_are_redrawn",)),
     Mutant("entropy-past-the-pool-ignored", "chaos.py",
-           "for word in words[4:]:",
-           "for word in words[4:4]:",
-           (DRAWS + "test_seeds_at_word_edges",)),
+           "    for hashed in _hashmix(words[4:, None], consts[:, 16:].reshape(2, -1, 4, 1)):\n        pool = mix(pool, hashed)\n",
+           "",
+           (DRAWS + "test_seeds_at_word_edges",
+            DRAWS + "test_seeding_equals_seed_sequence")),
+    # the last swap, of slot 1, gets a zero top and swaps nothing
     Mutant("shuffle-stops-at-two", "chaos.py",
-           "rows = np.flatnonzero(k - 1 > t)",
-           "rows = np.flatnonzero(k - 2 > t)",
+           "np.maximum(2 * k - 1 - t, 0)",
+           "(2 * k - 1 - t) * (2 * k - 1 - t > 1)",
            (DRAWS + "test_seeds_at_word_edges",)),
     Mutant("draw-guard-dropped", "chaos.py",
            "if seed < 0 or not 1 <= n <= MAX_SCAN_STATES:",
            "if False:",
            (DRAWS + "test_bad_seed_or_state_count_rejected",)),
+    # every output is the state one step earlier: M**t s + (M**(t+1) - 1) / (M - 1) c
+    Mutant("jump-constants-one-step-off", "chaos.py",
+           "pairs = powers[2:], list(accumulate(powers, lambda a, b: (a + b) % 2**128))[2:]",
+           "pairs = powers[1:-1], list(accumulate(powers, lambda a, b: (a + b) % 2**128))[1:-1]",
+           (DRAWS + "test_words_equal_pcg64_raw_outputs",
+            DRAWS + "test_seeds_at_word_edges")),
+    # each pool word is hashed into itself and skips the word after it
+    Mutant("source-word-hashed-into-its-own-pool-word", "chaos.py",
+           "dst = [d for d in range(4) if d != src]",
+           "dst = [d for d in range(4) if d != (src + 1) % 4]",
+           (DRAWS + "test_seeding_equals_seed_sequence",
+            DRAWS + "test_seeds_at_word_edges")),
+    # the redrawn position takes the next word, which its lane's next draw reads too
+    Mutant("rejected-word-does-not-shift-later-draws", "chaos.py",
+           "at = at + lanes * np.maximum.accumulate(rejected, axis=0)",
+           "at = at + lanes * rejected",
+           (DRAWS + "test_rejected_words_are_redrawn",)),
+    Mutant("pcg-increment-not-odd", "chaos.py",
+           "i_lo << 1 | 1",
+           "i_lo << 1",
+           (DRAWS + "test_words_equal_pcg64_raw_outputs",
+            DRAWS + "test_seeds_at_word_edges")),
     Mutant("curve-levels-start-at-their-last-point", "chaos.py",
            "rises = np.flatnonzero(np.diff(i_min, prepend=-np.inf))",
            "rises = np.flatnonzero(np.diff(i_min, append=np.inf))",

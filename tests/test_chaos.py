@@ -872,10 +872,14 @@ def numpy_draws(seed, n, n_groups):
 
 
 class TestGreedyDraws:
-    """``greedy_draws`` against numpy's own draws.  NEP 19 does not freeze
-    ``Generator`` streams across numpy releases; these draws were checked
-    against numpy 2.4, so a failure after a numpy upgrade may be numpy's
-    stream moving rather than a fault in ``greedy_draws``."""
+    """``greedy_draws`` against numpy's own draws, and each layer beneath
+    it against numpy's own lower layer: the seeding against ``SeedSequence``,
+    the generator words against ``PCG64``, the bounded draws against
+    ``Generator.integers``.  NEP 19 does not freeze ``Generator`` streams
+    across numpy releases; these draws were checked against numpy 2.4, so a
+    failure after a numpy upgrade may be numpy's stream moving rather than a
+    fault in ``greedy_draws``, and the layer tests that fail name the layer
+    that moved."""
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, 2**130), st.integers(1, chaos.MAX_SCAN_STATES))
@@ -892,23 +896,57 @@ class TestGreedyDraws:
         for n_groups, rows in chaos.greedy_draws(seed, 8).items():
             assert np.array_equal(rows, numpy_draws(seed, 8, n_groups)), n_groups
 
+    # one lane per word list, a second lane on the reversed list; five and
+    # six words run past the pool of four
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6).flatmap(lambda size: st.lists(st.integers(0, 2**32 - 1), min_size=size, max_size=size)))
+    def test_seeding_equals_seed_sequence(self, words):
+        lanes = [words, words[::-1]]
+        expected = [np.random.SeedSequence(lane).generate_state(4, np.uint64) for lane in lanes]
+        assert np.array_equal(chaos._seed_state(np.array(lanes, np.uint32).T), np.array(expected).T)
+
+    @pytest.mark.parametrize("words", [[0], [5, 3], [2**32 - 1, 7, 63], [1, 2, 3, 4], [9, 8, 7, 6, 5, 2**31]])
+    def test_words_equal_pcg64_raw_outputs(self, words):
+        seeded = chaos._seed_state(np.array([words, words[::-1]], np.uint32).T)
+        for lane, entropy in enumerate([words, words[::-1]]):
+            for t in range(1, 11):
+                raw = np.random.PCG64(np.random.SeedSequence(entropy)).random_raw(t)
+                expected = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).reshape(-1)
+                assert chaos._pcg_words(seeded, 0, t)[:, lane].tolist() == expected.tolist(), (lane, t)
+            # a stream extended from its fourth output on continues it
+            assert chaos._pcg_words(seeded, 4, 10)[:, lane].tolist() == expected[8:].tolist(), lane
+
     @pytest.mark.parametrize("seed", range(4))
-    def test_rejected_words_are_redrawn(self, seed):
+    def test_rejected_words_are_redrawn(self, seed, monkeypatch):
         # on [0, top] with top + 1 = 3 * 2**30, Lemire's method rejects a
         # word whose low product word is under 2**32 mod (top + 1) = 2**30,
         # about a quarter of words, where the draws of n <= 10 states reject
-        # one in 2**30 at most; the range alternates with a small one, and
-        # half the draws take every other lane only, as Floyd's rows do
-        lanes_n, tops = 64, [3 * 2**30 - 1, 5] * 10
-        lanes = chaos._Pcg64Lanes([np.full(lanes_n, seed, np.uint32), np.arange(lanes_n, dtype=np.uint32)])
-        rngs = [np.random.default_rng([seed, lane]) for lane in range(lanes_n)]
-        made = 0
-        for step, top in enumerate(tops):
-            rows = np.arange(0, lanes_n, 1 + step // 2 % 2)
-            drawn = lanes.bounded(rows, top)[rows]
-            assert drawn.tolist() == [int(rngs[lane].integers(0, top + 1)) for lane in rows], step
-            made += len(rows)
-        assert lanes.cursor.sum() > made  # words were rejected and redrawn
+        # one in 2**30 at most.  Lanes 0-47 alternate that range with a small
+        # one, lanes 48-63 draw the small one only; lane l makes 20 - l % 4
+        # draws, zero tops after.  Every rejection moves its lane's later
+        # draws on one word, and 20 draws start from 20 precomputed words.
+        lanes_n, big = 64, 3 * 2**30 - 1
+        lane, t = np.arange(lanes_n), np.arange(20)[:, None]
+        tops = np.where((t % 2 == 1) | (lane >= 48), 5, big) * (t < 20 - lane % 4)
+        spans = []
+        pcg_words = chaos._pcg_words
+        monkeypatch.setattr(chaos, "_pcg_words", lambda seeded, start, stop: spans.append((start, stop))
+                            or pcg_words(seeded, start, stop))
+        drawn = chaos._bounded(chaos._seed_state(np.array([np.full(lanes_n, seed), lane], np.uint32)), tops)
+        used = []  # words each lane's numpy generator took
+        for i in range(lanes_n):
+            rng = np.random.default_rng([seed, i])
+            count = 20 - i % 4
+            assert drawn[:count, i].tolist() == [int(rng.integers(0, top + 1)) for top in tops[:count, i]], i
+            assert not drawn[count:, i].any()
+            state, fresh, outputs = rng.bit_generator.state, np.random.PCG64(np.random.SeedSequence([seed, i])), 0
+            while fresh.state["state"] != state["state"]:
+                fresh.random_raw()
+                outputs += 1
+            used.append(2 * outputs - state["has_uint32"])
+        rejections = np.array(used) - (20 - lane % 4)
+        assert (rejections >= 2).sum() > 8 and (rejections[:48] == 0).any() and not rejections[48:].any()
+        assert max(used) > 20 and spans[0] == (0, 10) and len(spans) > 1  # the stream was extended
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_nothing_to_draw_below_three_states(self, n):
