@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
@@ -279,19 +279,20 @@ def js_distance(a: np.ndarray, b: np.ndarray) -> float:
     return max(s_mix - s_avg, 0.0)
 
 
-def greedy_groupings(means, entropies, draws) -> np.ndarray:
-    """Nearly optimal groupings of an ensemble, one row of labels per draw.
+def greedy_groupings(means, entropies, seeds) -> np.ndarray:
+    """Nearly optimal groupings of an ensemble, one row of labels per seed row.
 
     ``means`` and ``entropies`` are the :func:`subset_means` and
-    :func:`subset_entropies` tables of the ensemble's n states.  Each draw
-    seeds ``len(draw)`` groups, and draws may differ in length: group ``g``
-    starts as the single member ``draw[g]``.  Each remaining state, in list
-    order, joins the group closest to it in :func:`js_distance` (the first
-    of equal distances, as ``np.argmin`` picks).  A group is its member
-    mask: its state is ``means[mask]`` and its entropy ``entropies[mask]``.
-    The draws run in lockstep, one placement at a time for every run that
-    still has a state to place; a shorter draw's unused group slots read
-    distance +inf, so no state joins them.
+    :func:`subset_entropies` tables of the ensemble's n states.  ``seeds``
+    is a (runs, groups) integer array of one-member masks, 0 for an unused
+    slot, as :func:`greedy_draws` returns: group ``g`` of a run starts as
+    mask ``seeds[run, g]``.  Each remaining state, in list order, joins the
+    group closest to it in :func:`js_distance` (the first of equal
+    distances, as ``np.argmin`` picks).  A group is its member mask: its
+    state is ``means[mask]`` and its entropy ``entropies[mask]``.  The runs
+    grow a copy of ``seeds`` in lockstep, one placement at a time for every
+    run with a state left to place; unused slots read distance +inf, so no
+    state joins them.  Each state's label is its group in the grown masks.
 
     The entropy of a candidate mixture ``(means[mask] + means[1 << idx]) / 2``
     depends only on ``mask`` and the index of the state placed.  For a
@@ -306,27 +307,19 @@ def greedy_groupings(means, entropies, draws) -> np.ndarray:
     n = len(entropies).bit_length() - 1
     if 2**n != len(entropies) or len(means) != len(entropies):
         raise ValueError("the mean and entropy tables must have 2**n entries for n states")
-    bad_draws = "seeds must be distinct member indices, at least one"
-    try:
-        sizes = np.array(list(map(len, draws)), dtype=np.int64)
-        members = np.array(list(chain.from_iterable(draws)))
-    except (TypeError, ValueError):  # a draw that is no sequence, or a member that is one
-        raise ValueError(bad_draws) from None
-    if (not len(sizes) or not sizes.all() or members.ndim != 1
-            or not np.issubdtype(members.dtype, np.integer) or (members < 0).any() or (members >= n).any()):
-        raise ValueError(bad_draws)
-    runs = len(sizes)
-    run = np.repeat(np.arange(runs), sizes)
-    slot = np.arange(len(members)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    labels = np.full((runs, n), -1)
-    labels[run, members] = slot
-    if ((labels >= 0).sum(axis=1) != sizes).any():  # a repeated member
-        raise ValueError(bad_draws)
+    bad_seeds = "seeds must be a 2-D integer array of one-member masks, distinct and at least one per row"
+    masks = np.asarray(seeds)
+    if masks.ndim != 2 or not len(masks) or not np.issubdtype(masks.dtype, np.integer):
+        raise ValueError(bad_seeds)
+    masks = masks.astype(np.int64)  # a copy: the groups grow in place
+    union = np.bitwise_or.reduce(masks, axis=1)
+    if (((masks < 0) | (masks >= 1 << n) | ((masks & (masks - 1)) != 0)).any() or not union.all()
+            or (masks.sum(axis=1) != union).any()):  # the last: a repeated member
+        raise ValueError(bad_seeds)
     memo = np.full(2**n * n, np.nan)  # at mask * n + idx
     bits = 1 << np.arange(n)
-    masks = np.zeros((runs, sizes.max()), np.int64)  # 0: an unused group slot
-    masks[run, slot] = bits[members]
-    pending = np.argsort(labels >= 0, axis=1, kind="stable")  # unplaced states first, ascending
+    sizes = (masks != 0).sum(axis=1)
+    pending = np.argsort((union[:, None] & bits) != 0, axis=1, kind="stable")  # unplaced states first
     for step in range(n - sizes.min()):
         rows = np.flatnonzero(sizes < n - step)  # the runs with a state left to place
         idx = pending[rows, step]
@@ -341,17 +334,15 @@ def greedy_groupings(means, entropies, draws) -> np.ndarray:
         # js_distance's own expression, so each distance equals it bit for bit
         dists = np.maximum(mixed - (entropies[m] + entropies[bits[idx]][:, None]) / 2, 0.0)
         dists[m == 0] = np.inf
-        g = dists.argmin(axis=1)
-        labels[rows, idx] = g
-        masks[rows, g] |= bits[idx]
-    return labels
+        masks[rows, dists.argmin(axis=1)] |= bits[idx]
+    return ((masks[:, :, None] & bits) != 0).argmax(axis=1)  # each state's group
 
 
 def greedy_grouping(means, entropies, seeds) -> list[int]:
     """Nearly optimal grouping into ``len(seeds)`` clusters, group ``g``
-    seeded by ``seeds[g]``: the one-draw :func:`greedy_groupings`, its row
-    as a list of group labels."""
-    return greedy_groupings(means, entropies, [seeds])[0].tolist()
+    seeded by member ``seeds[g]``: the one-row :func:`greedy_groupings`,
+    its row as a list of group labels."""
+    return greedy_groupings(means, entropies, [[1 << operator.index(seed) for seed in seeds]])[0].tolist()
 
 
 def set_partitions(n: int):
@@ -609,29 +600,29 @@ def _draw_plan(n: int):
     return plan
 
 
-def greedy_draws(seed: int, n: int) -> dict[int, np.ndarray]:
-    """Row ``trial`` of entry ``k`` is
-    ``np.random.default_rng([seed, k, trial]).choice(n, size=k, replace=False)`` for each trial <
-    :data:`GREEDY_RESTARTS` and 2 <= k <= n - 1, as numpy 2.4 draws it: Floyd's selection draws
-    j = n-k .. n-1, a repeat becoming j, and a shuffle swaps each i = k-1 .. 1 with a draw on [0, i].
-    Each restart is a lane; the seeding, the words and all draws take a fixed number of array passes."""
+def greedy_draws(seed: int, n: int) -> np.ndarray:
+    """(lanes, n - 1) seed masks for :func:`greedy_groupings`: row (k - 2) * :data:`GREEDY_RESTARTS` +
+    trial holds ``1 << member`` for each member ``np.random.default_rng([seed, k, trial]).choice(n,
+    size=k, replace=False)`` draws, in draw order, then zeros, for each trial < :data:`GREEDY_RESTARTS`
+    and 2 <= k <= n - 1 (no rows for n <= 2), as numpy 2.4 draws them: Floyd's selection draws j = n-k ..
+    n-1, a repeat becoming j, and a shuffle swaps each i = k-1 .. 1 with a draw on [0, i].  Each restart
+    is a lane; the seeding, the words and all draws take a fixed number of array passes."""
     seed = operator.index(seed)  # a float seed raises TypeError, as in numpy
     if seed < 0 or not 1 <= n <= MAX_SCAN_STATES:
         raise ValueError(f"need seed >= 0 and 1 <= n <= {MAX_SCAN_STATES}, not seed={seed}, n={n}")
     if n <= 2:
-        return {}
+        return np.zeros((0, n - 1), np.int64)
     tail, tops, at = _draw_plan(n)
     lanes = tail.shape[1]
     words = np.array([[seed >> bit & _M32] for bit in range(0, max(seed.bit_length(), 1), 32)], np.uint32)
     drawn = _bounded(_seed_state(np.concatenate([words.repeat(lanes, axis=1), tail])), tops)
-    chosen, taken = np.empty((n - 1, lanes), np.int64), np.zeros(lanes, np.int64)
-    for t in range(n - 1):  # Floyd's selection; a bitmask per lane holds what is chosen
-        chosen[t] = np.where(taken >> drawn[t] & 1, tops[t], drawn[t])
-        taken |= 1 << chosen[t]
+    chosen = np.zeros((n - 1, lanes), np.int64)  # member masks; a lane's sum is what it has chosen
+    for t in range(n - 1):  # Floyd's selection
+        chosen[t] = np.where(chosen.sum(axis=0) >> drawn[t] & 1, 1 << tops[t], 1 << drawn[t])
     flat = chosen.reshape(-1)
     for i, j in zip(*(a.reshape(-1)[at] * lanes + at % lanes for a in (tops, drawn))):
         flat[i], flat[j] = flat[j], flat[i]  # the shuffle; a zero top swaps a slot with itself
-    return {g: chosen.T[(g - 2) * GREEDY_RESTARTS:(g - 1) * GREEDY_RESTARTS, :g] for g in range(2, n)}
+    return np.where(np.arange(n - 1)[:, None] < tail[0], chosen, 0).T  # a lane's k members
 
 
 def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = None) -> HyperResult:
@@ -643,11 +634,11 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
     The greedy pass takes the :func:`greedy_draws` of ``config.seed``,
     :data:`GREEDY_RESTARTS` seedings for each of 2 to n-1 groups (1 and n
     give the first and the last scan row whatever the seeds), and keeps
-    the nondominated (delta_s, information) points.
-    Each group count's distinct ordered draws, in draw order, and the
-    counts in ascending order, run in lockstep through one
+    the nondominated (delta_s, information) points.  Its seed masks, every
+    restart of every count in draw order, run in lockstep through one
     :func:`greedy_groupings` call, so every count shares one memo of
-    mixture entropies.  The exhaustive scan and greedy read one
+    mixture entropies; a repeated draw reads the same memo keys and lands
+    on the same partition.  The exhaustive scan and greedy read one
     :func:`subset_means` table and its :func:`subset_entropies`, which also
     gives every mixture of two states.  When the histories repeat a state,
     as the regular map's two-state ensemble does, the table and each memo
@@ -669,13 +660,10 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
     delta_s, info, s_max = partition_scan(entropies)
     frontier = _frontier_from_scan(delta_s, info)
     slope = frontier_slope(frontier)
-    n = 2**n_steps  # histories
-    # sorted draws would not do: argmin breaks exact ties by group order
-    draws = [draw for rows in greedy_draws(config.seed, n).values()
-             for draw in dict.fromkeys(map(tuple, rows.tolist()))]
+    seeds = greedy_draws(config.seed, 2**n_steps)  # in draw order: argmin breaks exact ties by group order
     pos = [0, len(delta_s) - 1]  # one group, and one per state, whatever the seeds
-    if draws:
-        pos += _partition_positions(greedy_groupings(means, entropies, draws)).tolist()
+    if len(seeds):
+        pos += _partition_positions(greedy_groupings(means, entropies, seeds)).tolist()
     pos = np.unique(pos)
     return HyperResult(
         s_bar_max=s_max,

@@ -59,8 +59,8 @@ class Mutant:
 
 MUTANTS = (
     Mutant("argmin-last-of-equal", "chaos.py",
-           "g = dists.argmin(axis=1)",
-           "g = dists.shape[1] - 1 - dists[:, ::-1].argmin(axis=1)",
+           "dists.argmin(axis=1)",
+           "dists.shape[1] - 1 - dists[:, ::-1].argmin(axis=1)",
            (GREEDY + "test_lockstep_rows_on_the_regular_map",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
     Mutant("memo-key-ignores-idx", "chaos.py",
@@ -83,7 +83,7 @@ MUTANTS = (
            "np.where(one, entropies[m], memo[keys])",
            (GREEDY + "test_one_call_over_every_count_changes_no_assignment",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
-    # a shorter draw's unused slot (mask 0) then reads S(rho_idx) / 2
+    # an unused slot (mask 0) of a run then reads S(rho_idx) / 2
     Mutant("unused-group-slot-not-masked", "chaos.py",
            "dists[m == 0] = np.inf",
            "dists[m < 0] = np.inf",
@@ -116,17 +116,47 @@ MUTANTS = (
            (GREEDY + "test_one_call_over_every_count_changes_no_assignment",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
     Mutant("greedy-repeat-guard-dropped", "chaos.py",
-           "if ((labels >= 0).sum(axis=1) != sizes).any():",
+           "if (masks.sum(axis=1) != union).any():",
            "if False:",
-           (GREEDY + "test_every_draw_validated",)),
+           (GREEDY + "test_every_draw_validated[repeat]",
+            GREEDY + "test_every_draw_validated[repeat-past-a-gap]")),
+    Mutant("two-bit-seed-mask-accepted", "chaos.py",
+           " | ((masks & (masks - 1)) != 0)",
+           "",
+           (GREEDY + "test_every_draw_validated[two-bits]",
+            GREEDY + "test_every_draw_validated[two-bits-in-a-later-row]")),
+    # -2**63 & (-2**63 - 1) wraps to 0, so only the sign test rejects it
+    Mutant("negative-seed-mask-accepted", "chaos.py",
+           "(masks < 0) | ",
+           "",
+           (GREEDY + "test_every_draw_validated[most-negative]",)),
+    # a run with no member then puts every state into its first slot
+    Mutant("memberless-seed-row-accepted", "chaos.py",
+           ".any() or not union.all():",
+           ".any():",
+           (GREEDY + "test_every_draw_validated[empty-row]",)),
+    # each state takes the first group that lacks it: for two groups the
+    # partition survives relabelled, for more it does not
+    Mutant("labels-read-from-the-wrong-group", "chaos.py",
+           "((masks[:, :, None] & bits) != 0).argmax(axis=1)",
+           "((masks[:, :, None] & bits) == 0).argmax(axis=1)",
+           (GREEDY + "test_lockstep_rows_on_the_regular_map",
+            CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time",
+            HYPER + "test_greedy_points_equal_drawing_every_group_count")),
+    # a lane of k members keeps the draws past them as members too
+    Mutant("draw-masks-not-zeroed-past-k", "chaos.py",
+           "np.where(np.arange(n - 1)[:, None] < tail[0], chosen, 0)",
+           "np.where(np.arange(n - 1)[:, None] < n - 1, chosen, 0)",
+           (DRAWS + "test_seeds_at_word_edges",
+            DRAWS + "test_rows_equal_numpy_choice")),
     Mutant("pcg-carry-dropped", "chaos.py",
            "hi = p_hi[0] + p_hi[1] + (lo < p_lo[1])",
            "hi = p_hi[0] + p_hi[1]",
            (DRAWS + "test_seeds_at_word_edges",
             DRAWS + "test_words_equal_pcg64_raw_outputs")),
     Mutant("floyd-repeat-keeps-val", "chaos.py",
-           "np.where(taken >> drawn[t] & 1, tops[t], drawn[t])",
-           "np.where(taken >> drawn[t] & 1, drawn[t], drawn[t])",
+           "np.where(chosen.sum(axis=0) >> drawn[t] & 1, 1 << tops[t], 1 << drawn[t])",
+           "np.where(chosen.sum(axis=0) >> drawn[t] & 1, 1 << drawn[t], 1 << drawn[t])",
            (DRAWS + "test_seeds_at_word_edges",)),
     Mutant("rejection-loop-skipped", "chaos.py",
            "if not rejected.any():",

@@ -221,6 +221,17 @@ def scored_partition_scan(entropies) -> tuple[np.ndarray, np.ndarray, float]:
     return np.array(delta_s), np.array(info), s_max
 
 
+def seed_masks(draws, width=None) -> np.ndarray:
+    """Member draws as the seed masks ``chaos.greedy_groupings`` takes: row
+    ``r`` holds ``1 << member`` for each member of ``draws[r]`` in order,
+    then zeros up to ``width`` columns (the longest draw's length unless
+    given), one Python shift per member."""
+    draws = [list(draw) for draw in draws]
+    width = max(map(len, draws), default=0) if width is None else width
+    return np.array([[1 << member for member in draw] + [0] * (width - len(draw)) for draw in draws],
+                    dtype=np.int64).reshape(len(draws), width)
+
+
 def reference_greedy_grouping(rhos, seeds) -> list[int]:
     """Greedy clustering one draw at a time, with no memo: group ``g``
     starts as ``rhos[seeds[g]]``, each other state in list order joins the

@@ -127,23 +127,23 @@ def seed_draw(n, n_groups, seed):
     return tuple(np.random.default_rng(seed).choice(n, size=n_groups, replace=False).tolist())
 
 
-def memo_keys_by_placement(draw, assignment) -> list[set]:
+def memo_keys_by_placement(seeds, assignment) -> list[set]:
     """The memo entries one greedy run reads at each of its placements, from
-    its draw and result: ``(mask, idx)`` for each group of two or more
-    members when state ``idx`` is placed (a one-member group's mixture is
-    read from the subset table)."""
-    masks = [1 << seed for seed in draw]
-    placements = []
+    its row of seed masks and its result: ``(mask, idx)`` for each group of
+    two or more members when state ``idx`` is placed (a one-member group's
+    mixture is read from the subset table, and an unused slot is none)."""
+    masks = [int(mask) for mask in seeds]
+    seeded, placements = sum(masks), []
     for idx in range(len(assignment)):
-        if idx not in draw:
+        if not seeded >> idx & 1:
             placements.append({(mask, idx) for mask in masks if mask.bit_count() > 1})
             masks[assignment[idx]] |= 1 << idx
     return placements
 
 
-def memo_keys(draw, assignment) -> set:
+def memo_keys(seeds, assignment) -> set:
     """The memo entries one greedy run reads, at any placement."""
-    return set().union(*memo_keys_by_placement(draw, assignment))
+    return set().union(*memo_keys_by_placement(seeds, assignment))
 
 
 def record_mixtures(monkeypatch) -> list:
@@ -740,14 +740,36 @@ class TestGreedyGrouping:
         with pytest.raises(ValueError):
             chaos.greedy_grouping(fig2_chaotic_means, fig2_chaotic_table[:128], (0, 1, 2))
 
-    # draws of different lengths are valid; an empty, nested or non-sequence
-    # draw, a repeat, an out-of-range or non-integer member, or no draw is not
-    @pytest.mark.parametrize("draws", [[(0, 1), (2, 2)], [(0, 1), (2, 8)], [(0, 1), (-1, 2)],
-                                       [(0, 1), ()], [(0, 1), (2, 3, 2)], [(0, 1), 2], [(0, (1, 2))],
-                                       [(0, 1.0)], [(2,), (0, 1.0)], [()], []])
-    def test_every_draw_validated(self, draws, fig2_chaotic_means, fig2_chaotic_table):
+    # rows with unused (zero) slots are valid; one malformed array per
+    # rejected case: not 2-D, not integer, no rows, a row with no member, a
+    # negative entry, a mask of two bits or of a state past n = 8, a row
+    # that repeats a member, and a ragged list
+    @pytest.mark.parametrize("seeds", [
+        np.array([1, 2]), np.ones((1, 1, 1), np.int64),
+        np.array([[1.0, 2.0]]), np.array([[True, False]]), np.array([["1", "2"]]),
+        np.zeros((0, 2), np.int64),
+        np.array([[1, 2], [0, 0]]), np.zeros((1, 0), np.int64),
+        np.array([[1, -4]]), np.array([[1, -2**63]]),
+        np.array([[3, 4]]), np.array([[1, 0], [4, 96]]),
+        np.array([[1, 256]]), np.array([[2**40]]), np.array([[1, 2**63]], np.uint64),
+        np.array([[1, 2], [4, 4]]), np.array([[1, 2, 0, 1]]),
+        [[1, 2], [4]],
+    ], ids=["1-D", "3-D", "float", "bool", "str", "no-rows", "empty-row", "no-columns", "negative",
+            "most-negative", "two-bits", "two-bits-in-a-later-row", "state-8", "state-40", "uint64-top-bit",
+            "repeat", "repeat-past-a-gap", "ragged"])
+    def test_every_draw_validated(self, seeds, fig2_chaotic_means, fig2_chaotic_table):
         with pytest.raises(ValueError):
-            chaos.greedy_groupings(fig2_chaotic_means, fig2_chaotic_table, draws)
+            chaos.greedy_groupings(fig2_chaotic_means, fig2_chaotic_table, seeds)
+
+    def test_seed_rows_are_not_written(self, fig2_chaotic_means, fig2_chaotic_table):
+        # the groups grow in a copy; unused slots of any integer dtype stay 0
+        for dtype in (np.int64, np.int32, np.uint8):
+            seeds = oracles.seed_masks([(5, 0, 2), (1,), (7, 3)]).astype(dtype)
+            before = seeds.copy()
+            rows = chaos.greedy_groupings(fig2_chaotic_means, fig2_chaotic_table, seeds)
+            assert np.array_equal(seeds, before) and seeds.dtype == dtype
+            assert rows.tolist() == [chaos.greedy_grouping(fig2_chaotic_means, fig2_chaotic_table, draw)
+                                     for draw in [(5, 0, 2), (1,), (7, 3)]]
 
     @pytest.mark.parametrize("hamiltonian", ["noxy", "simplified", "full"])
     def test_lockstep_rows_on_the_regular_map(self, hamiltonian):
@@ -760,7 +782,7 @@ class TestGreedyGrouping:
         rng = np.random.default_rng(7)
         for n_groups in range(1, 9):
             draws = [tuple(rng.permutation(8)[:n_groups].tolist()) for _ in range(24)]
-            rows = chaos.greedy_groupings(means, table, draws)
+            rows = chaos.greedy_groupings(means, table, oracles.seed_masks(draws))
             assert rows.tolist() == [oracles.reference_greedy_grouping(rhos, draw) for draw in draws]
 
     @pytest.mark.parametrize("seeds", [(3,), (5, 0, 2), tuple(range(7)), tuple(range(8))])
@@ -775,7 +797,7 @@ class TestGreedyGrouping:
         mixtures = record_mixtures(monkeypatch)
         n, k = 8, len(seeds)
         assignment = chaos.greedy_grouping(fig2_chaotic_means, fig2_chaotic_table, seeds)
-        keys = memo_keys(seeds, assignment)
+        keys = memo_keys(oracles.seed_masks([seeds])[0], assignment)
         assert Counter(m.tobytes() for m, _ in mixtures) == memo_mixtures(fig2_chaotic_means, keys)
         # the first placement, if any, reads every group with one member
         assert sum(diagonalised) == len(keys) <= k * max(n - k - 1, 0)
@@ -801,28 +823,28 @@ class TestGreedyGrouping:
     @pytest.mark.parametrize("hamiltonian", ["noxy", "full"])
     @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
     def test_one_call_over_every_count_changes_no_assignment(self, variant, hamiltonian, monkeypatch):
-        # a fixed ragged call on pure states: a state's distance to an unused
-        # slot of a shorter draw would be S(rho_idx)/2, about 0, below its
-        # distance to every real group, so only the +inf mask keeps it out
+        # a fixed call on pure states with unused slots: a state's distance to
+        # a zero mask would be S(rho_idx)/2, about 0, below its distance to
+        # every real group, so only the +inf mask keeps it out
         vectors = np.random.default_rng(5).normal(size=(6, 8, 2)) @ [1, 1j]
         pure = [np.outer(v, v.conj()) / np.vdot(v, v).real for v in vectors]
         pure_means = chaos.subset_means(pure)
         pure_table = chaos.subset_entropies(pure_means)
         ragged = [(0,), (4, 1), (5, 2, 0)]
         assert max(pure_table[1 << i] for i in range(6)) < 1e-12
-        assert chaos.greedy_groupings(pure_means, pure_table, ragged).tolist() == [
+        assert chaos.greedy_groupings(pure_means, pure_table, oracles.seed_masks(ragged)).tolist() == [
             oracles.reference_greedy_grouping(pure, draw) for draw in ragged]
-        # all 512 draws of group counts 1 to 8: each count's distinct draws
-        # in lockstep, in draw order, then every count in one call
+        # all 512 draws of group counts 1 to 8, repeats included: each
+        # count's draws in lockstep, in draw order, then every count in one
+        # call
         cfg = ExperimentConfig.preset("fig5", map_variant=variant, hamiltonian=hamiltonian)
         rhos = chaos.history_ensemble(cfg, 3)
         means = chaos.subset_means(rhos)
         table = chaos.subset_entropies(means)
         every_count, every_row = [], []
         for n_groups in range(1, 9):
-            draws = list(dict.fromkeys(seed_draw(8, n_groups, [cfg.seed, n_groups, trial])
-                                       for trial in range(chaos.GREEDY_RESTARTS)))
-            rows = chaos.greedy_groupings(means, table, draws).tolist()
+            draws = [seed_draw(8, n_groups, [cfg.seed, n_groups, trial]) for trial in range(chaos.GREEDY_RESTARTS)]
+            rows = chaos.greedy_groupings(means, table, oracles.seed_masks(draws)).tolist()
             for draw, row in zip(draws, rows):
                 alone = chaos.greedy_grouping(means, table, draw)
                 assert alone == oracles.reference_greedy_grouping(rhos, draw), draw
@@ -833,8 +855,10 @@ class TestGreedyGrouping:
         # per-count calls and the reference
         mixtures = record_mixtures(monkeypatch)
         batches = record_batches(monkeypatch)
-        assert chaos.greedy_groupings(means, table, every_count).tolist() == every_row
-        runs = [memo_keys_by_placement(draw, row) for draw, row in zip(every_count, every_row)]
+        every_seed = oracles.seed_masks(every_count)
+        assert len(set(every_count)) < len(every_count) == 512
+        assert chaos.greedy_groupings(means, table, every_seed).tolist() == every_row
+        runs = [memo_keys_by_placement(seeds, row) for seeds, row in zip(every_seed, every_row)]
         keys = set().union(*chain.from_iterable(runs))
         if variant == "chaotic":
             # every entry its runs read is its own mixture, diagonalised once
@@ -865,10 +889,16 @@ class TestGreedyGrouping:
             assert float(entropies[mixture]).hex() == expected.hex(), (mask, idx)
 
 
-def numpy_draws(seed, n, n_groups):
-    """numpy's own ``choice`` draws of ``n_groups`` of ``n`` members, one row per restart."""
-    return np.array([seed_draw(n, n_groups, [seed, n_groups, trial]) for trial in range(chaos.GREEDY_RESTARTS)],
-                    dtype=np.int64)
+def numpy_draws(seed, n):
+    """numpy's own ``choice`` draws of 2 to n - 1 of ``n`` members, one per
+    restart, group counts ascending: the draws of ``chaos.greedy_draws``."""
+    return [seed_draw(n, n_groups, [seed, n_groups, trial])
+            for n_groups in range(2, n) for trial in range(chaos.GREEDY_RESTARTS)]
+
+
+def numpy_seed_masks(seed, n):
+    """:func:`numpy_draws` as the (lanes, n - 1) seed masks ``chaos.greedy_draws`` returns."""
+    return oracles.seed_masks(numpy_draws(seed, n), n - 1)
 
 
 class TestGreedyDraws:
@@ -884,17 +914,19 @@ class TestGreedyDraws:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, 2**130), st.integers(1, chaos.MAX_SCAN_STATES))
     def test_rows_equal_numpy_choice(self, seed, n):
-        draws = chaos.greedy_draws(seed, n)
-        assert list(draws) == list(range(2, n))
-        for n_groups, rows in draws.items():
-            assert np.array_equal(rows, numpy_draws(seed, n, n_groups)), n_groups
+        seeds = chaos.greedy_draws(seed, n)
+        assert seeds.dtype == np.int64 and seeds.shape == (max(n - 2, 0) * chaos.GREEDY_RESTARTS, n - 1)
+        assert np.array_equal(seeds, numpy_seed_masks(seed, n))
 
     # the seed's last word, its first two-word value, and seeds of three and
     # five words, whose entropy runs past SeedSequence's pool of four words
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**128 + 1])
     def test_seeds_at_word_edges(self, seed):
-        for n_groups, rows in chaos.greedy_draws(seed, 8).items():
-            assert np.array_equal(rows, numpy_draws(seed, 8, n_groups)), n_groups
+        seeds, expected = chaos.greedy_draws(seed, 8), numpy_seed_masks(seed, 8)
+        for n_groups in range(2, 8):  # each group count's rows, then the zeros past its members
+            rows = slice((n_groups - 2) * chaos.GREEDY_RESTARTS, (n_groups - 1) * chaos.GREEDY_RESTARTS)
+            assert np.array_equal(seeds[rows], expected[rows]), n_groups
+            assert not seeds[rows, n_groups:].any() and seeds[rows, :n_groups].all(), n_groups
 
     # one lane per word list, a second lane on the reversed list; five and
     # six words run past the pool of four
@@ -950,7 +982,8 @@ class TestGreedyDraws:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_nothing_to_draw_below_three_states(self, n):
-        assert chaos.greedy_draws(0, n) == {}
+        seeds = chaos.greedy_draws(0, n)
+        assert seeds.shape == (0, n - 1) and seeds.dtype == np.int64
 
     @pytest.mark.parametrize("seed, n", [(-1, 8), (0, 0), (0, chaos.MAX_SCAN_STATES + 1)])
     def test_bad_seed_or_state_count_rejected(self, seed, n):
@@ -962,7 +995,7 @@ class TestGreedyDraws:
             np.random.default_rng([1.5, 2, 0])
         with pytest.raises(TypeError):
             chaos.greedy_draws(1.5, 8)
-        assert np.array_equal(chaos.greedy_draws(np.int64(5), 8)[3], numpy_draws(5, 8, 3))
+        assert np.array_equal(chaos.greedy_draws(np.int64(5), 8), numpy_seed_masks(5, 8))
 
     @pytest.mark.parametrize("n_steps", [1, 2])
     def test_short_ensembles_of_a_five_word_seed(self, n_steps):
@@ -1179,7 +1212,7 @@ class TestPartitionProperties:
         table = chaos.subset_entropies(means)
         for _ in range(2):  # two draw sets per ensemble
             draws = data.draw(draw_sets(n))
-            rows = chaos.greedy_groupings(means, table, draws)
+            rows = chaos.greedy_groupings(means, table, oracles.seed_masks(draws))
             assert rows.tolist() == [oracles.reference_greedy_grouping(rhos, draw) for draw in draws]
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -1219,10 +1252,9 @@ def repeated_member_ensembles(draw):
 
 
 def hyper_draws(cfg, n):
-    """The draws ``chaos.hypersensitivity_experiment`` runs: each group
-    count's distinct ordered draws, in draw order."""
-    return [draw for rows in chaos.greedy_draws(cfg.seed, n).values()
-            for draw in dict.fromkeys(map(tuple, rows.tolist()))]
+    """The draws ``chaos.hypersensitivity_experiment`` runs, repeats
+    included, in draw order, by numpy's own ``choice``."""
+    return numpy_draws(cfg.seed, n)
 
 
 class TestDistinctMatrices:
@@ -1246,8 +1278,8 @@ class TestDistinctMatrices:
         table = chaos.subset_entropies(means)
         assert hexes(table) == hexes(oracles.plain_subset_entropies(means))
         draws = hyper_draws(cfg, 8)
-        assert chaos.greedy_groupings(means, table, draws).tolist() == oracles.plain_greedy_groupings(
-            means, table, draws)
+        assert chaos.greedy_groupings(means, table, oracles.seed_masks(draws)).tolist() == (
+            oracles.plain_greedy_groupings(means, table, draws))
         # the subset table, then each placement's memo fill
         assert len(calls) > 1
         for rhos, out in calls:
@@ -1291,7 +1323,7 @@ class TestDistinctMatrices:
 
         monkeypatch.setattr(chaos, "_entropies", recording)
         with pytest.raises(ValueError) as got:
-            chaos.greedy_groupings(broken, table, hyper_draws(cfg, 8))
+            chaos.greedy_groupings(broken, table, oracles.seed_masks(hyper_draws(cfg, 8)))
         with pytest.raises(ValueError) as want:
             qstate.von_neumann_entropies_bits(calls[-1])
         assert len({m.tobytes() for m in calls[-1]}) < len(calls[-1])
@@ -1308,8 +1340,8 @@ class TestDistinctMatrices:
         assert hexes(table) == hexes(oracles.plain_subset_entropies(means))
         assert table[0b101] > 0.1 > table[0b001]
         draws = [(0,), (2,), (0, 2), (2, 1), (1, 0)]
-        assert chaos.greedy_groupings(means, table, draws).tolist() == oracles.plain_greedy_groupings(
-            means, table, draws)
+        assert chaos.greedy_groupings(means, table, oracles.seed_masks(draws)).tolist() == (
+            oracles.plain_greedy_groupings(means, table, draws))
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -1321,8 +1353,8 @@ class TestDistinctMatrices:
         assert hexes(table) == hexes(expected)
         for _ in range(2):  # two draw sets per ensemble
             draws = data.draw(draw_sets(len(rhos)))
-            assert chaos.greedy_groupings(means, table, draws).tolist() == oracles.plain_greedy_groupings(
-                means, expected, draws)
+            assert chaos.greedy_groupings(means, table, oracles.seed_masks(draws)).tolist() == (
+                oracles.plain_greedy_groupings(means, expected, draws))
 
 
 def binary_entropy(p: float) -> float:
@@ -1454,23 +1486,21 @@ class TestHypersensitivityExperiment:
         with pytest.raises(ValueError, match="seed=-1"):
             chaos.hypersensitivity_experiment(ExperimentConfig.preset("fig5", seed=-1))
 
-    def test_one_greedy_run_per_distinct_ordered_draw(self, monkeypatch):
+    def test_one_greedy_run_per_draw_in_draw_order(self, monkeypatch):
         # one group, or one per state, gives one grouping whatever the draw,
-        # so only 2 <= k <= n - 1 groups are drawn and run: each distinct
-        # ordered draw of each k once, in numpy's draw order, k ascending, all
-        # in one lockstep call, with no numpy generator built
+        # so only 2 <= k <= n - 1 groups are drawn and run: every draw of
+        # each k, repeats included, in numpy's draw order, k ascending, all
+        # as the rows of one lockstep call, with no numpy generator built
         cfg = ExperimentConfig.preset("fig5", map_variant="regular", seed=5)
         n = 8
-        draws = list(dict.fromkeys(seed_draw(n, n_groups, [cfg.seed, n_groups, trial])
-                                   for n_groups in range(2, n)
-                                   for trial in range(chaos.GREEDY_RESTARTS)))
+        draws = numpy_draws(cfg.seed, n)
         seen, calls = [], []
         original = chaos.greedy_groupings
 
-        def counting(means, entropies, draws):
-            calls.append(len(draws))
-            seen.extend(map(tuple, draws))
-            return original(means, entropies, draws)
+        def counting(means, entropies, seeds):
+            calls.append(len(seeds))
+            seen.append(seeds)
+            return original(means, entropies, seeds)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the experiment built a numpy generator")
@@ -1479,9 +1509,42 @@ class TestHypersensitivityExperiment:
         for name in ("default_rng", "SeedSequence", "PCG64", "Generator"):
             monkeypatch.setattr(np.random, name, forbidden)
         chaos.hypersensitivity_experiment(cfg)
-        assert len(draws) < (n - 2) * chaos.GREEDY_RESTARTS
+        assert len(set(draws)) < len(draws) == (n - 2) * chaos.GREEDY_RESTARTS
         assert calls == [len(draws)]
-        assert seen == draws
+        assert np.array_equal(seen[0], oracles.seed_masks(draws, n - 1))
+
+    @pytest.mark.parametrize("hamiltonian", ["noxy", "full"])
+    @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
+    def test_repeated_and_permuted_seed_rows_change_nothing(self, variant, hamiltonian, monkeypatch):
+        # the experiment runs every draw, repeats included: a repeated row
+        # reads the same memo keys, which each placement's np.unique merges,
+        # and no row order decides a batch, since the keys are sorted
+        cfg = ExperimentConfig.preset("fig5", map_variant=variant, hamiltonian=hamiltonian)
+        means = chaos.subset_means(chaos.history_ensemble(cfg, 3))
+        table = chaos.subset_entropies(means)
+        seeds = chaos.greedy_draws(cfg.seed, 8)
+        first = np.sort(np.unique(seeds, axis=0, return_index=True)[1])  # each distinct row where first drawn
+        rng = np.random.default_rng(11)
+        order = np.concatenate([rng.permutation(len(seeds)), rng.integers(0, len(seeds), 100)])
+        assert len(first) < len(seeds)
+        batches = record_batches(monkeypatch)
+
+        def run(picked):
+            batches.clear()
+            return chaos.greedy_groupings(means, table, seeds[picked]), list(batches)
+
+        rows, fills = run(slice(None))
+        permuted, permuted_fills = run(order)
+        distinct, distinct_fills = run(first)
+        # the label rows follow their seed rows bit for bit, and each
+        # placement's memo fill diagonalises the same mixtures
+        assert np.array_equal(permuted, rows[order]) and np.array_equal(distinct, rows[first])
+        assert fills and permuted_fills == fills and distinct_fills == fills
+        # and the job's greedy points are those of the distinct rows alone
+        expected = hex_points(chaos.hypersensitivity_experiment(cfg).greedy_points)
+        draws = chaos.greedy_draws
+        monkeypatch.setattr(chaos, "greedy_draws", lambda seed, n: draws(seed, n)[first])
+        assert hex_points(chaos.hypersensitivity_experiment(cfg).greedy_points) == expected
 
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("hamiltonian", ["noxy", "full"])
@@ -1506,16 +1569,16 @@ class TestHypersensitivityExperiment:
                 diagonalised.append(math.prod(np.shape(a)[:-2]))
             return eigvalsh(a)
 
-        def counting_greedy(means, entropies, draws):
+        def counting_greedy(means, entropies, seeds):
             calls.append(means)
             inside.append(True)
             before = len(mixtures)
             try:
-                rows = greedy(means, entropies, draws)
+                rows = greedy(means, entropies, seeds)
             finally:
                 inside.pop()
             greedy_mixtures.update(m.tobytes() for m, _ in mixtures[before:])
-            runs.extend(zip(draws, rows.tolist()))
+            runs.extend(zip(seeds, rows.tolist()))
             return rows
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
@@ -1526,7 +1589,7 @@ class TestHypersensitivityExperiment:
         # of the multi-member entries the runs read, each once, and no
         # one-member entry at all
         assert len(calls) == 1
-        keys = set().union(*(memo_keys(draw, row) for draw, row in runs))
+        keys = set().union(*(memo_keys(seeds, row) for seeds, row in runs))
         assert all(mask.bit_count() > 1 for mask, _ in keys)
         assert greedy_mixtures == memo_mixtures(calls[0], keys)
         assert sum(diagonalised) == len(keys)
