@@ -314,7 +314,7 @@ def greedy_groupings(means, entropies, seeds) -> np.ndarray:
     masks = masks.astype(np.int64)  # a copy: the groups grow in place
     union = np.bitwise_or.reduce(masks, axis=1)
     if (((masks < 0) | (masks >= 1 << n) | ((masks & (masks - 1)) != 0)).any() or not union.all()
-            or (masks.sum(axis=1) != union).any()):  # the last: a repeated member
+            or (masks.sum(axis=1) != union).any()):  # a repeated member: a row sums past its OR
         raise ValueError(bad_seeds)
     memo = np.full(2**n * n, np.nan)  # at mask * n + idx
     bits = 1 << np.arange(n)

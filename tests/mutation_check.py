@@ -116,8 +116,8 @@ MUTANTS = (
            (GREEDY + "test_one_call_over_every_count_changes_no_assignment",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
     Mutant("greedy-repeat-guard-dropped", "chaos.py",
-           "if (masks.sum(axis=1) != union).any():",
-           "if False:",
+           "or (masks.sum(axis=1) != union).any()",
+           "or False",
            (GREEDY + "test_every_draw_validated[repeat]",
             GREEDY + "test_every_draw_validated[repeat-past-a-gap]")),
     Mutant("two-bit-seed-mask-accepted", "chaos.py",
@@ -132,8 +132,8 @@ MUTANTS = (
            (GREEDY + "test_every_draw_validated[most-negative]",)),
     # a run with no member then puts every state into its first slot
     Mutant("memberless-seed-row-accepted", "chaos.py",
-           ".any() or not union.all():",
-           ".any():",
+           " or not union.all()",
+           "",
            (GREEDY + "test_every_draw_validated[empty-row]",)),
     # each state takes the first group that lacks it: for two groups the
     # partition survives relabelled, for more it does not

@@ -762,7 +762,7 @@ class TestGreedyGrouping:
             chaos.greedy_groupings(fig2_chaotic_means, fig2_chaotic_table, seeds)
 
     def test_seed_rows_are_not_written(self, fig2_chaotic_means, fig2_chaotic_table):
-        # the groups grow in a copy; unused slots of any integer dtype stay 0
+        # the groups grow in a copy: the caller's array, of any integer dtype, keeps its values
         for dtype in (np.int64, np.int32, np.uint8):
             seeds = oracles.seed_masks([(5, 0, 2), (1,), (7, 3)]).astype(dtype)
             before = seeds.copy()
@@ -1251,12 +1251,6 @@ def repeated_member_ensembles(draw):
     return [z @ states[i] @ z if kicked else states[i] for i, kicked in picks]
 
 
-def hyper_draws(cfg, n):
-    """The draws ``chaos.hypersensitivity_experiment`` runs, repeats
-    included, in draw order, by numpy's own ``choice``."""
-    return numpy_draws(cfg.seed, n)
-
-
 class TestDistinctMatrices:
     # when members repeat a state, subset_entropies and each memo fill of
     # greedy_groupings diagonalise each distinct matrix once; every entropy,
@@ -1277,7 +1271,7 @@ class TestDistinctMatrices:
         monkeypatch.setattr(chaos, "_entropies", recording)
         table = chaos.subset_entropies(means)
         assert hexes(table) == hexes(oracles.plain_subset_entropies(means))
-        draws = hyper_draws(cfg, 8)
+        draws = numpy_draws(cfg.seed, 8)  # the experiment's draws, repeats included
         assert chaos.greedy_groupings(means, table, oracles.seed_masks(draws)).tolist() == (
             oracles.plain_greedy_groupings(means, table, draws))
         # the subset table, then each placement's memo fill
@@ -1323,7 +1317,7 @@ class TestDistinctMatrices:
 
         monkeypatch.setattr(chaos, "_entropies", recording)
         with pytest.raises(ValueError) as got:
-            chaos.greedy_groupings(broken, table, oracles.seed_masks(hyper_draws(cfg, 8)))
+            chaos.greedy_groupings(broken, table, oracles.seed_masks(numpy_draws(cfg.seed, 8)))
         with pytest.raises(ValueError) as want:
             qstate.von_neumann_entropies_bits(calls[-1])
         assert len({m.tobytes() for m in calls[-1]}) < len(calls[-1])
