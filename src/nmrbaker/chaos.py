@@ -168,6 +168,7 @@ def history_ensemble(config: ExperimentConfig, n_steps: int) -> list[np.ndarray]
     evolved states of every step are then checked in one
     :func:`lindblad._check_evolved` call, step by step in order.
     """
+    n_steps = operator.index(n_steps)  # a float or a string raises TypeError before any engine
     if n_steps < 1:
         raise ValueError("a history ensemble needs at least one step")
     if n_steps > 6:
@@ -295,13 +296,13 @@ def greedy_groupings(means, entropies, seeds) -> np.ndarray:
     state joins them.  Each state's label is its group in the grown masks.
 
     The entropy of a candidate mixture ``(means[mask] + means[1 << idx]) / 2``
-    depends only on ``mask`` and the index of the state placed.  For a
-    one-member ``mask`` it is ``entropies[mask | 1 << idx]``, the same matrix
-    summed in the same order.  Otherwise a (2**n, n) memo, NaN where
-    unknown, holds it in bits at ``[mask, idx]``, and each placement
-    diagonalises its distinct misses in one batched ``eigvalsh``; when
-    members repeat a state, distinct keys can still name one matrix, and
-    each distinct matrix is diagonalised once (:func:`_entropies`).
+    depends only on ``mask`` and the index of the state placed, so a (2**n, n)
+    memo holds it in bits at ``[mask, idx]`` and each candidate is one read.
+    A one-member ``mask`` starts as ``entropies[mask | 1 << idx]``, the same
+    matrix summed in the same order, and mask 0 as a placeholder; the rest
+    are NaN until a placement diagonalises its distinct misses in one batched
+    ``eigvalsh``.  When members repeat a state, distinct keys can still name
+    one matrix, and each distinct matrix is diagonalised once (:func:`_entropies`).
     """
     means, entropies = np.asarray(means), np.asarray(entropies)
     n = len(entropies).bit_length() - 1
@@ -316,23 +317,24 @@ def greedy_groupings(means, entropies, seeds) -> np.ndarray:
     if (((masks < 0) | (masks >= 1 << n) | ((masks & (masks - 1)) != 0)).any() or not union.all()
             or (masks.sum(axis=1) != union).any()):  # a repeated member: a row sums past its OR
         raise ValueError(bad_seeds)
-    memo = np.full(2**n * n, np.nan)  # at mask * n + idx
     bits = 1 << np.arange(n)
+    memo = np.full((2**n, n), np.nan)
+    memo[0] = 0.0  # an unused slot: its distance is forced to +inf
+    memo[bits] = entropies[bits[:, None] | bits]
+    memo = memo.reshape(-1)  # at mask * n + idx
     sizes = (masks != 0).sum(axis=1)
     pending = np.argsort((union[:, None] & bits) != 0, axis=1, kind="stable")  # unplaced states first
     for step in range(n - sizes.min()):
         rows = np.flatnonzero(sizes < n - step)  # the runs with a state left to place
         idx = pending[rows, step]
         m = masks[rows]
-        one = (m & (m - 1)) == 0  # a one-member group or an unused slot
         keys = m * n + idx[:, None]
-        new = np.unique(keys[~one & np.isnan(memo[keys])])
+        new = np.unique(keys[np.isnan(memo[keys])])
         if len(new):
             mask, placed = np.divmod(new, n)
             memo[new] = _entropies((means[mask] + means[bits[placed]]) / 2, means[bits])
-        mixed = np.where(one, entropies[m | bits[idx][:, None]], memo[keys])
         # js_distance's own expression, so each distance equals it bit for bit
-        dists = np.maximum(mixed - (entropies[m] + entropies[bits[idx]][:, None]) / 2, 0.0)
+        dists = np.maximum(memo[keys] - (entropies[m] + entropies[bits[idx]][:, None]) / 2, 0.0)
         dists[m == 0] = np.inf
         masks[rows, dists.argmin(axis=1)] |= bits[idx]
     return ((masks[:, :, None] & bits) != 0).argmax(axis=1)  # each state's group
@@ -345,28 +347,22 @@ def greedy_grouping(means, entropies, seeds) -> list[int]:
     return greedy_groupings(means, entropies, [[1 << operator.index(seed) for seed in seeds]])[0].tolist()
 
 
-def set_partitions(n: int):
-    """All partitions of range(n) as restricted-growth strings.
+def set_partitions(n: int) -> np.ndarray:
+    """All partitions of range(n) as the (B(n), n) int64 array of their
+    restricted-growth strings, in lexicographic order.
 
-    a[k] is the group of element k, with a[k] <= 1 + max(a[:k]); the
-    number of strings is the Bell number B(n).
+    a[k] is the group of element k, with a[k] <= 1 + max(a[:k]); B(n) is
+    the Bell number.  Each string of the first k elements is followed by
+    itself extended with 0 .. max + 1, one prefix level at a time.
     """
     if n < 1:
         raise ValueError("need at least one element")
-    a = [0] * n
-    b = [1] * n  # b[k] = 1 + max(a[:k])
-    while True:
-        yield tuple(a)
-        j = n - 1
-        while j > 0 and a[j] == b[j]:
-            j -= 1
-        if j == 0:
-            return
-        a[j] += 1
-        top = max(b[j], a[j] + 1)
-        for k in range(j + 1, n):
-            a[k] = 0
-            b[k] = top
+    strings = np.zeros((1, n), np.int64)
+    for k in range(1, n):
+        children = strings[:, :k].max(axis=1) + 2
+        strings = strings.repeat(children, axis=0)
+        strings[:, k] = np.arange(len(strings)) - np.repeat(np.cumsum(children) - children, children)
+    return strings
 
 
 @dataclass(frozen=True)
@@ -408,7 +404,7 @@ def _partition_layout(n: int):
     lexicographic order.  Built on first use and read-only, since every
     scan of an n-state ensemble shares it.
     """
-    strings = np.array(list(set_partitions(n)))
+    strings = set_partitions(n)
     keys = strings @ n ** np.arange(n - 1, -1, -1)  # < n**n <= 10**10, fits int64
     sizes = strings.max(axis=1) + 1
     bits = 1 << np.arange(n)
@@ -647,7 +643,7 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
     :func:`_partition_positions`, and the Pareto filter reads each distinct
     row once.
     """
-    n_steps = config.steps if n_steps is None else n_steps
+    n_steps = operator.index(config.steps if n_steps is None else n_steps)  # as in history_ensemble
     if n_steps < 1:
         raise ValueError("the experiment needs at least one step")
     if 2**n_steps > MAX_SCAN_STATES:

@@ -109,36 +109,35 @@ def is_hermitian(h, tol: float = HERMITICITY_TOL) -> bool:
 def density_matrix_defects(rho) -> list[str]:
     """Violated density-matrix invariants of ``rho``, one matrix or a
     (..., d, d) stack: empty when every state is valid, else the messages
-    of the first state that is not.  The whole stack is tested in one
-    pass, one batched ``eigvalsh``; messages are built only on a failure."""
+    of the first state that is not.  Every state is scored once, in one
+    pass with one batched ``eigvalsh``; messages are built only on a failure."""
     rho = np.asarray(rho)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {rho.shape}")
-    states = rho.reshape(-1, *rho.shape[-2:])
-    # a non-finite state goes straight to its messages: here inf - inf
-    # would warn, and eigvalsh may raise LinAlgError on it
-    if np.isfinite(states).all():
-        adjoint = states.conj().swapaxes(-1, -2)
-        if (np.abs(states - adjoint).max(initial=0.0) <= HERMITICITY_TOL
-                and np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0).max(initial=0.0) <= TRACE_TOL
-                and np.linalg.eigvalsh((states + adjoint) / 2).min(initial=0.0) >= -EIG_CLAMP):
-            return []
-    for rho in states:
-        if not np.isfinite(rho).all():
-            return [f"non-finite entries ({np.count_nonzero(~np.isfinite(rho))} of {rho.size})"]
-        defects = []
-        herm = np.max(np.abs(rho - rho.conj().T))
-        if herm > HERMITICITY_TOL:
-            defects.append(f"hermiticity violated by {herm:.3e}")
-        tr = np.trace(rho)
-        if abs(tr - 1.0) > TRACE_TOL:
-            defects.append(f"trace {tr:.12g} deviates from 1 by {abs(tr - 1.0):.3e}")
-        wmin = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-        if wmin < -EIG_CLAMP:
-            defects.append(f"negative eigenvalue {wmin:.3e}")
-        if defects:
-            return defects
-    return []
+    raw = states = rho.reshape(-1, *rho.shape[-2:])
+    # a non-finite state is scored as zeros, whose trace 0 marks it bad:
+    # inf - inf would warn, and eigvalsh may raise LinAlgError on it
+    if not np.isfinite(raw).all():
+        states = np.where(np.isfinite(raw).all(axis=(-2, -1))[:, None, None], raw, 0)
+    adjoint = states.conj().swapaxes(-1, -2)
+    herm = np.abs(states - adjoint).max(axis=(-2, -1))
+    tr = np.trace(states, axis1=-2, axis2=-1)
+    wmin = np.linalg.eigvalsh((states + adjoint) / 2)[:, 0]  # eigenvalues ascend
+    bad = (herm > HERMITICITY_TOL) | (abs(tr - 1.0) > TRACE_TOL) | (wmin < -EIG_CLAMP)
+    if not bad.any():
+        return []
+    i = bad.argmax()  # the first bad state
+    nonfinite = np.count_nonzero(~np.isfinite(raw[i]))
+    if nonfinite:
+        return [f"non-finite entries ({nonfinite} of {raw[i].size})"]
+    defects = []
+    if herm[i] > HERMITICITY_TOL:
+        defects.append(f"hermiticity violated by {herm[i]:.3e}")
+    if abs(tr[i] - 1.0) > TRACE_TOL:
+        defects.append(f"trace {tr[i]:.12g} deviates from 1 by {abs(tr[i] - 1.0):.3e}")
+    if wmin[i] < -EIG_CLAMP:
+        defects.append(f"negative eigenvalue {wmin[i]:.3e}")
+    return defects
 
 
 def check_density_matrix(rho) -> None:

@@ -79,8 +79,8 @@ MUTANTS = (
            (GREEDY + "test_matches_js_distance_reference",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
     Mutant("one-member-mixture-read-at-the-group", "chaos.py",
-           "np.where(one, entropies[m | bits[idx][:, None]], memo[keys])",
-           "np.where(one, entropies[m], memo[keys])",
+           "memo[bits] = entropies[bits[:, None] | bits]",
+           "memo[bits] = entropies[bits[:, None]]",
            (GREEDY + "test_one_call_over_every_count_changes_no_assignment",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
     # an unused slot (mask 0) of a run then reads S(rho_idx) / 2
@@ -202,6 +202,16 @@ MUTANTS = (
            "rises = np.flatnonzero(np.diff(i_min, prepend=-np.inf))",
            "rises = np.flatnonzero(np.diff(i_min, append=np.inf))",
            (CHAOS + "TestExhaustiveFrontier::test_staircase_expands_to_the_running_minimum",)),
+    # each prefix then gets children 0 .. max only: no element opens a group
+    Mutant("rgs-no-new-group", "chaos.py",
+           "strings[:, :k].max(axis=1) + 2",
+           "strings[:, :k].max(axis=1) + 1",
+           (CHAOS + "TestSetPartitions::test_bell_numbers",)),
+    # the same strings, each prefix's children in descending order
+    Mutant("rgs-children-reversed", "chaos.py",
+           "np.arange(len(strings)) - np.repeat(np.cumsum(children) - children, children)",
+           "np.repeat(np.cumsum(children) - 1, children) - np.arange(len(strings))",
+           (CHAOS + "TestSetPartitions::test_rows_are_in_lexicographic_order",)),
     Mutant("dots-by-einsum", "chaos.py",
            "return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]",
            'return np.einsum("ij,ij->i", a, b)',
@@ -381,10 +391,11 @@ MUTANTS = (
            (RUN + "test_invalid_input_anywhere_in_a_stack_rejected",
             RUN + "test_invalid_output_anywhere_in_a_stack_raises")),
     # each vectorised test of the stacked check, on the first state only; a
-    # non-finite state past the first then reaches inf - inf, which warns
+    # non-finite state past the first is then not zeroed and reaches
+    # inf - inf, which warns
     Mutant("stack-finite-test-reads-first-state-only", "qstate.py",
-           "if np.isfinite(states).all():",
-           "if np.isfinite(states[:1]).all():",
+           "if not np.isfinite(raw).all():",
+           "if not np.isfinite(raw[:1]).all():",
            (STACKED + "test_one_bad_state_anywhere_gives_its_own_messages",)),
     Mutant("stack-hermiticity-test-reads-first-state-only", "qstate.py",
            "np.abs(states - adjoint).max(",
@@ -398,6 +409,10 @@ MUTANTS = (
            "np.linalg.eigvalsh((states + adjoint) / 2)",
            "np.linalg.eigvalsh((states + adjoint)[:1] / 2)",
            (STACKED + "test_one_bad_state_anywhere_gives_its_own_messages",)),
+    Mutant("defects-report-last-bad-state", "qstate.py",
+           "i = bad.argmax()",
+           "i = len(bad) - 1 - bad[::-1].argmax()",
+           (STACKED + "test_first_bad_state_is_the_one_reported",)),
     Mutant("evolve-output-check-dropped", "lindblad.py",
            "defects = qstate.density_matrix_defects(states)\n",
            "defects = []\n",

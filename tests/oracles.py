@@ -207,14 +207,14 @@ def _score(assignment, entropies) -> tuple[float, float]:
 
 def scored_partition_scan(entropies) -> tuple[np.ndarray, np.ndarray, float]:
     """``chaos.partition_scan`` one partition at a time: every restricted-
-    growth string scored by :func:`_score`.  The batched scan must equal
-    it bit for bit."""
+    growth string, each row of ``set_partitions`` as a list, scored by
+    :func:`_score`.  The batched scan must equal it bit for bit."""
     n = len(entropies).bit_length() - 1
     # taking S_bar_max from the same table keeps the trivial one-group
     # partition at delta_s = 0 exactly
     s_max = float(entropies[-1])
     delta_s, info = [], []
-    for assignment in set_partitions(n):
+    for assignment in set_partitions(n).tolist():
         s_bar, inf = _score(assignment, entropies)
         delta_s.append(s_max - s_bar)
         info.append(inf)
@@ -289,7 +289,7 @@ def plain_greedy_groupings(means, entropies, draws) -> list[list[int]]:
 
 def first_appearance(labels) -> tuple:
     """``labels`` relabelled by first appearance: its restricted-growth
-    string in :func:`chaos.set_partitions`."""
+    string, a row of :func:`chaos.set_partitions` as a tuple."""
     first: dict = {}
     return tuple(first.setdefault(g, len(first)) for g in labels)
 
@@ -298,12 +298,13 @@ def drawn_greedy_points(config, n_steps) -> list[tuple[float, float]]:
     """The greedy points of ``chaos.hypersensitivity_experiment`` with every
     group count 1..n drawn and run one draw at a time by
     :func:`reference_greedy_grouping`, each grouping read from the scan row
-    at its index in ``chaos.set_partitions``.  The experiment answers one
-    and n groups from the first and the last scan row without drawing and
-    runs the others in lockstep, so its points must equal these exactly."""
+    at its index among the rows of ``chaos.set_partitions``.  The experiment
+    answers one and n groups from the first and the last scan row without
+    drawing and runs the others in lockstep, so its points must equal these
+    exactly."""
     rhos = history_ensemble(config, n_steps)
     delta_s, info, _ = partition_scan(subset_entropies(subset_means(rhos)))
-    strings = list(set_partitions(len(rhos)))
+    strings = list(map(tuple, set_partitions(len(rhos)).tolist()))
     greedy = {}
     for n_groups in range(1, len(rhos) + 1):
         for trial in range(GREEDY_RESTARTS):

@@ -382,6 +382,19 @@ class TestHistoryEnsemble:
             qstate.von_neumann_entropy_bits(rhos[0]), abs=1e-12
         )
 
+    @pytest.mark.parametrize("n_steps", [2.0, 2.5, "2"])
+    @pytest.mark.parametrize("run", [chaos.history_ensemble, chaos.hypersensitivity_experiment])
+    def test_non_integral_step_count_rejected_before_any_engine(self, run, n_steps, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(chaos, "EvolutionEngine", forbidden)
+        cfg = ExperimentConfig.preset("fig5")
+        with pytest.raises(AssertionError, match="engine was built"):  # the patch is live
+            run(cfg, 2)
+        with pytest.raises(TypeError):
+            run(cfg, n_steps)
+
     def test_too_many_steps_rejected(self):
         with pytest.raises(ValueError):
             chaos.history_ensemble(ExperimentConfig.preset("fig5"), 7)
@@ -1009,17 +1022,28 @@ class TestSetPartitions:
         "n,bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (8, 4140)]
     )
     def test_bell_numbers(self, n, bell):
-        assert sum(1 for _ in chaos.set_partitions(n)) == bell
+        strings = chaos.set_partitions(n)
+        assert strings.shape == (bell, n) and strings.dtype == np.int64
 
     def test_strings_are_restricted_growth(self):
-        for a in chaos.set_partitions(5):
+        for a in chaos.set_partitions(5).tolist():
             assert a[0] == 0
             for k in range(1, 5):
                 assert a[k] <= max(a[:k]) + 1
 
     def test_no_duplicates(self):
-        parts = list(chaos.set_partitions(6))
+        parts = list(map(tuple, chaos.set_partitions(6).tolist()))
         assert len(parts) == len(set(parts)) == 203
+
+    @pytest.mark.parametrize("n", range(1, chaos.MAX_SCAN_STATES + 1))
+    def test_rows_are_in_lexicographic_order(self, n):
+        # _partition_positions finds a string by searchsorted on these keys
+        keys = chaos.set_partitions(n) @ n ** np.arange(n - 1, -1, -1)
+        assert np.all(np.diff(keys) > 0)
+
+    def test_no_elements_rejected(self):
+        with pytest.raises(ValueError, match="at least one element"):
+            chaos.set_partitions(0)
 
     def test_layout_is_read_only(self):
         # every scan of an 8-state ensemble shares this one layout
@@ -1151,7 +1175,7 @@ class TestPartitionProperties:
         # Holevo: the entropy a partition recovers never exceeds its cost
         assert np.all(info >= delta_s - 1e-12)
         assert np.all(delta_s >= -1e-12)
-        for assignment in chaos.set_partitions(k):
+        for assignment in chaos.set_partitions(k).tolist():
             stats = chaos.grouping_stats(assignment, table)
             s_bar = info_direct = 0.0
             for g in set(assignment):
@@ -1180,7 +1204,7 @@ class TestPartitionProperties:
         n = len(rhos)
         labels = data.draw(st.lists(st.integers(-3, 12), min_size=n, max_size=n))
         string = oracles.first_appearance(labels)
-        assert chaos._partition_positions([labels])[0] == list(chaos.set_partitions(n)).index(string)
+        assert chaos._partition_positions([labels])[0] == chaos.set_partitions(n).tolist().index(list(string))
         table = chaos.subset_entropies(chaos.subset_means(rhos))
         stats = chaos.grouping_stats(labels, table)
         expected = oracles._score(labels, table)
@@ -1197,7 +1221,7 @@ class TestPartitionProperties:
         # renaming the labels by any bijection moves no row
         values = sorted({g for row in rows for g in row})
         rename = dict(zip(values, data.draw(st.permutations(values))))
-        strings = list(chaos.set_partitions(n))
+        strings = list(map(tuple, chaos.set_partitions(n).tolist()))
         expected = [strings.index(oracles.first_appearance(row)) for row in rows]
         assert chaos._partition_positions(rows).tolist() == expected
         assert chaos._partition_positions([[rename[g] for g in row] for row in rows]).tolist() == expected
@@ -1399,7 +1423,7 @@ class TestRegularMapClosedForm:
         parity = [history.bit_count() % 2 for history in range(8)]
         group_entropy = {(even, size): qstate.von_neumann_entropy_bits((even * rho + (size - even) * kicked) / size)
                          for size in range(1, 9) for even in range(size + 1)}
-        for pos, string in enumerate(chaos.set_partitions(8)):
+        for pos, string in enumerate(chaos.set_partitions(8).tolist()):
             members = [[i for i in range(8) if string[i] == g] for g in range(max(string) + 1)]
             s_bar = sum(len(group) / 8 * group_entropy[sum(1 - parity[i] for i in group), len(group)]
                         for group in members)
