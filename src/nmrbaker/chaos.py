@@ -357,6 +357,8 @@ def set_partitions(n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need at least one element")
+    if n > MAX_SCAN_STATES:  # the array is built whole: Bell(13) strings take 2.9 GB
+        raise ValueError(f"the exhaustive partition scan is limited to {MAX_SCAN_STATES} states, not {n}")
     strings = np.zeros((1, n), np.int64)
     for k in range(1, n):
         children = strings[:, :k].max(axis=1) + 2

@@ -1041,9 +1041,11 @@ class TestSetPartitions:
         keys = chaos.set_partitions(n) @ n ** np.arange(n - 1, -1, -1)
         assert np.all(np.diff(keys) > 0)
 
-    def test_no_elements_rejected(self):
-        with pytest.raises(ValueError, match="at least one element"):
-            chaos.set_partitions(0)
+    @pytest.mark.parametrize("n, message", [(0, "at least one element"), (-1, "at least one element"),
+                                            (chaos.MAX_SCAN_STATES + 1, "limited to 10 states, not 11")])
+    def test_counts_outside_the_scan_rejected(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            chaos.set_partitions(n)
 
     def test_layout_is_read_only(self):
         # every scan of an 8-state ensemble shares this one layout
