@@ -14,6 +14,8 @@ exact and deterministic.  Under the ``noxy`` and ``simplified``
 Hamiltonians the generator is diagonal and is exponentiated elementwise
 in numpy; only the ``full`` variant's generator, which is not, loads
 ``scipy.linalg`` for ``expm``, so other runs never import scipy.  A
+``full`` delay exactly twice one already built is that propagator
+squared, not a further ``expm`` (see :class:`EvolutionEngine`).  A
 fixed-step RK4 solution of the same generator
 (``EvolutionEngine._rk4_propagator``) is kept only as the cross-check
 that ``nmrbaker verify`` runs.  The tests add a second, statistical
@@ -128,10 +130,10 @@ def _pulses(run: tuple[PulseInstruction, ...], model: HamiltonianModel) -> tuple
 
 def apply_superoperator(propagator: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """``propagator`` applied to a density matrix or to each of a
-    (..., 8, 8) stack: one matrix-vector product per row-stacked state,
-    each equal to the product on its state alone."""
+    (..., 8, 8) stack: one stacked matmul over the row-stacked states, each
+    product equal to the product on its state alone."""
     rho = np.asarray(rho, dtype=complex)
-    return np.matmul(propagator, rho.reshape(*rho.shape[:-2], DIM * DIM, 1)).reshape(rho.shape)
+    return (propagator @ rho.reshape(-1, DIM * DIM, 1)).reshape(rho.shape)
 
 
 class EvolutionEngine:
@@ -139,7 +141,7 @@ class EvolutionEngine:
     keyed by duration.
 
     Pulse programs use only a handful of distinct delay durations, so
-    each 64x64 exponential is computed exactly once.  The cache is a
+    each 64x64 propagator is built exactly once per engine.  The cache is a
     thread-safe memo: racing threads may each build an entry, but all
     get the first one stored, so independent evolutions may run
     concurrently.  The module-level ``lru_cache``s (:func:`_commutator`,
@@ -150,6 +152,21 @@ class EvolutionEngine:
     ``scipy.linalg.expm`` itself evaluates for a diagonal matrix, so the
     result is the same to the bit; only a non-diagonal generator imports
     ``scipy.linalg``.
+
+    On the non-diagonal path a duration whose half is already cached is
+    built as ``half @ half``, not by ``expm``.  ``scipy.linalg.expm`` is
+    scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+    (2005)): when it takes the same Pade degree for both durations and one
+    more squaring for the longer, its last step is this product, and the
+    square is its result to the bit.  That holds for every propagator the
+    presets' programs build: ``t_even``'s 2 tau1 delays are ``t_odd``'s
+    tau1 squared, so a chaotic ``full`` engine runs ``expm`` three times
+    (tau1, 1.25 tau1, 0.75 tau1), not four.  It does not hold in general:
+    for short durations scipy may take a lower Pade degree or no scaling,
+    and then the square differs from ``expm`` of the doubled duration by
+    round-off (up to about 1.2e-15 per entry for durations of 1e-6 to
+    0.1 s).  The diagonal path never squares, as squaring ``np.exp``
+    entries would move their bits.
     """
 
     def __init__(self, model: HamiltonianModel, noise: NoiseModel):
@@ -171,6 +188,8 @@ class EvolutionEngine:
             return cached
         if self._diagonal is not None:
             prop = np.diag(np.exp(self._diagonal * key))
+        elif (half := self._cache.get(key / 2)) is not None and key / 2 * 2 == key:
+            prop = half @ half  # expm's own last squaring step; see the class docstring
         else:
             import scipy.linalg  # 0.25 s to import, so only a non-diagonal generator pays it
 

@@ -76,11 +76,13 @@ def von_neumann_entropy_bits(rho) -> float:
 
 
 def von_neumann_entropies_bits(rhos) -> np.ndarray:
-    """:func:`von_neumann_entropy_bits` of each matrix in a stack, from one batched ``eigvalsh``."""
+    """:func:`von_neumann_entropy_bits` of each matrix in a stack, from one
+    batched ``eigvalsh``; an empty stack gives an empty array."""
+    rhos = _square_matrices(rhos)
     if not np.isfinite(rhos).all():  # LAPACK may drop a NaN, return one or not converge
         raise ValueError("density matrix has non-finite entries")
     w = np.linalg.eigvalsh(rhos)
-    if not w.min() >= -EIG_CLAMP:  # a NaN fails this comparison too
+    if w.size and not w.min() >= -EIG_CLAMP:  # a NaN fails this comparison too
         raise ValueError(f"density matrix eigenvalue {w.min():.3e} below -{EIG_CLAMP:g} or NaN")
     w = np.where(w > 0.0, w, 1.0)  # a nonpositive eigenvalue counts as 0: 1 log2 1 = 0
     return -(w * np.log2(w)).sum(axis=-1)
@@ -106,14 +108,20 @@ def is_hermitian(h, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.max(np.abs(h - h.conj().T)) <= tol)
 
 
+def _square_matrices(rho) -> np.ndarray:
+    """``rho`` as an array of one or a stack of d x d matrices, d >= 1, else ValueError."""
+    rho = np.asarray(rho)
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2] or rho.shape[-1] == 0:
+        raise ValueError(f"expected square matrices of size 1 or more, got shape {rho.shape}")
+    return rho
+
+
 def density_matrix_defects(rho) -> list[str]:
     """Violated density-matrix invariants of ``rho``, one matrix or a
     (..., d, d) stack: empty when every state is valid, else the messages
     of the first state that is not.  Every state is scored once, in one
     pass with one batched ``eigvalsh``; messages are built only on a failure."""
-    rho = np.asarray(rho)
-    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {rho.shape}")
+    rho = _square_matrices(rho)
     raw = states = rho.reshape(-1, *rho.shape[-2:])
     # a non-finite state is scored as zeros, whose trace 0 marks it bad:
     # inf - inf would warn, and eigvalsh may raise LinAlgError on it

@@ -35,6 +35,7 @@ SHIFT = "tests/test_baker.py::TestShiftStates::"
 LIOUVILLIAN = "tests/test_lindblad.py::TestLiouvillian::"
 RUN = "tests/test_lindblad.py::TestRunSequence::"
 OPERATORS = "tests/test_lindblad.py::TestOperators::"
+DELAY = "tests/test_lindblad.py::TestDelayPropagator::"
 ORACLE = CHAOS + "TestPerInstructionOracle::"
 DISTINCT = CHAOS + "TestDistinctMatrices::"
 ENTROPY = CHAOS + "TestEntropyExperiment::"
@@ -461,9 +462,24 @@ MUTANTS = (
            ("tests/test_lindblad.py::TestDelayPropagator::test_rk4_agrees_with_exact_exponential",)),
     # the drift fails the run's output check first, so verify exits 3
     Mutant("delay-gains-trace", "lindblad.py",
-           "return np.matmul(propagator,",
-           "return (1 + 1e-9) * np.matmul(propagator,",
+           "return (propagator @ rho.reshape(",
+           "return (1 + 1e-9) * (propagator @ rho.reshape(",
            (VERIFY,)),
+    # 2 tau1 becomes tau1's propagator: t_even's long delays halve
+    Mutant("doubled-delay-not-squared", "lindblad.py",
+           "prop = half @ half",
+           "prop = half",
+           (DELAY + "test_chaotic_step_propagators_equal_their_direct_build",)),
+    # every doubled delay runs expm again: same bits, a fourth expm per engine
+    Mutant("doubled-delay-built-by-expm", "lindblad.py",
+           "elif (half := self._cache.get(key / 2)) is not None",
+           "elif False and (half := self._cache.get(key / 2)) is not None",
+           (DELAY + "test_expm_calls_per_engine",)),
+    # a diagonal generator squares a cached half too, moving np.exp's bits
+    Mutant("doubled-delay-squared-on-the-diagonal-path", "lindblad.py",
+           "if self._diagonal is not None:\n",
+           "if self._diagonal is not None and self._cache.get(key / 2) is None:\n",
+           (DELAY + "test_chaotic_step_propagators_equal_their_direct_build",)),
     Mutant("j1-ignores-convention", "nmr.py",
            "return self.j1 * self._scale",
            "return self.j1",

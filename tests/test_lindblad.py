@@ -181,6 +181,38 @@ class TestDelayPropagator:
             abs(rho[0, 7]) * np.exp(-2 * total * t), abs=1e-8
         )
 
+    @pytest.mark.parametrize("preset", sorted(chaos.PRESETS))
+    @pytest.mark.parametrize("convention", nmr.CONVENTIONS)
+    @pytest.mark.parametrize("variant", nmr.VARIANTS)
+    def test_chaotic_step_propagators_equal_their_direct_build(self, variant, convention, preset):
+        # t_odd then t_even, as chaos._steps resolves them: under `full`,
+        # t_even's 2 tau1 is t_odd's tau1 squared and still expm's bits
+        cfg = ExperimentConfig.preset(preset, hamiltonian=variant, convention=convention)
+        assert_cache_equals_direct_build(cfg.engine())
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(rates=st.tuples(*[st.floats(0, 1e5)] * 3), variant=st.sampled_from(nmr.VARIANTS),
+           convention=st.sampled_from(nmr.CONVENTIONS))
+    def test_chaotic_step_propagators_equal_their_direct_build_at_any_rate(self, rates,
+                                                                           variant, convention):
+        model = HamiltonianModel(variant=variant, convention=convention)
+        assert_cache_equals_direct_build(EvolutionEngine(model, NoiseModel(*rates)))
+
+    @pytest.mark.parametrize("convention", nmr.CONVENTIONS)
+    @pytest.mark.parametrize("variant, map_variant, calls", [
+        ("full", "chaotic", 3), ("full", "regular", 1), ("noxy", "chaotic", 0),
+        ("noxy", "regular", 0), ("simplified", "chaotic", 0), ("simplified", "regular", 0)])
+    def test_expm_calls_per_engine(self, monkeypatch, variant, map_variant, calls, convention):
+        # tau1, 1.25 tau1 and 0.75 tau1 for the chaotic map (2 tau1 is
+        # squared); tau2 alone for the regular one; none on a diagonal path
+        counted = []
+        monkeypatch.setattr(scipy.linalg, "expm", lambda a, expm=scipy.linalg.expm:
+                            counted.append(a) or expm(a))
+        cfg = ExperimentConfig.preset("fig5", map_variant=map_variant, hamiltonian=variant,
+                                      convention=convention)
+        chaos._steps(cfg, cfg.engine(), 2)
+        assert len(counted) == calls
+
     def test_rk4_agrees_with_exact_exponential(self):
         assert cli.check("rk4 integrator vs exact exponential").passed
 
@@ -196,6 +228,21 @@ class TestDelayPropagator:
             k4 = gen @ (prop + h * k3)
             prop = prop + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         np.testing.assert_allclose(engine._rk4_propagator(model.tau1), prop, rtol=0, atol=1e-13)
+
+
+def assert_cache_equals_direct_build(engine):
+    """Resolve ``t_odd`` then ``t_even`` in ``engine``, then require every
+    cached propagator to equal its direct build bit for bit: ``expm`` under
+    ``full``, the elementwise exponential otherwise."""
+    model = engine.model
+    for program in nmr.t_odd, nmr.t_even:
+        engine.operators(program(model))
+    assert {model.tau1, 2 * model.tau1} <= engine._cache.keys()
+    gen = engine._generator
+    for duration, prop in engine._cache.items():
+        direct = (scipy.linalg.expm(gen * duration) if model.variant == "full"
+                  else np.diag(np.exp(np.diag(gen) * duration)))
+        assert np.array_equal(prop, direct), duration
 
 
 def pulse_runs(seq) -> list:
@@ -285,6 +332,24 @@ class TestChannelProperties:
         # completely positive: the Choi matrix is PSD
         assert np.linalg.eigvalsh(c).min() > -1e-9
         # trace preserving: tracing out the output leaves the identity
+        np.testing.assert_allclose(np.einsum("kili->kl", c.reshape(8, 8, 8, 8)), np.eye(8),
+                                   rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(rates=st.tuples(*[st.floats(0, 1e5)] * 3), convention=st.sampled_from(nmr.CONVENTIONS),
+           duration=st.floats(0, 0.05))
+    def test_doubled_delay_built_after_its_half_is_close_to_expm_and_cptp(self, rates, convention,
+                                                                          duration):
+        # the square is expm's bits only where scipy takes the same Pade
+        # degree for both durations; elsewhere it is within round-off
+        engine = EvolutionEngine(HamiltonianModel(variant="full", convention=convention),
+                                 NoiseModel(*rates))
+        engine.delay_propagator(duration)
+        doubled = engine.delay_propagator(2 * duration)
+        np.testing.assert_allclose(doubled, scipy.linalg.expm(engine._generator * (2 * duration)),
+                                   rtol=0, atol=1e-14)
+        c = choi(doubled)
+        assert np.linalg.eigvalsh(c).min() > -1e-9
         np.testing.assert_allclose(np.einsum("kili->kl", c.reshape(8, 8, 8, 8)), np.eye(8),
                                    rtol=0, atol=1e-12)
 

@@ -161,6 +161,16 @@ class TestEntropy:
         assert [x.hex() for x in entropies.tolist()] == [
             qstate.von_neumann_entropy_bits(rho).hex() for rho in stack]
 
+    def test_empty_stack_gives_empty_array(self):
+        entropies = qstate.von_neumann_entropies_bits(np.zeros((0, 8, 8)))
+        assert entropies.shape == (0,) and entropies.dtype == float
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+    def test_empty_matrices_rejected(self, shape):
+        message = re.escape(f"square matrices of size 1 or more, got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            qstate.von_neumann_entropies_bits(np.zeros(shape))
+
     def test_unitary_invariance(self):
         rng = np.random.default_rng(3)
         w = rng.random(8)
@@ -268,3 +278,10 @@ class TestStackedDensityChecks:
     def test_non_square_shapes_rejected(self, shape):
         with pytest.raises(ValueError, match="square"):
             qstate.density_matrix_defects(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+    def test_empty_matrices_rejected(self, shape):
+        message = re.escape(f"square matrices of size 1 or more, got shape {shape}")
+        for check in qstate.density_matrix_defects, qstate.check_density_matrix:
+            with pytest.raises(ValueError, match=message):
+                check(np.zeros(shape))
