@@ -153,20 +153,17 @@ class EvolutionEngine:
     result is the same to the bit; only a non-diagonal generator imports
     ``scipy.linalg``.
 
-    On the non-diagonal path a duration whose half is already cached is
-    built as ``half @ half``, not by ``expm``.  ``scipy.linalg.expm`` is
-    scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-    (2005)): when it takes the same Pade degree for both durations and one
-    more squaring for the longer, its last step is this product, and the
-    square is its result to the bit.  That holds for every propagator the
-    presets' programs build: ``t_even``'s 2 tau1 delays are ``t_odd``'s
-    tau1 squared, so a chaotic ``full`` engine runs ``expm`` three times
-    (tau1, 1.25 tau1, 0.75 tau1), not four.  It does not hold in general:
-    for short durations scipy may take a lower Pade degree or no scaling,
-    and then the square differs from ``expm`` of the doubled duration by
-    round-off (up to about 1.2e-15 per entry for durations of 1e-6 to
-    0.1 s).  The diagonal path never squares, as squaring ``np.exp``
-    entries would move their bits.
+    On the non-diagonal path a duration whose half is cached is built as
+    ``half @ half``.  ``expm`` is scaling and squaring (Higham, SIAM J.
+    Matrix Anal. Appl. 26, 1179 (2005)), so where it takes the same Pade
+    degree for both and one more squaring for the longer, that product is
+    its last step and the result is ``expm``'s to the bit.  That holds
+    for every preset program: ``t_even``'s 2 tau1 is ``t_odd``'s tau1
+    squared, and a chaotic ``full`` engine runs ``expm`` three times, not
+    four.  Not in general: for short durations scipy may take a lower
+    degree or no scaling, and the square then differs from ``expm`` at
+    round-off (up to about 1.2e-15 for 1e-6 to 0.1 s).  The diagonal path
+    never squares, as squared ``np.exp`` entries would move their bits.
     """
 
     def __init__(self, model: HamiltonianModel, noise: NoiseModel):

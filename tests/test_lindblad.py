@@ -318,6 +318,15 @@ def choi(prop):
     return prop.reshape(8, 8, 8, 8).transpose(2, 0, 3, 1).reshape(64, 64)
 
 
+def assert_cptp(prop):
+    c = choi(prop)
+    # completely positive: the Choi matrix is PSD
+    assert np.linalg.eigvalsh(c).min() > -1e-9
+    # trace preserving: tracing out the output leaves the identity
+    np.testing.assert_allclose(np.einsum("kili->kl", c.reshape(8, 8, 8, 8)), np.eye(8),
+                               rtol=0, atol=1e-12)
+
+
 class TestChannelProperties:
     def test_choi_of_identity_channel(self):
         bell = np.eye(8).reshape(-1)
@@ -328,30 +337,24 @@ class TestChannelProperties:
            duration=st.floats(0, 0.1))
     def test_delay_propagator_is_cptp(self, rates, variant, duration):
         engine = EvolutionEngine(HamiltonianModel(variant=variant), NoiseModel(*rates))
-        c = choi(engine.delay_propagator(duration))
-        # completely positive: the Choi matrix is PSD
-        assert np.linalg.eigvalsh(c).min() > -1e-9
-        # trace preserving: tracing out the output leaves the identity
-        np.testing.assert_allclose(np.einsum("kili->kl", c.reshape(8, 8, 8, 8)), np.eye(8),
-                                   rtol=0, atol=1e-12)
+        assert_cptp(engine.delay_propagator(duration))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(rates=st.tuples(*[st.floats(0, 1e5)] * 3), convention=st.sampled_from(nmr.CONVENTIONS),
+    @given(rates=st.tuples(*[st.floats(0, 50)] * 3), convention=st.sampled_from(nmr.CONVENTIONS),
            duration=st.floats(0, 0.05))
     def test_doubled_delay_built_after_its_half_is_close_to_expm_and_cptp(self, rates, convention,
                                                                           duration):
         # the square is expm's bits only where scipy takes the same Pade
-        # degree for both durations; elsewhere it is within round-off
+        # degree for both durations; elsewhere it is within round-off.  The
+        # ranges are test_delay_propagator_is_cptp's: at 1e5 /s expm's own
+        # trace error reaches 1e-12
         engine = EvolutionEngine(HamiltonianModel(variant="full", convention=convention),
                                  NoiseModel(*rates))
         engine.delay_propagator(duration)
         doubled = engine.delay_propagator(2 * duration)
         np.testing.assert_allclose(doubled, scipy.linalg.expm(engine._generator * (2 * duration)),
                                    rtol=0, atol=1e-14)
-        c = choi(doubled)
-        assert np.linalg.eigvalsh(c).min() > -1e-9
-        np.testing.assert_allclose(np.einsum("kili->kl", c.reshape(8, 8, 8, 8)), np.eye(8),
-                                   rtol=0, atol=1e-12)
+        assert_cptp(doubled)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(rates=st.tuples(*[st.floats(0, 50)] * 3), variant=st.sampled_from(nmr.VARIANTS),
