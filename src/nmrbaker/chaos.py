@@ -208,38 +208,43 @@ def subset_means(rhos) -> np.ndarray:
     return means
 
 
-def _entropies(rhos, members) -> np.ndarray:
-    """S in bits of each matrix of the stack ``rhos``, mixtures of the
-    member rows ``members`` of a :func:`subset_means` table, in one batched
-    ``eigvalsh``.  When two members are one state by their exact bytes (the
-    regular map's ensemble is two states), mixtures repeat too: each
-    distinct matrix is then diagonalised once and its entropy copied to
-    every position that holds it.  ``eigvalsh`` handles each matrix of a
-    stack on its own, so every entropy, and every error, is the one batch's.
+def _distinct_means(means) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids, first)`` of a :func:`subset_means` table: ``ids[mask]``
+    numbers the distinct nonempty means by their exact bytes from 1, mask 0
+    alone has id 0, and ``first[id]`` is the lowest mask holding each.  When
+    the members are distinct by their bytes (the chaotic map), both are
+    ``arange``: distinct means are not looked for.  When members repeat a
+    state (the regular map's ensemble is two states), equal means are found
+    by one sort of the nonempty means' bytes and one compare of neighbours.
     """
-    if len({member.tobytes() for member in members}) == len(members):
-        return qstate.von_neumann_entropies_bits(rhos)
-    slots: dict = {}
-    inverse = np.array([slots.setdefault(rho.tobytes(), len(slots)) for rho in rhos])
-    first = np.unique(inverse, return_index=True)[1]
-    return qstate.von_neumann_entropies_bits(rhos[first])[inverse]
+    n = len(means).bit_length() - 1
+    if len({member.tobytes() for member in means[1 << np.arange(n)]}) == n:
+        return np.arange(len(means)), np.arange(len(means))
+    flat = np.ascontiguousarray(means).reshape(len(means), -1)
+    order = 1 + np.argsort(flat.view(f"V{flat[0].nbytes}")[1:, 0], kind="stable")  # equal bytes ascending by mask
+    sorted_bytes = flat[order].view(np.int64)
+    new = np.append(True, (sorted_bytes[1:] != sorted_bytes[:-1]).any(axis=1))
+    ids = np.zeros(len(means), np.int64)
+    ids[order] = np.cumsum(new)
+    return ids, np.append(0, order[new])
 
 
 def subset_entropies(means) -> np.ndarray:
     """S(``means[mask]``) in bits for every nonempty subset of the
     :func:`subset_means` table, diagonalised in one batch, each exactly as
-    on its own; entry 0 is unused.  When members repeat a state, each
-    distinct mean is diagonalised once (:func:`_entropies`): 24 of 255 for
-    the regular map's 8 histories at fig5 noise.  :func:`partition_scan`
-    scores every partition of the ensemble, exhaustive or greedy, on this
-    one table.
+    on its own; entry 0 is 0.  When members repeat a state, each distinct
+    mean (:func:`_distinct_means`) is diagonalised once and its entropy
+    copied to every mask that holds it: 24 of 255 for the regular map's 8
+    histories at fig5 noise.  ``eigvalsh`` handles each matrix of a stack on
+    its own, so every entropy, and every error, is the plain batch's.
+    :func:`partition_scan` scores every partition of the ensemble,
+    exhaustive or greedy, on this one table.
     """
     n = len(means).bit_length() - 1
     if not 1 <= n <= MAX_SCAN_STATES or 2**n != len(means):
         raise ValueError(f"need a table of 2**n means for 1 to {MAX_SCAN_STATES} states")
-    entropies = np.zeros(2**n)
-    entropies[1:] = _entropies(means[1:], means[1 << np.arange(n)])
-    return entropies
+    ids, first = _distinct_means(means)
+    return np.append(0.0, qstate.von_neumann_entropies_bits(means[first[1:]]))[ids]
 
 
 @dataclass(frozen=True)
@@ -255,15 +260,18 @@ class GroupingStats:
 # neither: perfbench/tracing.py wraps both by name.
 def grouping_stats(assignment, entropies) -> GroupingStats:
     """Mean conditional entropy and information cost of ``assignment``
-    (a group label per state), scored on the :func:`subset_entropies`
-    table of its ensemble: its row of :func:`partition_scan`."""
+    (a group label per state, any distinct values), scored on the
+    :func:`subset_entropies` table of its ensemble: its row of
+    :func:`partition_scan`, found from the member mask of each label as
+    greedy's rows are (:func:`_scan_positions`)."""
     assignment = list(assignment)
     n = len(assignment)
     if not 1 <= n <= MAX_SCAN_STATES or 2**n != len(entropies):
         raise ValueError(f"need 1 to {MAX_SCAN_STATES} labels, one per ensemble state")
-    by_size, information, _ = _partition_layout(n)
-    pos = _partition_positions([assignment])[0]
-    positions, masks, probs = by_size[len(set(assignment)) - 1]
+    groups = np.unique(assignment, return_inverse=True)[1]
+    pos = _scan_positions(np.bincount(groups, 1 << np.arange(n)).astype(np.int64)[None], n)[0]
+    by_size, information, _, _ = _partition_layout(n)
+    positions, masks, probs = by_size[groups.max()]
     row = [np.searchsorted(positions, pos)]
     s_bar = _dots(probs[row], entropies[masks[row]])[0]
     return GroupingStats(float(s_bar), float(information[pos]))
@@ -281,7 +289,7 @@ def js_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def greedy_groupings(means, entropies, seeds) -> np.ndarray:
-    """Nearly optimal groupings of an ensemble, one row of labels per seed row.
+    """Nearly optimal groupings of an ensemble, one row of group masks per seed row.
 
     ``means`` and ``entropies`` are the :func:`subset_means` and
     :func:`subset_entropies` tables of the ensemble's n states.  ``seeds``
@@ -293,16 +301,20 @@ def greedy_groupings(means, entropies, seeds) -> np.ndarray:
     state is ``means[mask]`` and its entropy ``entropies[mask]``.  The runs
     grow a copy of ``seeds`` in lockstep, one placement at a time for every
     run with a state left to place; unused slots read distance +inf, so no
-    state joins them.  Each state's label is its group in the grown masks.
+    state joins them.  The grown masks are returned: an unused slot stays 0.
 
     The entropy of a candidate mixture ``(means[mask] + means[1 << idx]) / 2``
-    depends only on ``mask`` and the index of the state placed, so a (2**n, n)
-    memo holds it in bits at ``[mask, idx]`` and each candidate is one read.
-    A one-member ``mask`` starts as ``entropies[mask | 1 << idx]``, the same
-    matrix summed in the same order, and mask 0 as a placeholder; the rest
-    are NaN until a placement diagonalises its distinct misses in one batched
-    ``eigvalsh``.  When members repeat a state, distinct keys can still name
-    one matrix, and each distinct matrix is diagonalised once (:func:`_entropies`).
+    depends only on the bytes of its two terms.  So a memo holds it in bits
+    at ``[ids[mask], cls[idx]]``: the id of the group's mean among the
+    distinct means of the table (:func:`_distinct_means`) and the class of
+    the placed state, the lowest member with its bytes.  For distinct
+    members both are the mask and the index themselves.  Each candidate is
+    one read.  A one-member group starts as ``entropies[mask | 1 << idx]``,
+    the same matrix summed in the same order, and mask 0 as a placeholder;
+    the rest are NaN until a placement diagonalises its distinct misses in
+    one batched ``eigvalsh``, each built from the lowest mask of its id and
+    the lowest member of its class.  So each key is diagonalised at most
+    once per call, and every entropy is its matrix's own.
     """
     means, entropies = np.asarray(means), np.asarray(entropies)
     n = len(entropies).bit_length() - 1
@@ -317,34 +329,37 @@ def greedy_groupings(means, entropies, seeds) -> np.ndarray:
     if (((masks < 0) | (masks >= 1 << n) | ((masks & (masks - 1)) != 0)).any() or not union.all()
             or (masks.sum(axis=1) != union).any()):  # a repeated member: a row sums past its OR
         raise ValueError(bad_seeds)
+    ids, first = _distinct_means(means)
     bits = 1 << np.arange(n)
-    memo = np.full((2**n, n), np.nan)
-    memo[0] = 0.0  # an unused slot: its distance is forced to +inf
-    memo[bits] = entropies[bits[:, None] | bits]
-    memo = memo.reshape(-1)  # at mask * n + idx
+    cls = (ids[bits][:, None] == ids[bits]).argmax(axis=1)  # the lowest member with each one's bytes
+    memo = np.full((len(first), n), np.nan)
+    memo[0] = 0.0  # mask 0, an unused slot: its distance is forced to +inf
+    memo[ids[bits][:, None], cls] = entropies[bits[:, None] | bits]
+    memo = memo.reshape(-1)  # at id * n + class
     sizes = (masks != 0).sum(axis=1)
     pending = np.argsort((union[:, None] & bits) != 0, axis=1, kind="stable")  # unplaced states first
     for step in range(n - sizes.min()):
         rows = np.flatnonzero(sizes < n - step)  # the runs with a state left to place
         idx = pending[rows, step]
         m = masks[rows]
-        keys = m * n + idx[:, None]
+        keys = ids[m] * n + cls[idx][:, None]
         new = np.unique(keys[np.isnan(memo[keys])])
         if len(new):
-            mask, placed = np.divmod(new, n)
-            memo[new] = _entropies((means[mask] + means[bits[placed]]) / 2, means[bits])
+            mean, member = np.divmod(new, n)
+            memo[new] = qstate.von_neumann_entropies_bits((means[first[mean]] + means[bits[member]]) / 2)
         # js_distance's own expression, so each distance equals it bit for bit
         dists = np.maximum(memo[keys] - (entropies[m] + entropies[bits[idx]][:, None]) / 2, 0.0)
         dists[m == 0] = np.inf
         masks[rows, dists.argmin(axis=1)] |= bits[idx]
-    return ((masks[:, :, None] & bits) != 0).argmax(axis=1)  # each state's group
+    return masks
 
 
 def greedy_grouping(means, entropies, seeds) -> list[int]:
     """Nearly optimal grouping into ``len(seeds)`` clusters, group ``g``
     seeded by member ``seeds[g]``: the one-row :func:`greedy_groupings`,
-    its row as a list of group labels."""
-    return greedy_groupings(means, entropies, [[1 << operator.index(seed) for seed in seeds]])[0].tolist()
+    each state labelled by the slot of the grown mask that holds it."""
+    masks = greedy_groupings(means, entropies, [[1 << operator.index(seed) for seed in seeds]])[0]
+    return (masks[:, None] >> np.arange(len(entropies).bit_length() - 1) & 1).argmax(axis=0).tolist()
 
 
 def set_partitions(n: int) -> np.ndarray:
@@ -397,19 +412,26 @@ class HypersensitivityCurve:
 def _partition_layout(n: int):
     """Every set partition of range(n), grouped by its number of groups k.
 
-    Returns ``(by_size, information, keys)``.  ``by_size`` holds, for
-    each k, the partitions' positions in :func:`set_partitions` order,
+    Returns ``(by_size, information, keys, weights)``.  ``by_size`` holds,
+    for each k, the partitions' positions in :func:`set_partitions` order,
     their (count, k) group masks in first-appearance order and the
     matching group probabilities N_r / n; ``information`` is I of every
-    partition in that order, which depends on its shape alone; ``keys``
-    reads each string in base n, ascending as the strings are in
-    lexicographic order.  Built on first use and read-only, since every
-    scan of an n-state ensemble shares it.
+    partition in that order, which depends on its shape alone.  Entry
+    ``mask`` of the (2**n,) ``weights`` is the mask's lowest member times
+    the sum of n**(n - 1 - k) over its members k, 0 for mask 0.  Summed
+    over a partition's groups it reads, in base n, the string naming each
+    state's group by its lowest member: that string orders partitions as
+    their restricted-growth strings do, so ``keys``, each partition's sum,
+    ascend in :func:`set_partitions` order; both are below n**n <= 10**10.
+    Built on first use and read-only, since every scan of an n-state
+    ensemble shares it.
     """
     strings = set_partitions(n)
-    keys = strings @ n ** np.arange(n - 1, -1, -1)  # < n**n <= 10**10, fits int64
     sizes = strings.max(axis=1) + 1
     bits = 1 << np.arange(n)
+    subsets = (np.arange(2**n)[:, None] & bits) != 0  # (2**n, n) members of each mask
+    weights = subsets.argmax(axis=1) * (subsets @ n ** np.arange(n - 1, -1, -1))
+    keys = np.empty(len(strings), np.int64)
     by_size = []
     information = np.empty(len(strings))
     for k in range(1, n + 1):
@@ -418,21 +440,19 @@ def _partition_layout(n: int):
         masks = members @ bits
         probs = members.sum(axis=2) / n
         information[positions] = 0.0 - _dots(probs, np.log2(probs))
+        keys[positions] = weights[masks].sum(axis=1)
         by_size.append((positions, masks, probs))
-    for array in (information, keys, *(a for group in by_size for a in group)):
+    for array in (information, keys, weights, *(a for group in by_size for a in group)):
         array.flags.writeable = False
-    return tuple(by_size), information, keys
+    return tuple(by_size), information, keys, weights
 
 
-def _partition_positions(labels) -> np.ndarray:
-    """Position in :func:`set_partitions` order of each row of ``labels``
-    (a group label per state), relabelled by first appearance as those
-    strings are."""
-    labels = np.asarray(labels)
-    n = labels.shape[1]
-    first = (labels[:, :, None] == labels[:, None, :]).argmax(axis=2)  # first equal label
-    strings = np.take_along_axis(np.cumsum(first == np.arange(n), axis=1) - 1, first, axis=1)
-    return np.searchsorted(_partition_layout(n)[2], strings @ n ** np.arange(n - 1, -1, -1))
+def _scan_positions(masks, n: int) -> np.ndarray:
+    """Position in :func:`set_partitions` order of the partition of ``n``
+    states each row of group ``masks`` holds, in any slot order, 0 for an
+    unused slot: one gather and one ``searchsorted`` (:func:`_partition_layout`)."""
+    _, _, keys, weights = _partition_layout(n)
+    return np.searchsorted(keys, weights[masks].sum(axis=1))
 
 
 def _dots(a, b) -> np.ndarray:
@@ -452,7 +472,7 @@ def partition_scan(entropies) -> tuple[np.ndarray, np.ndarray, float]:
     # taking S_bar_max from the same table keeps the trivial one-group
     # partition at delta_s = 0 exactly
     s_max = float(entropies[-1])
-    by_size, information, _ = _partition_layout(n)
+    by_size, information, _, _ = _partition_layout(n)
     delta_s = np.empty(len(information))
     for positions, masks, probs in by_size:
         delta_s[positions] = s_max - _dots(probs, entropies[masks])
@@ -639,11 +659,12 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
     on the same partition.  The exhaustive scan and greedy read one
     :func:`subset_means` table and its :func:`subset_entropies`, which also
     gives every mixture of two states.  When the histories repeat a state,
-    as the regular map's two-state ensemble does, the table and each memo
-    fill diagonalise each distinct matrix once, and every output keeps its
-    bits.  Each grouping is the scan row at its
-    :func:`_partition_positions`, and the Pareto filter reads each distinct
-    row once.
+    as the regular map's two-state ensemble does, the table diagonalises
+    each distinct mean once, and greedy's memo, keyed by the table's
+    distinct means, each mixture of a distinct mean and a distinct member
+    once; every output keeps its bits.  Each
+    grouping is the scan row its grown masks name (:func:`_scan_positions`),
+    and the Pareto filter reads each distinct row once.
     """
     n_steps = operator.index(config.steps if n_steps is None else n_steps)  # as in history_ensemble
     if n_steps < 1:
@@ -661,7 +682,7 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
     seeds = greedy_draws(config.seed, 2**n_steps)  # in draw order: argmin breaks exact ties by group order
     pos = [0, len(delta_s) - 1]  # one group, and one per state, whatever the seeds
     if len(seeds):
-        pos += _partition_positions(greedy_groupings(means, entropies, seeds)).tolist()
+        pos += _scan_positions(greedy_groupings(means, entropies, seeds), 2**n_steps).tolist()
     pos = np.unique(pos)
     return HyperResult(
         s_bar_max=s_max,

@@ -65,13 +65,24 @@ MUTANTS = (
            (GREEDY + "test_lockstep_rows_on_the_regular_map",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
     Mutant("memo-key-ignores-idx", "chaos.py",
-           "keys = m * n + idx[:, None]",
-           "keys = m * n + 0 * idx[:, None]",
+           "keys = ids[m] * n + cls[idx][:, None]",
+           "keys = ids[m] * n + 0 * cls[idx][:, None]",
            (GREEDY + "test_one_call_over_every_count_changes_no_assignment",
             HYPER + "test_greedy_diagonalises_once_per_memo_key")),
+    # the same on the chaotic map, whose ids are the masks; on the regular
+    # map a mask reads past the memo's rows
+    Mutant("memo-key-reads-the-mask-not-its-id", "chaos.py",
+           "keys = ids[m] * n + cls[idx][:, None]",
+           "keys = m * n + cls[idx][:, None]",
+           (HYPER + "test_greedy_diagonalises_once_per_memo_key",)),
+    # each state's class is the lowest member whose bytes differ from it
+    Mutant("memo-class-is-another-members", "chaos.py",
+           "cls = (ids[bits][:, None] == ids[bits]).argmax(axis=1)",
+           "cls = (ids[bits][:, None] != ids[bits]).argmax(axis=1)",
+           (DISTINCT + "test_rows_equal_the_mask_keyed_greedy",)),
     Mutant("mixture-is-the-grown-mean", "chaos.py",
-           "(means[mask] + means[bits[placed]]) / 2",
-           "means[mask | bits[placed]]",
+           "(means[first[mean]] + means[bits[member]]) / 2",
+           "means[first[mean] | bits[member]]",
            (GREEDY + "test_one_call_over_every_count_changes_no_assignment",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
     Mutant("group-entropy-of-its-first-member-only", "chaos.py",
@@ -80,8 +91,8 @@ MUTANTS = (
            (GREEDY + "test_matches_js_distance_reference",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
     Mutant("one-member-mixture-read-at-the-group", "chaos.py",
-           "memo[bits] = entropies[bits[:, None] | bits]",
-           "memo[bits] = entropies[bits[:, None]]",
+           "memo[ids[bits][:, None], cls] = entropies[bits[:, None] | bits]",
+           "memo[ids[bits][:, None], cls] = entropies[bits[:, None]]",
            (GREEDY + "test_one_call_over_every_count_changes_no_assignment",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
     # an unused slot (mask 0) of a run then reads S(rho_idx) / 2
@@ -90,26 +101,16 @@ MUTANTS = (
            "dists[m < 0] = np.inf",
            (GREEDY + "test_one_call_over_every_count_changes_no_assignment",
             CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time")),
-    # members repeat, distinct matrices: one diagonalisation each
+    # members repeat, distinct means: one diagonalisation each
     Mutant("distinct-key-reads-the-real-part-only", "chaos.py",
-           "slots.setdefault(rho.tobytes(), len(slots))",
-           "slots.setdefault(rho.real.tobytes(), len(slots))",
+           "sorted_bytes = flat[order].view(np.int64)",
+           "sorted_bytes = flat[order].real",
            (DISTINCT + "test_matrices_are_told_apart_by_every_byte",)),
     Mutant("distinct-matrices-gate-inverted", "chaos.py",
-           "for member in members}) == len(members):",
-           "for member in members}) != len(members):",
+           "for member in means[1 << np.arange(n)]}) == n:",
+           "for member in means[1 << np.arange(n)]}) != n:",
            (DISTINCT + "test_subset_table_diagonalises_each_distinct_mean_once",
             GREEDY + "test_one_call_over_every_count_changes_no_assignment")),
-    # each distinct entropy lands at its first position only, zero elsewhere
-    Mutant("distinct-entropy-at-its-first-occurrence-only", "chaos.py",
-           "qstate.von_neumann_entropies_bits(rhos[first])[inverse]",
-           "np.bincount(first, qstate.von_neumann_entropies_bits(rhos[first]), len(rhos))",
-           (DISTINCT + "test_fig5_tables_and_rows_equal_the_plain_batch",
-            DISTINCT + "test_repeated_members_equal_the_plain_batch")),
-    Mutant("memo-fill-diagonalises-repeats", "chaos.py",
-           "memo[new] = _entropies((means[mask] + means[bits[placed]]) / 2, means[bits])",
-           "memo[new] = qstate.von_neumann_entropies_bits((means[mask] + means[bits[placed]]) / 2)",
-           (GREEDY + "test_one_call_over_every_count_changes_no_assignment",)),
     # a finished run then places one of its seeds again
     Mutant("finished-run-still-advances", "chaos.py",
            "rows = np.flatnonzero(sizes < n - step)",
@@ -139,11 +140,10 @@ MUTANTS = (
     # each state takes the first group that lacks it: for two groups the
     # partition survives relabelled, for more it does not
     Mutant("labels-read-from-the-wrong-group", "chaos.py",
-           "((masks[:, :, None] & bits) != 0).argmax(axis=1)",
-           "((masks[:, :, None] & bits) == 0).argmax(axis=1)",
-           (GREEDY + "test_lockstep_rows_on_the_regular_map",
-            CHAOS + "TestPartitionProperties::test_lockstep_rows_equal_one_draw_at_a_time",
-            HYPER + "test_greedy_points_equal_drawing_every_group_count")),
+           "(masks[:, None] >> np.arange(len(entropies).bit_length() - 1) & 1).argmax(axis=0)",
+           "(masks[:, None] >> np.arange(len(entropies).bit_length() - 1) & 1 ^ 1).argmax(axis=0)",
+           (GREEDY + "test_seed_rows_are_not_written",
+            GREEDY + "test_matches_js_distance_reference")),
     # a lane of k members keeps the draws past them as members too
     Mutant("draw-masks-not-zeroed-past-k", "chaos.py",
            "np.where(np.arange(n - 1)[:, None] < tail[0], chosen, 0)",
@@ -213,6 +213,11 @@ MUTANTS = (
            "np.arange(len(strings)) - np.repeat(np.cumsum(children) - children, children)",
            "np.repeat(np.cumsum(children) - 1, children) - np.arange(len(strings))",
            (CHAOS + "TestSetPartitions::test_rows_are_in_lexicographic_order",)),
+    # naming each group by its highest member: the keys no longer ascend
+    Mutant("scan-key-names-groups-by-their-highest-member", "chaos.py",
+           "weights = subsets.argmax(axis=1) * (subsets @ n ** np.arange(n - 1, -1, -1))",
+           "weights = (n - 1 - subsets[:, ::-1].argmax(axis=1)) * (subsets @ n ** np.arange(n - 1, -1, -1))",
+           (CHAOS + "TestPartitionProperties::test_every_partition_at_its_index_in_any_slot_order",)),
     Mutant("dots-by-einsum", "chaos.py",
            "return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]",
            'return np.einsum("ij,ij->i", a, b)',

@@ -3,6 +3,7 @@
     python tests/output_fingerprint.py > after.json
     cmp before.json after.json
     python tests/output_fingerprint.py --compare before.json
+    python tests/output_fingerprint.py --workload hyper_sweep > hyper.json
 
 It prints one JSON object that maps each job of the ``entropy_sweep``,
 ``hyper_sweep`` and ``cli_cold`` workloads, seeds 0 and 1, to its outputs.
@@ -12,8 +13,12 @@ one-ulp move shows; a frontier curve is written as its ``delta_s`` and
 this process, and its exit code and stdout are recorded.  The job lists
 come from ``perfbench/workloads.py``; nothing under ``perfbench/`` is
 written.  Run it before and after a change that must move no output and
-compare the two files byte for byte.  pytest does not collect this file
-(its name does not start with ``test_``).
+compare the two files byte for byte.  ``--workload NAME``, which may be
+repeated, keeps only the named workloads (all three by default), so a
+change confined to one workload can be checked in a fraction of the time;
+with ``--compare``, only the named workloads' entries of BEFORE.json are
+compared.  pytest does not collect this file (its name does not start with
+``test_``).
 
 For a change that may move outputs at round-off, ``--compare BEFORE.json``
 computes the outputs of this checkout and, in place of the fingerprint,
@@ -78,9 +83,9 @@ def outputs(job):
     return {"exit": code, "stdout": stdout.getvalue()}
 
 
-def fingerprint() -> dict:
+def fingerprint(names=WORKLOAD_NAMES) -> dict:
     return {f"{name} seed={seed} #{i}: {job_label(job)}": outputs(job)
-            for name in WORKLOAD_NAMES for seed in SEEDS
+            for name in names for seed in SEEDS
             for i, job in enumerate(WORKLOADS[name].make_jobs(seed))}
 
 
@@ -124,14 +129,16 @@ def differences(before, after, path=""):
         yield path, None, f"{json.dumps(before)[:60]} -> {json.dumps(after)[:60]}"
 
 
-def compare(before: dict, after: dict) -> int:
-    """Print what moved from ``before`` to ``after``, per workload; 1 if any
-    entry changed shape or the two hold different entries, else 0."""
+def compare(before: dict, after: dict, names=WORKLOAD_NAMES) -> int:
+    """Print what moved from ``before`` to ``after`` in workloads ``names``;
+    1 if any entry changed shape or the two hold different entries of those
+    workloads, else 0."""
+    before = {label: value for label, value in before.items() if label.split(" ", 1)[0] in names}
     shape_changed = before.keys() != after.keys()
     if shape_changed:
         print(f"entries differ: {len(before.keys() - after.keys())} only before,"
               f" {len(after.keys() - before.keys())} only after")
-    for name in WORKLOAD_NAMES:
+    for name in names:
         labels = [label for label in after if label.startswith(name + " ") and label in before]
         n_moved, moved, changes, largest = 0, [], [], 0.0
         for label in labels:
@@ -154,11 +161,14 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--compare", metavar="BEFORE.json",
                         help="report what moved from this fingerprint instead of printing one")
+    parser.add_argument("--workload", action="append", choices=WORKLOAD_NAMES,
+                        help="only this workload; repeat for more (default: all three)")
     args = parser.parse_args()
+    names = [name for name in WORKLOAD_NAMES if name in (args.workload or WORKLOAD_NAMES)]
     if args.compare:
         with open(args.compare) as f:
-            return compare(json.load(f), fingerprint())
-    json.dump(fingerprint(), sys.stdout, indent=1)
+            return compare(json.load(f), fingerprint(names), names)
+    json.dump(fingerprint(names), sys.stdout, indent=1)
     print()
     return 0
 

@@ -2,7 +2,7 @@ import dataclasses
 import math
 import operator
 from collections import Counter
-from itertools import chain, zip_longest
+from itertools import chain, permutations, zip_longest
 
 import numpy as np
 import pytest
@@ -180,6 +180,21 @@ def memo_mixtures(means, keys) -> Counter:
     return Counter(((means[mask] + means[1 << idx]) / 2).tobytes() for mask, idx in keys)
 
 
+def memo_slots(means, keys) -> dict:
+    """The memo slots of greedy's entries ``keys`` that a placement
+    diagonalises, each mapped to one of its entries.  Entries share a slot
+    when their groups' means and their placed states have the same bytes;
+    a slot whose group mean has a member's bytes is read from the subset
+    table, so it is left out."""
+    members = {means[1 << i].tobytes() for i in range(len(means).bit_length() - 1)}
+    slots: dict = {}
+    for mask, idx in sorted(keys):
+        slot = (means[mask].tobytes(), means[1 << idx].tobytes())
+        if slot[0] not in members:
+            slots.setdefault(slot, (mask, idx))
+    return slots
+
+
 def assert_pair_mixtures_are_subset_entries(rhos):
     """Greedy reads a one-member group's mixture with state ``i`` from the
     subset table: for every a != i, the entropy of
@@ -205,6 +220,57 @@ def hex_points(points):
 def hexes(values):
     """Each float of ``values`` by float.hex."""
     return [float(x).hex() for x in values]
+
+
+def labels(rows) -> list[list[int]]:
+    """Rows of grown group masks, as ``chaos.greedy_groupings`` returns
+    them, as rows of labels: each state's slot, the one mask holding it."""
+    return [[next(g for g, mask in enumerate(row) if mask >> k & 1) for k in range(sum(row).bit_length())]
+            for row in np.asarray(rows).tolist()]
+
+
+def group_masks(assignment) -> list[int]:
+    """The member mask of each distinct label of ``assignment``, in
+    first-appearance order."""
+    masks: dict = {}
+    for k, g in enumerate(assignment):
+        masks[g] = masks.get(g, 0) | 1 << k
+    return list(masks.values())
+
+
+def mask_keyed_greedy(means, entropies, seeds) -> np.ndarray:
+    """``chaos.greedy_groupings`` with its memo keyed by (mask, placed
+    state), as it was before the memo read the table's distinct means: a
+    (2**n, n) memo at ``[mask, idx]``, each placement diagonalising the
+    distinct matrices of its misses, by their bytes, in one batch.  Returns
+    the grown masks."""
+    n = len(entropies).bit_length() - 1
+    masks = np.array(seeds, np.int64)
+    bits = 1 << np.arange(n)
+    memo = np.full((2**n, n), np.nan)
+    memo[0] = 0.0
+    memo[bits] = entropies[bits[:, None] | bits]
+    memo = memo.reshape(-1)
+    union = np.bitwise_or.reduce(masks, axis=1)
+    sizes = (masks != 0).sum(axis=1)
+    pending = np.argsort((union[:, None] & bits) != 0, axis=1, kind="stable")
+    for step in range(n - sizes.min()):
+        rows = np.flatnonzero(sizes < n - step)
+        idx = pending[rows, step]
+        m = masks[rows]
+        keys = m * n + idx[:, None]
+        new = np.unique(keys[np.isnan(memo[keys])])
+        if len(new):
+            mask, placed = np.divmod(new, n)
+            mixtures = (means[mask] + means[bits[placed]]) / 2
+            slots: dict = {}
+            inverse = np.array([slots.setdefault(rho.tobytes(), len(slots)) for rho in mixtures])
+            first = np.unique(inverse, return_index=True)[1]
+            memo[new] = qstate.von_neumann_entropies_bits(mixtures[first])[inverse]
+        dists = np.maximum(memo[keys] - (entropies[m] + entropies[bits[idx]][:, None]) / 2, 0.0)
+        dists[m == 0] = np.inf
+        masks[rows, dists.argmin(axis=1)] |= bits[idx]
+    return masks
 
 
 class TestConfig:
@@ -781,8 +847,21 @@ class TestGreedyGrouping:
             before = seeds.copy()
             rows = chaos.greedy_groupings(fig2_chaotic_means, fig2_chaotic_table, seeds)
             assert np.array_equal(seeds, before) and seeds.dtype == dtype
-            assert rows.tolist() == [chaos.greedy_grouping(fig2_chaotic_means, fig2_chaotic_table, draw)
-                                     for draw in [(5, 0, 2), (1,), (7, 3)]]
+            assert labels(rows) == [chaos.greedy_grouping(fig2_chaotic_means, fig2_chaotic_table, draw)
+                                    for draw in [(5, 0, 2), (1,), (7, 3)]]
+
+    @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
+    def test_rows_are_the_grown_seed_masks(self, variant, request):
+        # each row partitions the states: its masks are disjoint and cover
+        # all eight, each grown from its seed, and an unused slot stays 0
+        means = request.getfixturevalue(f"fig2_{variant}_means")
+        table = request.getfixturevalue(f"fig2_{variant}_table")
+        seeds = oracles.seed_masks([(5, 0, 2), (1,), (7, 3), tuple(range(8)), (6, 4, 2, 0)])
+        rows = chaos.greedy_groupings(means, table, seeds)
+        assert rows.dtype == np.int64 and rows.shape == seeds.shape
+        assert np.array_equal(rows & seeds, seeds) and np.array_equal(rows == 0, seeds == 0)
+        assert np.array_equal(rows.sum(axis=1), np.full(len(rows), 255))
+        assert np.array_equal(np.bitwise_or.reduce(rows, axis=1), np.full(len(rows), 255))
 
     @pytest.mark.parametrize("hamiltonian", ["noxy", "simplified", "full"])
     def test_lockstep_rows_on_the_regular_map(self, hamiltonian):
@@ -796,7 +875,7 @@ class TestGreedyGrouping:
         for n_groups in range(1, 9):
             draws = [tuple(rng.permutation(8)[:n_groups].tolist()) for _ in range(24)]
             rows = chaos.greedy_groupings(means, table, oracles.seed_masks(draws))
-            assert rows.tolist() == [oracles.reference_greedy_grouping(rhos, draw) for draw in draws]
+            assert labels(rows) == [oracles.reference_greedy_grouping(rhos, draw) for draw in draws]
 
     @pytest.mark.parametrize("seeds", [(3,), (5, 0, 2), tuple(range(7)), tuple(range(8))])
     def test_group_entropy_calls(self, seeds, monkeypatch, fig2_chaotic_means, fig2_chaotic_table):
@@ -845,7 +924,7 @@ class TestGreedyGrouping:
         pure_table = chaos.subset_entropies(pure_means)
         ragged = [(0,), (4, 1), (5, 2, 0)]
         assert max(pure_table[1 << i] for i in range(6)) < 1e-12
-        assert chaos.greedy_groupings(pure_means, pure_table, oracles.seed_masks(ragged)).tolist() == [
+        assert labels(chaos.greedy_groupings(pure_means, pure_table, oracles.seed_masks(ragged))) == [
             oracles.reference_greedy_grouping(pure, draw) for draw in ragged]
         # all 512 draws of group counts 1 to 8, repeats included: each
         # count's draws in lockstep, in draw order, then every count in one
@@ -857,7 +936,7 @@ class TestGreedyGrouping:
         every_count, every_row = [], []
         for n_groups in range(1, 9):
             draws = [seed_draw(8, n_groups, [cfg.seed, n_groups, trial]) for trial in range(chaos.GREEDY_RESTARTS)]
-            rows = chaos.greedy_groupings(means, table, oracles.seed_masks(draws)).tolist()
+            rows = labels(chaos.greedy_groupings(means, table, oracles.seed_masks(draws)))
             for draw, row in zip(draws, rows):
                 alone = chaos.greedy_grouping(means, table, draw)
                 assert alone == oracles.reference_greedy_grouping(rhos, draw), draw
@@ -870,7 +949,7 @@ class TestGreedyGrouping:
         batches = record_batches(monkeypatch)
         every_seed = oracles.seed_masks(every_count)
         assert len(set(every_count)) < len(every_count) == 512
-        assert chaos.greedy_groupings(means, table, every_seed).tolist() == every_row
+        assert labels(chaos.greedy_groupings(means, table, every_seed)) == every_row
         runs = [memo_keys_by_placement(seeds, row) for seeds, row in zip(every_seed, every_row)]
         keys = set().union(*chain.from_iterable(runs))
         if variant == "chaotic":
@@ -879,18 +958,20 @@ class TestGreedyGrouping:
         else:
             # the members are two states, so distinct entries share mixtures
             assert keys and sum(count for _, count in batches) < len(keys)
-        # each placement diagonalises the distinct mixtures of the entries
-        # first read there, each once
+        # each placement diagonalises the mixtures of the memo slots its
+        # entries read that no earlier placement filled, each once in the call
         first_read, seen = [], set()
         for placement in zip_longest(*runs, fillvalue=set()):
-            new = set().union(*placement) - seen
-            seen |= new
+            new = {slot: key for slot, key in memo_slots(means, set().union(*placement)).items() if slot not in seen}
+            seen |= new.keys()
             if new:
-                first_read.append(set(memo_mixtures(means, new)))
-        assert batches == [(distinct, len(distinct)) for distinct in first_read]
+                first_read.append(memo_mixtures(means, new.values()))
+        assert batches == [(set(slots), sum(slots.values())) for slots in first_read]
         # and each entry is the entropy its index names: the members of mask
-        # summed in ascending order, averaged, mixed with rhos[idx]
-        entropies = {m.tobytes(): entropy for m, entropy in mixtures}
+        # summed in ascending order, averaged, mixed with rhos[idx]; a slot
+        # filled from the subset table holds the table's entry of its matrix
+        entropies = {m.tobytes(): entropy for m, entropy in zip(means, table)}
+        entropies.update((m.tobytes(), entropy) for m, entropy in mixtures)
         for mask, idx in keys:
             assert not mask >> idx & 1, (mask, idx)
             first, *rest = [rhos[i] for i in range(8) if mask >> i & 1]
@@ -1037,7 +1118,7 @@ class TestSetPartitions:
 
     @pytest.mark.parametrize("n", range(1, chaos.MAX_SCAN_STATES + 1))
     def test_rows_are_in_lexicographic_order(self, n):
-        # _partition_positions finds a string by searchsorted on these keys
+        # each string read in base n ascends row by row
         keys = chaos.set_partitions(n) @ n ** np.arange(n - 1, -1, -1)
         assert np.all(np.diff(keys) > 0)
 
@@ -1049,9 +1130,9 @@ class TestSetPartitions:
 
     def test_layout_is_read_only(self):
         # every scan of an 8-state ensemble shares this one layout
-        by_size, information, keys = chaos._partition_layout(8)
-        arrays = [information, keys, *(array for group in by_size for array in group)]
-        assert len(arrays) == 2 + 3 * 8
+        by_size, information, keys, weights = chaos._partition_layout(8)
+        arrays = [information, keys, weights, *(array for group in by_size for array in group)]
+        assert len(arrays) == 3 + 3 * 8
         assert np.all(np.diff(keys) > 0)
         for array in arrays:
             with pytest.raises(ValueError):
@@ -1204,12 +1285,13 @@ class TestPartitionProperties:
         # any labels: gaps, negatives and groups first seen out of order
         rhos = data.draw(random_ensembles(st.sampled_from(range(1, 9))))
         n = len(rhos)
-        labels = data.draw(st.lists(st.integers(-3, 12), min_size=n, max_size=n))
-        string = oracles.first_appearance(labels)
-        assert chaos._partition_positions([labels])[0] == chaos.set_partitions(n).tolist().index(list(string))
+        assignment = data.draw(st.lists(st.integers(-3, 12), min_size=n, max_size=n))
+        string = oracles.first_appearance(assignment)
+        position = chaos._scan_positions(np.array([group_masks(assignment)]), n)[0]
+        assert position == chaos.set_partitions(n).tolist().index(list(string))
         table = chaos.subset_entropies(chaos.subset_means(rhos))
-        stats = chaos.grouping_stats(labels, table)
-        expected = oracles._score(labels, table)
+        stats = chaos.grouping_stats(assignment, table)
+        expected = oracles._score(assignment, table)
         # float.hex tells -0.0 from 0.0
         assert ((stats.mean_conditional_entropy.hex(), stats.information.hex())
                 == tuple(x.hex() for x in expected))
@@ -1217,16 +1299,44 @@ class TestPartitionProperties:
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_positions_equal_the_set_partitions_index(self, data):
+        # rows of any labels, each as its group masks in a drawn slot order
+        # with unused (zero) slots among them, padded to one width
         n = data.draw(st.integers(1, 8))
         rows = data.draw(st.lists(st.lists(st.integers(-3, 12), min_size=n, max_size=n),
                                   min_size=1, max_size=6))
-        # renaming the labels by any bijection moves no row
-        values = sorted({g for row in rows for g in row})
-        rename = dict(zip(values, data.draw(st.permutations(values))))
         strings = list(map(tuple, chaos.set_partitions(n).tolist()))
         expected = [strings.index(oracles.first_appearance(row)) for row in rows]
-        assert chaos._partition_positions(rows).tolist() == expected
-        assert chaos._partition_positions([[rename[g] for g in row] for row in rows]).tolist() == expected
+        slots = [data.draw(st.permutations(group_masks(row) + [0] * (n + 2 - len(set(row))))) for row in rows]
+        assert chaos._scan_positions(np.array(slots, np.int64), n).tolist() == expected
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_partition_at_its_index_in_any_slot_order(self, n):
+        # every slot order of every partition up to n = 5 (541 orders of the
+        # 52 partitions of 5); beyond, first-appearance, reversed and one
+        # random order; each also shuffled among two or more zero slots
+        rng = np.random.default_rng(n)
+        rows, expected = [], []
+        for position, string in enumerate(chaos.set_partitions(n).tolist()):
+            masks = group_masks(string)
+            orders = permutations(masks) if n <= 5 else [masks, masks[::-1], rng.permutation(masks).tolist()]
+            for order in orders:
+                padded = list(order) + [0] * (n + 2 - len(order))
+                rows += [padded, rng.permutation(padded).tolist()]
+                expected += [position, position]
+        assert chaos._scan_positions(np.array(rows, np.int64), n).tolist() == expected
+
+    def test_ten_state_keys_fit_int64(self):
+        # ten states, the scan's limit, give the largest keys: the string
+        # 0123456789 reads 123456789 in base 10, far below 2**63
+        _, _, keys, weights = chaos._partition_layout(10)
+        assert keys.dtype == weights.dtype == np.int64
+        assert np.all(np.diff(keys) > 0) and keys[-1] == 123456789 < 10**10
+        strings = chaos.set_partitions(10)
+        rng = np.random.default_rng(10)
+        picked = np.sort(rng.choice(len(strings), 200, replace=False))
+        rows = [rng.permutation(group_masks(strings[p].tolist()) + [0] * (10 - strings[p].max())).tolist()
+                for p in picked]
+        assert np.array_equal(chaos._scan_positions(np.array(rows, np.int64), 10), picked)
 
     @pytest.mark.parametrize("ensembles", [random_ensembles(), parity_ensembles()], ids=["random", "parity"])
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -1239,7 +1349,7 @@ class TestPartitionProperties:
         for _ in range(2):  # two draw sets per ensemble
             draws = data.draw(draw_sets(n))
             rows = chaos.greedy_groupings(means, table, oracles.seed_masks(draws))
-            assert rows.tolist() == [oracles.reference_greedy_grouping(rhos, draw) for draw in draws]
+            assert labels(rows) == [oracles.reference_greedy_grouping(rhos, draw) for draw in draws]
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(random_ensembles(st.integers(2, 8)))
@@ -1278,9 +1388,9 @@ def repeated_member_ensembles(draw):
 
 
 class TestDistinctMatrices:
-    # when members repeat a state, subset_entropies and each memo fill of
-    # greedy_groupings diagonalise each distinct matrix once; every entropy,
-    # row and error must still be the one plain batch's
+    # when members repeat a state, subset_entropies diagonalises each
+    # distinct mean once and greedy_groupings each distinct mixture once;
+    # every entropy, row and error must still be the one plain batch's
 
     @pytest.mark.parametrize("convention", nmr.CONVENTIONS)
     @pytest.mark.parametrize("hamiltonian", ["noxy", "full", "simplified"])
@@ -1288,22 +1398,22 @@ class TestDistinctMatrices:
     def test_fig5_tables_and_rows_equal_the_plain_batch(self, variant, hamiltonian, convention, monkeypatch):
         cfg = ExperimentConfig.preset("fig5", map_variant=variant, hamiltonian=hamiltonian, convention=convention)
         means = chaos.subset_means(chaos.history_ensemble(cfg, 3))
-        calls, entropies = [], chaos._entropies
-
-        def recording(rhos, members):
-            calls.append((rhos, entropies(rhos, members)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(chaos, "_entropies", recording)
         table = chaos.subset_entropies(means)
         assert hexes(table) == hexes(oracles.plain_subset_entropies(means))
-        draws = numpy_draws(cfg.seed, 8)  # the experiment's draws, repeats included
-        assert chaos.greedy_groupings(means, table, oracles.seed_masks(draws)).tolist() == (
-            oracles.plain_greedy_groupings(means, table, draws))
-        # the subset table, then each placement's memo fill
-        assert len(calls) > 1
-        for rhos, out in calls:
-            assert hexes(out) == hexes(qstate.von_neumann_entropies_bits(rhos))
+        seeds = chaos.greedy_draws(cfg.seed, 8)  # the experiment's draws, repeats included
+        plain = oracles.plain_greedy_groupings(means, table, numpy_draws(cfg.seed, 8))
+        mask_keyed = mask_keyed_greedy(means, table, seeds)
+        mixtures = record_mixtures(monkeypatch)
+        rows = chaos.greedy_groupings(means, table, seeds)
+        assert labels(rows) == plain and np.array_equal(rows, mask_keyed)
+        # the call diagonalised the mixture of each memo slot its runs read,
+        # once, and each entropy is its matrix's own
+        keys = set().union(*(memo_keys(row_seeds, row) for row_seeds, row in zip(seeds, labels(rows))))
+        slots = memo_slots(means, keys)
+        assert Counter(m.tobytes() for m, _ in mixtures) == memo_mixtures(means, slots.values())
+        assert (len(slots) == len(keys)) == (variant == "chaotic")
+        for mixture, entropy in list(mixtures):  # each check below is recorded too
+            assert entropy.hex() == qstate.von_neumann_entropy_bits(mixture).hex()
 
     @pytest.mark.parametrize("convention", nmr.CONVENTIONS)
     @pytest.mark.parametrize("hamiltonian", ["noxy", "full", "simplified"])
@@ -1321,7 +1431,7 @@ class TestDistinctMatrices:
         assert diagonalised == [len({m.tobytes() for m in means[1:]})] == [distinct]
 
     @pytest.mark.parametrize("bad", ["non-finite", "negative"])
-    def test_bad_entry_raises_the_plain_batch_text(self, bad, monkeypatch):
+    def test_bad_entry_raises_the_plain_batch_text(self, bad):
         # the regular map's members repeat, so both sites take the distinct
         # matrices; every mean of two or more members is made bad
         cfg = ExperimentConfig.preset("fig5", map_variant="regular")
@@ -1335,18 +1445,20 @@ class TestDistinctMatrices:
         with pytest.raises(ValueError) as got:
             chaos.subset_entropies(broken)
         assert str(got.value) == str(want.value)
-        calls, entropies = [], chaos._entropies
-
-        def recording(rhos, members):
-            calls.append(rhos)
-            return entropies(rhos, members)
-
-        monkeypatch.setattr(chaos, "_entropies", recording)
-        with pytest.raises(ValueError) as got:
-            chaos.greedy_groupings(broken, table, oracles.seed_masks(numpy_draws(cfg.seed, 8)))
+        # greedy's first placement reads one-member groups from the table;
+        # its second diagonalises the first groups of two or more members,
+        # and raises: as the plain batch of those mixtures, one per run and
+        # group, repeats included, does
+        seeds = chaos.greedy_draws(cfg.seed, 8)
+        rows = labels(chaos.greedy_groupings(means, table, seeds))
+        plain = [(broken[mask] + broken[1 << idx]) / 2 for row_seeds, row in zip(seeds, rows)
+                 for placements in [memo_keys_by_placement(row_seeds, row)] if len(placements) > 1
+                 for mask, idx in placements[1]]
+        assert len({m.tobytes() for m in plain}) < len(plain)
         with pytest.raises(ValueError) as want:
-            qstate.von_neumann_entropies_bits(calls[-1])
-        assert len({m.tobytes() for m in calls[-1]}) < len(calls[-1])
+            qstate.von_neumann_entropies_bits(np.array(plain))
+        with pytest.raises(ValueError) as got:
+            chaos.greedy_groupings(broken, table, seeds)
         assert str(got.value) == str(want.value)
 
     def test_matrices_are_told_apart_by_every_byte(self):
@@ -1360,7 +1472,7 @@ class TestDistinctMatrices:
         assert hexes(table) == hexes(oracles.plain_subset_entropies(means))
         assert table[0b101] > 0.1 > table[0b001]
         draws = [(0,), (2,), (0, 2), (2, 1), (1, 0)]
-        assert chaos.greedy_groupings(means, table, oracles.seed_masks(draws)).tolist() == (
+        assert labels(chaos.greedy_groupings(means, table, oracles.seed_masks(draws))) == (
             oracles.plain_greedy_groupings(means, table, draws))
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -1373,8 +1485,20 @@ class TestDistinctMatrices:
         assert hexes(table) == hexes(expected)
         for _ in range(2):  # two draw sets per ensemble
             draws = data.draw(draw_sets(len(rhos)))
-            assert chaos.greedy_groupings(means, table, oracles.seed_masks(draws)).tolist() == (
+            assert labels(chaos.greedy_groupings(means, table, oracles.seed_masks(draws))) == (
                 oracles.plain_greedy_groupings(means, expected, draws))
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_rows_equal_the_mask_keyed_greedy(self, data, fig2_chaotic_ensemble, fig2_regular_ensemble):
+        # members repeated at random, or either fig5 map's histories
+        rhos = data.draw(st.one_of(repeated_member_ensembles(),
+                                   st.sampled_from([fig2_chaotic_ensemble, fig2_regular_ensemble])))
+        means = chaos.subset_means(rhos)
+        table = chaos.subset_entropies(means)
+        for _ in range(2):  # two draw sets per ensemble
+            seeds = oracles.seed_masks(data.draw(draw_sets(len(rhos))))
+            assert np.array_equal(chaos.greedy_groupings(means, table, seeds), mask_keyed_greedy(means, table, seeds))
 
 
 def binary_entropy(p: float) -> float:
@@ -1580,7 +1704,8 @@ class TestHypersensitivityExperiment:
         assert hex_points(chaos.hypersensitivity_experiment(cfg, n_steps).greedy_points) == hex_points(
             oracles.drawn_greedy_points(cfg, n_steps))
 
-    def test_greedy_diagonalises_once_per_memo_key(self, monkeypatch):
+    @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
+    def test_greedy_diagonalises_once_per_memo_key(self, variant, monkeypatch):
         calls, runs, diagonalised, inside, greedy_mixtures = [], [], [], [], Counter()
         greedy, eigvalsh = chaos.greedy_groupings, np.linalg.eigvalsh
 
@@ -1598,21 +1723,24 @@ class TestHypersensitivityExperiment:
             finally:
                 inside.pop()
             greedy_mixtures.update(m.tobytes() for m, _ in mixtures[before:])
-            runs.extend(zip(seeds, rows.tolist()))
+            runs.extend(zip(seeds, labels(rows)))
             return rows
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         monkeypatch.setattr(chaos, "greedy_groupings", counting_greedy)
         mixtures = record_mixtures(monkeypatch)
-        chaos.hypersensitivity_experiment(ExperimentConfig.preset("fig5"))
+        chaos.hypersensitivity_experiment(ExperimentConfig.preset("fig5", map_variant=variant))
         # one call for the whole job; it diagonalises exactly the mixtures
-        # of the multi-member entries the runs read, each once, and no
-        # one-member entry at all
+        # of the memo slots of the multi-member entries the runs read, each
+        # once, and no one-member entry at all: on the chaotic map each entry
+        # is its own slot, while the regular map's two states share them
         assert len(calls) == 1
         keys = set().union(*(memo_keys(seeds, row) for seeds, row in runs))
         assert all(mask.bit_count() > 1 for mask, _ in keys)
-        assert greedy_mixtures == memo_mixtures(calls[0], keys)
-        assert sum(diagonalised) == len(keys)
+        slots = memo_slots(calls[0], keys)
+        assert greedy_mixtures == memo_mixtures(calls[0], slots.values())
+        assert sum(diagonalised) == len(slots)
+        assert (len(slots) == len(keys)) == (variant == "chaotic")
         # at most one batched call for the mixtures of each placement: the
         # n - 2 placements of the two-group runs, where one call per k made
         # up to 21 and one call per draw about 210

@@ -190,6 +190,24 @@ class TestDelayPropagator:
         cfg = ExperimentConfig.preset(preset, hamiltonian=variant, convention=convention)
         assert_cache_equals_direct_build(cfg.engine())
 
+    @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4", "fig5"])
+    @pytest.mark.parametrize("convention", nmr.CONVENTIONS)
+    def test_t_even_resolves_alike_fresh_and_after_t_odd(self, convention, preset):
+        # under `full`, t_even's 2 tau1 delay is expm's on a fresh engine and
+        # t_odd's tau1 squared after t_odd: for every preset program the two
+        # are one set of bits, though not for every duration
+        cfg = ExperimentConfig.preset(preset, hamiltonian="full", convention=convention)
+        model = cfg.model()
+        fresh = cfg.engine().operators(nmr.t_even(model))
+        engine = cfg.engine()
+        engine.operators(nmr.t_odd(model))
+        after = engine.operators(nmr.t_even(model))
+        assert {model.tau1, 2 * model.tau1} <= engine._cache.keys()
+        assert len(after) == len(fresh) == 16
+        for pair, ref in zip(after, fresh):
+            for a, b in zip(pair, ref, strict=True):
+                assert (a is None) == (b is None) and (a is None or np.array_equal(a, b))
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(rates=st.tuples(*[st.floats(0, 1e5)] * 3), variant=st.sampled_from(nmr.VARIANTS),
            convention=st.sampled_from(nmr.CONVENTIONS))
