@@ -215,7 +215,9 @@ def _distinct_means(means) -> tuple[np.ndarray, np.ndarray]:
     the members are distinct by their bytes (the chaotic map), both are
     ``arange``: distinct means are not looked for.  When members repeat a
     state (the regular map's ensemble is two states), equal means are found
-    by one sort of the nonempty means' bytes and one compare of neighbours.
+    by one sort of the nonempty means' bytes and one compare of neighbours,
+    which takes under half the time of a dict keyed by each mean's
+    ``tobytes()`` on a fig5 regular table.
     """
     n = len(means).bit_length() - 1
     if len({member.tobytes() for member in means[1 << np.arange(n)]}) == n:
@@ -243,7 +245,11 @@ def subset_entropies(means) -> np.ndarray:
     n = len(means).bit_length() - 1
     if not 1 <= n <= MAX_SCAN_STATES or 2**n != len(means):
         raise ValueError(f"need a table of 2**n means for 1 to {MAX_SCAN_STATES} states")
-    ids, first = _distinct_means(means)
+    return _subset_entropies(means, *_distinct_means(means))
+
+
+def _subset_entropies(means, ids, first) -> np.ndarray:
+    """:func:`subset_entropies` of a valid table whose :func:`_distinct_means` are ``ids, first``."""
     return np.append(0.0, qstate.von_neumann_entropies_bits(means[first[1:]]))[ids]
 
 
@@ -324,12 +330,20 @@ def greedy_groupings(means, entropies, seeds) -> np.ndarray:
     masks = np.asarray(seeds)
     if masks.ndim != 2 or not len(masks) or not np.issubdtype(masks.dtype, np.integer):
         raise ValueError(bad_seeds)
-    masks = masks.astype(np.int64)  # a copy: the groups grow in place
+    masks = masks.astype(np.int64, copy=False)
     union = np.bitwise_or.reduce(masks, axis=1)
     if (((masks < 0) | (masks >= 1 << n) | ((masks & (masks - 1)) != 0)).any() or not union.all()
             or (masks.sum(axis=1) != union).any()):  # a repeated member: a row sums past its OR
         raise ValueError(bad_seeds)
-    ids, first = _distinct_means(means)
+    return _greedy_groupings(means, entropies, masks, *_distinct_means(means))
+
+
+def _greedy_groupings(means, entropies, seeds, ids, first) -> np.ndarray:
+    """:func:`greedy_groupings` of valid int64 ``seeds`` on a table whose
+    :func:`_distinct_means` are ``ids, first``; ``seeds`` is not written."""
+    n = len(entropies).bit_length() - 1
+    masks = seeds.copy()  # the groups grow in place
+    union = np.bitwise_or.reduce(masks, axis=1)
     bits = 1 << np.arange(n)
     cls = (ids[bits][:, None] == ids[bits]).argmax(axis=1)  # the lowest member with each one's bytes
     memo = np.full((len(first), n), np.nan)
@@ -658,11 +672,12 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
     mixture entropies; a repeated draw reads the same memo keys and lands
     on the same partition.  The exhaustive scan and greedy read one
     :func:`subset_means` table and its :func:`subset_entropies`, which also
-    gives every mixture of two states.  When the histories repeat a state,
-    as the regular map's two-state ensemble does, the table diagonalises
-    each distinct mean once, and greedy's memo, keyed by the table's
-    distinct means, each mixture of a distinct mean and a distinct member
-    once; every output keeps its bits.  Each
+    gives every mixture of two states.  The table's distinct means
+    (:func:`_distinct_means`) are found once per job and serve both.  When
+    the histories repeat a state, as the regular map's two-state ensemble
+    does, the table diagonalises each distinct mean once, and greedy's
+    memo, keyed by the table's distinct means, each mixture of a distinct
+    mean and a distinct member once; every output keeps its bits.  Each
     grouping is the scan row its grown masks name (:func:`_scan_positions`),
     and the Pareto filter reads each distinct row once.
     """
@@ -675,14 +690,15 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
             f" partition scan is limited to {MAX_SCAN_STATES} states"
         )
     means = subset_means(history_ensemble(config, n_steps))
-    entropies = subset_entropies(means)
+    distinct = _distinct_means(means)  # once per job: the table's and greedy's
+    entropies = _subset_entropies(means, *distinct)
     delta_s, info, s_max = partition_scan(entropies)
     frontier = _frontier_from_scan(delta_s, info)
     slope = frontier_slope(frontier)
     seeds = greedy_draws(config.seed, 2**n_steps)  # in draw order: argmin breaks exact ties by group order
     pos = [0, len(delta_s) - 1]  # one group, and one per state, whatever the seeds
     if len(seeds):
-        pos += _scan_positions(greedy_groupings(means, entropies, seeds), 2**n_steps).tolist()
+        pos += _scan_positions(_greedy_groupings(means, entropies, seeds, *distinct), 2**n_steps).tolist()
     pos = np.unique(pos)
     return HyperResult(
         s_bar_max=s_max,

@@ -80,6 +80,11 @@ MUTANTS = (
            "cls = (ids[bits][:, None] == ids[bits]).argmax(axis=1)",
            "cls = (ids[bits][:, None] != ids[bits]).argmax(axis=1)",
            (DISTINCT + "test_rows_equal_the_mask_keyed_greedy",)),
+    # the same bits, with a second dedupe of the table per job
+    Mutant("distinct-means-found-again-by-greedy", "chaos.py",
+           "_greedy_groupings(means, entropies, seeds, *distinct)",
+           "greedy_groupings(means, entropies, seeds)",
+           (HYPER + "test_distinct_means_found_once_per_job",)),
     Mutant("mixture-is-the-grown-mean", "chaos.py",
            "(means[first[mean]] + means[bits[member]]) / 2",
            "means[first[mean] | bits[member]]",

@@ -966,7 +966,19 @@ class TestGreedyGrouping:
             seen |= new.keys()
             if new:
                 first_read.append(memo_mixtures(means, new.values()))
+        # one matrix per memo slot.  Slots are keyed by (mean id, member
+        # class), not by bytes, so two slots' mixtures may match byte for
+        # byte, in one batch or across placements, and a mixture may match a
+        # mean the subset table already diagonalised: a batch's count may
+        # pass its distinct matrices.  On these draws the regular map
+        # diagonalises 24 matrices, 2 of them twice and 2 table means (no
+        # repeat within a batch), and the chaotic map none of either; no
+        # more may
         assert batches == [(set(slots), sum(slots.values())) for slots in first_read]
+        diagonalised = [m.tobytes() for m, _ in mixtures]
+        bound = 0 if variant == "chaotic" else 2
+        assert len(diagonalised) - len(set(diagonalised)) <= bound
+        assert len(set(diagonalised) & {m.tobytes() for m in means}) <= bound
         # and each entry is the entropy its index names: the members of mask
         # summed in ascending order, averaged, mixed with rhos[idx]; a slot
         # filled from the subset table holds the table's entry of its matrix
@@ -1639,17 +1651,17 @@ class TestHypersensitivityExperiment:
         n = 8
         draws = numpy_draws(cfg.seed, n)
         seen, calls = [], []
-        original = chaos.greedy_groupings
+        original = chaos._greedy_groupings
 
-        def counting(means, entropies, seeds):
+        def counting(means, entropies, seeds, ids, first):
             calls.append(len(seeds))
             seen.append(seeds)
-            return original(means, entropies, seeds)
+            return original(means, entropies, seeds, ids, first)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the experiment built a numpy generator")
 
-        monkeypatch.setattr(chaos, "greedy_groupings", counting)
+        monkeypatch.setattr(chaos, "_greedy_groupings", counting)
         for name in ("default_rng", "SeedSequence", "PCG64", "Generator"):
             monkeypatch.setattr(np.random, name, forbidden)
         chaos.hypersensitivity_experiment(cfg)
@@ -1707,19 +1719,19 @@ class TestHypersensitivityExperiment:
     @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
     def test_greedy_diagonalises_once_per_memo_key(self, variant, monkeypatch):
         calls, runs, diagonalised, inside, greedy_mixtures = [], [], [], [], Counter()
-        greedy, eigvalsh = chaos.greedy_groupings, np.linalg.eigvalsh
+        greedy, eigvalsh = chaos._greedy_groupings, np.linalg.eigvalsh
 
         def counting_eigvalsh(a):
             if inside:
                 diagonalised.append(math.prod(np.shape(a)[:-2]))
             return eigvalsh(a)
 
-        def counting_greedy(means, entropies, seeds):
+        def counting_greedy(means, entropies, seeds, ids, first):
             calls.append(means)
             inside.append(True)
             before = len(mixtures)
             try:
-                rows = greedy(means, entropies, seeds)
+                rows = greedy(means, entropies, seeds, ids, first)
             finally:
                 inside.pop()
             greedy_mixtures.update(m.tobytes() for m, _ in mixtures[before:])
@@ -1727,7 +1739,7 @@ class TestHypersensitivityExperiment:
             return rows
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-        monkeypatch.setattr(chaos, "greedy_groupings", counting_greedy)
+        monkeypatch.setattr(chaos, "_greedy_groupings", counting_greedy)
         mixtures = record_mixtures(monkeypatch)
         chaos.hypersensitivity_experiment(ExperimentConfig.preset("fig5", map_variant=variant))
         # one call for the whole job; it diagonalises exactly the mixtures
@@ -1746,6 +1758,14 @@ class TestHypersensitivityExperiment:
         # up to 21 and one call per draw about 210
         n = 8
         assert len(diagonalised) <= n - 2 == 6
+
+    @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
+    def test_distinct_means_found_once_per_job(self, variant, monkeypatch):
+        # the subset table and greedy's memo keys read one dedupe of the table
+        calls, distinct = [], chaos._distinct_means
+        monkeypatch.setattr(chaos, "_distinct_means", lambda means: calls.append(len(means)) or distinct(means))
+        chaos.hypersensitivity_experiment(ExperimentConfig.preset("fig5", map_variant=variant))
+        assert calls == [256]
 
     @pytest.mark.parametrize("hamiltonian", ["noxy", "full"])
     @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
