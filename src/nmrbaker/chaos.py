@@ -134,26 +134,33 @@ def _averaged_kick(rho: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (rho + z @ rho @ z) / 2
 
 
-def entropy_experiment(config: ExperimentConfig) -> list[tuple[int, float]]:
-    """Entropy in bits after 0..steps iterations of the chosen map.
-
-    Every step is evolved into one stack first.  One
-    :func:`lindblad._check_evolved` call then checks the evolved states in
-    step order, before any kick (which could average a defect away), and
-    one batched entropy call scores the ``steps + 1`` series states.
-    """
-    engine = config.engine()
-    states = np.empty((config.steps + 1, DIM, DIM), dtype=complex)
-    states[0] = rho = _INITIAL_DENSITY
-    evolved = np.empty_like(states[1:]) if config.artificial_perturbation else states[1:]
+def entropy_run(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``(states, spectra)``: each step's evolved state, then in a perturbed
+    run each step's averaged kick, in one stack allocated first (a step count
+    past memory fails at once), and the eigenvalues of the one
+    :func:`lindblad._check_evolved` call that checks it, evolved states first,
+    so a defect shows before a kick could average it away."""
+    states = np.empty(((1 + config.artificial_perturbation) * config.steps, DIM, DIM), dtype=complex)
+    rho = _INITIAL_DENSITY
     # past a bad step the state may overflow; the check reports that step
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, (operators, z) in enumerate(_steps(config, engine, config.steps)):
-            evolved[n] = rho = _evolve(rho, operators)
+        for n, (operators, z) in enumerate(_steps(config, config.engine(), config.steps)):
+            states[n] = rho = _evolve(rho, operators)
             if config.artificial_perturbation:
-                states[n + 1] = rho = _averaged_kick(rho, z)
-    _check_evolved(evolved)
-    return list(enumerate(qstate.von_neumann_entropies_bits(states).tolist()))
+                states[config.steps + n] = rho = _averaged_kick(rho, z)
+    return states, _check_evolved(states)
+
+
+@lru_cache(maxsize=1)  # on first use: at import every process would pay its eigvalsh
+def _initial_entropy() -> float:
+    return qstate.von_neumann_entropy_bits(_INITIAL_DENSITY)
+
+
+def entropy_experiment(config: ExperimentConfig) -> list[tuple[int, float]]:
+    """Entropy in bits after 0..steps iterations of the chosen map: S(rho_0),
+    then each of the last ``steps`` :func:`entropy_run` rows' from its spectra."""
+    spectra = entropy_run(config)[1][-config.steps:]
+    return list(enumerate([_initial_entropy(), *qstate.spectrum_entropies_bits(spectra).tolist()]))
 
 
 def history_ensemble(config: ExperimentConfig, n_steps: int) -> list[np.ndarray]:
@@ -684,9 +691,9 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
     n_steps = operator.index(config.steps if n_steps is None else n_steps)  # as in history_ensemble
     if n_steps < 1:
         raise ValueError("the experiment needs at least one step")
-    if 2**n_steps > MAX_SCAN_STATES:
+    if n_steps >= MAX_SCAN_STATES.bit_length():  # 2**n_steps > MAX_SCAN_STATES, without the power
         raise ValueError(
-            f"{n_steps} steps give {2**n_steps} histories; the exhaustive"
+            f"{n_steps} steps give 2**{n_steps} histories; the exhaustive"
             f" partition scan is limited to {MAX_SCAN_STATES} states"
         )
     means = subset_means(history_ensemble(config, n_steps))

@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 verification failure, 2 bad arguments,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from itertools import product
@@ -87,11 +88,7 @@ def _rk4_error() -> float:
 
 
 def _trace_drift() -> float:
-    cfg, rho, states = ExperimentConfig.preset("fig2"), chaos.initial_density(), []
-    for operators, _ in chaos._steps(cfg, cfg.engine(), 6):
-        rho = lindblad._evolve(rho, operators)
-        states.append(rho)
-    lindblad._check_evolved(np.array(states))
+    states, _ = chaos.entropy_run(ExperimentConfig.preset("fig2"))  # six unperturbed steps
     return max(abs(np.trace(rho).real - 1.0) for rho in states)
 
 
@@ -284,41 +281,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", newline="\n") as fh:
-            fh.write(text)
-
-
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "entropy":
-            _write(_run_entropy(args), args.out)
-        elif args.command == "hyper":
-            _write(_run_hyper(args), args.out)
-        elif args.command == "verify":
-            text, ok = _run_verify()
-            _write(text, args.out)
-            if not ok:
-                return 1
-        elif args.command == "compile":
-            _write(_run_compile(args), args.out)
+        if args.out is not None:  # an unwritable target fails before any work; no byte of it moves
+            new = not os.path.lexists(args.out)
+            open(args.out, "a").close()
+            if new:
+                os.remove(args.out)
+        runners = {"entropy": _run_entropy, "hyper": _run_hyper, "compile": _run_compile}
+        text, ok = _run_verify() if args.command == "verify" else (runners[args.command](args), True)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", newline="\n") as fh:
+                fh.write(text)
+        return 0 if ok else 1
     except PhysicsError as exc:
         print(f"physics violation: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a stack past memory, before any step
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 def main() -> None:

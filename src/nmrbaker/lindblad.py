@@ -29,9 +29,9 @@ commutator half of the generator once per Hamiltonian model
 and model (:func:`_pulses`), and each delay propagator once per engine.
 Every shared operator is read-only.  :func:`_evolve` only applies a
 resolved program to a state or stack; the states are checked once per
-run, by :func:`_check_evolved` in one stacked call, after the run has
-evolved them all.  :func:`run_sequence`, the public entry, checks its
-input states, evolves them and checks its output states.
+run, after it has evolved them all, by one stacked :func:`_check_evolved`
+call that also returns their spectra.  :func:`run_sequence`, the public
+entry, checks its input states, evolves them and checks its output states.
 """
 
 from __future__ import annotations
@@ -230,16 +230,17 @@ def _evolve(rho: np.ndarray, operators: tuple) -> np.ndarray:
     return rho
 
 
-def _check_evolved(states: np.ndarray) -> None:
-    """Raise :class:`PhysicsError` with the defects of the first invalid
-    state of ``states``, one matrix or a stack, from one check call
-    (positivity repair is deliberately not attempted: a violation
-    indicates a bug, not noise).  A run that stacks its states in step
-    order reports the state its first bad step produced, as a check
-    after each step would."""
-    defects = qstate.density_matrix_defects(states)
+def _check_evolved(states: np.ndarray) -> np.ndarray:
+    """The spectra of ``states``, one matrix or a stack, from one
+    :func:`qstate.density_matrix_spectra` call, or :class:`PhysicsError`
+    with the defects of its first invalid state (positivity repair is
+    deliberately not attempted: a violation indicates a bug, not noise).
+    A run that stacks its states in step order reports the state its
+    first bad step produced, as a check after each step would."""
+    defects, spectra = qstate.density_matrix_spectra(states)
     if defects:
         raise PhysicsError("evolution produced an invalid state: " + "; ".join(defects))
+    return spectra
 
 
 def run_sequence(rho0: np.ndarray, seq: PulseSequence, engine: EvolutionEngine) -> np.ndarray:

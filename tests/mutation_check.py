@@ -409,38 +409,50 @@ MUTANTS = (
            "if not np.isfinite(raw[:1]).all():",
            (STACKED + "test_one_bad_state_anywhere_gives_its_own_messages",)),
     Mutant("stack-hermiticity-test-reads-first-state-only", "qstate.py",
-           "np.abs(states - adjoint).max(",
-           "np.abs(states - adjoint)[:1].max(",
+           "np.abs(states - states.conj().swapaxes(-1, -2)).max(",
+           "np.abs(states - states.conj().swapaxes(-1, -2))[:1].max(",
            (STACKED + "test_one_bad_state_anywhere_gives_its_own_messages",)),
     Mutant("stack-trace-test-reads-first-state-only", "qstate.py",
            "np.trace(states, axis1=-2, axis2=-1)",
            "np.trace(states[:1], axis1=-2, axis2=-1)",
            (STACKED + "test_one_bad_state_anywhere_gives_its_own_messages",)),
     Mutant("stack-eigenvalue-test-reads-first-state-only", "qstate.py",
-           "np.linalg.eigvalsh((states + adjoint) / 2)",
-           "np.linalg.eigvalsh((states + adjoint)[:1] / 2)",
+           "w = np.linalg.eigvalsh(states)",
+           "w = np.linalg.eigvalsh(states[:1])",
            (STACKED + "test_one_bad_state_anywhere_gives_its_own_messages",)),
     Mutant("defects-report-last-bad-state", "qstate.py",
            "i = bad.argmax()",
            "i = len(bad) - 1 - bad[::-1].argmax()",
            (STACKED + "test_first_bad_state_is_the_one_reported",)),
     Mutant("evolve-output-check-dropped", "lindblad.py",
-           "defects = qstate.density_matrix_defects(states)\n",
-           "defects = []\n",
+           "defects, spectra = qstate.density_matrix_spectra(states)\n",
+           "defects, spectra = [], qstate.density_matrix_spectra(states)[1]\n",
            (RUN + "test_invalid_output_anywhere_in_a_stack_raises",
             "tests/test_cli.py::TestExitCodes::test_physics_violation_exits_three")),
     # a bad step before the last one then shows only as the later NaN
     Mutant("entropy-check-reads-the-last-state-only", "chaos.py",
-           "    _check_evolved(evolved)\n    return list(enumerate(",
-           "    _check_evolved(evolved[-1])\n    return list(enumerate(",
+           "return states, _check_evolved(states)",
+           "return states, _check_evolved(states[-1:])",
            (ENTROPY + "test_first_bad_step_raises_what_a_per_step_check_raised",)),
+    # a perturbed run's stack without its evolved half, so only the kicks are checked
     Mutant("perturbed-run-checks-the-kicked-states", "chaos.py",
-           "    _check_evolved(evolved)\n    return list(enumerate(",
-           "    _check_evolved(states[1:])\n    return list(enumerate(",
+           "return states, _check_evolved(states)",
+           "return states, _check_evolved(states[-config.steps:])",
            (ENTROPY + "test_defect_the_kick_would_erase_still_raises",)),
+    # the same series from a second eigvalsh, with the kicks left unchecked
+    Mutant("entropy-run-checks-the-evolved-half-only", "chaos.py",
+           "return states, _check_evolved(states)",
+           "return states, (_check_evolved(states[:config.steps]), np.linalg.eigvalsh(states))[1]",
+           ("tests/test_cli.py::TestExitCodes::test_last_kick_is_checked",)),
     Mutant("series-scores-the-unkicked-states", "chaos.py",
-           "qstate.von_neumann_entropies_bits(states)",
-           "qstate.von_neumann_entropies_bits(np.concatenate([states[:1], evolved]))",
+           "entropy_run(config)[1][-config.steps:]",
+           "entropy_run(config)[1][:config.steps]",
+           (ENTROPY + "test_equals_the_per_step_loop_bit_for_bit",)),
+    # the check's verdict is unchanged for a Hermitian state, but the series
+    # then comes from (rho + rho^dag)/2, not from the state eigvalsh reads
+    Mutant("series-from-the-hermitian-parts-spectra", "qstate.py",
+           "w = np.linalg.eigvalsh(states)",
+           "w = np.linalg.eigvalsh((states + states.conj().swapaxes(-1, -2)) / 2)",
            (ENTROPY + "test_equals_the_per_step_loop_bit_for_bit",)),
     Mutant("history-checks-its-last-step-only", "chaos.py",
            "    _check_evolved(evolved)\n    return list(states)",

@@ -34,8 +34,10 @@ def is_unitary(u, tol: float = 1e-10) -> bool:
 
 
 def single_state_defects(rho) -> list[str]:
-    """``qstate.density_matrix_defects`` as it was for one matrix before it
-    took stacks, test by test; the stacked check must give its messages."""
+    """``qstate.density_matrix_defects`` of one matrix, test by test; the
+    stacked check must give its messages.  The eigenvalue test diagonalises
+    the matrix itself (``eigvalsh`` reads its lower triangle) and applies
+    only to a matrix that passes the hermiticity test."""
     rho = np.asarray(rho)
     if not np.isfinite(rho).all():
         return [f"non-finite entries ({np.count_nonzero(~np.isfinite(rho))} of {rho.size})"]
@@ -46,8 +48,8 @@ def single_state_defects(rho) -> list[str]:
     tr = np.trace(rho)
     if abs(tr - 1.0) > qstate.TRACE_TOL:
         defects.append(f"trace {tr:.12g} deviates from 1 by {abs(tr - 1.0):.3e}")
-    wmin = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-    if wmin < -qstate.EIG_CLAMP:
+    wmin = np.linalg.eigvalsh(rho).min()
+    if herm <= qstate.HERMITICITY_TOL and wmin < -qstate.EIG_CLAMP:
         defects.append(f"negative eigenvalue {wmin:.3e}")
     return defects
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import operator
+import re
 from collections import Counter
 from itertools import chain, permutations, zip_longest
 
@@ -68,15 +69,16 @@ def basis_projectors(n=8):
 
 
 def record_checks(monkeypatch):
-    """Patch ``qstate.density_matrix_defects`` to record a (-1, 8, 8) copy
-    of the states each call checks; return that list."""
-    checked, check = [], qstate.density_matrix_defects
+    """Patch ``qstate.density_matrix_spectra``, the check that
+    ``lindblad._check_evolved`` calls, to record a (-1, 8, 8) copy of the
+    states each call checks; return that list."""
+    checked, check = [], qstate.density_matrix_spectra
 
     def recording(rho):
         checked.append(np.array(rho).reshape(-1, 8, 8))
         return check(rho)
 
-    monkeypatch.setattr(qstate, "density_matrix_defects", recording)
+    monkeypatch.setattr(qstate, "density_matrix_spectra", recording)
     return checked
 
 
@@ -363,8 +365,26 @@ class TestEntropyExperiment:
         cfg = ExperimentConfig.preset(preset, steps=5)
         checked = record_checks(monkeypatch)
         chaos.entropy_experiment(cfg)
-        # one stacked call over every step's evolved state
-        assert [len(states) for states in checked] == [cfg.steps]
+        # one stacked call over every step's evolved state, then every kick
+        assert [len(states) for states in checked] == [cfg.steps * (1 + cfg.artificial_perturbation)]
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig4"])
+    def test_each_state_is_diagonalised_once(self, preset, monkeypatch):
+        cfg = ExperimentConfig.preset(preset, steps=5)
+        chaos.entropy_experiment(cfg)  # takes the initial state's entropy, once per process
+        diagonalised, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: diagonalised.append(len(a)) or eigvalsh(a))
+        states, spectra = chaos.entropy_run(cfg)
+        chaos.entropy_experiment(cfg)
+        # the check's spectra give the series: one call for the whole stack
+        assert diagonalised == [len(states)] * 2
+        assert np.array_equal(spectra, eigvalsh(states))
+
+    def test_initial_entropy_equals_its_batched_value(self):
+        batch = np.array([chaos.initial_density(), np.eye(8) / 8])
+        assert chaos._initial_entropy().hex() == qstate.von_neumann_entropies_bits(batch)[0].hex()
+        assert chaos.entropy_experiment(ExperimentConfig.preset("fig2", steps=1))[0] == (
+            0, chaos._initial_entropy())
 
     @pytest.mark.parametrize("perturbed", [False, True])
     @pytest.mark.parametrize("hamiltonian", nmr.VARIANTS)
@@ -390,8 +410,10 @@ class TestEntropyExperiment:
             chaos.entropy_experiment(cfg)
         assert str(got.value) == str(want.value)
         [states] = checked
-        assert np.isfinite(states[:bad_step]).all()
-        assert not np.isfinite(states[bad_step + 1:]).any()
+        assert len(states) == cfg.steps * (1 + perturbed)
+        for half in states.reshape(1 + perturbed, cfg.steps, 8, 8):  # evolved states, then kicks
+            assert np.isfinite(half[:bad_step]).all()
+            assert not np.isfinite(half[bad_step + 1:]).any()
 
     @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
     def test_defect_the_kick_would_erase_still_raises(self, variant, monkeypatch):
@@ -1631,7 +1653,7 @@ class TestHypersensitivityExperiment:
             raise AssertionError("history ensemble built for a rejected step count")
 
         monkeypatch.setattr(chaos, "history_ensemble", forbidden)
-        with pytest.raises(ValueError, match="64 histories"):
+        with pytest.raises(ValueError, match=re.escape("6 steps give 2**6 histories")):
             chaos.hypersensitivity_experiment(ExperimentConfig.preset("fig2"))  # 6 steps
 
     def test_negative_seed_rejected_before_work(self, monkeypatch):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nmrbaker
-from nmrbaker import cli, nmr, qstate
+from nmrbaker import baker, chaos, cli, nmr, qstate
 from nmrbaker.chaos import ExperimentConfig
 
 
@@ -116,8 +116,8 @@ class TestVerifyCommand:
         assert [ln.split("  ")[0].rstrip() for ln in lines] == [name for name, _, _ in cli.CHECKS]
 
     def test_trace_drift_checks_its_six_states_once(self, monkeypatch):
-        checked, check = [], qstate.density_matrix_defects
-        monkeypatch.setattr(qstate, "density_matrix_defects",
+        checked, check = [], qstate.density_matrix_spectra
+        monkeypatch.setattr(qstate, "density_matrix_spectra",
                             lambda rho: checked.append(np.shape(rho)) or check(rho))
         assert cli.check("trace drift over six noisy steps").passed
         assert checked == [(6, 8, 8)]
@@ -201,6 +201,56 @@ class TestExitCodes:
         path = tmp_path / "does" / "not" / "exist" / "out.csv"
         assert cli.run(["entropy", "--steps", "1", "--out", str(path)]) == 4
 
+    @pytest.mark.parametrize("command, module, work", [
+        ("entropy", chaos, "entropy_experiment"), ("hyper", chaos, "hypersensitivity_experiment"),
+        ("verify", cli, "standard_checks"), ("compile", baker, "baker_gate_sequence")])
+    def test_unwritable_out_exits_four_before_any_work(self, command, module, work, tmp_path,
+                                                       monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(module, work, forbidden)
+        for target in (tmp_path / "missing" / "out.txt", tmp_path):  # no such directory; a directory
+            assert cli.run([command, "--out", str(target)]) == 4
+            with pytest.raises(OSError) as want:
+                open(target, "w")
+            assert capsys.readouterr() == ("", f"i/o failure: {want.value}\n")
+        with pytest.raises(AssertionError, match=f"{work} ran"):  # the patch is live
+            cli.run([command, "--out", str(tmp_path / "writable.txt")])
+        assert list(tmp_path.iterdir()) == []  # no empty file left behind
+
+    def test_failed_run_leaves_the_target_as_it_was(self, tmp_path, monkeypatch, capsys):
+        noise = ExperimentConfig.preset("fig2").noise()
+        object.__setattr__(noise, "gamma_c2", -2.5)  # as in test_physics_violation_exits_three
+        monkeypatch.setattr(ExperimentConfig, "noise", lambda self: noise)
+        existing, new = tmp_path / "existing.csv", tmp_path / "new.csv"
+        existing.write_bytes(b"earlier\r\noutput")
+        for target in existing, new:
+            assert cli.run(["entropy", "--steps", "1", "--out", str(target)]) == 3
+        assert existing.read_bytes() == b"earlier\r\noutput"
+        assert not new.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["hyper", "--steps", "100000000"], "2**100000000 histories"),
+        # a stack of about 1e18 bytes: past any 64-bit address space, so
+        # nothing is allocated whatever the overcommit mode
+        (["entropy", "--steps", "1000000000000000"], "Unable to allocate")], ids=["hyper", "entropy"])
+    def test_huge_step_count_exits_two(self, argv, message, capsys):
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid configuration: ") and message in captured.err
+
+    def test_last_kick_is_checked(self, monkeypatch, capsys):
+        # a kick that scales the state breaks its trace; only the kicked
+        # state shows it, and its entropy must not be printed
+        kick = chaos._averaged_kick
+        monkeypatch.setattr(chaos, "_averaged_kick", lambda rho, z: 1.01 * kick(rho, z))
+        assert cli.run(["entropy", "--preset", "fig4", "--steps", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "physics violation" in captured.err and "deviates from 1 by 1.000e-02" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["entropy", "--preset", "fig2", "--steps", "1", "--gamma-h", "1e-300"],
         ["hyper", "--preset", "fig5", "--gamma-c2", "1e-300"]], ids=["entropy", "hyper"])
@@ -233,6 +283,15 @@ def run_python(*args):
 def test_module_entry_point_runs_without_warning():
     proc = run_python("-W", "error::RuntimeWarning", "-m", "nmrbaker.cli", "compile")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_compile_process_diagonalises_nothing():
+    # the initial state's entropy is taken on first use, not at import
+    proc = run_python("-c", "import os, numpy as np; calls, eigvalsh = [], np.linalg.eigvalsh; "
+                            "np.linalg.eigvalsh = lambda a: calls.append(a) or eigvalsh(a); "
+                            "from nmrbaker import cli; print(cli.run(['compile', '--out', os.devnull]), len(calls))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0\n"
 
 
 def test_package_import_loads_every_module_but_cli():

@@ -241,6 +241,11 @@ BAD_STATES = {
     "hermiticity and trace": (with_entry(EYE / 4, (0, 1), 1e-6),
                               ["hermiticity violated by 1.000e-06",
                                "trace 2+0j deviates from 1 by 1.000e+00"]),
+    # the Hermitian part's spectrum holds -1e-6, but a state beyond the
+    # hermiticity tolerance gets no eigenvalue verdict
+    "hermiticity over a negative eigenvalue": (
+        with_entry(np.diag([1 + 1e-6, -1e-6, 0, 0, 0, 0, 0, 0]).astype(complex), (0, 1), 1e-6),
+        ["hermiticity violated by 1.000e-06"]),
 }
 
 
@@ -270,6 +275,32 @@ class TestStackedDensityChecks:
         states[1], states[2] = BAD_STATES["negative eigenvalue"][0], BAD_STATES["non-finite"][0]
         assert qstate.density_matrix_defects(states) == BAD_STATES["negative eigenvalue"][1]
         assert qstate.density_matrix_defects(states[::-1]) == BAD_STATES["non-finite"][1]
+
+    def test_hermiticity_failure_gets_no_eigenvalue_verdict(self):
+        bad, messages = BAD_STATES["hermiticity over a negative eigenvalue"]
+        assert np.linalg.eigvalsh((bad + bad.conj().T) / 2)[0] < -qstate.EIG_CLAMP
+        assert qstate.density_matrix_defects(bad) == messages
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_lower_triangle_spectrum_within_weyl_bound(self, seed):
+        # within the hermiticity tolerance, the spectrum eigvalsh reads from
+        # the lower triangle is within 8 * tol / 2 of the Hermitian part's
+        rng = np.random.default_rng(seed)
+        rho = random_densities(rng, (1,))[0]
+        noise = rng.uniform(-1, 1, (8, 8)) + 1j * rng.uniform(-1, 1, (8, 8))
+        rho = rho + noise * (qstate.HERMITICITY_TOL / 2 / np.abs(noise).max())
+        assert np.abs(rho - rho.conj().T).max() <= qstate.HERMITICITY_TOL
+        shift = np.linalg.eigvalsh(rho) - np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+        assert np.abs(shift).max() <= 4 * qstate.HERMITICITY_TOL < qstate.EIG_CLAMP
+
+    def test_spectra_are_the_states_own(self):
+        states = random_densities(np.random.default_rng(2), (2, 3))
+        defects, w = qstate.density_matrix_spectra(states)
+        assert defects == [] and np.array_equal(w, np.linalg.eigvalsh(states.reshape(-1, 8, 8)))
+        states[1, 0] = BAD_STATES["non-finite"][0]
+        defects, w = qstate.density_matrix_spectra(states)
+        assert defects == BAD_STATES["non-finite"][1] and np.array_equal(w[3], np.zeros(8))
 
     def test_empty_stack_has_no_defects(self):
         assert qstate.density_matrix_defects(np.zeros((0, 8, 8))) == []
