@@ -288,10 +288,10 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if args.out is not None:  # an unwritable target fails before any work; no byte of it moves
-            new = not os.path.lexists(args.out)
+            new = not os.path.exists(args.out)  # a dangling link names a new file
             open(args.out, "a").close()
             if new:
-                os.remove(args.out)
+                os.remove(os.path.realpath(args.out))  # the file opening created, not a link to it
         runners = {"entropy": _run_entropy, "hyper": _run_hyper, "compile": _run_compile}
         text, ok = _run_verify() if args.command == "verify" else (runners[args.command](args), True)
         if args.out is None:

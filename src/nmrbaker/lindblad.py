@@ -28,10 +28,12 @@ commutator half of the generator once per Hamiltonian model
 (:data:`_DEPHASING`), one pair (u, u^dag) per run of back-to-back pulses
 and model (:func:`_pulses`), and each delay propagator once per engine.
 Every shared operator is read-only.  :func:`_evolve` only applies a
-resolved program to a state or stack; the states are checked once per
-run, after it has evolved them all, by one stacked :func:`_check_evolved`
-call that also returns their spectra.  :func:`run_sequence`, the public
-entry, checks its input states, evolves them and checks its output states.
+resolved program to a state or stack, through ``np.dot`` for one state and
+``np.matmul`` for a stack (the same BLAS calls); :func:`apply_superoperator`
+is its delay product.  The states are checked once per run, after it has
+evolved them all, by one stacked :func:`_check_evolved` call that also
+returns their spectra.  :func:`run_sequence`, the public entry, checks its
+input states, evolves them and checks its output states.
 """
 
 from __future__ import annotations
@@ -130,10 +132,9 @@ def _pulses(run: tuple[PulseInstruction, ...], model: HamiltonianModel) -> tuple
 
 def apply_superoperator(propagator: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """``propagator`` applied to a density matrix or to each of a
-    (..., 8, 8) stack: one stacked matmul over the row-stacked states, each
+    (..., 8, 8) stack, through :func:`_evolve`'s delay product, each
     product equal to the product on its state alone."""
-    rho = np.asarray(rho, dtype=complex)
-    return (propagator @ rho.reshape(-1, DIM * DIM, 1)).reshape(rho.shape)
+    return _evolve(np.asarray(rho, dtype=complex), ((propagator, None),))
 
 
 class EvolutionEngine:
@@ -222,11 +223,16 @@ class EvolutionEngine:
 
 def _evolve(rho: np.ndarray, operators: tuple) -> np.ndarray:
     """Apply ``operators`` (:meth:`EvolutionEngine.operators`) to a complex
-    state or (..., 8, 8) stack, each state exactly as alone.  It checks
-    nothing: each run checks the states it evolved with one
-    :func:`_check_evolved` call."""
+    state or (..., 8, 8) stack, each state exactly as alone: a delay times
+    the row-stacked state (a 64-vector, or a stack of 64x1 columns), a pulse
+    pair (u, u^dag) as ``(u rho) u^dag``.  One state goes through ``np.dot``,
+    which dispatches faster, a stack through ``np.matmul``: the same BLAS
+    calls, so the same bits.  It checks nothing: each run checks the states
+    it evolved with one :func:`_check_evolved` call."""
+    shape = rho.shape
+    product, flat = (np.dot, DIM * DIM) if rho.ndim == 2 else (np.matmul, (-1, DIM * DIM, 1))
     for a, b in operators:
-        rho = apply_superoperator(a, rho) if b is None else a @ rho @ b
+        rho = product(a, rho.reshape(flat)).reshape(shape) if b is None else product(product(a, rho), b)
     return rho
 
 

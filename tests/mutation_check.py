@@ -484,9 +484,21 @@ MUTANTS = (
            ("tests/test_lindblad.py::TestDelayPropagator::test_rk4_agrees_with_exact_exponential",)),
     # the drift fails the run's output check first, so verify exits 3
     Mutant("delay-gains-trace", "lindblad.py",
-           "return (propagator @ rho.reshape(",
-           "return (1 + 1e-9) * (propagator @ rho.reshape(",
+           "rho = product(a, rho.reshape(flat))",
+           "rho = (1 + 1e-9) * product(a, rho.reshape(flat))",
            (VERIFY,)),
+    # (u rho) u^dag becomes u (rho u^dag): equal but for round-off
+    Mutant("lone-state-pulse-pair-reassociated", "lindblad.py",
+           "product(product(a, rho), b)",
+           "product(a, product(rho, b))",
+           (ENTROPY + "test_equals_the_per_step_loop_bit_for_bit",
+            RUN + "test_lone_state_equals_its_stack_row_and_the_matmul_loop_byte_for_byte")),
+    # each state read column by column: the delay acts on its transpose
+    Mutant("lone-state-delay-flattened-in-fortran-order", "lindblad.py",
+           "rho.reshape(flat)",
+           'rho.reshape(flat, order="F")',
+           (ENTROPY + "test_equals_the_per_step_loop_bit_for_bit",
+            RUN + "test_lone_state_equals_its_stack_row_and_the_matmul_loop_byte_for_byte")),
     # 2 tau1 becomes tau1's propagator: t_even's long delays halve
     Mutant("doubled-delay-not-squared", "lindblad.py",
            "prop = half @ half",

@@ -12,7 +12,7 @@ from nmrbaker import chaos, qstate
 from nmrbaker.chaos import (GREEDY_RESTARTS, HypersensitivityCurve, _frontier_from_scan, _pareto_points,
                             history_ensemble, initial_density, js_distance, partition_scan, set_partitions,
                             subset_entropies, subset_means)
-from nmrbaker.lindblad import DIM, EvolutionEngine, NoiseModel, PhysicsError, apply_superoperator
+from nmrbaker.lindblad import DIM, EvolutionEngine, NoiseModel, PhysicsError
 from nmrbaker.nmr import (LIFTED_PAULI, SPIN_C2, SPIN_H, SPINS, PulseInstruction, PulseSequence, pulse_unitary,
                           t_even, t_odd, t_regular)
 from nmrbaker.qstate import ID2, PAULI_X, PAULI_Y
@@ -89,6 +89,16 @@ def kron_liouvillian(model, noise: NoiseModel) -> np.ndarray:
     return gen
 
 
+def matmul_evolve(rho, operators) -> np.ndarray:
+    """``lindblad._evolve`` spelled out with ``@`` alone, on one state as on
+    a stack: each delay ``(a @ rho.reshape(-1, 64, 1))`` reshaped back, each
+    pulse pair ``a @ rho @ b``.  The package, which takes ``np.dot`` for one
+    state, must equal it byte for byte."""
+    for a, b in operators:
+        rho = (a @ rho.reshape(-1, DIM * DIM, 1)).reshape(rho.shape) if b is None else a @ rho @ b
+    return rho
+
+
 def per_instruction_program(rho, seq: PulseSequence, engine: EvolutionEngine) -> np.ndarray:
     """``seq`` applied to one state one instruction at a time: each pulse
     as u rho u^dag with its own ``nmr.pulse_unitary`` u, each delay as its
@@ -98,7 +108,7 @@ def per_instruction_program(rho, seq: PulseSequence, engine: EvolutionEngine) ->
     (``t_regular``)."""
     for ins in seq.instructions:
         if ins.op == "U":
-            rho = apply_superoperator(engine.delay_propagator(ins.value), rho)
+            rho = matmul_evolve(rho, ((engine.delay_propagator(ins.value), None),))
         else:
             u = pulse_unitary(ins, engine.model)
             rho = u @ rho @ u.conj().T
@@ -156,8 +166,7 @@ def per_step_entropy_series(config) -> list[tuple[int, float]]:
     rho = initial_density()
     series = [(0, qstate.von_neumann_entropy_bits(rho))]
     for n, (operators, z) in enumerate(chaos._steps(config, engine, config.steps), start=1):
-        for a, b in operators:
-            rho = apply_superoperator(a, rho) if b is None else a @ rho @ b
+        rho = matmul_evolve(rho, operators)
         defects = qstate.density_matrix_defects(rho)
         if defects:
             raise PhysicsError("evolution produced an invalid state: " + "; ".join(defects))

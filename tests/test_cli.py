@@ -230,6 +230,22 @@ class TestExitCodes:
         assert existing.read_bytes() == b"earlier\r\noutput"
         assert not new.exists()
 
+    def test_failed_run_through_a_dangling_link_creates_no_file(self, tmp_path, capsys):
+        link, target = tmp_path / "out.txt", tmp_path / "target.txt"
+        link.symlink_to(target.name)
+        assert cli.run(["hyper", "--steps", "100", "--out", str(link)]) == 2
+        assert not target.exists()
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert sorted(tmp_path.iterdir()) == [link]
+
+    def test_run_writes_through_a_dangling_link(self, tmp_path, capsys):
+        link, target = tmp_path / "out.txt", tmp_path / "target.txt"
+        link.symlink_to(target.name)
+        assert cli.run(["entropy", "--steps", "1", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        cli.run(["entropy", "--steps", "1"])
+        assert target.read_text() == capsys.readouterr().out != ""
+
     @pytest.mark.parametrize("argv, message", [
         (["hyper", "--steps", "100000000"], "2**100000000 histories"),
         # a stack of about 1e18 bytes: past any 64-bit address space, so

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -443,15 +445,43 @@ class TestRunSequence:
             stacked = lindblad.run_sequence(states.reshape(2, 2, 8, 8), program, engine)
             assert stacked.shape == (2, 2, 8, 8)
             for got, rho in zip(stacked.reshape(4, 8, 8), states):
-                assert np.array_equal(got, lindblad.run_sequence(rho, program, engine))
+                # by bytes: array_equal takes -0.0 for +0.0
+                assert got.tobytes() == lindblad.run_sequence(rho, program, engine).tobytes()
 
     def test_superoperator_on_a_stack_equals_each_state_alone(self, engine, model):
         prop = engine.delay_propagator(model.tau1)
         states = np.array([plus_y_density(), np.eye(8) / 8, np.diag(np.arange(8.0)) / 28])
         stacked = lindblad.apply_superoperator(prop, states)
         for got, rho in zip(stacked, states):
-            assert np.array_equal(got, lindblad.apply_superoperator(prop, rho))
-            assert np.array_equal(got, (prop @ rho.astype(complex).reshape(-1)).reshape(8, 8))
+            assert got.tobytes() == lindblad.apply_superoperator(prop, rho).tobytes()
+            assert got.tobytes() == (prop @ rho.astype(complex).reshape(-1)).reshape(8, 8).tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(variant=st.sampled_from(nmr.VARIANTS), map_variant=st.sampled_from(chaos.MAP_VARIANTS),
+           convention=st.sampled_from(nmr.CONVENTIONS), perturbed=st.booleans(),
+           inverse_times=st.tuples(*[st.just(math.inf) | st.floats(0.05, 20)] * 3))
+    def test_lone_state_equals_its_stack_row_and_the_matmul_loop_byte_for_byte(
+            self, variant, map_variant, convention, perturbed, inverse_times):
+        # an entropy run's state, step by step, as row 0 of a stack with two
+        # other states; a perturbed run's averaged kicks write exact zeros,
+        # whose signs array_equal would not compare
+        cfg = ExperimentConfig(map_variant=map_variant, hamiltonian=variant, convention=convention,
+                               inv_gamma_h=inverse_times[0], inv_gamma_c1=inverse_times[1],
+                               inv_gamma_c2=inverse_times[2], steps=4,
+                               artificial_perturbation=perturbed)
+        rho = chaos.initial_density()
+        z_h = nmr.LIFTED_PAULI["Z", SPIN_H]
+        stack = np.array([rho, z_h @ rho @ z_h, (rho + np.eye(8) / 8) / 2])
+        for operators, z in chaos._steps(cfg, cfg.engine(), cfg.steps):
+            lone, stacked = lindblad._evolve(rho, operators), lindblad._evolve(stack, operators)
+            assert stacked.shape == stack.shape
+            assert lone.tobytes() == stacked[0].tobytes()
+            assert lone.tobytes() == oracles.matmul_evolve(rho, operators).tobytes()
+            assert stacked.tobytes() == oracles.matmul_evolve(stack, operators).tobytes()
+            if perturbed:
+                lone, stacked = chaos._averaged_kick(lone, z), np.array(
+                    [chaos._averaged_kick(state, z) for state in stacked])
+            rho, stack = lone, stacked
 
     @pytest.mark.parametrize("bad", range(3))
     def test_invalid_input_anywhere_in_a_stack_rejected(self, engine, model, bad):
