@@ -69,6 +69,8 @@ class ExperimentConfig:
             raise ValueError("need at least one step")
         if operator.index(self.seed) < 0:
             raise ValueError(f"the greedy seed must be >= 0, got seed={self.seed}")
+        if not isinstance(self.artificial_perturbation, (bool, np.bool_)):  # it sizes entropy_run's stack
+            raise ValueError(f"artificial_perturbation must be a bool, got {self.artificial_perturbation!r}")
 
     @classmethod
     def preset(cls, name: str, **overrides) -> "ExperimentConfig":
@@ -118,7 +120,7 @@ def _steps(config: ExperimentConfig, engine: EvolutionEngine, n_steps: int) -> l
     steps and C2 after even ones (the same logical qubit, since the labels
     alternate); the reference map runs ``t_regular`` and kicks H.  Only
     the programs used are resolved, once: a ``full`` engine pays expm."""
-    t_odd, t_even, t_regular = _programs(config.model())
+    t_odd, t_even, t_regular = _programs(engine.model)
     cycle = ([(t_odd, SPIN_H), (t_even, SPIN_C2)][:n_steps] if config.map_variant == "chaotic"
              else [(t_regular, SPIN_H)])
     resolved = [(engine.operators(program), LIFTED_PAULI["Z", spin]) for program, spin in cycle]
@@ -301,6 +303,12 @@ def js_distance(a: np.ndarray, b: np.ndarray) -> float:
     return max(s_mix - s_avg, 0.0)
 
 
+def _unique(values) -> np.ndarray:
+    """``np.unique`` of integers (numpy 2.4's imports ``numpy.ma``): sorted, each that differs from the last."""
+    values = np.sort(values, axis=None)
+    return np.concatenate([values[:1], values[1:][values[1:] != values[:-1]]])
+
+
 def greedy_groupings(means, entropies, seeds) -> np.ndarray:
     """Nearly optimal groupings of an ensemble, one row of group masks per seed row.
 
@@ -364,7 +372,7 @@ def _greedy_groupings(means, entropies, seeds, ids, first) -> np.ndarray:
         idx = pending[rows, step]
         m = masks[rows]
         keys = ids[m] * n + cls[idx][:, None]
-        new = np.unique(keys[np.isnan(memo[keys])])
+        new = _unique(keys[np.isnan(memo[keys])])
         if len(new):
             mean, member = np.divmod(new, n)
             memo[new] = qstate.von_neumann_entropies_bits((means[first[mean]] + means[bits[member]]) / 2)
@@ -706,7 +714,7 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
     pos = [0, len(delta_s) - 1]  # one group, and one per state, whatever the seeds
     if len(seeds):
         pos += _scan_positions(_greedy_groupings(means, entropies, seeds, *distinct), 2**n_steps).tolist()
-    pos = np.unique(pos)
+    pos = _unique(pos)
     return HyperResult(
         s_bar_max=s_max,
         frontier=frontier,

@@ -11,43 +11,40 @@ unitaries that interrupt the continuous evolution.
 Delay propagators are built by exponentiating the 64x64 generator in
 vectorized (row-stacked) form, once per distinct duration, which is
 exact and deterministic.  Under the ``noxy`` and ``simplified``
-Hamiltonians the generator is diagonal and is exponentiated elementwise
-in numpy; only the ``full`` variant's generator, which is not, loads
-``scipy.linalg`` for ``expm``, so other runs never import scipy.  A
-``full`` delay exactly twice one already built is that propagator
-squared, not a further ``expm`` (see :class:`EvolutionEngine`).  A
-fixed-step RK4 solution of the same generator
-(``EvolutionEngine._rk4_propagator``) is kept only as the cross-check
-that ``nmrbaker verify`` runs.  The tests add a second, statistical
-cross-check: a quantum-trajectory unraveling (Z jumps as Poisson
-processes) in ``tests/oracles.py``.
+Hamiltonians the generator is diagonal: an engine sums only its 64
+diagonal entries and exponentiates them elementwise in numpy.  Only the
+``full`` variant's generator, which is not, is built dense and loads
+``scipy.linalg`` for ``expm``; a ``full`` delay exactly twice one already
+built is that propagator squared (see :class:`EvolutionEngine`).  A
+fixed-step RK4 solution (``EvolutionEngine._rk4_propagator``) is kept
+only as the cross-check that ``nmrbaker verify`` runs; the tests add a
+quantum-trajectory unraveling in ``tests/oracles.py``.
 
 Each operator is built once, where every user can share it: the
-commutator half of the generator once per Hamiltonian model
-(:func:`_commutator`), each spin's dephasing term at import
-(:data:`_DEPHASING`), one pair (u, u^dag) per run of back-to-back pulses
-and model (:func:`_pulses`), and each delay propagator once per engine.
-Every shared operator is read-only.  :func:`_evolve` only applies a
-resolved program to a state or stack, through ``np.dot`` for one state and
-``np.matmul`` for a stack (the same BLAS calls); :func:`apply_superoperator`
-is its delay product.  The states are checked once per run, after it has
-evolved them all, by one stacked :func:`_check_evolved` call that also
-returns their spectra.  :func:`run_sequence`, the public entry, checks its
-input states, evolves them and checks its output states.
+commutator half of the generator, and whether it is diagonal, once per
+Hamiltonian model (:func:`_commutator`), each spin's dephasing term at
+import (:data:`_DEPHASING`), each program's :func:`_plan` once per model,
+and each delay propagator once per engine.  Every shared operator is
+read-only.  :func:`_evolve` only applies a resolved program to a state or
+stack, through ``np.ndarray.dot`` for one state and ``np.matmul`` for a
+stack (the same BLAS calls); :func:`apply_superoperator` is its delay
+product.  The states are checked once per run, after it has evolved them
+all, by one stacked :func:`_check_evolved` call that also returns their
+spectra.  :func:`run_sequence`, the public entry, checks its input
+states, evolves them and checks its output states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby
 
 import numpy as np
 
 from . import qstate
-from .nmr import (LIFTED_PAULI, SPINS, HamiltonianModel, PulseInstruction, PulseSequence,
-                  pulse_unitary)
+from .nmr import LIFTED_PAULI, SPINS, HamiltonianModel, PulseSequence, pulse_unitary
 
 DIM = 8
 
@@ -88,15 +85,26 @@ _DEPHASING = {spin: np.kron(z, z.T) - np.eye(DIM * DIM)
               for spin in SPINS for z in [LIFTED_PAULI["Z", spin]]}
 for _op in _DEPHASING.values():
     _op.flags.writeable = False
+_DEPHASING_DIAGONAL = {spin: np.diag(op) for spin, op in _DEPHASING.items()}  # read-only views
 
 
 @lru_cache(maxsize=64)
-def _commutator(model: HamiltonianModel) -> np.ndarray:
-    """-i (H kron I - I kron H^T), once per distinct (frozen, hashable) model."""
-    h = model.matrix()
-    eye = np.eye(DIM)
+def _commutator(model: HamiltonianModel) -> tuple:
+    """-i (H kron I - I kron H^T) and, if it is diagonal (every variant but
+    ``full``), a view of its diagonal, else None: once per distinct model."""
+    h, eye = model.matrix(), np.eye(DIM)
     gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     gen.flags.writeable = False
+    return gen, np.diag(gen) if np.array_equal(gen, np.diag(np.diag(gen))) else None
+
+
+def _rated(commutator: np.ndarray, dephasing: dict, noise: NoiseModel) -> np.ndarray:
+    """``commutator`` plus each nonzero rate times its spin's ``dephasing`` term, added in place
+    in spin order: the dense generator from dense parts, its diagonal's bits from diagonals."""
+    gen = commutator.copy()
+    for spin, g in noise.items():
+        if g:
+            gen += g * dephasing[spin]
     return gen
 
 
@@ -108,33 +116,34 @@ def liouvillian(model: HamiltonianModel, noise: NoiseModel) -> np.ndarray:
     Gamma (Z kron Z - I).  Both parts are built once and shared, so a
     call adds rates times constants and runs no ``np.kron``.
     """
-    gen = _commutator(model).copy()
-    for spin, g in noise.items():
-        if g:
-            gen += g * _DEPHASING[spin]
-    return gen
+    return _rated(_commutator(model)[0], _DEPHASING, noise)
 
 
-@lru_cache(maxsize=1024)
-def _pulses(run: tuple[PulseInstruction, ...], model: HamiltonianModel) -> tuple:
-    """(u, u^dag) of a run of back-to-back X/Y rotations: u is the product
-    of their :func:`nmr.pulse_unitary` matrices, first pulse applied first,
-    starting from the first pulse's own matrix, so a one-pulse run is that
-    pulse's pair.  Read-only, as every engine that runs the run shares it."""
-    first, *rest = run
-    u = pulse_unitary(first, model)
-    for instruction in rest:
-        u = pulse_unitary(instruction, model) @ u
-    uh = u.conj().T
-    u.flags.writeable = uh.flags.writeable = False
-    return u, uh
+@lru_cache(maxsize=256)
+def _plan(seq: PulseSequence, model: HamiltonianModel) -> tuple:
+    """``seq`` under ``model``: a pair (u, u^dag) per run of back-to-back X/Y rotations, u the
+    product of their :func:`nmr.pulse_unitary` matrices from the first pulse's own, and
+    ``(duration, None)`` per delay, in order.  Read-only: every engine of the model shares it."""
+    plan = []
+    for pulses, run in groupby(seq.instructions, key=lambda ins: ins.op != "U"):
+        if not pulses:
+            plan.extend((ins.value, None) for ins in run)
+            continue
+        first, *rest = run
+        u = pulse_unitary(first, model)
+        for instruction in rest:
+            u = pulse_unitary(instruction, model) @ u
+        uh = u.conj().T
+        u.flags.writeable = uh.flags.writeable = False
+        plan.append((u, uh))
+    return tuple(plan)
 
 
 def apply_superoperator(propagator: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """``propagator`` applied to a density matrix or to each of a
-    (..., 8, 8) stack, through :func:`_evolve`'s delay product, each
-    product equal to the product on its state alone."""
-    return _evolve(np.asarray(rho, dtype=complex), ((propagator, None),))
+    """``propagator`` (any array-like) applied to a density matrix or to
+    each of a (..., 8, 8) stack, through :func:`_evolve`'s delay product,
+    each product equal to the product on its state alone."""
+    return _evolve(np.asarray(rho, dtype=complex), ((np.asarray(propagator), None),))
 
 
 class EvolutionEngine:
@@ -146,13 +155,14 @@ class EvolutionEngine:
     thread-safe memo: racing threads may each build an entry, but all
     get the first one stored, so independent evolutions may run
     concurrently.  The module-level ``lru_cache``s (:func:`_commutator`,
-    :func:`_pulses`) may hand racing threads equal, not identical, arrays.
+    :func:`_plan`) may hand racing threads equal, not identical, arrays.
 
-    A generator with no nonzero off-diagonal entry (every variant but
-    ``full``) is exponentiated elementwise, the expression
-    ``scipy.linalg.expm`` itself evaluates for a diagonal matrix, so the
-    result is the same to the bit; only a non-diagonal generator imports
-    ``scipy.linalg``.
+    A diagonal generator (every variant but ``full``) is held as its 64
+    diagonal entries, summed as :func:`liouvillian` sums the dense one, and
+    exponentiated elementwise, the expression ``scipy.linalg.expm`` itself
+    evaluates for a diagonal matrix, so the result is the same to the bit.
+    The dense generator is built on first use, by a ``full`` engine's first
+    ``expm`` (only it imports ``scipy.linalg``) or :meth:`_rk4_propagator`.
 
     On the non-diagonal path a duration whose half is cached is built as
     ``half @ half``.  ``expm`` is scaling and squaring (Higham, SIAM J.
@@ -170,11 +180,13 @@ class EvolutionEngine:
     def __init__(self, model: HamiltonianModel, noise: NoiseModel):
         self.model = model
         self.noise = noise
-        self._generator = liouvillian(model, noise)
-        diagonal = np.diag(self._generator)
-        self._diagonal = (diagonal if np.array_equal(self._generator, np.diag(diagonal))
-                          else None)
+        diagonal = _commutator(model)[1]
+        self._diagonal = None if diagonal is None else _rated(diagonal, _DEPHASING_DIAGONAL, noise)
         self._cache: dict[float, np.ndarray] = {}
+
+    @cached_property
+    def _generator(self) -> np.ndarray:  # the dense generator, on first use
+        return liouvillian(self.model, self.noise)
 
     def delay_propagator(self, duration: float) -> np.ndarray:
         """Completely positive trace-preserving map for one delay."""
@@ -198,16 +210,10 @@ class EvolutionEngine:
         return self._cache.setdefault(key, prop)
 
     def operators(self, seq: PulseSequence) -> tuple:
-        """``seq`` resolved into what :func:`_evolve` applies, in order: one
-        :func:`_pulses` pair (u, u^dag) per run of back-to-back pulses and
-        ``(propagator, None)`` for each delay."""
-        operators = []
-        for pulses, run in groupby(seq.instructions, key=lambda ins: ins.op != "U"):
-            if pulses:
-                operators.append(_pulses(tuple(run), self.model))
-            else:
-                operators.extend((self.delay_propagator(ins.value), None) for ins in run)
-        return tuple(operators)
+        """``seq`` resolved into what :func:`_evolve` applies: its
+        :func:`_plan`, each delay's duration replaced by its propagator."""
+        return tuple(step if step[1] is not None else (self.delay_propagator(step[0]), None)
+                     for step in _plan(seq, self.model))
 
     def _rk4_propagator(self, duration: float) -> np.ndarray:
         """Fixed-step RK4 cross-check of :meth:`delay_propagator`: on this
@@ -225,12 +231,13 @@ def _evolve(rho: np.ndarray, operators: tuple) -> np.ndarray:
     """Apply ``operators`` (:meth:`EvolutionEngine.operators`) to a complex
     state or (..., 8, 8) stack, each state exactly as alone: a delay times
     the row-stacked state (a 64-vector, or a stack of 64x1 columns), a pulse
-    pair (u, u^dag) as ``(u rho) u^dag``.  One state goes through ``np.dot``,
-    which dispatches faster, a stack through ``np.matmul``: the same BLAS
-    calls, so the same bits.  It checks nothing: each run checks the states
-    it evolved with one :func:`_check_evolved` call."""
+    pair (u, u^dag) as ``(u rho) u^dag``.  One state goes through the
+    unbound ``np.ndarray.dot`` (operators must be ndarrays), which skips
+    ``np.dot``'s Python-level dispatcher, a stack through ``np.matmul``: the
+    same BLAS calls, so the same bits.  It checks nothing: each run checks
+    the states it evolved with one :func:`_check_evolved` call."""
     shape = rho.shape
-    product, flat = (np.dot, DIM * DIM) if rho.ndim == 2 else (np.matmul, (-1, DIM * DIM, 1))
+    product, flat = (np.ndarray.dot, DIM * DIM) if rho.ndim == 2 else (np.matmul, (-1, DIM * DIM, 1))
     for a, b in operators:
         rho = product(a, rho.reshape(flat)).reshape(shape) if b is None else product(product(a, rho), b)
     return rho

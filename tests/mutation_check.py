@@ -36,6 +36,7 @@ LIOUVILLIAN = "tests/test_lindblad.py::TestLiouvillian::"
 RUN = "tests/test_lindblad.py::TestRunSequence::"
 OPERATORS = "tests/test_lindblad.py::TestOperators::"
 DELAY = "tests/test_lindblad.py::TestDelayPropagator::"
+GENERATOR = "tests/test_lindblad.py::TestGeneratorBuilds::"
 ORACLE = CHAOS + "TestPerInstructionOracle::"
 DISTINCT = CHAOS + "TestDistinctMatrices::"
 ENTROPY = CHAOS + "TestEntropyExperiment::"
@@ -386,10 +387,22 @@ MUTANTS = (
            "return 21 * self.tau1 / 16",
            "return 5 * self.tau1 / 4",
            (ACCEPT + "3_pulse_compiler_correctness",)),
+    # the one rate sum of the dense generator and of a diagonal engine's
     Mutant("dephasing-rate-doubled", "lindblad.py",
-           "gen += g * _DEPHASING[spin]",
-           "gen += 2 * g * _DEPHASING[spin]",
+           "gen += g * dephasing[spin]",
+           "gen += 2 * g * dephasing[spin]",
            (VERIFY,)),
+    # a diagonal engine's sum drops H's term, which the dense build keeps
+    Mutant("diagonal-sum-skips-the-h-rate", "lindblad.py",
+           "_rated(diagonal, _DEPHASING_DIAGONAL, noise)",
+           "_rated(diagonal, _DEPHASING_DIAGONAL, NoiseModel(0.0, noise.gamma_c1, noise.gamma_c2))",
+           (GENERATOR + "test_diagonal_engine_builds_no_dense_generator",)),
+    # every model after the first to plan a program gets the first's plan
+    Mutant("plan-cache-ignores-model", "lindblad.py",
+           "@lru_cache(maxsize=256)\ndef _plan(",
+           "@lambda build: lambda seq, model, memo={}: memo[seq] if seq in memo"
+           " else memo.setdefault(seq, build(seq, model))\ndef _plan(",
+           (OPERATORS + "test_program_is_planned_once_per_model",)),
     # every model after the first gets the first model's commutator
     Mutant("commutator-cache-ignores-model", "lindblad.py",
            "@lru_cache(maxsize=64)\ndef _commutator(",

@@ -5,6 +5,7 @@ equation.  None of them runs in the CLI."""
 from __future__ import annotations
 
 import math
+from itertools import groupby
 
 import numpy as np
 
@@ -92,11 +93,30 @@ def kron_liouvillian(model, noise: NoiseModel) -> np.ndarray:
 def matmul_evolve(rho, operators) -> np.ndarray:
     """``lindblad._evolve`` spelled out with ``@`` alone, on one state as on
     a stack: each delay ``(a @ rho.reshape(-1, 64, 1))`` reshaped back, each
-    pulse pair ``a @ rho @ b``.  The package, which takes ``np.dot`` for one
-    state, must equal it byte for byte."""
+    pulse pair ``a @ rho @ b``.  The package, which takes ``np.ndarray.dot``
+    for one state, must equal it byte for byte."""
     for a, b in operators:
         rho = (a @ rho.reshape(-1, DIM * DIM, 1)).reshape(rho.shape) if b is None else a @ rho @ b
     return rho
+
+
+def groupby_operators(seq: PulseSequence, engine: EvolutionEngine) -> tuple:
+    """``engine.operators(seq)`` as it was resolved on every call before
+    programs were planned once per model: ``seq`` split by ``groupby``, each
+    run of back-to-back pulses one pair (u, u^dag), u the product of its
+    ``pulse_unitary`` matrices with the first pulse applied first, and each
+    delay ``(engine.delay_propagator(duration), None)``."""
+    operators = []
+    for pulses, run in groupby(seq.instructions, key=lambda ins: ins.op != "U"):
+        if pulses:
+            first, *rest = run
+            u = pulse_unitary(first, engine.model)
+            for ins in rest:
+                u = pulse_unitary(ins, engine.model) @ u
+            operators.append((u, u.conj().T))
+        else:
+            operators.extend((engine.delay_propagator(ins.value), None) for ins in run)
+    return tuple(operators)
 
 
 def per_instruction_program(rho, seq: PulseSequence, engine: EvolutionEngine) -> np.ndarray:

@@ -314,6 +314,22 @@ class TestConfig:
         with pytest.raises(TypeError):
             chaos.entropy_experiment(ExperimentConfig.preset("fig5", **{field: value}))
 
+    # 2 sized entropy_run's stack for three blocks and the check read rows
+    # np.empty never filled; the others failed later, deep inside the run
+    @pytest.mark.parametrize("value", [2, "no", 0.5, None], ids=repr)
+    def test_non_bool_perturbation_rejected_before_any_engine(self, value, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(chaos, "EvolutionEngine", forbidden)
+        with pytest.raises(ValueError, match="artificial_perturbation must be a bool"):
+            chaos.entropy_experiment(ExperimentConfig.preset("fig2", steps=3, artificial_perturbation=value))
+
+    def test_numpy_bool_perturbation_accepted(self):
+        cfg = ExperimentConfig.preset("fig2", steps=3, artificial_perturbation=np.bool_(True))
+        assert chaos.entropy_experiment(cfg) == chaos.entropy_experiment(
+            ExperimentConfig.preset("fig2", steps=3, artificial_perturbation=True))
+
     def test_overrides(self):
         cfg = ExperimentConfig.preset("fig2", steps=3, map_variant="regular")
         assert cfg.steps == 3 and cfg.map_variant == "regular"
@@ -1419,6 +1435,16 @@ def repeated_member_ensembles(draw):
     z = np.diag(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=d, max_size=d)))
     picks = draw(st.lists(st.tuples(st.integers(0, len(states) - 1), st.booleans()), min_size=2, max_size=8))
     return [z @ states[i] @ z if kicked else states[i] for i, kicked in picks]
+
+
+class TestUnique:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(values=hnp.arrays(np.int64, st.integers(0, 40), elements=st.integers(-5, 2**40)))
+    def test_equals_np_unique(self, values):
+        # the greedy memo's new keys and the scan positions; either may be empty
+        got, want = chaos._unique(values), np.unique(values)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert chaos._unique(values.tolist()).tobytes() == want.tobytes()
 
 
 class TestDistinctMatrices:

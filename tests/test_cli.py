@@ -351,6 +351,20 @@ def test_commands_without_full_generator_load_no_scipy(argv):
     assert run_cli_loaded_scipy(*argv) == (0, [])
 
 
+NUMPY_MA_PROBE = (
+    "import sys; from nmrbaker import cli; code = cli.run(sys.argv[1:]); "
+    "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)"
+)
+
+
+def test_diagonal_hyper_process_loads_no_numpy_ma():
+    # numpy 2.4's np.unique imports numpy.ma, 13-16 ms of a cold process;
+    # a full generator loads it anyway, with scipy.linalg
+    proc = run_python("-c", NUMPY_MA_PROBE, "hyper", "--steps", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "0 False"
+
+
 def test_full_generator_loads_scipy_linalg():
     code, loaded = run_cli_loaded_scipy("entropy", "--steps", "1", "--hamiltonian", "full")
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import uuid
 
 import numpy as np
 import pytest
@@ -280,12 +281,12 @@ def pulse_runs(seq) -> list:
 class TestOperators:
     def test_cached_operators_are_read_only(self, engine, model):
         ops = engine.operators(nmr.t_even(model))
-        arrays = [lindblad._commutator(model), *lindblad._DEPHASING.values(),
-                  *(a for pair in ops for a in pair if a is not None)]
+        arrays = [*lindblad._commutator(model), *lindblad._DEPHASING.values(),
+                  *lindblad._DEPHASING_DIAGONAL.values(), *(a for pair in ops for a in pair if a is not None)]
         assert any(b is None for _, b in ops) and len(arrays) > len(ops)
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 1.0
+                array[(0,) * array.ndim] = 1.0
 
     def test_program_resolves_once_per_engine(self, engine, model):
         # one entry per delay and one per run of back-to-back pulses
@@ -318,6 +319,47 @@ class TestOperators:
 
     @pytest.mark.parametrize("convention", nmr.CONVENTIONS)
     @pytest.mark.parametrize("variant", nmr.VARIANTS)
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(segments=st.lists(st.one_of(
+        st.lists(st.builds(nmr.PulseInstruction, st.sampled_from("XY"), st.sampled_from(nmr.SPINS),
+                           st.floats(-2 * math.pi, 2 * math.pi)), min_size=1, max_size=3),
+        st.lists(st.builds(nmr.delay, st.sampled_from([0.0, 1e-4, 2e-4, 1.3e-3]) | st.floats(0, 0.01)),
+                 min_size=1, max_size=3)), max_size=5))
+    def test_operators_equal_the_groupby_oracle_entry_by_entry(self, variant, convention, segments):
+        # random programs, the empty one included, with runs of pulses and of
+        # delays; the pulse pairs come from the plan that every engine of the
+        # model shares, the propagators from each engine's own cache
+        seq = nmr.PulseSequence("random", tuple(ins for segment in segments for ins in segment))
+        model = HamiltonianModel(variant=variant, convention=convention)
+        closed, noisy = EvolutionEngine(model, NoiseModel()), EvolutionEngine(model, FIG2_NOISE)
+        for engine in closed, noisy:
+            ops, want = engine.operators(seq), oracles.groupby_operators(seq, engine)
+            assert len(ops) == len(want)
+            for (a, b), (c, d) in zip(ops, want):
+                assert (b is None) == (d is None)
+                assert a is c if b is None else a.tobytes() == c.tobytes() and b.tobytes() == d.tobytes()
+        for (a, b), (c, d) in zip(closed.operators(seq), noisy.operators(seq), strict=True):
+            assert (a is c and b is d) if b is not None else a is not c
+
+    def test_program_is_planned_once_per_model(self, monkeypatch):
+        # two engines of each of the six models: the program's pulses are
+        # composed once per model, and each model's engines share its pairs
+        built = []
+        monkeypatch.setattr(lindblad, "pulse_unitary", lambda ins, model, build=nmr.pulse_unitary:
+                            built.append(model) or build(ins, model))
+        seq = nmr.PulseSequence(f"planned-once-{uuid.uuid4()}", (
+            nmr.rot_x(SPIN_H, 0.3), nmr.rot_y(SPIN_C1, 0.5), nmr.delay(1e-3), nmr.rot_x(SPIN_C2, 0.7)))
+        models = [HamiltonianModel(variant=v, convention=c) for v in nmr.VARIANTS for c in nmr.CONVENTIONS]
+        pairs = []
+        for model in models:
+            first, second = (EvolutionEngine(model, noise).operators(seq) for noise in (NoiseModel(), FIG2_NOISE))
+            assert first[0] is second[0] and first[2] is second[2]
+            pairs.append(first[0])
+        assert built == [model for model in models for _ in range(3)]
+        assert len({id(pair) for pair in pairs}) == len(models)
+
+    @pytest.mark.parametrize("convention", nmr.CONVENTIONS)
+    @pytest.mark.parametrize("variant", nmr.VARIANTS)
     def test_regular_program_resolves_one_entry_per_instruction(self, variant, convention):
         # t_regular alternates delay and pulse, so no pulses compose and each
         # pair is the pulse's own: regular-map outputs stay bit for bit
@@ -330,6 +372,51 @@ class TestOperators:
             else:
                 u = nmr.pulse_unitary(ins, model)
                 assert np.array_equal(a, u) and np.array_equal(b, u.conj().T)
+
+
+# every preset's noise, and noise with zero rates
+NOISES = {**{name: NoiseModel.from_inverse_times(p["inv_gamma_h"], p["inv_gamma_c1"], p["inv_gamma_c2"])
+             for name, p in chaos.PRESETS.items()},
+          "closed": NoiseModel(), "c1-only": NoiseModel(gamma_c1=3.0), "no-c1": NoiseModel(0.25, 0.0, 2.5)}
+
+
+class TestGeneratorBuilds:
+    @pytest.mark.parametrize("noise", NOISES.values(), ids=NOISES.keys())
+    @pytest.mark.parametrize("convention", nmr.CONVENTIONS)
+    @pytest.mark.parametrize("variant", ["noxy", "simplified"])
+    def test_diagonal_engine_builds_no_dense_generator(self, variant, convention, noise, monkeypatch):
+        # its diagonal, summed on its own, exponentiates to the bytes of the
+        # dense generator's diagonal, signed zeros included
+        model = HamiltonianModel(variant=variant, convention=convention)
+        engines = []
+        with monkeypatch.context() as patch:
+            def forbidden(*args):
+                raise AssertionError("a dense generator was built")
+
+            patch.setattr(lindblad, "liouvillian", forbidden)
+            patch.setattr(chaos, "EvolutionEngine", lambda *args: engines.append(EvolutionEngine(*args))
+                          or engines[-1])
+            for map_variant in chaos.MAP_VARIANTS:
+                chaos.entropy_experiment(ExperimentConfig(
+                    map_variant=map_variant, hamiltonian=variant, convention=convention, steps=2,
+                    **{f"inv_gamma_{spin.lower()}": 1 / g if g else math.inf for spin, g in noise.items()}))
+        assert [engine.noise for engine in engines] == [noise] * 2
+        diagonal = np.diag(lindblad.liouvillian(model, noise))
+        for engine in engines:
+            assert "_generator" not in vars(engine) and engine._cache
+            for duration, prop in engine._cache.items():
+                assert prop.tobytes() == np.diag(np.exp(diagonal * duration)).tobytes(), duration
+
+    @pytest.mark.parametrize("map_variant", chaos.MAP_VARIANTS)
+    def test_full_engine_builds_its_dense_generator_once(self, map_variant, monkeypatch):
+        built = []
+        monkeypatch.setattr(lindblad, "liouvillian", lambda *args, build=lindblad.liouvillian:
+                            built.append(args) or build(*args))
+        cfg = ExperimentConfig.preset("fig2", map_variant=map_variant, hamiltonian="full", steps=4)
+        engine = cfg.engine()
+        assert built == []
+        chaos._steps(cfg, engine, cfg.steps)
+        assert built == [(engine.model, engine.noise)]
 
 
 def choi(prop):
@@ -447,6 +534,11 @@ class TestRunSequence:
             for got, rho in zip(stacked.reshape(4, 8, 8), states):
                 # by bytes: array_equal takes -0.0 for +0.0
                 assert got.tobytes() == lindblad.run_sequence(rho, program, engine).tobytes()
+
+    def test_superoperator_accepts_a_list(self, engine, model):
+        prop, rho = engine.delay_propagator(model.tau1), plus_y_density()
+        assert (lindblad.apply_superoperator(prop.tolist(), rho.tolist()).tobytes()
+                == lindblad.apply_superoperator(prop, rho).tobytes())
 
     def test_superoperator_on_a_stack_equals_each_state_alone(self, engine, model):
         prop = engine.delay_propagator(model.tau1)
