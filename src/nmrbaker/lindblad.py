@@ -13,9 +13,10 @@ vectorized (row-stacked) form, once per distinct duration, which is
 exact and deterministic.  Under the ``noxy`` and ``simplified``
 Hamiltonians the generator is diagonal: an engine sums only its 64
 diagonal entries and exponentiates them elementwise in numpy.  Only the
-``full`` variant's generator, which is not, is built dense and loads
-``scipy.linalg`` for ``expm``; a ``full`` delay exactly twice one already
-built is that propagator squared (see :class:`EvolutionEngine`).  A
+``full`` variant's generator, which is not, is built dense and goes
+through :func:`_expm`, ``scipy.linalg.expm``'s own compiled kernels loaded
+without ``scipy.linalg`` itself; a ``full`` delay exactly twice one
+already built is that propagator squared (see :class:`EvolutionEngine`).  A
 fixed-step RK4 solution (``EvolutionEngine._rk4_propagator``) is kept
 only as the cross-check that ``nmrbaker verify`` runs; the tests add a
 quantum-trajectory unraveling in ``tests/oracles.py``.
@@ -36,7 +37,11 @@ states, evolves them and checks its output states.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import groupby
@@ -146,6 +151,61 @@ def apply_superoperator(propagator: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return _evolve(np.asarray(rho, dtype=complex), ((np.asarray(propagator), None),))
 
 
+_PADE = "scipy.linalg._matfuncs_expm"
+
+
+@lru_cache(maxsize=1)
+def _pade_kernels() -> tuple:
+    """``pick_pade_structure`` and ``pade_UV_calc``, the compiled kernels of
+    ``scipy.linalg.expm``.  Their extension module is loaded once per process
+    by its path, so neither ``scipy``'s nor ``scipy.linalg``'s ``__init__``
+    runs (together about 0.3 s, most of it cloning the numpy namespace), and
+    is registered in ``sys.modules``, where a later ``import scipy.linalg``
+    finds it: both share one module."""
+    module = sys.modules.get(_PADE)
+    if module is None and (scipy := importlib.util.find_spec("scipy")) is not None:
+        spec = importlib.machinery.PathFinder.find_spec(
+            _PADE, [os.path.join(path, "linalg") for path in scipy.submodule_search_locations])
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            module = sys.modules.setdefault(_PADE, module)
+    try:
+        return module.pick_pade_structure, module.pade_UV_calc
+    except AttributeError:
+        from importlib import metadata
+
+        try:
+            found = f"scipy {metadata.version('scipy')}"
+        except metadata.PackageNotFoundError:
+            found = "no scipy"
+        raise ImportError(f"{_PADE} has no compiled expm kernels here ({found} is installed);"
+                          " nmrbaker needs scipy >= 1.17") from None
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm(a)`` to the bit, for a square matrix that is
+    diagonal or not triangular, as a ``full`` generator times a duration
+    always is (its pattern is symmetric).  A diagonal ``a``, duration 0
+    among them, takes scipy's diagonal branch, the elementwise ``np.exp``.
+    Any other runs scipy's generic branch: the compiled kernels of
+    :func:`_pade_kernels` pick a Pade degree and ``s`` scalings and leave
+    the approximant in the workspace's first slot (Al-Mohy & Higham, SIAM
+    J. Matrix Anal. Appl. 31, 970 (2009)), which is squared ``s`` times."""
+    if np.count_nonzero(a) == np.count_nonzero(a.diagonal()):
+        return np.diag(np.exp(np.diag(a)))
+    pick_pade_structure, pade_uv_calc = _pade_kernels()
+    work = np.empty((5, *a.shape), a.dtype)
+    work[0] = a
+    degree, squarings = pick_pade_structure(work)
+    if degree < 0 or pade_uv_calc(work, degree):
+        raise RuntimeError(f"scipy's expm kernels failed (degree {degree})")
+    e = work[0].copy()  # not a view that keeps the whole workspace
+    for _ in range(squarings):
+        e = e @ e
+    return e
+
+
 class EvolutionEngine:
     """Holds the model, the noise and one cache: the delay propagators,
     keyed by duration.
@@ -162,7 +222,7 @@ class EvolutionEngine:
     exponentiated elementwise, the expression ``scipy.linalg.expm`` itself
     evaluates for a diagonal matrix, so the result is the same to the bit.
     The dense generator is built on first use, by a ``full`` engine's first
-    ``expm`` (only it imports ``scipy.linalg``) or :meth:`_rk4_propagator`.
+    :func:`_expm` (only it loads scipy's kernels) or :meth:`_rk4_propagator`.
 
     On the non-diagonal path a duration whose half is cached is built as
     ``half @ half``.  ``expm`` is scaling and squaring (Higham, SIAM J.
@@ -201,9 +261,7 @@ class EvolutionEngine:
         elif (half := self._cache.get(key / 2)) is not None and key / 2 * 2 == key:
             prop = half @ half  # expm's own last squaring step; see the class docstring
         else:
-            import scipy.linalg  # 0.25 s to import, so only a non-diagonal generator pays it
-
-            prop = scipy.linalg.expm(self._generator * key)
+            prop = _expm(self._generator * key)
         prop.flags.writeable = False  # operator lists share it
         # one atomic step (float keys hash and compare in C): threads that
         # raced to build the same duration all get the first one stored

@@ -527,6 +527,16 @@ MUTANTS = (
            "if self._diagonal is not None:\n",
            "if self._diagonal is not None and self._cache.get(key / 2) is None:\n",
            (DELAY + "test_chaotic_step_propagators_equal_their_direct_build",)),
+    # the Pade approximant squared once too few: exp(G t / 2)
+    Mutant("expm-one-squaring-short", "lindblad.py",
+           "for _ in range(squarings):",
+           "for _ in range(squarings - 1):",
+           (DELAY + "test_expm_equals_scipy_byte_for_byte",)),
+    # duration 0 goes through the Pade kernels: the identity, with other signed zeros
+    Mutant("expm-diagonal-branch-dropped", "lindblad.py",
+           "if np.count_nonzero(a) == np.count_nonzero(a.diagonal()):",
+           "if False:",
+           (DELAY + "test_expm_equals_scipy_byte_for_byte",)),
     Mutant("j1-ignores-convention", "nmr.py",
            "return self.j1 * self._scale",
            "return self.j1",

@@ -357,18 +357,41 @@ NUMPY_MA_PROBE = (
 )
 
 
-def test_diagonal_hyper_process_loads_no_numpy_ma():
-    # numpy 2.4's np.unique imports numpy.ma, 13-16 ms of a cold process;
-    # a full generator loads it anyway, with scipy.linalg
-    proc = run_python("-c", NUMPY_MA_PROBE, "hyper", "--steps", "1")
+@pytest.mark.parametrize("variant", ["noxy", "full"])
+def test_hyper_process_loads_no_numpy_ma(variant):
+    # numpy 2.4's np.unique imports numpy.ma, 13-16 ms of a cold process, and
+    # so did the scipy.linalg import that a full generator's expm once paid
+    proc = run_python("-c", NUMPY_MA_PROBE, "hyper", "--steps", "1", "--hamiltonian", variant)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "0 False"
 
 
-def test_full_generator_loads_scipy_linalg():
-    code, loaded = run_cli_loaded_scipy("entropy", "--steps", "1", "--hamiltonian", "full")
+@pytest.mark.parametrize("command", ["entropy", "hyper"])
+def test_full_generator_loads_only_the_expm_kernels(command):
+    # the compiled Pade kernels' extension, by its path: neither scipy's nor
+    # scipy.linalg's __init__ runs, nor the numpy namespace clone under it
+    code, loaded = run_cli_loaded_scipy(command, "--steps", "1", "--hamiltonian", "full")
     assert code == 0
-    assert "scipy.linalg" in loaded
+    assert "scipy.linalg._matfuncs_expm" in loaded
+    assert "scipy.linalg" not in loaded and "scipy._lib._array_api" not in loaded
+
+
+def test_expm_kernels_are_the_module_a_later_scipy_linalg_imports():
+    # _expm loads the extension first; scipy.linalg then finds it in
+    # sys.modules, so its expm runs the same kernels to the same bytes
+    proc = run_python("-c", """if True:
+        import sys
+        from nmrbaker import chaos, lindblad
+        cfg = chaos.ExperimentConfig.preset("fig2", hamiltonian="full")
+        gen = cfg.engine()._generator * cfg.model().tau1
+        ours = lindblad._expm(gen).tobytes()
+        kernels = sys.modules["scipy.linalg._matfuncs_expm"]
+        assert "scipy.linalg" not in sys.modules
+        import scipy.linalg
+        assert scipy.linalg._matfuncs.pick_pade_structure is kernels.pick_pade_structure
+        print(scipy.linalg.expm(gen).tobytes() == ours)""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 # the last stderr line of a child that imported the package and, given

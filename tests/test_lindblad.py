@@ -1,4 +1,6 @@
 import math
+import sys
+import types
 import uuid
 
 import numpy as np
@@ -115,7 +117,7 @@ class TestLiouvillian:
 class TestDelayPropagator:
     @pytest.mark.parametrize("variant", nmr.VARIANTS)
     def test_zero_duration_is_identity(self, variant):
-        # elementwise exp under noxy and simplified, scipy's expm under full
+        # elementwise exp under every variant: a zero matrix is diagonal
         engine = EvolutionEngine(HamiltonianModel(variant=variant), FIG2_NOISE)
         np.testing.assert_array_equal(engine.delay_propagator(0.0), np.eye(64))
 
@@ -227,12 +229,30 @@ class TestDelayPropagator:
         # tau1, 1.25 tau1 and 0.75 tau1 for the chaotic map (2 tau1 is
         # squared); tau2 alone for the regular one; none on a diagonal path
         counted = []
-        monkeypatch.setattr(scipy.linalg, "expm", lambda a, expm=scipy.linalg.expm:
+        monkeypatch.setattr(lindblad, "_expm", lambda a, expm=lindblad._expm:
                             counted.append(a) or expm(a))
         cfg = ExperimentConfig.preset("fig5", map_variant=map_variant, hamiltonian=variant,
                                       convention=convention)
         chaos._steps(cfg, cfg.engine(), 2)
         assert len(counted) == calls
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(inverse_times=st.tuples(*[st.just(math.inf) | st.floats(1e-3, 20)] * 3),
+           convention=st.sampled_from(nmr.CONVENTIONS), duration=st.floats(0, 0.1))
+    def test_expm_equals_scipy_byte_for_byte(self, inverse_times, convention, duration):
+        # each example also takes every delay a preset program holds, and 0:
+        # scipy's diagonal branch, whose signed zeros the Pade branch misses
+        model = HamiltonianModel(variant="full", convention=convention)
+        gen = EvolutionEngine(model, NoiseModel.from_inverse_times(*inverse_times))._generator
+        for t in {0.0, duration, *(ins.value for program in chaos._programs(model)
+                                   for ins in program.instructions if ins.op == "U")}:
+            assert lindblad._expm(gen * t).tobytes() == scipy.linalg.expm(gen * t).tobytes(), t
+
+    def test_missing_expm_kernels_name_the_scipy_version(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, lindblad._PADE, types.ModuleType(lindblad._PADE))
+        lindblad._pade_kernels.cache_clear()  # a failed load is not cached
+        with pytest.raises(ImportError, match=f"scipy {scipy.__version__} is installed"):
+            lindblad._pade_kernels()
 
     def test_rk4_agrees_with_exact_exponential(self):
         assert cli.check("rk4 integrator vs exact exponential").passed
