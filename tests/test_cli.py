@@ -360,7 +360,7 @@ NUMPY_MA_PROBE = (
 @pytest.mark.parametrize("variant", ["noxy", "full"])
 def test_hyper_process_loads_no_numpy_ma(variant):
     # numpy 2.4's np.unique imports numpy.ma, 13-16 ms of a cold process, and
-    # so did the scipy.linalg import that a full generator's expm once paid
+    # so does scipy.linalg, which a full generator's expm does not import
     proc = run_python("-c", NUMPY_MA_PROBE, "hyper", "--steps", "1", "--hamiltonian", variant)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "0 False"

@@ -250,7 +250,7 @@ class TestDelayPropagator:
 
     def test_missing_expm_kernels_name_the_scipy_version(self, monkeypatch):
         monkeypatch.setitem(sys.modules, lindblad._PADE, types.ModuleType(lindblad._PADE))
-        lindblad._pade_kernels.cache_clear()  # a failed load is not cached
+        lindblad._pade_kernels.cache_clear()  # the kernels loaded so far; a failure is not cached
         with pytest.raises(ImportError, match=f"scipy {scipy.__version__} is installed"):
             lindblad._pade_kernels()
 
