@@ -240,6 +240,35 @@ def _distinct_means(means) -> tuple[np.ndarray, np.ndarray]:
     return ids, np.append(0, order[new])
 
 
+@lru_cache(maxsize=MAX_SCAN_STATES)
+def _flip_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids, first)`` of the orbits of the masks of ``n`` members under
+    the flip that swaps members 2i and 2i + 1, in :func:`_distinct_means`'
+    form: ``ids[mask]`` numbers each orbit from 1 by its lowest mask, mask 0
+    alone has id 0, and ``first[id]`` is that lowest mask.  8 members give
+    15 nonempty masks the flip fixes and 120 pairs: 135 orbits.
+
+    :func:`history_ensemble` puts each final state rho_2i's kicked copy
+    rho_2i+1 = Z rho_2i Z right after it, with Z the last step's kick, a
+    +-1 diagonal, so Z Z = 1 and the flip maps rho_i to Z rho_i Z.  A
+    subset S of k members and its flip S' then have the means M(S') =
+    sum_{i in S} Z rho_i Z / k = Z M(S) Z, a unitary conjugate of M(S) with
+    its spectrum and entropy.  Only this i <-> i XOR 1 symmetry is used.  A
+    flipped mean is summed in another member order, so its own entropy
+    differs from its orbit's at round-off (at most 2.2e-15 bits on the
+    chaotic tables of 1 to 3 steps).  ``n`` = 2**steps is even.  Built on
+    first use and read-only, as :func:`_partition_layout` is.
+    """
+    members = np.arange(n)
+    masks = np.arange(2**n)
+    flipped = (masks[:, None] >> members & 1) @ (1 << (members ^ 1))
+    first = np.flatnonzero(masks <= flipped)  # the lowest mask of each orbit, ascending
+    ids = np.searchsorted(first, np.minimum(masks, flipped))
+    for array in (ids, first):
+        array.flags.writeable = False
+    return ids, first
+
+
 def subset_entropies(means) -> np.ndarray:
     """S(``means[mask]``) in bits for every nonempty subset of the
     :func:`subset_means` table, diagonalised in one batch, each exactly as
@@ -249,7 +278,10 @@ def subset_entropies(means) -> np.ndarray:
     histories at fig5 noise.  ``eigvalsh`` handles each matrix of a stack on
     its own, so every entropy, and every error, is the plain batch's.
     :func:`partition_scan` scores every partition of the ensemble,
-    exhaustive or greedy, on this one table.
+    exhaustive or greedy, on this one table.  An arbitrary table has no
+    flip symmetry, so this never reads :func:`_flip_classes`; only
+    :func:`hypersensitivity_experiment`, whose table is a history
+    ensemble's, does.
     """
     n = len(means).bit_length() - 1
     if not 1 <= n <= MAX_SCAN_STATES or 2**n != len(means):
@@ -536,13 +568,18 @@ def _pareto_points(points) -> list[tuple[float, float]]:
 
 def frontier_slope(curve: HypersensitivityCurve) -> float:
     """Least-squares slope of I_min vs delta_s over the interior of the
-    achieved range, 20-80 % of its maximum (the saturated ends are excluded)."""
+    achieved range, 20-80 % of its maximum (the saturated ends are excluded):
+    x~ @ y~ / (x~ @ x~) of the centred points, x~ = x - mean(x) and
+    y~ = y - mean(y), in closed form.  The grid's points are distinct, so
+    two or more give x~ @ x~ > 0; under two the slope is NaN."""
     lo = curve.delta_s.max() * 0.2
     hi = curve.delta_s.max() * 0.8
     mask = (curve.delta_s >= lo) & (curve.delta_s <= hi)
     if mask.sum() < 2:
         return float("nan")
-    return float(np.polyfit(curve.delta_s[mask], curve.i_min[mask], 1)[0])
+    x, y = curve.delta_s[mask], curve.i_min[mask]
+    x, y = x - x.mean(), y - y.mean()
+    return float(x @ y / (x @ x))
 
 
 @dataclass(frozen=True)
@@ -692,9 +729,15 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
     the histories repeat a state, as the regular map's two-state ensemble
     does, the table diagonalises each distinct mean once, and greedy's
     memo, keyed by the table's distinct means, each mixture of a distinct
-    mean and a distinct member once; every output keeps its bits.  Each
-    grouping is the scan row its grown masks name (:func:`_scan_positions`),
-    and the Pareto filter reads each distinct row once.
+    mean and a distinct member once; every output keeps its bits.  When
+    the histories are distinct by their bytes (the chaotic map), the table
+    diagonalises the lowest mask of each :func:`_flip_classes` orbit, 135
+    of 255 for 8 histories, and gives its flip partner the same entropy,
+    which moves that partner's at round-off from :func:`subset_entropies`;
+    greedy's memo still reads ``distinct``, whose keys keep partners
+    apart.  Each grouping is the scan row its grown masks name
+    (:func:`_scan_positions`), and the Pareto filter reads each distinct
+    row once.
     """
     n_steps = operator.index(config.steps if n_steps is None else n_steps)  # as in history_ensemble
     if n_steps < 1:
@@ -706,7 +749,10 @@ def hypersensitivity_experiment(config: ExperimentConfig, n_steps: int | None = 
         )
     means = subset_means(history_ensemble(config, n_steps))
     distinct = _distinct_means(means)  # once per job: the table's and greedy's
-    entropies = _subset_entropies(means, *distinct)
+    # members distinct by their bytes (the chaotic map): a mean and its
+    # flip share a spectrum, so one of each flip orbit is diagonalised
+    classes = _flip_classes(2**n_steps) if len(distinct[1]) == len(means) else distinct
+    entropies = _subset_entropies(means, *classes)
     delta_s, info, s_max = partition_scan(entropies)
     frontier = _frontier_from_scan(delta_s, info)
     slope = frontier_slope(frontier)

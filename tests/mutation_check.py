@@ -39,6 +39,7 @@ DELAY = "tests/test_lindblad.py::TestDelayPropagator::"
 GENERATOR = "tests/test_lindblad.py::TestGeneratorBuilds::"
 ORACLE = CHAOS + "TestPerInstructionOracle::"
 DISTINCT = CHAOS + "TestDistinctMatrices::"
+FLIP = CHAOS + "TestFlipClasses::"
 ENTROPY = CHAOS + "TestEntropyExperiment::"
 STACKED = "tests/test_qstate.py::TestStackedDensityChecks::"
 CANNED = "tests/test_nmr.py::TestCannedSequences::"
@@ -117,6 +118,16 @@ MUTANTS = (
            "for member in means[1 << np.arange(n)]}) != n:",
            (DISTINCT + "test_subset_table_diagonalises_each_distinct_mean_once",
             GREEDY + "test_one_call_over_every_count_changes_no_assignment")),
+    # a subset and its image under i <-> i XOR 2 need not share a spectrum
+    Mutant("flip-pairs-member-with-its-xor-2", "chaos.py",
+           "(1 << (members ^ 1))",
+           "(1 << (members ^ 2))",
+           (FLIP + "test_chaotic_table_equals_subset_entropies",)),
+    # the regular map's repeated members: its 24 distinct means, not 135 orbits
+    Mutant("flip-classes-read-for-a-regular-table", "chaos.py",
+           "if len(distinct[1]) == len(means) else distinct",
+           "if True else distinct",
+           (FLIP + "test_job_diagonalises_one_table_mean_per_class",)),
     # a finished run then places one of its seeds again
     Mutant("finished-run-still-advances", "chaos.py",
            "rows = np.flatnonzero(sizes < n - step)",

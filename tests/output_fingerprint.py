@@ -26,7 +26,8 @@ reports per workload the entries that moved and the largest absolute drift
 of any float, including the numbers printed in a CLI job's stdout.  Every
 change of shape is listed too: a list of another length (a hyper frontier
 or its greedy points), a stdout with another number of lines, or any other
-non-numeric difference.  It exits 1 when there is one.
+non-numeric difference, a NaN against a number included; two NaNs are
+equal.  It exits 1 when there is one.
 """
 
 import os
@@ -40,6 +41,7 @@ import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import re  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -55,8 +57,9 @@ from workloads import WORKLOADS, job_label, run_job  # noqa: E402
 
 SEEDS = (0, 1)
 WORKLOAD_NAMES = ("entropy_sweep", "hyper_sweep", "cli_cold")
-# a decimal number as the CLI prints it; ``seed=0`` and ``fig5`` match too, and compare equal
-NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+# a decimal number as the CLI prints it; ``seed=0`` and ``fig5`` match too, and compare equal;
+# ``nan`` and ``inf`` only as whole words, not inside ``provenance`` or ``info``
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\bnan\b|\binf\b")
 
 
 def hexed(value):
@@ -121,10 +124,12 @@ def differences(before, after, path=""):
             return
         for n, (b, a) in enumerate(zip(*lines), 1):
             numbers = [list(map(float, NUMBER.findall(line))) for line in (b, a)]
-            if NUMBER.split(b) != NUMBER.split(a) or len(numbers[0]) != len(numbers[1]):
+            pairs = [(x, y) for x, y in zip(*numbers) if x != y and not (math.isnan(x) and math.isnan(y))]
+            if (NUMBER.split(b) != NUMBER.split(a) or len(numbers[0]) != len(numbers[1])
+                    or any(math.isnan(x) or math.isnan(y) for x, y in pairs)):  # NaN against a number
                 yield f"{path}:{n}", None, f"{b!r} -> {a!r}"
-            elif numbers[0] != numbers[1]:
-                yield f"{path}:{n}", max(abs(x - y) for x, y in zip(*numbers)), None
+            elif pairs:
+                yield f"{path}:{n}", max(abs(x - y) for x, y in pairs), None
     else:
         yield path, None, f"{json.dumps(before)[:60]} -> {json.dumps(after)[:60]}"
 

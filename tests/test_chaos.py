@@ -1257,6 +1257,31 @@ class TestExhaustiveFrontier:
         with pytest.raises(ValueError):
             chaos.subset_means([np.eye(2) / 2] * 11)
 
+    @pytest.mark.parametrize("hamiltonian", ["noxy", "full", "simplified"])
+    @pytest.mark.parametrize("variant", chaos.MAP_VARIANTS)
+    @pytest.mark.parametrize("preset", sorted(chaos.PRESETS))
+    def test_slope_equals_polyfit(self, preset, variant, hamiltonian):
+        # the closed form moved the seed 0-1 hyper_sweep slopes by at most
+        # 2.5e-15 of their size (5.7e-14 absolute) from np.polyfit's
+        curve = chaos.hypersensitivity_experiment(
+            ExperimentConfig.preset(preset, map_variant=variant, hamiltonian=hamiltonian), 3).frontier
+        lo, hi = curve.delta_s.max() * 0.2, curve.delta_s.max() * 0.8
+        interior = (curve.delta_s >= lo) & (curve.delta_s <= hi)
+        assert interior.sum() >= 2
+        expected = np.polyfit(curve.delta_s[interior], curve.i_min[interior], 1)[0]
+        assert chaos.frontier_slope(curve) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("delta_s, slope", [
+        ([0.0, 1.0], None), ([0.0, 0.1, 1.0], None), ([0.0, 0.5, 1.0], None),  # no interior, then one point
+        ([0.0, 0.25, 0.5, 1.0], 4.0), ([0.0, 0.2, 0.8, 1.0], 1 / 0.6)])  # both 20-80 % ends are interior
+    def test_slope_needs_two_interior_points(self, delta_s, slope):
+        levels = np.arange(len(delta_s), dtype=float)
+        curve = chaos.HypersensitivityCurve(np.array(delta_s), levels, np.arange(len(delta_s)))
+        if slope is None:
+            assert math.isnan(chaos.frontier_slope(curve))
+        else:
+            assert chaos.frontier_slope(curve) == pytest.approx(slope, rel=1e-14)
+
 
 @st.composite
 def random_ensembles(draw, states=st.integers(2, 6)):
@@ -1559,6 +1584,92 @@ class TestDistinctMatrices:
         for _ in range(2):  # two draw sets per ensemble
             seeds = oracles.seed_masks(data.draw(draw_sets(len(rhos))))
             assert np.array_equal(chaos.greedy_groupings(means, table, seeds), mask_keyed_greedy(means, table, seeds))
+
+
+def flip(mask: int) -> int:
+    """``mask`` with members 2i and 2i + 1 swapped."""
+    return sum(1 << (i ^ 1) for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def experiment_table(cfg, n_steps, monkeypatch) -> np.ndarray:
+    """The subset entropy table ``chaos.hypersensitivity_experiment`` scans."""
+    tables, scan = [], chaos.partition_scan
+    monkeypatch.setattr(chaos, "partition_scan", lambda entropies: tables.append(entropies) or scan(entropies))
+    chaos.hypersensitivity_experiment(cfg, n_steps)
+    monkeypatch.setattr(chaos, "partition_scan", scan)
+    return tables[0]
+
+
+class TestFlipClasses:
+    # a history ensemble's members 2i and 2i + 1 are rho and Z rho Z, so a
+    # subset and its flip have unitarily conjugate means: the experiment
+    # diagonalises one mean per flip orbit of a chaotic table
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])  # 2**steps histories, and the scan's limit
+    def test_orbits_are_closed_under_the_flip(self, n):
+        ids, first = chaos._flip_classes(n)
+        assert ids[0] == 0 and first[0] == 0
+        orbits: dict = {}
+        for mask in range(2**n):
+            orbits.setdefault(int(ids[mask]), set()).add(mask)
+        assert sorted(orbits) == list(range(len(first)))
+        for orbit_id, orbit in orbits.items():
+            assert all({mask, flip(mask)} == orbit for mask in orbit), orbit
+            assert first[orbit_id] == min(orbit)
+        assert not ids.flags.writeable and not first.flags.writeable
+
+    def test_eight_members_give_135_orbits(self):
+        ids, first = chaos._flip_classes(8)
+        fixed = [mask for mask in range(1, 256) if flip(mask) == mask]
+        assert len(fixed) == 15 and len(first) - 1 == 135 == len(fixed) + (255 - len(fixed)) // 2
+        assert np.all(np.diff(first) > 0)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3])
+    @pytest.mark.parametrize("convention", nmr.CONVENTIONS)
+    @pytest.mark.parametrize("hamiltonian", ["noxy", "full", "simplified"])
+    @pytest.mark.parametrize("preset", sorted(chaos.PRESETS))
+    def test_chaotic_table_equals_subset_entropies(self, preset, hamiltonian, convention, n_steps, monkeypatch):
+        # a flipped mean is summed in another member order, so its entropy
+        # drifts at round-off from its own: at most 2.2e-15 bits over these
+        # 72 tables; the lowest mask of each orbit keeps its bits
+        cfg = ExperimentConfig.preset(preset, map_variant="chaotic", hamiltonian=hamiltonian, convention=convention)
+        table = experiment_table(cfg, n_steps, monkeypatch)
+        expected = chaos.subset_entropies(chaos.subset_means(chaos.history_ensemble(cfg, n_steps)))
+        first = chaos._flip_classes(2**n_steps)[1]
+        assert hexes(table[first]) == hexes(expected[first])
+        assert np.array_equal(table, table[[flip(mask) for mask in range(len(table))]])
+        np.testing.assert_allclose(table, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3])
+    @pytest.mark.parametrize("convention", nmr.CONVENTIONS)
+    @pytest.mark.parametrize("hamiltonian", ["noxy", "full", "simplified"])
+    def test_regular_table_keeps_its_bits(self, hamiltonian, convention, n_steps, monkeypatch):
+        cfg = ExperimentConfig.preset("fig5", map_variant="regular", hamiltonian=hamiltonian, convention=convention)
+        table = experiment_table(cfg, n_steps, monkeypatch)
+        means = chaos.subset_means(chaos.history_ensemble(cfg, n_steps))
+        assert hexes(table) == hexes(oracles.plain_subset_entropies(means))
+
+    @pytest.mark.parametrize("variant, diagonalised", [("chaotic", 135), ("regular", 24)])
+    def test_job_diagonalises_one_table_mean_per_class(self, variant, diagonalised, monkeypatch):
+        batches, inside, table = [], [], chaos._subset_entropies
+        entropies = qstate.von_neumann_entropies_bits
+
+        def counting(rhos):
+            if inside:
+                batches.append(len(rhos))
+            return entropies(rhos)
+
+        def flagged(*args):
+            inside.append(True)
+            try:
+                return table(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(qstate, "von_neumann_entropies_bits", counting)
+        monkeypatch.setattr(chaos, "_subset_entropies", flagged)
+        chaos.hypersensitivity_experiment(ExperimentConfig.preset("fig5", map_variant=variant), 3)
+        assert batches == [diagonalised]
 
 
 def binary_entropy(p: float) -> float:
