@@ -63,6 +63,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.map_variant not in MAP_VARIANTS:
             raise ValueError(f"unknown map variant {self.map_variant!r}")
+        for name in ("steps", "seed"):  # a bool is an int, but no CLI flag replays steps=True
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         # operator.index raises TypeError on a float or other non-integral
         # value here, before any engine is built
         if operator.index(self.steps) < 1:
@@ -155,7 +158,7 @@ def entropy_run(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=1)  # on first use: at import every process would pay its eigvalsh
 def _initial_entropy() -> float:
-    return qstate.von_neumann_entropy_bits(_INITIAL_DENSITY)
+    return float(qstate.von_neumann_entropy_bits(_INITIAL_DENSITY))
 
 
 def entropy_experiment(config: ExperimentConfig) -> list[tuple[int, float]]:
@@ -291,7 +294,7 @@ def subset_entropies(means) -> np.ndarray:
 
 def _subset_entropies(means, ids, first) -> np.ndarray:
     """:func:`subset_entropies` of a valid table whose :func:`_distinct_means` are ``ids, first``."""
-    return np.append(0.0, qstate.von_neumann_entropies_bits(means[first[1:]]))[ids]
+    return np.append(0.0, qstate.von_neumann_entropy_bits(means[first[1:]]))[ids]
 
 
 @dataclass(frozen=True)
@@ -332,7 +335,7 @@ def js_distance(a: np.ndarray, b: np.ndarray) -> float:
     s_avg = (
         qstate.von_neumann_entropy_bits(a) + qstate.von_neumann_entropy_bits(b)
     ) / 2
-    return max(s_mix - s_avg, 0.0)
+    return float(max(s_mix - s_avg, 0.0))
 
 
 def _unique(values) -> np.ndarray:
@@ -407,7 +410,7 @@ def _greedy_groupings(means, entropies, seeds, ids, first) -> np.ndarray:
         new = _unique(keys[np.isnan(memo[keys])])
         if len(new):
             mean, member = np.divmod(new, n)
-            memo[new] = qstate.von_neumann_entropies_bits((means[first[mean]] + means[bits[member]]) / 2)
+            memo[new] = qstate.von_neumann_entropy_bits((means[first[mean]] + means[bits[member]]) / 2)
         # js_distance's own expression, so each distance equals it bit for bit
         dists = np.maximum(memo[keys] - (entropies[m] + entropies[bits[idx]][:, None]) / 2, 0.0)
         dists[m == 0] = np.inf

@@ -71,7 +71,7 @@ def _shift_error(variant: str) -> float:
 def _dephasing_error() -> float:
     engine, rho0 = ExperimentConfig.preset("fig2").engine(), chaos.initial_density()
     t = 0.05
-    evolved = lindblad.apply_superoperator(engine.delay_propagator(t), rho0)
+    evolved = lindblad._evolve(rho0, ((engine.delay_propagator(t), None),))
     return abs(abs(evolved[0, 4]) - abs(rho0[0, 4]) * np.exp(-2 * engine.noise.gamma_h * t))
 
 

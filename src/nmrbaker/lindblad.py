@@ -28,11 +28,11 @@ import (:data:`_DEPHASING`), each program's :func:`_plan` once per model,
 and each delay propagator once per engine.  Every shared operator is
 read-only.  :func:`_evolve` only applies a resolved program to a state or
 stack, through ``np.ndarray.dot`` for one state and ``np.matmul`` for a
-stack (the same BLAS calls); :func:`apply_superoperator` is its delay
-product.  The states are checked once per run, after it has evolved them
-all, by one stacked :func:`_check_evolved` call that also returns their
-spectra.  :func:`run_sequence`, the public entry, checks its input
-states, evolves them and checks its output states.
+stack (the same BLAS calls).  The states are checked once per run, after
+it has evolved them all, by one stacked :func:`_check_evolved` call, whose
+:func:`qstate.density_matrix_defects` also returns their spectra.
+:func:`run_sequence`, the public entry, checks its input states, evolves
+them and checks its output states.
 """
 
 from __future__ import annotations
@@ -142,13 +142,6 @@ def _plan(seq: PulseSequence, model: HamiltonianModel) -> tuple:
         u.flags.writeable = uh.flags.writeable = False
         plan.append((u, uh))
     return tuple(plan)
-
-
-def apply_superoperator(propagator: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """``propagator`` (any array-like) applied to a density matrix or to
-    each of a (..., 8, 8) stack, through :func:`_evolve`'s delay product,
-    each product equal to the product on its state alone."""
-    return _evolve(np.asarray(rho, dtype=complex), ((np.asarray(propagator), None),))
 
 
 _PADE = "scipy.linalg._matfuncs_expm"
@@ -303,12 +296,12 @@ def _evolve(rho: np.ndarray, operators: tuple) -> np.ndarray:
 
 def _check_evolved(states: np.ndarray) -> np.ndarray:
     """The spectra of ``states``, one matrix or a stack, from one
-    :func:`qstate.density_matrix_spectra` call, or :class:`PhysicsError`
+    :func:`qstate.density_matrix_defects` call, or :class:`PhysicsError`
     with the defects of its first invalid state (positivity repair is
     deliberately not attempted: a violation indicates a bug, not noise).
     A run that stacks its states in step order reports the state its
     first bad step produced, as a check after each step would."""
-    defects, spectra = qstate.density_matrix_spectra(states)
+    defects, spectra = qstate.density_matrix_defects(states)
     if defects:
         raise PhysicsError("evolution produced an invalid state: " + "; ".join(defects))
     return spectra
@@ -323,7 +316,9 @@ def run_sequence(rho0: np.ndarray, seq: PulseSequence, engine: EvolutionEngine) 
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape[-2:] != (DIM, DIM):
         raise ValueError(f"expected ({DIM}, {DIM}) density matrices, got shape {rho.shape}")
-    qstate.check_density_matrix(rho)
+    defects = qstate.density_matrix_defects(rho)[0]
+    if defects:
+        raise ValueError("invalid density matrix: " + "; ".join(defects))
     rho = _evolve(rho, engine.operators(seq))
     _check_evolved(rho)
     return rho

@@ -66,18 +66,14 @@ def dft_matrix(dim: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(idx, idx) / dim) / np.sqrt(dim)
 
 
-def von_neumann_entropy_bits(rho) -> float:
-    """-tr(rho log2 rho) in bits.
+def von_neumann_entropy_bits(rhos):
+    """-tr(rho log2 rho) in bits of one matrix (a numpy float64) or of each
+    of a stack (an array; empty for an empty stack), from one batched
+    ``eigvalsh``.
 
     Eigenvalues in [-EIG_CLAMP, 0] are exact zeros (integrator round-off);
     one below -EIG_CLAMP, a NaN one or a non-finite entry raises.
     """
-    return float(von_neumann_entropies_bits(rho))
-
-
-def von_neumann_entropies_bits(rhos) -> np.ndarray:
-    """:func:`von_neumann_entropy_bits` of each matrix in a stack, from one
-    batched ``eigvalsh``; an empty stack gives an empty array."""
     rhos = _square_matrices(rhos)
     if not np.isfinite(rhos).all():  # LAPACK may drop a NaN, return one or not converge
         raise ValueError("density matrix has non-finite entries")
@@ -120,20 +116,16 @@ def _square_matrices(rho) -> np.ndarray:
     return rho
 
 
-def density_matrix_defects(rho) -> list[str]:
-    """Violated density-matrix invariants of ``rho``, one matrix or a
-    (..., d, d) stack: empty when every state is valid, else the messages
-    of the first state that is not (:func:`density_matrix_spectra`)."""
-    return density_matrix_spectra(rho)[0]
-
-
-def density_matrix_spectra(rho) -> tuple[list[str], np.ndarray]:
-    """(:func:`density_matrix_defects`, the (states, d) ascending eigenvalues,
-    zeros for a non-finite state) from one batched ``eigvalsh`` of the states
-    themselves; messages are built only on a failure.  It reads the lower
-    triangles, so a state beyond :data:`HERMITICITY_TOL` gets no eigenvalue
-    verdict; within it, by Weyl, the minimum is within d * tol / 2 (4e-10 at
-    d = 8) of the Hermitian part's, below :data:`EIG_CLAMP`."""
+def density_matrix_defects(rho) -> tuple[list[str], np.ndarray]:
+    """The violated density-matrix invariants of ``rho``, one matrix or a
+    (..., d, d) stack, and the (states, d) ascending eigenvalues, zeros for
+    a non-finite state, from one batched ``eigvalsh`` of the states
+    themselves.  The messages are empty when every state is valid, else
+    those of the first state that is not, built only on a failure.  It
+    reads the lower triangles, so a state beyond :data:`HERMITICITY_TOL`
+    gets no eigenvalue verdict; within it, by Weyl, the minimum is within
+    d * tol / 2 (4e-10 at d = 8) of the Hermitian part's, below
+    :data:`EIG_CLAMP`."""
     rho = _square_matrices(rho)
     raw = states = rho.reshape(-1, *rho.shape[-2:])
     # a non-finite state is scored as zeros, whose trace 0 marks it bad:
@@ -160,9 +152,3 @@ def density_matrix_spectra(rho) -> tuple[list[str], np.ndarray]:
         defects.append(f"negative eigenvalue {w[i, 0]:.3e}")
     return defects, w
 
-
-def check_density_matrix(rho) -> None:
-    """Raise ValueError when a matrix of ``rho`` violates a density-matrix invariant."""
-    defects = density_matrix_defects(rho)
-    if defects:
-        raise ValueError("invalid density matrix: " + "; ".join(defects))

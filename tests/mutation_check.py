@@ -449,8 +449,8 @@ MUTANTS = (
            "i = len(bad) - 1 - bad[::-1].argmax()",
            (STACKED + "test_first_bad_state_is_the_one_reported",)),
     Mutant("evolve-output-check-dropped", "lindblad.py",
-           "defects, spectra = qstate.density_matrix_spectra(states)\n",
-           "defects, spectra = [], qstate.density_matrix_spectra(states)[1]\n",
+           "defects, spectra = qstate.density_matrix_defects(states)\n",
+           "defects, spectra = [], qstate.density_matrix_defects(states)[1]\n",
            (RUN + "test_invalid_output_anywhere_in_a_stack_raises",
             "tests/test_cli.py::TestExitCodes::test_physics_violation_exits_three")),
     # a bad step before the last one then shows only as the later NaN

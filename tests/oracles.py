@@ -35,7 +35,7 @@ def is_unitary(u, tol: float = 1e-10) -> bool:
 
 
 def single_state_defects(rho) -> list[str]:
-    """``qstate.density_matrix_defects`` of one matrix, test by test; the
+    """``qstate.density_matrix_defects(rho)[0]`` of one matrix, test by test; the
     stacked check must give its messages.  The eigenvalue test diagonalises
     the matrix itself (``eigvalsh`` reads its lower triangle) and applies
     only to a matrix that passes the hermiticity test."""
@@ -187,7 +187,7 @@ def per_step_entropy_series(config) -> list[tuple[int, float]]:
     series = [(0, qstate.von_neumann_entropy_bits(rho))]
     for n, (operators, z) in enumerate(chaos._steps(config, engine, config.steps), start=1):
         rho = matmul_evolve(rho, operators)
-        defects = qstate.density_matrix_defects(rho)
+        defects = qstate.density_matrix_defects(rho)[0]
         if defects:
             raise PhysicsError("evolution produced an invalid state: " + "; ".join(defects))
         if config.artificial_perturbation:
@@ -287,12 +287,12 @@ def reference_greedy_grouping(rhos, seeds) -> list[int]:
 
 
 def plain_subset_entropies(means) -> np.ndarray:
-    """``chaos.subset_entropies`` as one plain ``qstate.von_neumann_entropies_bits``
+    """``chaos.subset_entropies`` as one plain ``qstate.von_neumann_entropy_bits``
     batch over every nonempty subset's mean, repeats included.  The
     package diagonalises each distinct mean once when members repeat a
     state, and must equal this by ``float.hex``."""
     entropies = np.zeros(len(means))
-    entropies[1:] = qstate.von_neumann_entropies_bits(means[1:])
+    entropies[1:] = qstate.von_neumann_entropy_bits(means[1:])
     return entropies
 
 
@@ -310,7 +310,7 @@ def plain_greedy_groupings(means, entropies, draws) -> list[list[int]]:
             labels[seed] = g
         for idx in range(n):
             if labels[idx] < 0:
-                mixed = qstate.von_neumann_entropies_bits(np.array([(means[m] + means[1 << idx]) / 2 for m in masks]))
+                mixed = qstate.von_neumann_entropy_bits(np.array([(means[m] + means[1 << idx]) / 2 for m in masks]))
                 dists = np.maximum(mixed - (entropies[masks] + entropies[1 << idx]) / 2, 0.0)
                 labels[idx] = g = int(dists.argmin())
                 masks[g] |= 1 << idx

@@ -69,16 +69,16 @@ def basis_projectors(n=8):
 
 
 def record_checks(monkeypatch):
-    """Patch ``qstate.density_matrix_spectra``, the check that
+    """Patch ``qstate.density_matrix_defects``, the check that
     ``lindblad._check_evolved`` calls, to record a (-1, 8, 8) copy of the
     states each call checks; return that list."""
-    checked, check = [], qstate.density_matrix_spectra
+    checked, check = [], qstate.density_matrix_defects
 
     def recording(rho):
         checked.append(np.array(rho).reshape(-1, 8, 8))
         return check(rho)
 
-    monkeypatch.setattr(qstate, "density_matrix_spectra", recording)
+    monkeypatch.setattr(qstate, "density_matrix_defects", recording)
     return checked
 
 
@@ -149,30 +149,30 @@ def memo_keys(seeds, assignment) -> set:
 
 
 def record_mixtures(monkeypatch) -> list:
-    """Record every (matrix, entropy) of ``qstate.von_neumann_entropies_bits``
+    """Record every (matrix, entropy) of ``qstate.von_neumann_entropy_bits``
     calls from here on: greedy diagonalises its memo's misses through it."""
-    recorded, entropies = [], qstate.von_neumann_entropies_bits
+    recorded, entropies = [], qstate.von_neumann_entropy_bits
 
     def recording(rhos):
         out = entropies(rhos)
         recorded.extend(zip(np.reshape(rhos, (-1, *np.shape(rhos)[-2:])), np.ravel(out).tolist()))
         return out
 
-    monkeypatch.setattr(qstate, "von_neumann_entropies_bits", recording)
+    monkeypatch.setattr(qstate, "von_neumann_entropy_bits", recording)
     return recorded
 
 
 def record_batches(monkeypatch) -> list:
-    """Record each ``qstate.von_neumann_entropies_bits`` call from here on
+    """Record each ``qstate.von_neumann_entropy_bits`` call from here on
     as the set of its matrices' bytes and its number of matrices."""
-    recorded, entropies = [], qstate.von_neumann_entropies_bits
+    recorded, entropies = [], qstate.von_neumann_entropy_bits
 
     def recording(rhos):
         stack = np.reshape(rhos, (-1, *np.shape(rhos)[-2:]))
         recorded.append(({m.tobytes() for m in stack}, len(stack)))
         return entropies(rhos)
 
-    monkeypatch.setattr(qstate, "von_neumann_entropies_bits", recording)
+    monkeypatch.setattr(qstate, "von_neumann_entropy_bits", recording)
     return recorded
 
 
@@ -207,7 +207,7 @@ def assert_pair_mixtures_are_subset_entries(rhos):
     entropies = chaos.subset_entropies(means)
     pairs = [(a, i) for a in range(n) for i in range(n) if a != i]
     mixtures = np.array([(means[1 << a] + means[1 << i]) / 2 for a, i in pairs])
-    batched = qstate.von_neumann_entropies_bits(mixtures)
+    batched = qstate.von_neumann_entropy_bits(mixtures)
     for (a, i), mixture, entropy in zip(pairs, mixtures, batched.tolist()):
         expected = float(entropies[1 << a | 1 << i]).hex()
         assert entropy.hex() == expected, (a, i)
@@ -268,7 +268,7 @@ def mask_keyed_greedy(means, entropies, seeds) -> np.ndarray:
             slots: dict = {}
             inverse = np.array([slots.setdefault(rho.tobytes(), len(slots)) for rho in mixtures])
             first = np.unique(inverse, return_index=True)[1]
-            memo[new] = qstate.von_neumann_entropies_bits(mixtures[first])[inverse]
+            memo[new] = qstate.von_neumann_entropy_bits(mixtures[first])[inverse]
         dists = np.maximum(memo[keys] - (entropies[m] + entropies[bits[idx]][:, None]) / 2, 0.0)
         dists[m == 0] = np.inf
         masks[rows, dists.argmin(axis=1)] |= bits[idx]
@@ -324,6 +324,13 @@ class TestConfig:
         monkeypatch.setattr(chaos, "EvolutionEngine", forbidden)
         with pytest.raises(ValueError, match="artificial_perturbation must be a bool"):
             chaos.entropy_experiment(ExperimentConfig.preset("fig2", steps=3, artificial_perturbation=value))
+
+    # steps=True ran one step under a header "steps=True" that no CLI flag replays
+    @pytest.mark.parametrize("field", ["steps", "seed"])
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), np.bool_(False)], ids=repr)
+    def test_bool_count_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            ExperimentConfig.preset("fig2", **{field: value})
 
     def test_numpy_bool_perturbation_accepted(self):
         cfg = ExperimentConfig.preset("fig2", steps=3, artificial_perturbation=np.bool_(True))
@@ -398,7 +405,7 @@ class TestEntropyExperiment:
 
     def test_initial_entropy_equals_its_batched_value(self):
         batch = np.array([chaos.initial_density(), np.eye(8) / 8])
-        assert chaos._initial_entropy().hex() == qstate.von_neumann_entropies_bits(batch)[0].hex()
+        assert chaos._initial_entropy().hex() == qstate.von_neumann_entropy_bits(batch)[0].hex()
         assert chaos.entropy_experiment(ExperimentConfig.preset("fig2", steps=1))[0] == (
             0, chaos._initial_entropy())
 
@@ -445,10 +452,10 @@ class TestEntropyExperiment:
             return ((np.eye(64) + np.outer(e.ravel(), np.eye(8).ravel()), None),)
 
         [(operator_, _)] = coherence(3, nmr.LIFTED_PAULI["Z", nmr.SPIN_H])
-        bad = lindblad.apply_superoperator(operator_, chaos.initial_density())
-        assert qstate.density_matrix_defects(bad) == ["hermiticity violated by 2.000e-06"]
+        bad = lindblad._evolve(chaos.initial_density(), ((operator_, None),))
+        assert qstate.density_matrix_defects(bad)[0] == ["hermiticity violated by 2.000e-06"]
         assert qstate.density_matrix_defects(
-            chaos._averaged_kick(bad, nmr.LIFTED_PAULI["Z", nmr.SPIN_H])) == []
+            chaos._averaged_kick(bad, nmr.LIFTED_PAULI["Z", nmr.SPIN_H]))[0] == []
         with_extra_operators(monkeypatch, coherence)
         cfg = ExperimentConfig.preset("fig4", map_variant=variant)
         assert cfg.artificial_perturbation
@@ -463,7 +470,7 @@ class TestHistoryEnsemble:
     def test_three_steps_give_eight_states(self, fig2_chaotic_ensemble):
         assert len(fig2_chaotic_ensemble) == 8
         for rho in fig2_chaotic_ensemble:
-            qstate.check_density_matrix(rho)
+            assert qstate.density_matrix_defects(rho)[0] == []
 
     def test_all_zero_history_is_unperturbed_run(self, fig2_chaotic_ensemble):
         cfg = ExperimentConfig.preset("fig5", map_variant="chaotic", steps=3)
@@ -655,10 +662,10 @@ class TestAveragedKick:
         a = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
         rho = a @ a.conj().T
         rho /= np.trace(rho)
-        assert qstate.density_matrix_defects(rho) == []
+        assert qstate.density_matrix_defects(rho)[0] == []
         z = nmr.LIFTED_PAULI["Z", spin]
-        assert qstate.density_matrix_defects(z @ rho @ z) == []
-        assert qstate.density_matrix_defects(chaos._averaged_kick(rho, z)) == []
+        assert qstate.density_matrix_defects(z @ rho @ z)[0] == []
+        assert qstate.density_matrix_defects(chaos._averaged_kick(rho, z))[0] == []
 
     def test_kills_cross_sector_elements(self):
         rho = chaos.initial_density()
@@ -1541,7 +1548,7 @@ class TestDistinctMatrices:
                  for mask, idx in placements[1]]
         assert len({m.tobytes() for m in plain}) < len(plain)
         with pytest.raises(ValueError) as want:
-            qstate.von_neumann_entropies_bits(np.array(plain))
+            qstate.von_neumann_entropy_bits(np.array(plain))
         with pytest.raises(ValueError) as got:
             chaos.greedy_groupings(broken, table, seeds)
         assert str(got.value) == str(want.value)
@@ -1652,7 +1659,7 @@ class TestFlipClasses:
     @pytest.mark.parametrize("variant, diagonalised", [("chaotic", 135), ("regular", 24)])
     def test_job_diagonalises_one_table_mean_per_class(self, variant, diagonalised, monkeypatch):
         batches, inside, table = [], [], chaos._subset_entropies
-        entropies = qstate.von_neumann_entropies_bits
+        entropies = qstate.von_neumann_entropy_bits
 
         def counting(rhos):
             if inside:
@@ -1666,7 +1673,7 @@ class TestFlipClasses:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(qstate, "von_neumann_entropies_bits", counting)
+        monkeypatch.setattr(qstate, "von_neumann_entropy_bits", counting)
         monkeypatch.setattr(chaos, "_subset_entropies", flagged)
         chaos.hypersensitivity_experiment(ExperimentConfig.preset("fig5", map_variant=variant), 3)
         assert batches == [diagonalised]

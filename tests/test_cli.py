@@ -116,8 +116,8 @@ class TestVerifyCommand:
         assert [ln.split("  ")[0].rstrip() for ln in lines] == [name for name, _, _ in cli.CHECKS]
 
     def test_trace_drift_checks_its_six_states_once(self, monkeypatch):
-        checked, check = [], qstate.density_matrix_spectra
-        monkeypatch.setattr(qstate, "density_matrix_spectra",
+        checked, check = [], qstate.density_matrix_defects
+        monkeypatch.setattr(qstate, "density_matrix_defects",
                             lambda rho: checked.append(np.shape(rho)) or check(rho))
         assert cli.check("trace drift over six noisy steps").passed
         assert checked == [(6, 8, 8)]

@@ -28,6 +28,12 @@ def plus_y_density():
     return np.outer(psi, psi.conj())
 
 
+def apply_delay(propagator, rho):
+    """A delay's ``propagator`` applied to a complex state or stack by
+    ``lindblad._evolve``, as ``cli._dephasing_error`` applies it."""
+    return lindblad._evolve(rho, ((propagator, None),))
+
+
 @pytest.fixture(scope="module")
 def model():
     return HamiltonianModel()  # noxy, measured couplings
@@ -125,7 +131,7 @@ class TestDelayPropagator:
         t = model.tau2
         rho = plus_y_density()
         u = qstate.hermitian_propagator(model.matrix())(t)
-        out = lindblad.apply_superoperator(engine_closed.delay_propagator(t), rho)
+        out = apply_delay(engine_closed.delay_propagator(t), rho)
         np.testing.assert_allclose(out, u @ rho @ u.conj().T, atol=1e-9)
 
     def test_semigroup_property(self):
@@ -151,7 +157,7 @@ class TestDelayPropagator:
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = a @ a.conj().T
         rho /= np.trace(rho)
-        out = lindblad.apply_superoperator(engine.delay_propagator(0.02), rho)
+        out = apply_delay(engine.delay_propagator(0.02), rho)
         assert abs(np.trace(out) - 1) < 1e-9
         assert qstate.is_hermitian(out, tol=1e-10)
         assert np.linalg.eigvalsh(out).min() > -1e-9
@@ -171,7 +177,7 @@ class TestDelayPropagator:
         eng = EvolutionEngine(model, FIG2_NOISE)
         t = 0.05
         rho = plus_y_density()
-        out = lindblad.apply_superoperator(eng.delay_propagator(t), rho)
+        out = apply_delay(eng.delay_propagator(t), rho)
         # element |000><100|: only H flips
         assert abs(out[0, 4]) == pytest.approx(
             abs(rho[0, 4]) * np.exp(-2 * FIG2_NOISE.gamma_h * t), abs=1e-8
@@ -518,7 +524,7 @@ class TestRunSequence:
         purity = np.trace(rho @ rho).real
         prop = engine.delay_propagator(model.tau1)
         for _ in range(10):
-            rho = lindblad.apply_superoperator(prop, rho)
+            rho = apply_delay(prop, rho)
             new_purity = np.trace(rho @ rho).real
             assert new_purity <= purity + 1e-12
             purity = new_purity
@@ -555,17 +561,12 @@ class TestRunSequence:
                 # by bytes: array_equal takes -0.0 for +0.0
                 assert got.tobytes() == lindblad.run_sequence(rho, program, engine).tobytes()
 
-    def test_superoperator_accepts_a_list(self, engine, model):
-        prop, rho = engine.delay_propagator(model.tau1), plus_y_density()
-        assert (lindblad.apply_superoperator(prop.tolist(), rho.tolist()).tobytes()
-                == lindblad.apply_superoperator(prop, rho).tobytes())
-
     def test_superoperator_on_a_stack_equals_each_state_alone(self, engine, model):
         prop = engine.delay_propagator(model.tau1)
         states = np.array([plus_y_density(), np.eye(8) / 8, np.diag(np.arange(8.0)) / 28])
-        stacked = lindblad.apply_superoperator(prop, states)
+        stacked = apply_delay(prop, states)
         for got, rho in zip(stacked, states):
-            assert got.tobytes() == lindblad.apply_superoperator(prop, rho).tobytes()
+            assert got.tobytes() == apply_delay(prop, rho).tobytes()
             assert got.tobytes() == (prop @ rho.astype(complex).reshape(-1)).reshape(8, 8).tobytes()
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nmrbaker import qstate
+from nmrbaker import lindblad, nmr, qstate
 from nmrbaker.qstate import ID2, PAULI_X, PAULI_Y, PAULI_Z
 
 SPINS = ("H", "C1", "C2")
@@ -138,7 +138,7 @@ class TestEntropy:
         with pytest.raises(ValueError, match="non-finite entries"):
             qstate.von_neumann_entropy_bits(rho)
         with pytest.raises(ValueError, match="non-finite entries"):
-            qstate.von_neumann_entropies_bits(np.array([np.eye(8) / 8, rho]))
+            qstate.von_neumann_entropy_bits(np.array([np.eye(8) / 8, rho]))
 
     def test_rejects_non_finite_spectrum(self, monkeypatch):
         # a NaN eigenvalue fails "below -EIG_CLAMP" as well as "above" it
@@ -146,7 +146,7 @@ class TestEntropy:
         with pytest.raises(ValueError, match="or NaN"):
             qstate.von_neumann_entropy_bits(np.eye(8) / 8)
         with pytest.raises(ValueError, match="or NaN"):
-            qstate.von_neumann_entropies_bits(np.array([np.eye(8) / 8] * 2))
+            qstate.von_neumann_entropy_bits(np.array([np.eye(8) / 8] * 2))
 
     def test_stack_equals_each_matrix_alone(self):
         # full rank, rank deficient, pure, and with an eigenvalue in the
@@ -156,20 +156,23 @@ class TestEntropy:
         low_rank = a @ a.conj().T
         stack = np.array([np.eye(8) / 8, low_rank / np.trace(low_rank).real,
                           np.diag([1.0] + [0.0] * 7), np.diag([1.0 + 5e-10, -5e-10] + [0.0] * 6)])
-        entropies = qstate.von_neumann_entropies_bits(stack)
+        entropies = qstate.von_neumann_entropy_bits(stack)
         assert entropies.shape == (4,)
         assert [x.hex() for x in entropies.tolist()] == [
             qstate.von_neumann_entropy_bits(rho).hex() for rho in stack]
 
+    def test_one_matrix_gives_a_numpy_float(self):
+        assert type(qstate.von_neumann_entropy_bits(np.eye(8) / 8)) is np.float64
+
     def test_empty_stack_gives_empty_array(self):
-        entropies = qstate.von_neumann_entropies_bits(np.zeros((0, 8, 8)))
+        entropies = qstate.von_neumann_entropy_bits(np.zeros((0, 8, 8)))
         assert entropies.shape == (0,) and entropies.dtype == float
 
     @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
     def test_empty_matrices_rejected(self, shape):
         message = re.escape(f"square matrices of size 1 or more, got shape {shape}")
         with pytest.raises(ValueError, match=message):
-            qstate.von_neumann_entropies_bits(np.zeros(shape))
+            qstate.von_neumann_entropy_bits(np.zeros(shape))
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(3)
@@ -196,21 +199,21 @@ class TestPhaseInvariantDistance:
 
 class TestDensityChecks:
     def test_valid_density_matrix_passes(self):
-        qstate.check_density_matrix(np.eye(8) / 8)
+        assert qstate.density_matrix_defects(np.eye(8) / 8)[0] == []
 
     def test_trace_violation_detected(self):
-        defects = qstate.density_matrix_defects(np.eye(8) / 4)
+        defects = qstate.density_matrix_defects(np.eye(8) / 4)[0]
         assert any("trace" in d for d in defects)
 
     def test_hermiticity_violation_detected(self):
         rho = np.eye(2) / 2 + np.array([[0, 1e-5], [0, 0]])
-        assert any("hermiticity" in d for d in qstate.density_matrix_defects(rho))
+        assert any("hermiticity" in d for d in qstate.density_matrix_defects(rho)[0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_detected(self, bad):
         rho = np.eye(8, dtype=complex) / 8
         rho[2, 5] = bad
-        assert qstate.density_matrix_defects(rho) == ["non-finite entries (1 of 64)"]
+        assert qstate.density_matrix_defects(rho)[0] == ["non-finite entries (1 of 64)"]
 
 
 def random_densities(rng, shape):
@@ -249,37 +252,47 @@ BAD_STATES = {
 }
 
 
+def run_checks(states):
+    """``lindblad.run_sequence`` of an empty program: it checks the input
+    states (``ValueError``), applies nothing and checks them again."""
+    return lindblad.run_sequence(states, EMPTY_PROGRAM, CLOSED_ENGINE)
+
+
+EMPTY_PROGRAM = nmr.PulseSequence("empty", ())
+CLOSED_ENGINE = lindblad.EvolutionEngine(nmr.HamiltonianModel(), lindblad.NoiseModel())
+
+
 class TestStackedDensityChecks:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(1,), (3,), (7,), (2, 3)]))
     def test_valid_stack_passes_as_each_state_does(self, seed, shape):
         states = random_densities(np.random.default_rng(seed), shape)
         assert all(oracles.single_state_defects(rho) == [] for rho in states.reshape(-1, 8, 8))
-        assert qstate.density_matrix_defects(states) == []
-        qstate.check_density_matrix(states)
+        assert qstate.density_matrix_defects(states)[0] == []
+        run_checks(states)
 
     @pytest.mark.parametrize("position", [0, 3, 5])
     @pytest.mark.parametrize("kind", sorted(BAD_STATES))
     def test_one_bad_state_anywhere_gives_its_own_messages(self, kind, position):
         bad, messages = BAD_STATES[kind]
-        assert oracles.single_state_defects(bad) == qstate.density_matrix_defects(bad) == messages
+        assert oracles.single_state_defects(bad) == qstate.density_matrix_defects(bad)[0] == messages
         states = random_densities(np.random.default_rng(position), (6,))
         states[position] = bad
         for stack in (states, states.reshape(2, 3, 8, 8)):
-            assert qstate.density_matrix_defects(stack) == messages
-            with pytest.raises(ValueError, match=re.escape("; ".join(messages))):
-                qstate.check_density_matrix(stack)
+            assert qstate.density_matrix_defects(stack)[0] == messages
+            with pytest.raises(ValueError, match=re.escape("invalid density matrix: " + "; ".join(messages))):
+                run_checks(stack)
 
     def test_first_bad_state_is_the_one_reported(self):
         states = random_densities(np.random.default_rng(1), (4,))
         states[1], states[2] = BAD_STATES["negative eigenvalue"][0], BAD_STATES["non-finite"][0]
-        assert qstate.density_matrix_defects(states) == BAD_STATES["negative eigenvalue"][1]
-        assert qstate.density_matrix_defects(states[::-1]) == BAD_STATES["non-finite"][1]
+        assert qstate.density_matrix_defects(states)[0] == BAD_STATES["negative eigenvalue"][1]
+        assert qstate.density_matrix_defects(states[::-1])[0] == BAD_STATES["non-finite"][1]
 
     def test_hermiticity_failure_gets_no_eigenvalue_verdict(self):
         bad, messages = BAD_STATES["hermiticity over a negative eigenvalue"]
         assert np.linalg.eigvalsh((bad + bad.conj().T) / 2)[0] < -qstate.EIG_CLAMP
-        assert qstate.density_matrix_defects(bad) == messages
+        assert qstate.density_matrix_defects(bad)[0] == messages
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -296,14 +309,14 @@ class TestStackedDensityChecks:
 
     def test_spectra_are_the_states_own(self):
         states = random_densities(np.random.default_rng(2), (2, 3))
-        defects, w = qstate.density_matrix_spectra(states)
+        defects, w = qstate.density_matrix_defects(states)
         assert defects == [] and np.array_equal(w, np.linalg.eigvalsh(states.reshape(-1, 8, 8)))
         states[1, 0] = BAD_STATES["non-finite"][0]
-        defects, w = qstate.density_matrix_spectra(states)
+        defects, w = qstate.density_matrix_defects(states)
         assert defects == BAD_STATES["non-finite"][1] and np.array_equal(w[3], np.zeros(8))
 
     def test_empty_stack_has_no_defects(self):
-        assert qstate.density_matrix_defects(np.zeros((0, 8, 8))) == []
+        assert qstate.density_matrix_defects(np.zeros((0, 8, 8)))[0] == []
 
     @pytest.mark.parametrize("shape", [(), (8,), (4, 8), (2, 8, 4)])
     def test_non_square_shapes_rejected(self, shape):
@@ -313,6 +326,5 @@ class TestStackedDensityChecks:
     @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
     def test_empty_matrices_rejected(self, shape):
         message = re.escape(f"square matrices of size 1 or more, got shape {shape}")
-        for check in qstate.density_matrix_defects, qstate.check_density_matrix:
-            with pytest.raises(ValueError, match=message):
-                check(np.zeros(shape))
+        with pytest.raises(ValueError, match=message):
+            qstate.density_matrix_defects(np.zeros(shape))
