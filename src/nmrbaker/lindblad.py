@@ -28,7 +28,10 @@ import (:data:`_DEPHASING`), each program's :func:`_plan` once per model,
 and each delay propagator once per engine.  Every shared operator is
 read-only.  :func:`_evolve` only applies a resolved program to a state or
 stack, through ``np.ndarray.dot`` for one state and ``np.matmul`` for a
-stack (the same BLAS calls).  The states are checked once per run, after
+stack (the same BLAS calls).  It copies the state once into the first of a
+pair of buffers it allocates per call, and each product writes with
+``out=`` into the other one, so no operator allocates and the result never
+aliases the caller's state.  The states are checked once per run, after
 it has evolved them all, by one stacked :func:`_check_evolved` call, whose
 :func:`qstate.density_matrix_defects` also returns their spectra.
 :func:`run_sequence`, the public entry, checks its input states, evolves
@@ -285,13 +288,26 @@ def _evolve(rho: np.ndarray, operators: tuple) -> np.ndarray:
     pair (u, u^dag) as ``(u rho) u^dag``.  One state goes through the
     unbound ``np.ndarray.dot`` (operators must be ndarrays), which skips
     ``np.dot``'s Python-level dispatcher, a stack through ``np.matmul``: the
-    same BLAS calls, so the same bits.  It checks nothing: each run checks
-    the states it evolved with one :func:`_check_evolved` call."""
-    shape = rho.shape
+    same BLAS calls, so the same bits.
+
+    The input is copied once, into the first of two buffers allocated per
+    call, and every product writes with ``out=`` into the other one: a delay
+    into the other's row-stacked view, after which the two swap, a pulse
+    pair into the other and back.  So no operator allocates or reshapes,
+    and the result, always a fresh array, shares no memory with ``rho`` or
+    any operator, even for an empty program.  It checks nothing: each run
+    checks the states it evolved with one :func:`_check_evolved` call."""
     product, flat = (np.ndarray.dot, DIM * DIM) if rho.ndim == 2 else (np.matmul, (-1, DIM * DIM, 1))
+    cur = np.array(rho, dtype=complex, order="C")  # C order: the flat views are views
+    other = np.empty_like(cur)
+    cur_flat, other_flat = cur.reshape(flat), other.reshape(flat)
     for a, b in operators:
-        rho = product(a, rho.reshape(flat)).reshape(shape) if b is None else product(product(a, rho), b)
-    return rho
+        if b is None:
+            product(a, cur_flat, out=other_flat)
+            cur, other, cur_flat, other_flat = other, cur, other_flat, cur_flat
+        else:
+            product(product(a, cur, out=other), b, out=cur)
+    return cur
 
 
 def _check_evolved(states: np.ndarray) -> np.ndarray:
@@ -311,7 +327,8 @@ def run_sequence(rho0: np.ndarray, seq: PulseSequence, engine: EvolutionEngine) 
     """Evolve a density matrix, or each of a (..., 8, 8) stack, through a
     pulse program with dephasing: every input state is checked
     (``ValueError``), :func:`_evolve` applies the program, and every output
-    state is checked (:class:`PhysicsError`).
+    state is checked (:class:`PhysicsError`).  The result is a new array,
+    never ``rho0`` itself, even for an empty program.
     """
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape[-2:] != (DIM, DIM):

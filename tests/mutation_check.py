@@ -34,6 +34,7 @@ DRAWS = CHAOS + "TestGreedyDraws::"
 SHIFT = "tests/test_baker.py::TestShiftStates::"
 LIOUVILLIAN = "tests/test_lindblad.py::TestLiouvillian::"
 RUN = "tests/test_lindblad.py::TestRunSequence::"
+BUFFERS = "tests/test_lindblad.py::TestEvolveBuffers::"
 OPERATORS = "tests/test_lindblad.py::TestOperators::"
 DELAY = "tests/test_lindblad.py::TestDelayPropagator::"
 GENERATOR = "tests/test_lindblad.py::TestGeneratorBuilds::"
@@ -508,21 +509,42 @@ MUTANTS = (
            ("tests/test_lindblad.py::TestDelayPropagator::test_rk4_agrees_with_exact_exponential",)),
     # the drift fails the run's output check first, so verify exits 3
     Mutant("delay-gains-trace", "lindblad.py",
-           "rho = product(a, rho.reshape(flat))",
-           "rho = (1 + 1e-9) * product(a, rho.reshape(flat))",
+           "product(a, cur_flat, out=other_flat)",
+           "product((1 + 1e-9) * a, cur_flat, out=other_flat)",
            (VERIFY,)),
     # (u rho) u^dag becomes u (rho u^dag): equal but for round-off
     Mutant("lone-state-pulse-pair-reassociated", "lindblad.py",
-           "product(product(a, rho), b)",
-           "product(a, product(rho, b))",
+           "product(product(a, cur, out=other), b, out=cur)",
+           "product(a, product(cur, b, out=other), out=cur)",
            (ENTROPY + "test_equals_the_per_step_loop_bit_for_bit",
             RUN + "test_lone_state_equals_its_stack_row_and_the_matmul_loop_byte_for_byte")),
     # each state read column by column: the delay acts on its transpose
     Mutant("lone-state-delay-flattened-in-fortran-order", "lindblad.py",
-           "rho.reshape(flat)",
-           'rho.reshape(flat, order="F")',
+           "product(a, cur_flat, out=other_flat)",
+           'product(a, cur.reshape(flat, order="F"), out=other_flat)',
            (ENTROPY + "test_equals_the_per_step_loop_bit_for_bit",
             RUN + "test_lone_state_equals_its_stack_row_and_the_matmul_loop_byte_for_byte")),
+    # a delay's result lands in the other buffer, but the next operator and
+    # the return read the state from before it: every delay is lost
+    Mutant("delay-buffers-not-swapped", "lindblad.py",
+           "cur, other, cur_flat, other_flat = other, cur, other_flat, cur_flat",
+           "pass",
+           (BUFFERS + "test_input_is_left_untouched_and_may_be_read_only[lone]",
+            BUFFERS + "test_input_is_left_untouched_and_may_be_read_only[stack]")),
+    # the second buffer is the caller's array: the first product overwrites
+    # it, or fails on a read-only input
+    Mutant("first-product-written-into-the-input", "lindblad.py",
+           "other = np.empty_like(cur)",
+           "other = rho",
+           (BUFFERS + "test_input_is_left_untouched_and_may_be_read_only[lone]",
+            BUFFERS + "test_input_is_left_untouched_and_may_be_read_only[stack]")),
+    # an F-ordered input keeps its layout: the flat views become copies
+    # that the products write into and nothing reads back
+    Mutant("input-copied-in-its-own-layout", "lindblad.py",
+           'np.array(rho, dtype=complex, order="C")',
+           "np.array(rho, dtype=complex)",
+           (BUFFERS + "test_input_layout_does_not_matter[lone]",
+            BUFFERS + "test_input_layout_does_not_matter[stack]")),
     # 2 tau1 becomes tau1's propagator: t_even's long delays halve
     Mutant("doubled-delay-not-squared", "lindblad.py",
            "prop = half @ half",

@@ -638,6 +638,77 @@ class TestRunSequence:
             np.testing.assert_allclose(out, u @ rho @ u.conj().T, atol=1e-9)
 
 
+class TestEvolveBuffers:
+    """``lindblad._evolve`` copies its input once and writes every product
+    into one of two buffers of its own: whatever the program, the result
+    is a fresh array and the input and operators stay as they were."""
+
+    @pytest.fixture(scope="class")
+    def operators(self):
+        # both chaotic fig2 `full` steps: delays and pulse pairs, a delay first
+        cfg = ExperimentConfig.preset("fig2", hamiltonian="full")
+        engine = cfg.engine()
+        return tuple(op for operators, _ in chaos._steps(cfg, engine, 2) for op in operators)
+
+    @pytest.fixture(params=["lone", "stack"])
+    def rho(self, request):
+        rho = chaos.initial_density()
+        if request.param == "stack":
+            z_h = nmr.LIFTED_PAULI["Z", SPIN_H]
+            rho = np.array([rho, z_h @ rho @ z_h, np.eye(8) / 8, plus_y_density()]).reshape(2, 2, 8, 8)
+        return rho
+
+    def test_input_is_left_untouched_and_may_be_read_only(self, rho, operators):
+        before, frozen = rho.copy(), rho.copy()
+        frozen.flags.writeable = False
+        out = lindblad._evolve(frozen, operators)
+        assert frozen.tobytes() == before.tobytes()
+        assert out.tobytes() == oracles.matmul_evolve(before, operators).tobytes()
+        writable = lindblad._evolve(rho, operators)
+        assert rho.tobytes() == before.tobytes()
+        assert writable.tobytes() == out.tobytes()
+
+    def test_result_shares_no_memory_with_the_input_or_an_operator(self, rho, operators):
+        for program in [operators, operators[:1], operators[1:2], ()]:
+            out = lindblad._evolve(rho, program)
+            assert out.shape == rho.shape and out.flags.writeable
+            assert not np.shares_memory(out, rho)
+            assert not any(np.shares_memory(out, m) for op in program for m in op if m is not None)
+
+    def test_second_call_leaves_the_first_result_as_it_was(self, rho, operators):
+        first = lindblad._evolve(rho, operators)
+        kept = first.copy()
+        second = lindblad._evolve(rho, operators)
+        again = lindblad._evolve(first, operators)  # the first result as the next input
+        assert first.tobytes() == kept.tobytes() == second.tobytes()
+        assert again.tobytes() == oracles.matmul_evolve(kept, operators).tobytes()
+
+    def test_input_layout_does_not_matter(self, rho, operators):
+        expected = lindblad._evolve(rho, operators).tobytes()
+        assert lindblad._evolve(np.asfortranarray(rho), operators).tobytes() == expected
+        wide = np.zeros((*rho.shape[:-1], 2 * rho.shape[-1]), dtype=complex)
+        wide[..., ::2] = rho
+        assert lindblad._evolve(wide[..., ::2], operators).tobytes() == expected  # strided rows
+
+    def test_empty_program_returns_a_copy_of_the_shared_initial_state(self):
+        out = lindblad._evolve(chaos._INITIAL_DENSITY, ())
+        assert out is not chaos._INITIAL_DENSITY and out.flags.writeable
+        assert not np.shares_memory(out, chaos._INITIAL_DENSITY)
+        assert out.tobytes() == chaos._INITIAL_DENSITY.tobytes()
+        out[0, 0] = 2
+        assert chaos._INITIAL_DENSITY[0, 0] != 2
+
+    @pytest.mark.parametrize("shape", [(8, 8), (3, 8, 8)])
+    def test_empty_program_run_returns_a_copy_of_its_input(self, engine, shape):
+        rho = np.broadcast_to(plus_y_density(), shape).copy()
+        before = rho.copy()
+        out = lindblad.run_sequence(rho, nmr.PulseSequence("empty", ()), engine)
+        assert out is not rho and not np.shares_memory(out, rho)
+        assert out.tobytes() == before.tobytes()
+        out[..., 0, 0] = 2
+        assert rho.tobytes() == before.tobytes()
+
+
 class TestTrajectories:
     def test_closed_system_matches_master_equation(self, engine_closed, model):
         seq = nmr.t_odd(model)
